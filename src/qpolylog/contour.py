@@ -14,11 +14,18 @@ depth-one closed form, and the depth-one generating function in the extra
 pole variable u.
 
 Numerics: all kernel factors are assembled in log space (so sh^(-a) at
-|p| ~ 200 never overflows), panels are graded geometrically near the origin
-where the p = 0 pole sits at distance eps below the line, and each axis is
-truncated where the integrand's exponential decay rate d_i =
-pi(a_i + b_i Re h) - |Im omega_i| pushes the tail below tolerance.
-Convergence is assessed by halving every panel until the value is stable.
+|p| ~ 200 never overflows), and each axis is truncated where the
+integrand's exponential decay rate d_i = pi(a_i + b_i Re h) - |Im omega_i|
+pushes the tail below tolerance.  Every axis is sampled by the trapezoid
+rule on one uniform grid p = j h + i eps, which converges exponentially in
+1/h because the integrand is analytic in a strip around the line
+(Trefethen & Weideman, SIAM Review 56(3), 2014).  On that grid the prefix
+sum P_c = h (j_1 + ... + j_c) + i c eps depends only on the index sum, so
+the nested sum is folded one axis at a time: a full FFT convolution with
+the next axis's samples, then a pointwise multiply by P_c^(-n_c).  Depth m
+costs O(m N log N) for N nodes per axis.  The first step comes from the
+distance between the line and the nearest singularity; the step is halved
+until two successive values agree.
 """
 
 from __future__ import annotations
@@ -55,42 +62,38 @@ __all__ = [
     "gen_series_depth1",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_UNIT_ROUNDOFF = 2.0**-53
+# Node budget of one trapezoid pass, summed over the axes: bounds memory at
+# the smallest line heights, where the uniform step gets fine.
+_MAX_NODES = 1 << 21
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for the line quadrature.
+    """Controls for the trapezoid line quadrature, at any depth.
 
     epsilon: height of the line above the real axis (None = automatic, half
         of the lowest pole height).
     T: per-axis truncation override (None = automatic from the decay rate).
-    panels: body panels per side (0 = automatic, unit width).
-    max_refine: number of panel-halving passes allowed.
-    tol: absolute convergence target for the refinement loop.
-    max_depth_m: largest supported number of integration variables.
+    max_refine: number of step-halving passes allowed after the first step.
+    tol: absolute convergence target: the step is halved until the values
+        at h and h/2 differ by at most tol, and the h/2 value is returned.
     """
 
     epsilon: float | None = None
     T: float | None = None
-    panels: int = 0
     max_refine: int = 4
     tol: float = 1e-10
-    max_depth_m: int = 3
 
     def __post_init__(self) -> None:
         if self.epsilon is not None and not (0 < self.epsilon < 1):
             raise DomainError("epsilon must lie in (0, 1)")
         if self.T is not None and not (1 <= self.T <= 500):
             raise DomainError("T must lie in [1, 500]")
-        if self.panels < 0:
-            raise DomainError("panels must be >= 0")
         if self.max_refine < 1:
             raise DomainError("max_refine must be >= 1")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise DomainError("tol must be positive and finite")
-        if not (1 <= self.max_depth_m <= 3):
-            raise DomainError("max_depth_m must be 1, 2 or 3")
 
 
 @dataclass(frozen=True)
@@ -142,55 +145,30 @@ def kernel(params: KernelParams, p) -> complex | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Panel construction
+# Grid construction
 # ---------------------------------------------------------------------------
 
 
-def _axis_breakpoints(eps: float, T: float, body_panels: int) -> np.ndarray:
-    """Breakpoints on [-T, T]: geometric grading on the scale of eps near the
-    origin (the pole region), then uniform body panels out to the cutoff."""
-    pts = [0.0, eps / 2, eps]
-    x = eps
-    while x < 1.0:
-        x = min(2 * x, 1.0)
-        pts.append(x)
-    if body_panels <= 0:
-        body_panels = max(1, int(math.ceil(T - pts[-1])))
-    body = np.linspace(pts[-1], T, body_panels + 1)[1:]
-    right = np.concatenate([np.asarray(pts), body])
-    right = np.unique(right[right <= T])
-    if right[-1] < T:
-        right = np.append(right, T)
-    return np.concatenate([-right[::-1], right[1:]])
-
-
-def _gl_on_panels(breaks: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """16-node Gauss-Legendre nodes/weights on every panel, each panel split
-    into 2^level equal subpanels."""
-    splits = 2**level
-    edges = np.concatenate(
-        [
-            np.linspace(breaks[i], breaks[i + 1], splits + 1)[:-1]
-            for i in range(len(breaks) - 1)
-        ]
-        + [breaks[-1:]]
-    )
-    lo = edges[:-1]
-    hi = edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
-
-
-def _auto_epsilon(hbar: complex, has_b: bool) -> float:
-    """Half of the lowest kernel pole height: poles sit at i k (height k) and
-    i k / h (height k Re h / |h|^2)."""
+def _lowest_pole(hbar: complex, has_b: bool) -> float:
+    """Height of the lowest kernel pole above the real axis: poles sit at
+    i k (height k) and i k / h (height k Re h / |h|^2)."""
     h = complex(hbar)
     if has_b:
-        return 0.5 * min(1.0, h.real / abs(h) ** 2)
-    return 0.5
+        return min(1.0, h.real / abs(h) ** 2)
+    return 1.0
+
+
+def _strip_half_width(
+    eps: float, top: float, n: Sequence[int], shifts: Sequence[complex]
+) -> float:
+    """Distance from the line to the nearest singularity of the integrand in
+    any one axis variable: the kernel poles at heights 0 and top, and the
+    zero of P_c - i u_c, which lies c eps - Re u_c below the line."""
+    d = min(eps, top - eps)
+    for c, (nc, u) in enumerate(zip(n, shifts), start=1):
+        if nc > 0:
+            d = min(d, c * eps - complex(u).real)
+    return d
 
 
 def _axis_decay_rates(
@@ -207,6 +185,15 @@ def _axis_decay_rates(
             )
         rates.append(d)
     return rates
+
+
+def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two complex sequences through numpy.fft."""
+    if a.size == 1:
+        return a[0] * b
+    size = a.size + b.size - 1
+    nfft = 1 << (size - 1).bit_length()
+    return np.fft.ifft(np.fft.fft(a, nfft) * np.fft.fft(b, nfft))[:size]
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +214,25 @@ def _line_integral(
     pole_shifts u_k replace the coupling denominators by (P_k - i u_k)^(n_k);
     sh_offsets (r_k, s_k) replace the kernel denominators by
     (sh(pi p) - r_k) * (sh(pi h p) - s_k) (only valid with a_k = b_k = 1).
+    The error estimate is the last halving delta, plus the truncation tail,
+    plus a round-off floor proportional to u * sum |terms|.
     """
     m = idx.depth
-    if m > spec.max_depth_m:
-        raise DomainError(f"depth {m} exceeds max_depth_m = {spec.max_depth_m}")
     omega = tuple(ensure_finite_complex(v, "omega") for v in omega)
     if len(omega) != m:
         raise DomainError("omega must have one entry per axis")
     hbar = validate_hbar(hbar)
     shifts = tuple(pole_shifts) if pole_shifts is not None else (0j,) * m
+    offsets = tuple(sh_offsets) if sh_offsets is not None else ((0j, 0j),) * m
+    for i, (r, s) in enumerate(offsets):
+        if (r != 0 or s != 0) and (idx.a[i] != 1 or idx.b[i] != 1):
+            raise DomainError("sh offsets require a = b = 1 on that axis")
 
-    eps = spec.epsilon if spec.epsilon is not None else _auto_epsilon(hbar, any(idx.b))
-    for k, u in enumerate(shifts):
+    top = _lowest_pole(hbar, any(idx.b))
+    eps = spec.epsilon if spec.epsilon is not None else 0.5 * top
+    if eps >= top:
+        raise DomainError(f"epsilon must lie below the lowest kernel pole ({top:.6g})")
+    for u in shifts:
         if u != 0 and abs(u) >= eps:
             raise DomainError("pole shifts must satisfy |u| < epsilon")
 
@@ -250,103 +244,69 @@ def _line_integral(
         axis_T.append(T)
     tail = sum(math.exp(-d * T) / d for d, T in zip(rates, axis_T))
 
-    axis_breaks = [_axis_breakpoints(eps, T, spec.panels) for T in axis_T]
+    # The trapezoid error is the integrand's Fourier transform at the aliasing
+    # frequency 2 pi / h.  A pole of order k at distance d from the line gives
+    # ~ (2 pi / h)^(k-1) exp(-2 pi d / h), so the first step solves
+    # 2 pi d / h = L + (k - 1) ln(L / (pi d)) with L = ln(1 / target).
+    d = _strip_half_width(eps, top, idx.n, shifts)
+    order = max([idx.a[0] + idx.b[0] + idx.n[0]] + [a + b for a, b in zip(idx.a, idx.b)])
+    L = max(-math.log(target), 1.0)
+    h0 = 2 * math.pi * d / (L + (order - 1) * max(math.log(L / (math.pi * d)), 0.0))
 
-    def evaluate(level: int) -> tuple[complex, list[int]]:
-        logs = []
-        xs = []
-        ws = []
-        for i in range(m):
-            x, w = _gl_on_panels(axis_breaks[i], level)
-            p = x + 1j * eps
-            lg = _log_kernel(idx.a[i], idx.b[i], hbar, omega[i], p)
-            if sh_offsets is not None:
-                r, s = sh_offsets[i]
-                if r != 0 or s != 0:
-                    if idx.a[i] != 1 or idx.b[i] != 1:
-                        raise DomainError("sh offsets require a = b = 1 on that axis")
-                    # 1/(sh - r) = (1/sh) / (1 - r/sh): fold the correction in
-                    inv_sh = np.exp(-_logsh(math.pi * p))
-                    inv_shh = np.exp(-_logsh(math.pi * hbar * p))
-                    lg = lg - np.log(1.0 - r * inv_sh) - np.log(1.0 - s * inv_shh)
-            logs.append(lg)
-            xs.append(p)
-            ws.append(w.astype(np.complex128))
-        counts = [len(x) for x in xs]
-        if m == 1:
-            p1 = xs[0]
-            integrand = np.exp(logs[0])
-            if idx.n[0] != 0:
-                integrand = integrand * (p1 - 1j * shifts[0]) ** (-idx.n[0])
-            return complex(np.sum(ws[0] * integrand)), counts
-        if m == 2:
-            p1 = xs[0]
-            p2 = xs[1]
-            u = ws[0] * np.exp(logs[0])
-            if idx.n[0] != 0:
-                u = u * (p1 - 1j * shifts[0]) ** (-idx.n[0])
-            v = ws[1] * np.exp(logs[1])
-            if idx.n[1] == 0:
-                return complex(np.sum(u) * np.sum(v)), counts
-            total = 0j
-            block = 256
-            for lo in range(0, len(p1), block):
-                hi = min(lo + block, len(p1))
-                P2 = p1[lo:hi, None] + p2[None, :]
-                M = (P2 - 1j * shifts[1]) ** (-idx.n[1])
-                total += complex(u[lo:hi] @ (M @ v))
-            return total, counts
-        # m == 3
-        p1, p2, p3 = xs
-        f1 = ws[0] * np.exp(logs[0])
-        if idx.n[0] != 0:
-            f1 = f1 * (p1 - 1j * shifts[0]) ** (-idx.n[0])
-        f2 = ws[1] * np.exp(logs[1])
-        f3 = ws[2] * np.exp(logs[2])
-        total = 0j
-        block = 64
-        for lo in range(0, len(p1), block):
-            hi = min(lo + block, len(p1))
-            P2 = p1[lo:hi, None] + p2[None, :]
-            g2 = f2[None, :] * (
-                (P2 - 1j * shifts[1]) ** (-idx.n[1]) if idx.n[1] != 0 else 1.0
+    def evaluate(h: float) -> tuple[complex, float, list[int]]:
+        """Trapezoid sum at step h, its round-off floor, and the node count on
+        every axis.  The floor is u * sum |terms| * (1 + sum_i kappa_i): exp
+        turns the absolute rounding of a log-space factor into a relative
+        error of about u |log|, and kappa_i is the |term|-weighted mean of
+        |log| on axis i."""
+        counts = [2 * math.ceil(T / h) + 1 for T in axis_T]
+        if sum(counts) > _MAX_NODES:
+            raise ConvergenceError(
+                f"line quadrature at step {h:.3g} needs more than {_MAX_NODES} nodes"
             )
-            # reduce over axis 3 for each (1, 2) pair
-            inner = np.empty_like(g2)
-            for row in range(hi - lo):
-                P3 = P2[row][:, None] + p3[None, :]
-                h3 = (P3 - 1j * shifts[2]) ** (-idx.n[2]) if idx.n[2] != 0 else 1.0
-                inner[row] = (h3 * f3[None, :]).sum(axis=1)
-            total += complex(f1[lo:hi] @ (g2 * inner).sum(axis=1))
-        return total, counts
+        acc = np.ones(1, dtype=np.complex128)
+        kappa = 0.0
+        for i in range(m):
+            half = counts[i] // 2
+            p = h * np.arange(-half, half + 1) + 1j * eps
+            lg = _log_kernel(idx.a[i], idx.b[i], hbar, omega[i], p)
+            r, s = offsets[i]
+            if r != 0 or s != 0:
+                # 1/(sh - r) = (1/sh) / (1 - r/sh): fold the correction in
+                inv_sh = np.exp(-_logsh(math.pi * p))
+                inv_shh = np.exp(-_logsh(math.pi * hbar * p))
+                lg = lg - np.log(1.0 - r * inv_sh) - np.log(1.0 - s * inv_shh)
+            f = h * np.exp(lg)
+            weight = np.abs(f)
+            if weight.any():
+                kappa += float(weight @ np.abs(lg)) / float(weight.sum())
+            # acc[J] sums every path whose index sum is J; P_c = h J + i c eps
+            acc = _fftconvolve(acc, f)
+            if idx.n[i] != 0:
+                J = np.arange(acc.size) - acc.size // 2
+                acc = acc * (h * J + 1j * ((i + 1) * eps - shifts[i])) ** (-idx.n[i])
+        floor = _UNIT_ROUNDOFF * (1.0 + kappa) * float(np.abs(acc).sum())
+        return complex(acc.sum()), floor, counts
 
-    prev = None
     deltas: list[float] = []
-    value = 0j
-    counts: list[int] = []
     for level in range(spec.max_refine + 1):
-        value, counts = evaluate(level)
-        if prev is not None:
+        value, floor, counts = evaluate(h0 / 2**level)
+        if level:
             deltas.append(abs(value - prev))
             if deltas[-1] <= spec.tol:
-                return value, deltas[-1] + tail, {
-                    "levels": level,
-                    "nodes_per_axis": counts,
-                    "T": axis_T,
-                    "epsilon": eps,
-                    "tail": tail,
-                }
+                break
         prev = value
-    if len(deltas) >= 2 and deltas[-1] >= deltas[-2] and deltas[-1] > 10 * spec.tol:
-        raise ConvergenceError(
-            f"line quadrature not converging: refinement deltas {deltas}"
-        )
-    if deltas and deltas[-1] > 1e3 * spec.tol:
-        raise ConvergenceError(
-            f"line quadrature stalled at delta = {deltas[-1]:.3e} (tol {spec.tol:.3e})"
-        )
-    return value, (deltas[-1] if deltas else tail) + tail, {
-        "levels": spec.max_refine,
+    else:
+        if len(deltas) >= 2 and deltas[-1] >= deltas[-2] and deltas[-1] > 10 * spec.tol:
+            raise ConvergenceError(
+                f"line quadrature not converging: refinement deltas {deltas}"
+            )
+        if deltas[-1] > 1e3 * spec.tol:
+            raise ConvergenceError(
+                f"line quadrature stalled at delta = {deltas[-1]:.3e} (tol {spec.tol:.3e})"
+            )
+    return value, deltas[-1] + tail + floor, {
+        "levels": level,
         "nodes_per_axis": counts,
         "T": axis_T,
         "epsilon": eps,

@@ -12,6 +12,7 @@ No general symbolic engine is used.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -532,6 +533,7 @@ def q_poly(m: int) -> ExactPoly:
     return poly * scale
 
 
+@functools.lru_cache(maxsize=256)
 def bernoulli_exact(a: int, b: int, n: int) -> ExactPoly:
     """Quantum Bernoulli polynomial as an exact polynomial in omega and h^{+-1}.
 
@@ -539,6 +541,7 @@ def bernoulli_exact(a: int, b: int, n: int) -> ExactPoly:
         i^(n-1) * 2 pi i * [coefficient of p^-1 in
             exp(-i p omega) * sh(pi p)^-a * sh(pi h p)^-b * p^-n].
     Returns 0 when a + b + n < 1 (the integrand is then analytic at 0).
+    Memoized: the result is immutable, so every caller may share it.
     """
     if a < 0 or b < 0:
         raise DomainError("a and b must be non-negative")

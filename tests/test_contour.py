@@ -8,8 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from qpolylog import DomainError
+from qpolylog import ConvergenceError, DomainError
 from qpolylog.contour import (
+    _fftconvolve,
     KernelParams,
     QuadratureSpec,
     depth1_closed_form,
@@ -50,7 +51,7 @@ class TestQuadratureSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
         assert spec.epsilon is None and spec.T is None
-        assert spec.tol == 1e-10 and spec.max_depth_m == 3
+        assert spec.tol == 1e-10 and spec.max_refine == 4
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -62,13 +63,9 @@ class TestQuadratureSpec:
         with pytest.raises(DomainError):
             QuadratureSpec(T=1000.0)
         with pytest.raises(DomainError):
-            QuadratureSpec(panels=-1)
-        with pytest.raises(DomainError):
             QuadratureSpec(max_refine=0)
         with pytest.raises(DomainError):
             QuadratureSpec(tol=-1.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_depth_m=4)
 
 
 class TestKernelParams:
@@ -167,14 +164,38 @@ class TestQuadF:
         with pytest.raises(DomainError):
             quad_F(MultiIndex((1, 0), (0, 0), (1, 1)), (-1.0, -1.0), 1.0)
 
-    def test_depth_cap(self):
+    def test_depth_four_matches_series(self):
+        # no depth cap: F_{1,0,n} at depth 4 is a multiple polylogarithm
         idx = MultiIndex((1,) * 4, (0,) * 4, (1,) * 4)
+        res = quad_F(idx, (-4.0, -3.0, -2.0, -1.0), 1.0)
+        e = math.exp(-1.0)
+        expected = multiple_polylog((1,) * 4, (e, e, e, -e)).value
+        assert res.value == pytest.approx(expected, rel=1e-12)
+        assert len(res.diagnostics["nodes_per_axis"]) == 4
+
+    def test_node_budget_refuses_tiny_line_height(self):
+        # h = 1 + 2000i puts the line about 1e-7 above the real axis
+        with pytest.raises(ConvergenceError):
+            quad_F(idx1(1, 1, 1), (-1.0,), 1.0 + 2000j)
+
+    def test_epsilon_must_stay_below_lowest_pole(self):
+        # h = 3 puts the lowest sh(pi h p) pole at height 1/3
         with pytest.raises(DomainError):
-            quad_F(idx, (-1.0,) * 4, 1.0)
+            quad_F(idx1(1, 1, 1), (-1.0,), 3.0, QuadratureSpec(epsilon=0.4))
 
     def test_argument_count_checked(self):
         with pytest.raises(DomainError):
             quad_F(idx1(1, 0, 1), (-1.0, -2.0), 1.0)
+
+
+class TestPrefixSumConvolution:
+    def test_matches_direct_convolution(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=37) + 1j * rng.normal(size=37)
+        b = rng.normal(size=101) + 1j * rng.normal(size=101)
+        direct = np.convolve(a, b)
+        assert np.max(np.abs(_fftconvolve(a, b) - direct)) <= 1e-13 * np.max(np.abs(direct))
+        assert np.array_equal(_fftconvolve(np.array([2.0 + 0j]), b), 2.0 * b)
 
 
 class TestQuadI:
@@ -211,6 +232,14 @@ class TestQuadLi:
         res = quad_Li(n, w)
         expected = classical_polylog(2, -cmath.exp(w[0])).value
         assert res.value == pytest.approx(expected, abs=1e-9)
+
+    def test_depth_four_vs_series(self):
+        n = (1, 2, 1, 2)
+        w = (-0.6, -0.8 + 0.3j, -0.5, -0.9)
+        res = quad_Li(n, w)
+        z = tuple(cmath.exp(v) for v in w[:-1]) + (-cmath.exp(w[-1]),)
+        expected = multiple_polylog(n, z).value
+        assert abs(res.value - expected) <= 1e-12 * abs(expected)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -276,6 +305,19 @@ class TestDepth1ClosedForm:
         quad = quad_F(idx1(a, 0, n), (omega,), 1.0)
         assert closed.value == pytest.approx(quad.value, abs=1e-9)
         assert closed.backend == "closed_form"
+
+    @pytest.mark.parametrize("tol", [None, 1e-14])
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_error_estimates_cover_the_gap(self, a, tol):
+        # the two backends agree within the sum of their error estimates; at
+        # tol = 1e-14 the quadrature estimate rests on its round-off floor
+        spec = QuadratureSpec(tol=tol) if tol else None
+        for n in range(4):
+            for omega in (-0.3, -1.0 + 0.5j, -2.0 - 1.0j, -0.1 + 2.0j, -3.5 + 0.2j):
+                quad = quad_F(idx1(a, 0, n), (omega,), 1.0, spec)
+                closed = depth1_closed_form(a, n, omega)
+                gap = abs(quad.value - closed.value)
+                assert gap <= quad.err_estimate + closed.err_estimate, (n, omega)
 
     def test_depth_one_polylog_specialization(self):
         # a = 1: F_{1,0,n}(w) = Li_n(-e^w)
@@ -348,3 +390,11 @@ class TestDepthThree:
         quad = quad_I(idx, w, hbar, spec)
         comp = companion_sum_I(n, w, hbar)
         assert quad.value == pytest.approx(comp.value, abs=1e-3)
+
+    def test_default_quadrature_matches_companion(self):
+        hbar = math.sqrt(2.0)
+        n = (1, 1, 1)
+        w = (-2.0, -2.0, -2.0)
+        quad = quad_I(MultiIndex((1, 1, 1), (1, 1, 1), n), w, hbar)
+        comp = companion_sum_I(n, w, hbar)
+        assert abs(quad.value - comp.value) <= 1e-9

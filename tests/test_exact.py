@@ -431,6 +431,9 @@ class TestBernoulliExact:
         assert bernoulli_exact(1, 0, -1).is_zero
         assert bernoulli_exact(0, 0, -3).is_zero
 
+    def test_memoized(self):
+        assert bernoulli_exact(2, 1, 1) is bernoulli_exact(2, 1, 1)
+
     def test_negative_a_b_rejected(self):
         with pytest.raises(DomainError):
             bernoulli_exact(-1, 0, 2)
