@@ -47,7 +47,7 @@ from .core import (
     validate_hbar,
 )
 from .exact import binom_general, q_poly
-from .series import SeriesParams, classical_polylog
+from .series import _UNIT_ROUNDOFF, SeriesParams, _fftconvolve, classical_polylog
 
 __all__ = [
     "QuadratureSpec",
@@ -62,7 +62,6 @@ __all__ = [
     "gen_series_depth1",
 ]
 
-_UNIT_ROUNDOFF = 2.0**-53
 # Node budget of one trapezoid pass, summed over the axes: bounds memory at
 # the smallest line heights, where the uniform step gets fine.
 _MAX_NODES = 1 << 21
@@ -185,15 +184,6 @@ def _axis_decay_rates(
             )
         rates.append(d)
     return rates
-
-
-def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two complex sequences through numpy.fft."""
-    if a.size == 1:
-        return a[0] * b
-    size = a.size + b.size - 1
-    nfft = 1 << (size - 1).bit_length()
-    return np.fft.ifft(np.fft.fft(a, nfft) * np.fft.fft(b, nfft))[:size]
 
 
 # ---------------------------------------------------------------------------

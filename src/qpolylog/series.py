@@ -14,11 +14,16 @@ Conventions (frozen; see qpolylog.conventions for the calibration evidence):
   CS(eps) = (prod_j eps_j) * sum_{k>0} (-1)^(k_1+...+k_m)
             * prod_c exp(K_c w_c) / (prod_j [k_j]_{q(eps_j)}^(a_j) * prod_c K_c^(n_c)),
   K_c = sum_{j<=c} eps_j k_j, q(1) = exp(i pi h), q(1/h) = exp(i pi / h).
+
+Numerics: octant, q-deformed and companion sums are one cone sum at any
+depth, an FFT fold over a lattice of weighted prefix sums (see _cone_sum).
+Series error estimates include a round-off floor.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,6 +57,9 @@ __all__ = [
 ]
 
 _UNIT_CIRCLE_ATOL = 1e-12
+_UNIT_ROUNDOFF = 2.0**-53
+# Cell budget of one cone-sum lattice (80 MB of complex128)
+_MAX_CELLS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -326,25 +334,34 @@ def multiple_polylog(
         suffix *= v
         r = max(r, suffix)
 
-    K = 64
-    prev = None
-    while True:
+    def simplex_sum(args: Sequence[complex], expo: Sequence[int], K: int) -> complex:
         ks = np.arange(1, K + 1, dtype=np.float64)
         B = np.ones(K, dtype=np.complex128)
         for c in range(m - 1, -1, -1):
-            A = np.exp(ks * cmath.log(z[c])) * ks ** (-n[c]) * B
+            A = np.exp(ks * cmath.log(args[c])) * ks ** (-expo[c]) * B
             if c == 0:
-                value = complex(np.sum(A))
                 break
             # exclusive suffix sums: B[k] = sum_{j > k} A[j]
             B = np.concatenate([np.cumsum(A[::-1])[::-1][1:], [0j]])
+        return complex(np.sum(A))
+
+    K = 64
+    prev = None
+    while True:
+        value = simplex_sum(z, n, K)
         tail = m * (K ** max(m - 1, 0)) * r ** (K + 1) / (1 - r)
         if prev is not None:
             delta = abs(value - prev)
             if delta + tail <= params.tol:
-                return EvalResult(
-                    value, delta + tail, "series", {"terms": K, "tail": tail}
+                # floor u sum|t| (1 + 2m + sum_j k_j |log z_j|) as in _cone_sum:
+                # at |z| the terms are moduli, and k_j |t| lowers n_j by one
+                floor = _UNIT_ROUNDOFF * (1 + 2 * m) * simplex_sum(mods, n, K).real + sum(
+                    _UNIT_ROUNDOFF * abs(cmath.log(z[j]))
+                    * simplex_sum(mods, n[:j] + (n[j] - 1,) + n[j + 1:], K).real
+                    for j in range(m)
                 )
+                err = delta + tail + floor
+                return EvalResult(value, err, "series", {"terms": K, "tail": tail})
         prev = value
         if K >= params.k_max:
             raise ConvergenceError(
@@ -373,6 +390,21 @@ def polylog_from_iterated_args(
 # ---------------------------------------------------------------------------
 
 
+def _fftconvolve(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Full linear convolution of a with the 1-D sequence b along one axis of
+    a, through numpy.fft."""
+    axis %= a.ndim
+    shape = [1] * a.ndim
+    shape[axis] = -1
+    if a.shape[axis] == 1:
+        return a * b.reshape(shape)
+    size = a.shape[axis] + b.size - 1
+    nfft = 1 << (size - 1).bit_length()
+    fb = np.fft.fft(b, nfft).reshape(shape)
+    out = np.fft.ifft(np.fft.fft(a, nfft, axis=axis) * fb, axis=axis)
+    return out[(slice(None),) * axis + (slice(size),)]
+
+
 def _cone_sum(
     a: tuple[int, ...],
     n: tuple[int, ...],
@@ -381,11 +413,22 @@ def _cone_sum(
     weights: tuple[complex, ...],
     params: SeriesParams,
 ) -> tuple[complex, float, dict]:
-    """sum over k_1,...,k_m >= 1 of
-        prod_j z_j^(k_j) / [k_j]_{q_j}^(a_j)  /  prod_c K_c^(n_c),
-    with weighted prefix sums K_c = sum_{j<=c} weights_j * k_j.
+    """sum over k_1,...,k_m >= 1 of prod_j f_j[k_j] / prod_c K_c^(n_c), with
+    f_j[k] = z_j^k / [k]_{q_j}^(a_j) and prefix sums K_c = sum_{j<=c} w_j k_j,
+    every weight w_j = weights[j] with Re w_j > 0.  Per-axis convergence
+    needs |z_j| * |q_j|^(a_j 1_{|q_j|<1}) < 1.
 
-    Per-axis convergence needs |z_j| * |q_j|^(a_j 1_{|q_j|<1}) < 1.
+    Truncated to the cube k_j <= K, the sum is folded slot by slot on a
+    lattice with one array axis per distinct weight, whose cell i collects
+    the partial paths with K_c = sum_d w_d i_d: an FFT convolution with f_c
+    along the slot's axis, then a multiply by the block of the reciprocal
+    lattice 1/K_c.  K doubles until two values agree to tol, within k_max
+    and _MAX_CELLS.  The estimate adds to that delta and the tail bound
+    m K^(m-1) r^(K+1) / (1 - r) a round-off floor u S (1 + 2m + kappa): S =
+    prod_j sum|f_j| * prod_c (sum_{j<=c} Re w_j)^(-n_c) bounds sum|terms| as
+    |K_c| >= Re K_c; 2m counts a rounding per exp and per multiply; and kappa =
+    sum_j (|log z_j| + a_j |log q_j|) * (mean k under |f_j|) covers exp(k log z_j)
+    and the bracket powers, whose relative error grows like u k |log|.
     """
     m = len(n)
     ratios = []
@@ -400,104 +443,69 @@ def _cone_sum(
         return 0j, 0.0, {"terms": 0}
     r = max(ratios)
 
-    equal_weights = all(abs(w - weights[0]) < 1e-15 for w in weights)
-    equal_q = all(q_list[j] == q_list[0] or a[j] == 0 for j in range(m))
+    lattice_w = [complex(wt) for wt in dict.fromkeys(weights)]
+    axis_of = [lattice_w.index(complex(wt)) for wt in weights]
+    slots_on = [axis_of.count(d) for d in range(len(lattice_w))]
 
-    K = 128
-    K_cap = 1 << 16 if m == 1 else (8192 if (equal_weights and equal_q) else 4096)
-    if m > 3:
-        raise DomainError("cone sums support depth <= 3")
+    def fold(fs: list[np.ndarray]) -> complex:
+        """The sum over the cube, given fs[j][k] = f_j[k] for k = 0..K, f_j[0] = 0."""
+        K = fs[0].size - 1
+        lat = functools.reduce(
+            np.add.outer, [wt * np.arange(c * K + 1) for wt, c in zip(lattice_w, slots_on)]
+        )
+        lat[(0,) * lat.ndim] = 1.0  # the only zero of K_c; every path has k_j >= 1
+        recip = np.reciprocal(lat, out=lat)
+        acc = np.ones((1,) * recip.ndim, dtype=np.complex128)
+        for c, f in enumerate(fs):
+            d = axis_of[c]
+            if c == m - 1 and acc.shape[d] == 1:
+                # a new axis is the last; contract it without the outer product
+                block = recip if n[c] == 1 else recip ** n[c]
+                return complex((acc[..., 0] * (block @ f)).sum())
+            acc = _fftconvolve(acc, f, axis=d)
+            if n[c] != 0:
+                block = recip[tuple(slice(s) for s in acc.shape)]
+                acc *= block if n[c] == 1 else block ** n[c]
+        return complex(acc.sum())
+
+    def roundoff_floor(fs: list[np.ndarray]) -> float:
+        """u S (1 + 2m + kappa), in O(mK)."""
+        K = fs[0].size - 1
+        ks = np.arange(K + 1, dtype=np.float64)
+        bound, growth, re_prefix, abs_prefix = 1.0, 1.0 + 2 * m, 0.0, 0.0
+        for f, zj, qj, aj, wt, nc in zip(fs, z, q_list, a, weights, n):
+            mass = np.abs(f)
+            total = float(mass.sum())
+            re_prefix += wt.real
+            abs_prefix += abs(wt)
+            # 1/|K_c| <= 1/Re K_c; a negative n_c needs |K_c| <= K sum |w_j| instead
+            bound *= total * (re_prefix**-nc if nc >= 0 else (abs_prefix * K) ** -nc)
+            if total:
+                rate = abs(cmath.log(zj)) + aj * abs(cmath.log(qj))
+                growth += rate * float(mass @ ks) / total  # kappa_j
+        return _UNIT_ROUNDOFF * bound * growth
+
+    K = min(128, params.k_max)
     prev = None
     while True:
-        if m == 1:
-            value = _cone_sum_grid_m1(a, n, z, q_list, weights, K)
-        elif equal_weights and equal_q:
-            value = _cone_sum_convolution(a, n, z, q_list[0], weights[0], K)
-        elif m == 2:
-            value = _cone_sum_grid_m2(a, n, z, q_list, weights, K)
-        else:
-            value = _cone_sum_grid_m3(a, n, z, q_list, weights, K)
+        if math.prod(c * K + 1 for c in slots_on) > _MAX_CELLS:
+            raise ConvergenceError(f"cone sum: a {K}-term lattice exceeds {_MAX_CELLS} cells")
+        ks = np.arange(1, K + 1, dtype=np.float64)
+        fs = [
+            np.concatenate(([0j], np.exp(ks * cmath.log(zj)) * _inv_bracket_pow(ks, qj, aj)))
+            for zj, qj, aj in zip(z, q_list, a)
+        ]
+        value = fold(fs)
         tail = m * (K ** max(m - 1, 0)) * r ** (K + 1) / (1 - r)
         if prev is not None:
             delta = abs(value - prev)
             if delta + tail <= params.tol:
-                return value, delta + tail, {"terms": K, "tail": tail}
+                err = delta + tail + roundoff_floor(fs)
+                return value, err, {"terms": K, "tail": tail}
         prev = value
-        if K >= K_cap:
-            raise ConvergenceError(
-                f"cone sum: not converged within {K_cap} terms per axis"
-            )
-        K = min(2 * K, K_cap)
-
-
-def _axis_factors(
-    a_j: int, z_j: complex, q_j: complex, K: int
-) -> np.ndarray:
-    """z^k / [k]_q^a for k = 1..K (index 0 of the result is k=1)."""
-    ks = np.arange(1, K + 1, dtype=np.float64)
-    return np.exp(ks * cmath.log(z_j)) * _inv_bracket_pow(ks, q_j, a_j)
-
-
-def _cone_sum_grid_m1(a, n, z, q_list, weights, K: int) -> complex:
-    ks = np.arange(1, K + 1, dtype=np.float64)
-    terms = _axis_factors(a[0], z[0], q_list[0], K) / (weights[0] * ks) ** n[0]
-    return complex(np.sum(terms))
-
-
-def _cone_sum_convolution(a, n, z, q: complex, weight: complex, K: int) -> complex:
-    """All slots share the same weight and the same q: reduce to iterated
-    truncated convolutions over the integer prefix sums kappa_c."""
-    m = len(n)
-    kappa = np.arange(0, K + 1, dtype=np.float64)
-    kappa[0] = 1.0  # avoid division by zero at the unused index 0
-    level = None
-    for c in range(m):
-        kernel = np.zeros(K + 1, dtype=np.complex128)
-        kernel[1:] = _axis_factors(a[c], z[c], q, K)
-        if level is None:
-            level = kernel.copy()
-        else:
-            level = np.convolve(level, kernel)[: K + 1]
-        level = level * kappa ** (-n[c])
-        level[0] = 0
-    total = complex(np.sum(level))
-    # reinstate the weight in every prefix denominator: K_c = weight * kappa_c
-    return total * complex(weight) ** (-sum(n))
-
-
-def _cone_sum_grid_m2(a, n, z, q_list, weights, K: int) -> complex:
-    k1 = np.arange(1, K + 1, dtype=np.float64)
-    u = _axis_factors(a[0], z[0], q_list[0], K) / (weights[0] * k1) ** n[0]
-    v = _axis_factors(a[1], z[1], q_list[1], K)
-    P1 = weights[0] * k1
-    k2 = np.arange(1, K + 1, dtype=np.float64)
-    total = 0j
-    block = 256
-    for lo in range(0, K, block):
-        hi = min(lo + block, K)
-        M = (P1[lo:hi, None] + weights[1] * k2[None, :]) ** (-n[1])
-        total += complex(u[lo:hi] @ (M @ v))
-    return total
-
-
-def _cone_sum_grid_m3(a, n, z, q_list, weights, K: int) -> complex:
-    k = np.arange(1, K + 1, dtype=np.float64)
-    u = _axis_factors(a[0], z[0], q_list[0], K) / (weights[0] * k) ** n[0]
-    v = _axis_factors(a[1], z[1], q_list[1], K)
-    w3 = _axis_factors(a[2], z[2], q_list[2], K)
-    P1 = weights[0] * k
-    total = 0j
-    block = 128
-    for idx3 in range(1, K + 1):
-        shift = weights[2] * idx3
-        inner = 0j
-        for lo in range(0, K, block):
-            hi = min(lo + block, K)
-            P2 = P1[lo:hi, None] + weights[1] * k[None, :]
-            M = P2 ** (-n[1]) * (P2 + shift) ** (-n[2])
-            inner += complex(u[lo:hi] @ (M @ v))
-        total += inner * w3[idx3 - 1]
-    return total
+        if K >= params.k_max:
+            raise ConvergenceError(f"cone sum: not converged within {K} terms per axis")
+        K = min(2 * K, params.k_max)
 
 
 def octant_polylog(

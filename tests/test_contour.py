@@ -10,7 +10,6 @@ import pytest
 
 from qpolylog import ConvergenceError, DomainError
 from qpolylog.contour import (
-    _fftconvolve,
     KernelParams,
     QuadratureSpec,
     depth1_closed_form,
@@ -25,6 +24,7 @@ from qpolylog.contour import (
 from qpolylog.core import MultiIndex
 from qpolylog.exact import bernoulli_exact, q_poly
 from qpolylog.series import (
+    _fftconvolve,
     classical_polylog,
     companion_sum_I,
     multiple_polylog,
@@ -196,6 +196,13 @@ class TestPrefixSumConvolution:
         direct = np.convolve(a, b)
         assert np.max(np.abs(_fftconvolve(a, b) - direct)) <= 1e-13 * np.max(np.abs(direct))
         assert np.array_equal(_fftconvolve(np.array([2.0 + 0j]), b), 2.0 * b)
+        # along axis 1 of a 2-D array, every row convolves on its own
+        grid = rng.normal(size=(3, 29)) + 1j * rng.normal(size=(3, 29))
+        out = _fftconvolve(grid, b, axis=1)
+        assert out.shape == (3, 29 + 101 - 1)
+        for row, got in zip(grid, out):
+            direct = np.convolve(row, b)
+            assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 class TestQuadI:
@@ -398,3 +405,15 @@ class TestDepthThree:
         quad = quad_I(MultiIndex((1, 1, 1), (1, 1, 1), n), w, hbar)
         comp = companion_sum_I(n, w, hbar)
         assert abs(quad.value - comp.value) <= 1e-9
+
+
+class TestDepthFour:
+    def test_companion_matches_quadrature(self):
+        hbar = (1 + math.sqrt(5)) / 2
+        n = (1, 2, 1, 1)
+        w = (-0.9 + 0.2j, -0.8 - 0.3j, -1.1 + 0.1j, -0.9)
+        quad = quad_I(MultiIndex((1,) * 4, (1,) * 4, n), w, hbar)
+        comp = companion_sum_I(n, w, hbar)
+        assert comp.diagnostics["cones"] == 16
+        assert abs(quad.value - comp.value) <= quad.err_estimate + comp.err_estimate
+        assert abs(quad.value - comp.value) <= 1e-12 * abs(quad.value)

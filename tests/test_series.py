@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from qpolylog import ConvergenceError, DomainError
+from qpolylog import ConvergenceError, DomainError, series
 from qpolylog.series import (
     EpsilonVector,
     KahanSum,
@@ -241,6 +241,10 @@ class TestMultiplePolylog:
     def test_zero_argument_gives_zero(self):
         res = multiple_polylog((1, 2), (0.0, 0.5))
         assert res.value == 0j
+        assert res.err_estimate == 0.0
+        res = octant_polylog((1, 2), (0.5, 0.0))
+        assert res.value == 0j
+        assert res.err_estimate == 0.0
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -298,6 +302,19 @@ class TestOctantPolylog:
                     z[0] ** k1 * z[1] ** k2 / (k1 ** n[0] * (k1 + k2) ** n[1])
                 )
         assert octant_polylog(n, z).value == pytest.approx(total, abs=1e-11)
+
+    def test_ratio_relation_depth_four(self):
+        n = (1, 2, 1, 2)
+        z = (0.05 + 0.02j, 0.1, -0.2 + 0.1j, 0.4)
+        ratios = tuple(z[j] / z[j + 1] for j in range(3)) + (z[3],)
+        lhs = octant_polylog(n, z).value
+        rhs = multiple_polylog(n, ratios).value
+        assert lhs == pytest.approx(rhs, abs=1e-13)
+
+    def test_k_max_caps_terms_per_axis(self):
+        # the tail at |z| = 0.999 needs about 35000 terms
+        with pytest.raises(ConvergenceError):
+            octant_polylog((1,), (0.999,), SeriesParams(k_max=256))
 
 
 class TestQMultiplePolylog:
@@ -403,6 +420,25 @@ class TestCompanionSeries:
         ref = brute_companion(a, n, w, eps, 70)
         assert res.value == pytest.approx(ref, abs=1e-9)
 
+    @pytest.mark.parametrize("mask", range(8))
+    def test_depth_three_all_sign_vectors(self, mask):
+        hbar = (1 + math.sqrt(5)) / 2
+        eps = EpsilonVector.all_vectors(3, hbar)[mask]
+        a, n, w = (1, 2, 1), (1, 1, 2), (-1.0, -1.1 + 0.2j, -2.0)
+        res = companion_series(a, n, w, eps)
+        ref = brute_companion(a, n, w, eps, 30)
+        assert res.value == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+    def test_lattice_cell_budget(self, monkeypatch):
+        # one weight keeps the lattice a line of 2K+1 cells; two weights make
+        # it a (K+1) x (K+1) plane, which the budget refuses past K = 128
+        monkeypatch.setattr(series, "_MAX_CELLS", 1 << 16)
+        hbar = math.sqrt(2.0)
+        args = ((1, 1), (1, 1), (-1.0, -1.0))
+        companion_series(*args, EpsilonVector(("1", "1"), hbar))
+        with pytest.raises(ConvergenceError):
+            companion_series(*args, EpsilonVector(("1", "1/h"), hbar))
+
     def test_slots_recorded_in_diagnostics(self):
         eps = EpsilonVector(("1", "1/h"), math.sqrt(2.0))
         res = companion_series((1, 1), (1, 1), (-2.0, -2.0), eps)
@@ -436,6 +472,81 @@ class TestCompanionSumI:
     def test_irrational_coupling_accepted(self):
         res = companion_sum_I((1,), (-1.0,), math.sqrt(2.0))
         assert abs(res.value) > 0
+
+
+# ---------------------------------------------------------------------------
+# Error estimates against a 40-digit reference
+# ---------------------------------------------------------------------------
+
+
+def mp_simplex(mp, n, z, K):
+    if len(n) == 1:
+        return mp.polylog(n[0], z[0])
+    total = inner = mp.mpc(0)
+    for k in range(1, K + 1):
+        total += mp.mpc(z[1]) ** k / mp.mpf(k) ** n[1] * inner
+        inner += mp.mpc(z[0]) ** k / mp.mpf(k) ** n[0]
+    return total
+
+
+def mp_cone(mp, a, n, z, q, K):
+    q = mp.mpc(q)
+    f = [
+        [mp.mpc(zj) ** k / (q**k - q**-k) ** aj for k in range(1, K + 1)]
+        for zj, aj in zip(z, a)
+    ]
+    if len(n) == 1:
+        return mp.fsum(f[0][k - 1] / mp.mpf(k) ** n[0] for k in range(1, K + 1))
+    return mp.fsum(
+        f[0][k1 - 1] / mp.mpf(k1) ** n[0]
+        * mp.fsum(f[1][k2 - 1] / mp.mpf(k1 + k2) ** n[1] for k2 in range(1, K + 1))
+        for k1 in range(1, K + 1)
+    )
+
+
+class TestErrorEstimates:
+    """Every err_estimate bounds the distance to the reference, including the
+    round-off that dominates once the tail is negligible."""
+
+    @pytest.mark.parametrize("n,z", [
+        ((1,), (0.5,)),
+        ((3,), (-0.6 + 0.2j,)),
+        ((2, 1), (0.3 + 0.1j, -0.4)),
+        ((1, 2), (0.6j, 0.5)),
+        ((1, 1), (-0.5, 0.55)),
+    ])
+    def test_multiple_polylog(self, n, z):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            ref = complex(mp_simplex(mp, n, z, 300))
+        res = multiple_polylog(n, z)
+        assert abs(res.value - ref) <= res.err_estimate
+
+    @pytest.mark.parametrize("n,z", [
+        ((2,), (0.4 - 0.3j,)),
+        ((1,), (0.6,)),
+        ((1, 1), (0.3, -0.25 + 0.1j)),
+        ((1, 2), (0.1 + 0.05j, 0.5)),
+        ((2, 0), (-0.4, 0.3j)),
+    ])
+    def test_octant_polylog(self, n, z):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            ref = complex(mp_cone(mp, (0,) * len(n), n, z, 0.5, 140))
+        res = octant_polylog(n, z)
+        assert abs(res.value - ref) <= res.err_estimate
+
+    @pytest.mark.parametrize("a,n,z,q", [
+        ((2,), (1,), (0.9 - 0.3j,), 0.6),
+        ((1, 1), (1, 2), (0.5, -0.4 + 0.2j), 0.5 + 0.1j),
+        ((0, 1), (2, 1), (0.3j, 0.6), 0.4),
+    ])
+    def test_q_multiple_polylog(self, a, n, z, q):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            ref = complex(mp_cone(mp, a, n, z, q, 120))
+        res = q_multiple_polylog(a, n, z, q)
+        assert abs(res.value - ref) <= res.err_estimate
 
 
 # ---------------------------------------------------------------------------
