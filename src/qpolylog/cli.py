@@ -17,14 +17,14 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import itertools
 import json
 import math
 import numbers
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Iterable, Mapping, Sequence
 
 from .contour import (
     QuadratureSpec,
@@ -53,24 +53,19 @@ from .series import (
     q_multiple_polylog,
 )
 
+# Points are evaluated in order, with no worker pool.  The traced benchmark
+# run (bench/tracer.py) still swaps this name out and back; drop it together
+# with that patch.
+ThreadPoolExecutor = None
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_EVAL = 2
 EXIT_VERIFY = 3
 
-FUNCTIONS = ("F", "I", "Li", "qLi", "zeta", "bernoulli", "psi")
 BACKEND_CHOICES = ("auto", "series", "contour", "companion", "closed_form", "exact")
 
-_AUTO_BACKEND = {
-    "F": "contour",
-    "I": "contour",
-    "Li": "series",
-    "qLi": "series",
-    "zeta": "contour",
-    "bernoulli": "exact",
-    "psi": "series",
-}
-
+# Backends each function accepts; "auto" picks the first.
 _ALLOWED_BACKENDS = {
     "F": ("contour", "companion", "closed_form"),
     "I": ("contour", "companion"),
@@ -80,6 +75,14 @@ _ALLOWED_BACKENDS = {
     "bernoulli": ("exact", "contour"),
     "psi": ("series",),
 }
+FUNCTIONS = tuple(_ALLOWED_BACKENDS)
+
+# Config-file keys; each stands for the flag of the same name (``identity``
+# for verify's positional argument).
+_CONFIG_KEYS = (
+    "fn", "a", "b", "n", "omega", "hbar", "backend", "tol", "format", "seed",
+    "workers", "identity", "sweep",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +317,12 @@ def build_parser() -> _Parser:
         p.add_argument("--tol", type=float, help="tolerance override")
         p.add_argument("--format", choices=("json", "csv"), help="output format")
         p.add_argument("--seed", type=int, help="random seed for gridded checks")
-        p.add_argument("--workers", type=int, help="worker pool size (default 1)")
+        p.add_argument(
+            "--workers",
+            type=int,
+            help="accepted and echoed in the output config (>= 1, default 1); "
+            "points are evaluated in order",
+        )
         p.add_argument("--config", help="JSON config file; explicit flags override it")
 
     p_eval = sub.add_parser("eval", help="evaluate a function on points")
@@ -347,8 +355,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _merge_config_file(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the JSON config file, if one was given."""
+def _merge_config_file(
+    parser: _Parser, argv: list, args: argparse.Namespace
+) -> argparse.Namespace:
+    """Fill unset flags from the JSON config file, if one was given.
+
+    Each config value the subcommand has a flag for, and the user left unset,
+    is appended to argv as that flag, and argv is parsed again, so config
+    values pass the same checks as flags.  Other keys are ignored.
+    """
     path = getattr(args, "config", None)
     if not path:
         return args
@@ -361,64 +376,47 @@ def _merge_config_file(args: argparse.Namespace) -> argparse.Namespace:
         raise UsageError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    mapping = {
-        "fn": "fn", "a": "a", "b": "b", "n": "n", "omega": "omega",
-        "hbar": "hbar", "backend": "backend", "tol": "tol", "format": "format",
-        "seed": "seed", "workers": "workers", "identity": "identity",
-        "sweep": "sweep",
-    }
-    for key, attr in mapping.items():
-        if key not in data or getattr(args, attr, None) not in (None, []):
+    extra: list[str] = []
+    for key in _CONFIG_KEYS:
+        if key not in data or not hasattr(args, key) or getattr(args, key) is not None:
             continue
         value = data[key]
-        if key == "sweep":
+        if key == "identity":
+            extra.append(str(value))
+        elif key == "sweep":
             if not isinstance(value, list):
                 raise UsageError("config 'sweep' must be a list of strings")
-            setattr(args, attr, [str(v) for v in value])
-        elif key in ("tol",):
-            setattr(args, attr, float(value))
-        elif key in ("seed", "workers"):
-            setattr(args, attr, int(value))
+            extra.extend(f"--sweep={v}" for v in value)
         else:
-            setattr(args, attr, str(value))
-    return args
+            extra.append(f"--{key}={value}")
+    return parser.parse_args(argv + extra)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fn = getattr(args, "fn", None)
-    fmt = getattr(args, "format", None) or (
-        "csv" if args.command == "table" else "json"
-    )
-    backend = getattr(args, "backend", None) or "auto"
-    tol = getattr(args, "tol", None)
-    seed = getattr(args, "seed", None)
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < 1:
+    if args.workers is not None and args.workers < 1:
         raise UsageError("--workers must be >= 1")
-    raw_pairs = list(getattr(args, "check_args", []) or [])
     pairs = []
-    for raw in raw_pairs:
-        key, sep, value = str(raw).partition("=")
+    for raw in getattr(args, "check_args", []):
+        key, sep, value = raw.partition("=")
         if not sep or not key:
             raise UsageError(f"identity arguments look like key=value, got {raw!r}")
         pairs.append((key.strip(), value.strip()))
-    sweeps = tuple(parse_sweep(s) for s in (getattr(args, "sweep", None) or []))
     return RunConfig(
         command=args.command,
-        fn=fn,
-        a=parse_int_list(args.a, "a") if getattr(args, "a", None) else (),
-        b=parse_int_list(args.b, "b") if getattr(args, "b", None) else (),
-        n=parse_int_list(args.n, "n") if getattr(args, "n", None) else (),
-        omega=parse_points(args.omega) if getattr(args, "omega", None) else (),
-        hbar=parse_complex(args.hbar) if getattr(args, "hbar", None) else 1.0 + 0j,
-        backend=backend,
-        tol=tol,
-        fmt=fmt,
-        seed=DEFAULT_SEED if seed is None else int(seed),
-        workers=1 if workers is None else int(workers),
+        fn=args.fn,
+        a=parse_int_list(args.a, "a") if args.a else (),
+        b=parse_int_list(args.b, "b") if args.b else (),
+        n=parse_int_list(args.n, "n") if args.n else (),
+        omega=parse_points(args.omega) if args.omega else (),
+        hbar=parse_complex(args.hbar) if args.hbar else 1.0 + 0j,
+        backend=args.backend or "auto",
+        tol=args.tol,
+        fmt=args.format or ("csv" if args.command == "table" else "json"),
+        seed=DEFAULT_SEED if args.seed is None else args.seed,
+        workers=args.workers or 1,
         identity=getattr(args, "identity", None),
         check_args=tuple(sorted(pairs)),
-        sweeps=sweeps,
+        sweeps=tuple(parse_sweep(s) for s in getattr(args, "sweep", None) or []),
     )
 
 
@@ -429,7 +427,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _resolve_backend(fn: str, backend: str) -> str:
     if backend == "auto":
-        return _AUTO_BACKEND[fn]
+        return _ALLOWED_BACKENDS[fn][0]
     if backend not in _ALLOWED_BACKENDS[fn]:
         raise UsageError(
             f"backend {backend!r} does not support fn={fn}; "
@@ -582,35 +580,21 @@ def _point_inputs(config: RunConfig, point: Sequence[complex]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _eval_records(config: RunConfig, points: Sequence) -> tuple:
-    """Evaluate all points through a worker pool, preserving input order."""
+def _eval_records(jobs: Iterable[tuple]) -> tuple:
+    """Evaluate (run config, point) jobs in order, one record per job.
 
-    def work(point: Sequence[complex]) -> tuple:
-        try:
-            return evaluate_point(config, point), None
-        except UsageError:
-            raise  # configuration problems are not per-point failures
-        except (QpolylogError, ValueError, OverflowError, ZeroDivisionError) as exc:
-            return None, f"{type(exc).__name__}: {exc}"
-
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        outcomes = list(pool.map(work, points))
-
+    A point that fails to evaluate gives an error record; a UsageError is a
+    configuration problem, not a per-point failure, and propagates.
+    """
     records = []
     errors = 0
-    for point, (result, error) in zip(points, outcomes):
-        record: dict[str, Any] = dict(_point_inputs(config, point))
-        if result is not None:
-            record.update(
-                {
-                    "value": complex_dict(result.value),
-                    "err_estimate": float(result.err_estimate),
-                    "backend": result.backend,
-                    "diagnostics": dict(result.diagnostics),
-                    "error": None,
-                }
-            )
-        else:
+    for config, point in jobs:
+        record = _point_inputs(config, point)
+        try:
+            result = evaluate_point(config, point)
+        except UsageError:
+            raise
+        except (QpolylogError, ValueError, OverflowError, ZeroDivisionError) as exc:
             errors += 1
             record.update(
                 {
@@ -618,7 +602,17 @@ def _eval_records(config: RunConfig, points: Sequence) -> tuple:
                     "err_estimate": None,
                     "backend": None,
                     "diagnostics": {},
-                    "error": error,
+                    "error": f"{type(exc).__name__}: {exc}",
+                }
+            )
+        else:
+            record.update(
+                {
+                    "value": complex_dict(result.value),
+                    "err_estimate": float(result.err_estimate),
+                    "backend": result.backend,
+                    "diagnostics": dict(result.diagnostics),
+                    "error": None,
                 }
             )
         records.append(record)
@@ -637,7 +631,7 @@ def cmd_eval(config: RunConfig, out) -> int:
         points = config.omega or ()
         if not points:
             raise UsageError("eval requires --omega (one or more points)")
-    records, errors = _eval_records(config, points)
+    records, errors = _eval_records((config, point) for point in points)
     payload = {
         "schema": 1,
         "command": "eval",
@@ -764,8 +758,6 @@ def cmd_verify(config: RunConfig, out) -> int:
 def cmd_table(config: RunConfig, out) -> int:
     if config.fn is None:
         raise UsageError("table requires --fn")
-    if config.fmt != "csv" and config.fmt != "json":
-        raise UsageError("--format must be json or csv")
     if config.fmt == "json":
         raise UsageError("table emits CSV; use --format csv (the default here)")
     sweeps = config.sweeps
@@ -783,55 +775,28 @@ def cmd_table(config: RunConfig, out) -> int:
     if len(base_point) != 1 and any(s.var == "omega" for s in sweeps):
         raise UsageError("omega sweeps are depth-1 only")
 
-    grids = [s.values() for s in sweeps]
+    combos = list(itertools.product(*(s.values() for s in sweeps)))
+    jobs = []
+    for combo in combos:
+        at = {s.var: complex(v) for s, v in zip(sweeps, combo)}
+        run = replace(config, hbar=at["hbar"]) if "hbar" in at else config
+        point = (at["omega"],) if "omega" in at else base_point
+        jobs.append((run, () if config.fn == "zeta" else point))
+    records, errors = _eval_records(jobs)
+
     writer = csv.writer(out)
     writer.writerow([s.var for s in sweeps] + ["re", "im", "err"])
-
-    def rows(prefix: list, depth: int):
-        if depth == len(grids):
-            yield list(prefix)
-            return
-        for value in grids[depth]:
-            prefix.append(value)
-            yield from rows(prefix, depth + 1)
-            prefix.pop()
-
-    exit_code = EXIT_OK
-    for combo in rows([], 0):
-        point = base_point
-        hbar = config.hbar
-        for sweep, value in zip(sweeps, combo):
-            if sweep.var == "omega":
-                point = (complex(value),)
-            else:
-                hbar = complex(value)
-        run = RunConfig(
-            command="eval",
-            fn=config.fn,
-            a=config.a,
-            b=config.b,
-            n=config.n,
-            omega=(point,),
-            hbar=hbar,
-            backend=config.backend,
-            tol=config.tol,
-            fmt="csv",
-            seed=config.seed,
-            workers=1,
-        )
-        cells = [format_float(v) for v in combo]
-        try:
-            result = evaluate_point(run, point if config.fn != "zeta" else ())
-            cells += [
-                format_float(result.value.real),
-                format_float(result.value.imag),
-                format_float(result.err_estimate),
+    for combo, record in zip(combos, records):
+        if record["error"] is None:
+            cells = [
+                format_float(record["value"]["re"]),
+                format_float(record["value"]["im"]),
+                format_float(record["err_estimate"]),
             ]
-        except QpolylogError as exc:
-            cells += ["", "", f"{type(exc).__name__}: {exc}"]
-            exit_code = EXIT_EVAL
-        writer.writerow(cells)
-    return exit_code
+        else:
+            cells = ["", "", record["error"]]
+        writer.writerow([format_float(v) for v in combo] + cells)
+    return EXIT_EVAL if errors else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +814,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_OK
         if args.command is None:
             raise UsageError("a subcommand is required: eval, verify, or table")
-        args = _merge_config_file(args)
+        args = _merge_config_file(parser, argv, args)
         config = _config_from_args(args)
         if config.command == "eval":
             return cmd_eval(config, sys.stdout)

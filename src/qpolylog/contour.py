@@ -396,8 +396,7 @@ def quad_bernoulli_circle(
         raise DomainError("a and b must be non-negative")
     omega = ensure_finite_complex(omega, "omega")
     hbar = validate_hbar(hbar)
-    h = complex(hbar)
-    top = min(1.0, h.real / abs(h) ** 2) if b else 1.0
+    top = _lowest_pole(hbar, b > 0)
     R = radius if radius is not None else 0.5 * top
     if not 0 < R < top:
         raise DomainError(f"radius must lie in (0, {top:.6g})")

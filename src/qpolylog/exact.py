@@ -441,22 +441,17 @@ class FormalLaurent:
         return FormalLaurent(lo, tuple(out))
 
 
-def exp_series(order: int, scale: ExactScalar | None = None, omega_power: bool = True) -> FormalLaurent:
+def exp_series(order: int) -> FormalLaurent:
     """Taylor series of exp(-i * p * omega) up to p^order.
 
-    Coefficient of p^k is (-i omega)^k / k!, an ExactPoly in omega.  With
-    ``scale`` given, omega is replaced by that fixed scalar.
+    Coefficient of p^k is (-i omega)^k / k!, an ExactPoly in omega.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
-    coeffs = []
-    for k in range(order + 1):
-        c = ExactScalar.i_power(-k) * Fraction(1, math.factorial(k))
-        if omega_power:
-            coeffs.append(ExactPoly.monomial(k, 0, c))
-        else:
-            base = (scale or ExactScalar.one()) ** k
-            coeffs.append(ExactPoly.scalar(c * base))
+    coeffs = [
+        ExactPoly.monomial(k, 0, ExactScalar.i_power(-k) * Fraction(1, math.factorial(k)))
+        for k in range(order + 1)
+    ]
     return FormalLaurent(0, tuple(coeffs))
 
 

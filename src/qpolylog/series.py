@@ -281,20 +281,27 @@ def classical_polylog(n: int, z: complex, params: SeriesParams | None = None) ->
         raise DomainError("need |z| < 1, or |z| = 1 with n >= 2")
 
     acc = KahanSum()
+    log_z = cmath.log(z)
+    abs_sum = k_abs_sum = 0.0  # sum |t_k| and sum k |t_k|, for the round-off floor
     chunk = 4096
     k0 = 1
     while k0 <= params.k_max:
         k1 = min(k0 + chunk - 1, params.k_max)
         ks = np.arange(k0, k1 + 1, dtype=np.float64)
-        terms = np.exp(ks * cmath.log(z)) / ks**n
+        terms = np.exp(ks * log_z) / ks**n
         acc.add(complex(np.sum(terms)))
+        mags = np.abs(terms)
+        abs_sum += float(np.sum(mags))
+        k_abs_sum += float(np.dot(ks, mags))
         K = k1
         if r < 1:
             tail = r ** (K + 1) / (1 - r) / (K + 1) ** n
         else:
             tail = (K ** (1 - n)) / (n - 1)
         if tail <= params.tol:
-            return EvalResult(acc.value(), tail, "series", {"n": n, "terms": K})
+            # floor as in multiple_polylog with m = 1
+            floor = _UNIT_ROUNDOFF * (3 * abs_sum + abs(log_z) * k_abs_sum)
+            return EvalResult(acc.value(), tail + floor, "series", {"n": n, "terms": K})
         k0 = k1 + 1
     raise ConvergenceError(
         f"classical_polylog: tail bound {tail:.3e} above tol {params.tol:.3e} "

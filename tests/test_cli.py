@@ -700,6 +700,27 @@ class TestTableCommand:
         assert "DomainError" in rows[3][3]
         assert rows[2][1:3] == ["", ""]
 
+    def test_overflow_gives_error_cell(self, capsys):
+        # eval turns the same OverflowError into an error record
+        code, out, _ = run_cli(
+            capsys,
+            "table", "--fn", "bernoulli", "--a", "3", "--b", "1", "--n", "1",
+            "--hbar", "1.2", "--sweep", "omega=1e200:1e200:1",
+        )
+        assert code == EXIT_EVAL
+        rows = csv_rows(out)
+        assert rows[0] == ["omega", "re", "im", "err"]
+        assert len(rows) == 2
+        assert rows[1][1:3] == ["", ""]
+        assert rows[1][3].startswith("OverflowError")
+
+    def test_usage_error_writes_nothing(self, capsys):
+        # a missing --n fails every row alike: one usage error, no table
+        code, out, err = run_cli(capsys, "table", "--fn", "F", "--sweep", "hbar=1:2:1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--n" in err
+
     def test_json_format_rejected(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -824,6 +845,21 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "table", "--config", str(path))
         assert code == EXIT_USAGE
         assert "list" in err
+
+    @pytest.mark.parametrize("data, flag", [
+        ({"fn": "bogus"}, "--fn"),
+        ({"fn": "F", "format": "xml"}, "--format"),
+    ])
+    def test_config_values_checked_like_flags(self, capsys, tmp_path, data, flag):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(
+            capsys, "eval", "--a", "1", "--b", "0", "--n", "0", "--omega", "-1",
+            "--config", str(path),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert flag in err
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(

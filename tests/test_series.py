@@ -523,6 +523,21 @@ class TestErrorEstimates:
         assert abs(res.value - ref) <= res.err_estimate
 
     @pytest.mark.parametrize("n,z", [
+        (2, 0.3),
+        (2, 0.8),
+        (2, 0.5 + 0.5j),
+        (3, -0.9),
+        (1, 0.95j),
+    ])
+    def test_classical_polylog(self, n, z):
+        # the tail underflows after one chunk here, so only the floor remains
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ref = complex(mp.polylog(n, mp.mpc(z)))
+        res = classical_polylog(n, z)
+        assert abs(res.value - ref) <= res.err_estimate
+
+    @pytest.mark.parametrize("n,z", [
         ((2,), (0.4 - 0.3j,)),
         ((1,), (0.6,)),
         ((1, 1), (0.3, -0.25 + 0.1j)),
