@@ -16,16 +16,18 @@ pole variable u.
 Numerics: all kernel factors are assembled in log space (so sh^(-a) at
 |p| ~ 200 never overflows), and each axis is truncated where the
 integrand's exponential decay rate d_i = pi(a_i + b_i Re h) - |Im omega_i|
-pushes the tail below tolerance.  Every axis is sampled by the trapezoid
-rule on one uniform grid p = j h + i eps, which converges exponentially in
-1/h because the integrand is analytic in a strip around the line
-(Trefethen & Weideman, SIAM Review 56(3), 2014).  On that grid the prefix
-sum P_c = h (j_1 + ... + j_c) + i c eps depends only on the index sum, so
-the nested sum is folded one axis at a time: a full FFT convolution with
-the next axis's samples, then a pointwise multiply by P_c^(-n_c).  Depth m
-costs O(m N log N) for N nodes per axis.  The first step comes from the
-distance between the line and the nearest singularity; the step is halved
-until two successive values agree.
+pushes the tail below one unit round-off (or below tolerance, if that is
+finer).  Every axis is sampled by the trapezoid rule on one uniform grid
+p = j h + i eps, which converges exponentially in 1/h because the integrand
+is analytic in a strip around the line (Trefethen & Weideman, SIAM Review
+56(3), 2014).  On that grid the prefix sum P_c = h (j_1 + ... + j_c) + i c eps
+depends only on the index sum, so the nested sum is folded one axis at a
+time: a full FFT convolution with the next axis's samples, then a pointwise
+multiply by P_c^(-n_c).  Depth m costs O(m N log N) for N nodes per axis.
+The first step comes from the distance between the line and the nearest
+singularity; the step is halved until two successive values agree.  The
+halved grids are nested, so each pass samples the kernel only on its new
+odd nodes and reuses every earlier sample.
 """
 
 from __future__ import annotations
@@ -73,7 +75,9 @@ class QuadratureSpec:
 
     epsilon: height of the line above the real axis (None = automatic, half
         of the lowest pole height).
-    T: per-axis truncation override (None = automatic from the decay rate).
+    T: per-axis truncation override (None = automatic: axis i is cut at
+        T_i = min(ln(1/min(u, tol/100)) / d_i, 200), so that its tail
+        exp(-d_i T_i) / d_i at decay rate d_i lies below one unit round-off u).
     max_refine: number of step-halving passes allowed after the first step.
     tol: absolute convergence target: the step is halved until the values
         at h and h/2 differ by at most tol, and the h/2 value is returned.
@@ -228,10 +232,11 @@ def _line_integral(
 
     rates = _axis_decay_rates(idx, omega, hbar)
     target = spec.tol * 1e-2
-    axis_T = []
-    for d in rates:
-        T = spec.T if spec.T is not None else min(max(-math.log(target) / d, 10.0), 200.0)
-        axis_T.append(T)
+    # Cut each axis where its tail exp(-d T) / d drops below one unit
+    # round-off (or below target, if that is finer): past there the samples
+    # add nothing to the sum.
+    cut = max(-math.log(target), -math.log(_UNIT_ROUNDOFF))
+    axis_T = [spec.T if spec.T is not None else min(cut / d, 200.0) for d in rates]
     tail = sum(math.exp(-d * T) / d for d, T in zip(rates, axis_T))
 
     # The trapezoid error is the integrand's Fourier transform at the aliasing
@@ -243,44 +248,61 @@ def _line_integral(
     L = max(-math.log(target), 1.0)
     h0 = 2 * math.pi * d / (L + (order - 1) * max(math.log(L / (math.pi * d)), 0.0))
 
-    def evaluate(h: float) -> tuple[complex, float, list[int]]:
-        """Trapezoid sum at step h, its round-off floor, and the node count on
-        every axis.  The floor is u * sum |terms| * (1 + sum_i kappa_i): exp
-        turns the absolute rounding of a log-space factor into a relative
-        error of about u |log|, and kappa_i is the |term|-weighted mean of
-        |log| on axis i."""
-        counts = [2 * math.ceil(T / h) + 1 for T in axis_T]
-        if sum(counts) > _MAX_NODES:
-            raise ConvergenceError(
-                f"line quadrature at step {h:.3g} needs more than {_MAX_NODES} nodes"
-            )
+    def log_factor(i: int, p: np.ndarray) -> np.ndarray:
+        lg = _log_kernel(idx.a[i], idx.b[i], hbar, omega[i], p)
+        r, s = offsets[i]
+        if r != 0 or s != 0:
+            # 1/(sh - r) = (1/sh) / (1 - r/sh): fold the correction in
+            inv_sh = np.exp(-_logsh(math.pi * p))
+            inv_shh = np.exp(-_logsh(math.pi * hbar * p))
+            lg = lg - np.log(1.0 - r * inv_sh) - np.log(1.0 - s * inv_shh)
+        return lg
+
+    def fold(h: float) -> tuple[complex, float]:
+        """Trapezoid sum at step h over the current samples, and its round-off
+        floor u * sum |terms| * (1 + sum_i kappa_i): exp turns the absolute
+        rounding of a log-space factor into a relative error of about
+        u |log|, and kappa_i is the |term|-weighted mean of |log| on axis i."""
         acc = np.ones(1, dtype=np.complex128)
         kappa = 0.0
-        for i in range(m):
-            half = counts[i] // 2
-            p = h * np.arange(-half, half + 1) + 1j * eps
-            lg = _log_kernel(idx.a[i], idx.b[i], hbar, omega[i], p)
-            r, s = offsets[i]
-            if r != 0 or s != 0:
-                # 1/(sh - r) = (1/sh) / (1 - r/sh): fold the correction in
-                inv_sh = np.exp(-_logsh(math.pi * p))
-                inv_shh = np.exp(-_logsh(math.pi * hbar * p))
-                lg = lg - np.log(1.0 - r * inv_sh) - np.log(1.0 - s * inv_shh)
-            f = h * np.exp(lg)
+        for i, (e, abs_lg) in enumerate(samples):
+            f = h * e
             weight = np.abs(f)
             if weight.any():
-                kappa += float(weight @ np.abs(lg)) / float(weight.sum())
+                kappa += float(weight @ abs_lg) / float(weight.sum())
             # acc[J] sums every path whose index sum is J; P_c = h J + i c eps
             acc = _fftconvolve(acc, f)
             if idx.n[i] != 0:
                 J = np.arange(acc.size) - acc.size // 2
                 acc = acc * (h * J + 1j * ((i + 1) * eps - shifts[i])) ** (-idx.n[i])
         floor = _UNIT_ROUNDOFF * (1.0 + kappa) * float(np.abs(acc).sum())
-        return complex(acc.sum()), floor, counts
+        return complex(acc.sum()), floor
 
+    # Level k samples axis i at p = (h0 / 2^k) j + i eps, |j| <= half_i 2^k.
+    # (h/2)(2j) == h j bit for bit, so the even nodes of a level are exactly
+    # the previous level's grid: each axis keeps exp(log-kernel) and
+    # |log-kernel| between levels and computes only its new odd nodes.
+    halves = [math.ceil(T / h0) for T in axis_T]
+    samples: list = [None] * m
+    nodes_evaluated = 0
     deltas: list[float] = []
     for level in range(spec.max_refine + 1):
-        value, floor, counts = evaluate(h0 / 2**level)
+        h = h0 / 2**level
+        counts = [2 * (half << level) + 1 for half in halves]
+        if sum(counts) > _MAX_NODES:
+            raise ConvergenceError(
+                f"line quadrature at step {h:.3g} needs more than {_MAX_NODES} nodes"
+            )
+        for i, half in enumerate(halves):
+            if level:
+                j = np.arange(1 - (half << level), half << level, 2)
+            else:
+                j = np.arange(-half, half + 1)
+            lg = log_factor(i, h * j + 1j * eps)
+            nodes_evaluated += lg.size
+            fresh = (np.exp(lg), np.abs(lg))
+            samples[i] = tuple(map(_interleave, samples[i], fresh)) if level else fresh
+        value, floor = fold(h)
         if level:
             deltas.append(abs(value - prev))
             if deltas[-1] <= spec.tol:
@@ -298,10 +320,20 @@ def _line_integral(
     return value, deltas[-1] + tail + floor, {
         "levels": level,
         "nodes_per_axis": counts,
+        "nodes_evaluated": nodes_evaluated,
+        "deltas": deltas,
         "T": axis_T,
         "epsilon": eps,
         "tail": tail,
     }
+
+
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The array even[0], odd[0], even[1], ..., odd[-1], even[-1]."""
+    out = np.empty(even.size + odd.size, dtype=np.result_type(even, odd))
+    out[0::2] = even
+    out[1::2] = odd
+    return out
 
 
 def _i_power(k: int) -> complex:

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qpolylog import ConvergenceError, DomainError
+from qpolylog import ConvergenceError, DomainError, contour
 from qpolylog.contour import (
     KernelParams,
     QuadratureSpec,
@@ -203,6 +203,65 @@ class TestPrefixSumConvolution:
         for row, got in zip(grid, out):
             direct = np.convolve(row, b)
             assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+class TestTruncationAndNodeReuse:
+    @pytest.mark.parametrize(
+        "a,b,n,omega,hbar",
+        [
+            (2, 1, 1, -1.0, 50.0),
+            (1, 1, 1, -1.0, 1 + 5j),
+            (1, 1, 3, 0.8 + 0.2j, 1.2),
+            (1, 0, 4, 6.0, 1.0),
+            (1, 1, 1, -1 + 2.5j, 0.9),
+        ],
+    )
+    def test_auto_window_matches_widest_window(self, a, b, n, omega, hbar):
+        # the automatic cut leaves only a tail below unit round-off
+        auto = quad_F(idx1(a, b, n), (omega,), hbar)
+        wide = quad_F(idx1(a, b, n), (omega,), hbar, QuadratureSpec(T=200))
+        assert wide.diagnostics["T"] == [200]
+        assert auto.diagnostics["T"][0] < 200
+        assert abs(auto.value - wide.value) <= auto.err_estimate
+
+    def test_large_hbar_grid_stays_small(self):
+        # at h = 50 the integrand is gone past |p| ~ 0.2
+        res = quad_F(idx1(2, 1, 1), (-1.0,), 50.0)
+        assert sum(res.diagnostics["nodes_per_axis"]) <= 1000
+
+    @pytest.mark.parametrize(
+        "idx,omega,hbar",
+        [
+            (idx1(1, 1, 2), (-0.7,), 1.2),
+            (MultiIndex((1, 1), (1, 1), (1, 2)), (-1.0, -0.5), 1.3),
+        ],
+    )
+    def test_kernel_sampled_once_per_node(self, monkeypatch, idx, omega, hbar):
+        # the h/2 pass reuses the h nodes and samples only the new odd ones
+        computed = []
+        log_kernel = contour._log_kernel
+
+        def counting(a, b, hbar, omega, p):
+            computed.append(p.size)
+            return log_kernel(a, b, hbar, omega, p)
+
+        monkeypatch.setattr(contour, "_log_kernel", counting)
+        diag = quad_F(idx, omega, hbar).diagnostics
+        assert diag["levels"] == 1
+        assert sum(computed) == sum(diag["nodes_per_axis"])
+        assert diag["nodes_evaluated"] == sum(computed)
+
+    def test_diagnostics_report_refinement_history(self):
+        spec = QuadratureSpec(tol=1e-12)
+        res = quad_F(MultiIndex((1, 1), (1, 1), (1, 2)), (-1.0, -0.5), 1.3, spec)
+        diag = res.diagnostics
+        assert len(diag["deltas"]) == diag["levels"] >= 1
+        assert diag["deltas"][-1] <= spec.tol
+        assert res.err_estimate >= diag["deltas"][-1] + diag["tail"]
+        assert diag["nodes_evaluated"] == sum(diag["nodes_per_axis"])
+        assert set(diag) == {
+            "levels", "nodes_per_axis", "nodes_evaluated", "deltas", "T", "epsilon", "tail"
+        }
 
 
 class TestQuadI:
