@@ -19,7 +19,9 @@ from .contour import (
     KernelParams,
     quad_bernoulli_circle,
     quad_F,
+    quad_F_batch,
     quad_I,
+    quad_I_batch,
     quad_Li,
     quad_zeta_hbar,
 )
@@ -53,7 +55,9 @@ from .series import (
     TruncatedSeries,
     classical_polylog,
     companion_series,
+    companion_series_batch,
     companion_sum_I,
+    companion_sum_I_batch,
     multiple_polylog,
     octant_polylog,
     pochhammer_psi,
@@ -92,7 +96,9 @@ __all__ = [
     "TruncatedSeries",
     "classical_polylog",
     "companion_series",
+    "companion_series_batch",
     "companion_sum_I",
+    "companion_sum_I_batch",
     "multiple_polylog",
     "octant_polylog",
     "pochhammer_psi",
@@ -107,7 +113,9 @@ __all__ = [
     "gen_series_depth1",
     "quad_bernoulli_circle",
     "quad_F",
+    "quad_F_batch",
     "quad_I",
+    "quad_I_batch",
     "quad_Li",
     "quad_zeta_hbar",
     # conventions and identity suite

@@ -30,8 +30,8 @@ from .contour import (
     QuadratureSpec,
     depth1_closed_form,
     quad_bernoulli_circle,
-    quad_F,
-    quad_I,
+    quad_F_batch,
+    quad_I_batch,
     quad_Li,
     quad_zeta_hbar,
 )
@@ -42,20 +42,22 @@ from .core import (
     MultiIndex,
     QpolylogError,
     UsageError,
+    map_points,
+    unwrap,
 )
 from .exact import bernoulli_exact, verify_a3
 from .identities import CHECKS, DEFAULT_SEED, CheckSpec, run_all
 from .series import (
     SeriesParams,
-    companion_sum_I,
+    companion_sum_I_batch,
     multiple_polylog,
     pochhammer_psi,
     q_multiple_polylog,
 )
 
-# Points are evaluated in order, with no worker pool.  The traced benchmark
-# run (bench/tracer.py) still swaps this name out and back; drop it together
-# with that patch.
+# Points are evaluated with no worker pool (see _eval_records).  The traced
+# benchmark run (bench/tracer.py) still swaps this name out and back; drop it
+# together with that patch.
 ThreadPoolExecutor = None
 
 EXIT_OK = 0
@@ -458,29 +460,65 @@ def _omega_to_w(omega: Sequence[complex]) -> tuple:
     )
 
 
+def _numeric_params(config: RunConfig) -> tuple:
+    """The quadrature and series controls of a run: --tol, or the defaults."""
+    quad_spec = QuadratureSpec(tol=config.tol) if config.tol else QuadratureSpec()
+    series_params = SeriesParams(tol=config.tol) if config.tol else SeriesParams()
+    return quad_spec, series_params
+
+
+def _evaluate_batch(config: RunConfig, points: Sequence) -> list | None:
+    """evaluate_point at every point, as one batch call for F and I on the
+    contour and companion backends, whose points share their omega-free work:
+    for each point its EvalResult, or the exception evaluate_point raises
+    there.  None for every other function and backend."""
+    if config.fn not in ("F", "I"):
+        return None
+    backend = _resolve_backend(config.fn, config.backend)
+    if backend == "closed_form":
+        return None
+    try:
+        quad_spec, series_params = _numeric_params(config)
+    except DomainError as exc:
+        return [exc] * len(points)
+
+    def prepare(point: tuple) -> tuple:
+        m = len(point)
+        idx = _index_for(config, m)
+        if backend == "contour":
+            return point
+        if idx.a != (1,) * m or idx.b != (1,) * m:
+            raise DomainError(
+                "companion backend requires the first-order index a = b = (1, ..., 1)"
+            )
+        return _omega_to_w(point) if config.fn == "F" else point
+
+    args = map_points(prepare, points)
+    if all(isinstance(arg, Exception) for arg in args):
+        return args
+    # every prepared point has depth len(n), so they share one index
+    idx = _index_for(config, len(config.n))
+    if backend == "companion":
+        return companion_sum_I_batch(idx.n, args, config.hbar, series_params)
+    batch = quad_F_batch if config.fn == "F" else quad_I_batch
+    return batch(idx, args, config.hbar, quad_spec)
+
+
 def evaluate_point(config: RunConfig, point: Sequence[complex]) -> EvalResult:
     """Evaluate config.fn at one argument point."""
     fn = config.fn
     if fn is None:
         raise UsageError("--fn is required for eval/table")
-    backend = _resolve_backend(fn, config.backend)
-    quad_spec = QuadratureSpec(tol=config.tol) if config.tol else QuadratureSpec()
-    series_params = SeriesParams(tol=config.tol) if config.tol else SeriesParams()
     point = tuple(point)
+    batch = _evaluate_batch(config, (point,))
+    if batch is not None:
+        return unwrap(batch[0])
+    backend = _resolve_backend(fn, config.backend)
+    quad_spec, series_params = _numeric_params(config)
     m = len(point)
 
-    if fn == "F":
+    if fn == "F":  # closed_form; contour and companion are batched
         idx = _index_for(config, m)
-        if backend == "contour":
-            return quad_F(idx, point, config.hbar, quad_spec)
-        if backend == "companion":
-            if idx.a != (1,) * m or idx.b != (1,) * m:
-                raise DomainError(
-                    "companion backend requires the first-order index "
-                    "a = b = (1, ..., 1)"
-                )
-            return companion_sum_I(idx.n, _omega_to_w(point), config.hbar, series_params)
-        # closed_form
         if m != 1:
             raise DomainError("closed_form backend is depth-1 only")
         a1, b1, n1 = idx.a[0], idx.b[0], idx.n[0]
@@ -492,16 +530,6 @@ def evaluate_point(config: RunConfig, point: Sequence[complex]) -> EvalResult:
             "closed_form for fn=F needs b=0 (any hbar) or hbar=1 (merged "
             "coupling)"
         )
-
-    if fn == "I":
-        idx = _index_for(config, m)
-        if backend == "contour":
-            return quad_I(idx, point, config.hbar, quad_spec)
-        if idx.a != (1,) * m or idx.b != (1,) * m:
-            raise DomainError(
-                "companion backend requires the first-order index a = b = (1, ..., 1)"
-            )
-        return companion_sum_I(idx.n, point, config.hbar, series_params)
 
     if fn == "Li":
         n = config.n
@@ -581,41 +609,46 @@ def _point_inputs(config: RunConfig, point: Sequence[complex]) -> dict:
 
 
 def _eval_records(jobs: Iterable[tuple]) -> tuple:
-    """Evaluate (run config, point) jobs in order, one record per job.
+    """Evaluate (run config, point) jobs, one record per job, in order.
+    Consecutive jobs with the same run config are evaluated as one batch
+    where the function has a batch path (see _evaluate_batch).
 
     A point that fails to evaluate gives an error record; a UsageError is a
     configuration problem, not a per-point failure, and propagates.
     """
     records = []
     errors = 0
-    for config, point in jobs:
-        record = _point_inputs(config, point)
-        try:
-            result = evaluate_point(config, point)
-        except UsageError:
-            raise
-        except (QpolylogError, ValueError, OverflowError, ZeroDivisionError) as exc:
-            errors += 1
-            record.update(
-                {
-                    "value": None,
-                    "err_estimate": None,
-                    "backend": None,
-                    "diagnostics": {},
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
-        else:
-            record.update(
-                {
-                    "value": complex_dict(result.value),
-                    "err_estimate": float(result.err_estimate),
-                    "backend": result.backend,
-                    "diagnostics": dict(result.diagnostics),
-                    "error": None,
-                }
-            )
-        records.append(record)
+    for config, group in itertools.groupby(jobs, key=lambda job: job[0]):
+        points = [point for _, point in group]
+        batch = _evaluate_batch(config, points)
+        for k, point in enumerate(points):
+            record = _point_inputs(config, point)
+            try:
+                result = evaluate_point(config, point) if batch is None else unwrap(batch[k])
+            except UsageError:
+                raise
+            except (QpolylogError, ValueError, OverflowError, ZeroDivisionError) as exc:
+                errors += 1
+                record.update(
+                    {
+                        "value": None,
+                        "err_estimate": None,
+                        "backend": None,
+                        "diagnostics": {},
+                        "error": f"{type(exc).__name__}: {exc}",
+                    }
+                )
+            else:
+                record.update(
+                    {
+                        "value": complex_dict(result.value),
+                        "err_estimate": float(result.err_estimate),
+                        "backend": result.backend,
+                        "diagnostics": dict(result.diagnostics),
+                        "error": None,
+                    }
+                )
+            records.append(record)
     return records, errors
 
 

@@ -28,6 +28,14 @@ The first step comes from the distance between the line and the nearest
 singularity; the step is halved until two successive values agree.  The
 halved grids are nested, so each pass samples the kernel only on its new
 odd nodes and reuses every earlier sample.
+
+Batches: quad_F_batch and quad_I_batch evaluate many points that share the
+index, h and tolerance.  The first step and the strip width do not depend
+on omega, so every point's grid at a level is a centred slice of the widest
+one, and the omega-free factors a log sh(pi p) and b log sh(pi h p) are
+sampled once per node of that grid; only exp(-i p omega), the fold and the
+stopping test are per point.  Each point's value, estimate, diagnostics and
+errors are bit for bit those of a batch of one, which is what quad_F runs.
 """
 
 from __future__ import annotations
@@ -40,12 +48,16 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    POINT_ERRORS,
     ConvergenceError,
     DomainError,
     EvalResult,
     MultiIndex,
     convergence_strip,
     ensure_finite_complex,
+    fail_points,
+    map_points,
+    unwrap,
     validate_hbar,
 )
 from .exact import binom_general, q_poly
@@ -56,7 +68,9 @@ __all__ = [
     "KernelParams",
     "kernel",
     "quad_F",
+    "quad_F_batch",
     "quad_I",
+    "quad_I_batch",
     "quad_Li",
     "quad_zeta_hbar",
     "quad_bernoulli_circle",
@@ -174,17 +188,14 @@ def _strip_half_width(
     return d
 
 
-def _axis_decay_rates(
-    idx: MultiIndex, omega: Sequence[complex], hbar: complex
-) -> list[float]:
-    strip = convergence_strip(idx, hbar, for_contour=True)
+def _axis_decay_rates(strip: Sequence[float], omega: Sequence[complex]) -> list[float]:
     rates = []
-    for i in range(idx.depth):
-        d = strip[i] - abs(complex(omega[i]).imag)
+    for i, s in enumerate(strip):
+        d = s - abs(omega[i].imag)
         if d <= 0:
             raise DomainError(
-                f"axis {i}: |Im omega| = {abs(complex(omega[i]).imag):.6g} is not "
-                f"inside the convergence strip (half-width {strip[i]:.6g})"
+                f"axis {i}: |Im omega| = {abs(omega[i].imag):.6g} is not "
+                f"inside the convergence strip (half-width {s:.6g})"
             )
         rates.append(d)
     return rates
@@ -195,137 +206,219 @@ def _axis_decay_rates(
 # ---------------------------------------------------------------------------
 
 
+class _LinePoint:
+    """One point of a batched line integral: its truncation and refinement
+    state."""
+
+    __slots__ = ("k", "omega", "T", "tail", "halves", "counts", "samples", "nodes",
+                 "deltas", "value", "floor")
+
+    def __init__(self, k: int, omega: tuple, T: list, tail: float, h0: float) -> None:
+        self.k, self.omega, self.T, self.tail = k, omega, T, tail
+        self.halves = [math.ceil(t / h0) for t in T]
+        self.samples: list = [None] * len(omega)
+        self.nodes = 0
+        self.deltas: list[float] = []
+
+    def result(self, level: int, eps: float) -> tuple[complex, float, dict]:
+        return self.value, self.deltas[-1] + self.tail + self.floor, {
+            "levels": level,
+            "nodes_per_axis": self.counts,
+            "nodes_evaluated": self.nodes,
+            "deltas": self.deltas,
+            "T": self.T,
+            "epsilon": eps,
+            "tail": self.tail,
+        }
+
+
 def _line_integral(
     idx: MultiIndex,
-    omega: Sequence[complex],
+    omegas: Sequence,
     hbar: complex,
     spec: QuadratureSpec,
     pole_shifts: Sequence[complex] | None = None,
     sh_offsets: Sequence[tuple[complex, complex]] | None = None,
-) -> tuple[complex, float, dict]:
-    """Raw iterated integral over the shifted lines (no i-power prefactor).
+) -> list:
+    """Raw iterated integral over the shifted lines (no i-power prefactor) at
+    every point of omegas: for each point its (value, err, diagnostics), or
+    the exception that point raised.  An entry of omegas that is already an
+    exception passes through.
 
     pole_shifts u_k replace the coupling denominators by (P_k - i u_k)^(n_k);
     sh_offsets (r_k, s_k) replace the kernel denominators by
     (sh(pi p) - r_k) * (sh(pi h p) - s_k) (only valid with a_k = b_k = 1).
     The error estimate is the last halving delta, plus the truncation tail,
     plus a round-off floor proportional to u * sum |terms|.
+
+    The points share the first step h0, which does not depend on omega.  At
+    each level, every axis samples its omega-free log-kernel terms
+    a log sh(pi p) and b log sh(pi h p) once, on the widest live point's
+    grid; each point takes its own slice and subtracts them from its
+    -i p omega in the order a batch of one does.  Each point keeps its own
+    truncation, samples, fold, node budget, stopping level and errors, so
+    its result is bit for bit the result it has alone.
     """
     m = idx.depth
-    omega = tuple(ensure_finite_complex(v, "omega") for v in omega)
-    if len(omega) != m:
-        raise DomainError("omega must have one entry per axis")
-    hbar = validate_hbar(hbar)
-    shifts = tuple(pole_shifts) if pole_shifts is not None else (0j,) * m
-    offsets = tuple(sh_offsets) if sh_offsets is not None else ((0j, 0j),) * m
-    for i, (r, s) in enumerate(offsets):
-        if (r != 0 or s != 0) and (idx.a[i] != 1 or idx.b[i] != 1):
-            raise DomainError("sh offsets require a = b = 1 on that axis")
 
-    top = _lowest_pole(hbar, any(idx.b))
-    eps = spec.epsilon if spec.epsilon is not None else 0.5 * top
-    if eps >= top:
-        raise DomainError(f"epsilon must lie below the lowest kernel pole ({top:.6g})")
-    for u in shifts:
-        if u != 0 and abs(u) >= eps:
-            raise DomainError("pole shifts must satisfy |u| < epsilon")
+    def checked(omega) -> tuple:
+        omega = tuple(ensure_finite_complex(v, "omega") for v in omega)
+        if len(omega) != m:
+            raise DomainError("omega must have one entry per axis")
+        return omega
 
-    rates = _axis_decay_rates(idx, omega, hbar)
-    target = spec.tol * 1e-2
-    # Cut each axis where its tail exp(-d T) / d drops below one unit
-    # round-off (or below target, if that is finer): past there the samples
-    # add nothing to the sum.
-    cut = max(-math.log(target), -math.log(_UNIT_ROUNDOFF))
-    axis_T = [spec.T if spec.T is not None else min(cut / d, 200.0) for d in rates]
-    tail = sum(math.exp(-d * T) / d for d, T in zip(rates, axis_T))
+    out = map_points(checked, omegas)
+    try:
+        hbar = validate_hbar(hbar)
+        shifts = tuple(pole_shifts) if pole_shifts is not None else (0j,) * m
+        offsets = tuple(sh_offsets) if sh_offsets is not None else ((0j, 0j),) * m
+        for i, (r, s) in enumerate(offsets):
+            if (r != 0 or s != 0) and (idx.a[i] != 1 or idx.b[i] != 1):
+                raise DomainError("sh offsets require a = b = 1 on that axis")
+        top = _lowest_pole(hbar, any(idx.b))
+        eps = spec.epsilon if spec.epsilon is not None else 0.5 * top
+        if eps >= top:
+            raise DomainError(f"epsilon must lie below the lowest kernel pole ({top:.6g})")
+        for u in shifts:
+            if u != 0 and abs(u) >= eps:
+                raise DomainError("pole shifts must satisfy |u| < epsilon")
+        strip = convergence_strip(idx, hbar, for_contour=True)
+    except POINT_ERRORS as exc:
+        return fail_points(out, exc)
 
-    # The trapezoid error is the integrand's Fourier transform at the aliasing
-    # frequency 2 pi / h.  A pole of order k at distance d from the line gives
-    # ~ (2 pi / h)^(k-1) exp(-2 pi d / h), so the first step solves
-    # 2 pi d / h = L + (k - 1) ln(L / (pi d)) with L = ln(1 / target).
-    d = _strip_half_width(eps, top, idx.n, shifts)
-    order = max([idx.a[0] + idx.b[0] + idx.n[0]] + [a + b for a, b in zip(idx.a, idx.b)])
-    L = max(-math.log(target), 1.0)
-    h0 = 2 * math.pi * d / (L + (order - 1) * max(math.log(L / (math.pi * d)), 0.0))
+    rates = {}
+    for k, omega in enumerate(out):
+        if not isinstance(omega, Exception):
+            try:
+                rates[k] = _axis_decay_rates(strip, omega)
+            except DomainError as exc:
+                out[k] = exc
+    try:
+        target = spec.tol * 1e-2
+        # Cut each axis where its tail exp(-d T) / d drops below one unit
+        # round-off (or below target, if that is finer): past there the
+        # samples add nothing to the sum.
+        cut = max(-math.log(target), -math.log(_UNIT_ROUNDOFF))
+        # The trapezoid error is the integrand's Fourier transform at the
+        # aliasing frequency 2 pi / h.  A pole of order k at distance d from
+        # the line gives ~ (2 pi / h)^(k-1) exp(-2 pi d / h), so the first
+        # step solves 2 pi d / h = L + (k - 1) ln(L / (pi d)) with
+        # L = ln(1 / target).
+        d = _strip_half_width(eps, top, idx.n, shifts)
+        order = max([idx.a[0] + idx.b[0] + idx.n[0]] + [a + b for a, b in zip(idx.a, idx.b)])
+        L = max(-math.log(target), 1.0)
+        h0 = 2 * math.pi * d / (L + (order - 1) * max(math.log(L / (math.pi * d)), 0.0))
+    except POINT_ERRORS as exc:
+        return fail_points(out, exc)
+    live = []
+    for k, axis_rates in rates.items():
+        axis_T = [spec.T if spec.T is not None else min(cut / r, 200.0) for r in axis_rates]
+        tail = sum(math.exp(-r * T) / r for r, T in zip(axis_rates, axis_T))
+        live.append(_LinePoint(k, out[k], axis_T, tail, h0))
+        out[k] = None
 
-    def log_factor(i: int, p: np.ndarray) -> np.ndarray:
-        lg = _log_kernel(idx.a[i], idx.b[i], hbar, omega[i], p)
+    def omega_free_terms(i: int, p: np.ndarray) -> list:
+        """Axis i's log-kernel terms that do not depend on omega, at nodes p,
+        in the order they are subtracted."""
+        a, b = idx.a[i], idx.b[i]
+        terms = []
+        if a:
+            lsh = _logsh(math.pi * p)
+            terms.append(a * lsh)
+        if b:
+            lshh = _logsh(math.pi * hbar * p)
+            terms.append(b * lshh)
         r, s = offsets[i]
         if r != 0 or s != 0:
             # 1/(sh - r) = (1/sh) / (1 - r/sh): fold the correction in
-            inv_sh = np.exp(-_logsh(math.pi * p))
-            inv_shh = np.exp(-_logsh(math.pi * hbar * p))
-            lg = lg - np.log(1.0 - r * inv_sh) - np.log(1.0 - s * inv_shh)
-        return lg
-
-    def fold(h: float) -> tuple[complex, float]:
-        """Trapezoid sum at step h over the current samples, and its round-off
-        floor u * sum |terms| * (1 + sum_i kappa_i): exp turns the absolute
-        rounding of a log-space factor into a relative error of about
-        u |log|, and kappa_i is the |term|-weighted mean of |log| on axis i."""
-        acc = np.ones(1, dtype=np.complex128)
-        kappa = 0.0
-        for i, (e, abs_lg) in enumerate(samples):
-            f = h * e
-            weight = np.abs(f)
-            if weight.any():
-                kappa += float(weight @ abs_lg) / float(weight.sum())
-            # acc[J] sums every path whose index sum is J; P_c = h J + i c eps
-            acc = _fftconvolve(acc, f)
-            if idx.n[i] != 0:
-                J = np.arange(acc.size) - acc.size // 2
-                acc = acc * (h * J + 1j * ((i + 1) * eps - shifts[i])) ** (-idx.n[i])
-        floor = _UNIT_ROUNDOFF * (1.0 + kappa) * float(np.abs(acc).sum())
-        return complex(acc.sum()), floor
+            terms += [np.log(1.0 - r * np.exp(-lsh)), np.log(1.0 - s * np.exp(-lshh))]
+        return terms
 
     # Level k samples axis i at p = (h0 / 2^k) j + i eps, |j| <= half_i 2^k.
     # (h/2)(2j) == h j bit for bit, so the even nodes of a level are exactly
     # the previous level's grid: each axis keeps exp(log-kernel) and
-    # |log-kernel| between levels and computes only its new odd nodes.
-    halves = [math.ceil(T / h0) for T in axis_T]
-    samples: list = [None] * m
-    nodes_evaluated = 0
-    deltas: list[float] = []
+    # |log-kernel| between levels and computes only its new odd nodes.  The
+    # grids of all points are nested in the widest one, about j = 0.
     for level in range(spec.max_refine + 1):
         h = h0 / 2**level
-        counts = [2 * (half << level) + 1 for half in halves]
-        if sum(counts) > _MAX_NODES:
-            raise ConvergenceError(
-                f"line quadrature at step {h:.3g} needs more than {_MAX_NODES} nodes"
-            )
-        for i, half in enumerate(halves):
+        for pt in live:
+            pt.counts = [2 * (half << level) + 1 for half in pt.halves]
+            if sum(pt.counts) > _MAX_NODES:
+                out[pt.k] = ConvergenceError(
+                    f"line quadrature at step {h:.3g} needs more than {_MAX_NODES} nodes"
+                )
+        live = [pt for pt in live if out[pt.k] is None]
+        if not live:
+            break
+        for i in range(m):
+            wide = max([pt.halves[i] for pt in live])
             if level:
-                j = np.arange(1 - (half << level), half << level, 2)
+                j = np.arange(1 - (wide << level), wide << level, 2)
             else:
-                j = np.arange(-half, half + 1)
-            lg = log_factor(i, h * j + 1j * eps)
-            nodes_evaluated += lg.size
-            fresh = (np.exp(lg), np.abs(lg))
-            samples[i] = tuple(map(_interleave, samples[i], fresh)) if level else fresh
-        value, floor = fold(h)
-        if level:
-            deltas.append(abs(value - prev))
-            if deltas[-1] <= spec.tol:
-                break
-        prev = value
-    else:
+                j = np.arange(-wide, wide + 1)
+            p = h * j + 1j * eps
+            terms = omega_free_terms(i, p)
+            for pt in live:
+                size = pt.halves[i] << level if level else 2 * pt.halves[i] + 1
+                if size == p.size:
+                    nodes, cut = p, terms
+                else:
+                    lo = (p.size - size) // 2
+                    nodes, cut = p[lo:lo + size], [t[lo:lo + size] for t in terms]
+                lg = -1j * nodes * pt.omega[i]
+                for term in cut:
+                    lg = lg - term
+                pt.nodes += size
+                fresh = (np.exp(lg), np.abs(lg))
+                pt.samples[i] = tuple(map(_interleave, pt.samples[i], fresh)) if level else fresh
+        going = []
+        for pt in live:
+            value, pt.floor = _fold(pt.samples, h, idx.n, eps, shifts)
+            if level:
+                pt.deltas.append(abs(value - pt.value))
+            pt.value = value
+            if level and pt.deltas[-1] <= spec.tol:
+                out[pt.k] = pt.result(level, eps)
+            else:
+                going.append(pt)
+        live = going
+    for pt in live:
+        deltas = pt.deltas
         if len(deltas) >= 2 and deltas[-1] >= deltas[-2] and deltas[-1] > 10 * spec.tol:
-            raise ConvergenceError(
+            out[pt.k] = ConvergenceError(
                 f"line quadrature not converging: refinement deltas {deltas}"
             )
-        if deltas[-1] > 1e3 * spec.tol:
-            raise ConvergenceError(
+        elif deltas[-1] > 1e3 * spec.tol:
+            out[pt.k] = ConvergenceError(
                 f"line quadrature stalled at delta = {deltas[-1]:.3e} (tol {spec.tol:.3e})"
             )
-    return value, deltas[-1] + tail + floor, {
-        "levels": level,
-        "nodes_per_axis": counts,
-        "nodes_evaluated": nodes_evaluated,
-        "deltas": deltas,
-        "T": axis_T,
-        "epsilon": eps,
-        "tail": tail,
-    }
+        else:
+            out[pt.k] = pt.result(spec.max_refine, eps)
+    return out
+
+
+def _fold(
+    samples: list, h: float, n: Sequence[int], eps: float, shifts: Sequence[complex]
+) -> tuple[complex, float]:
+    """Trapezoid sum at step h over the samples (exp(log-kernel), |log-kernel|)
+    of each axis, and its round-off floor u * sum |terms| * (1 + sum_i
+    kappa_i): exp turns the absolute rounding of a log-space factor into a
+    relative error of about u |log|, and kappa_i is the |term|-weighted mean
+    of |log| on axis i."""
+    acc = np.ones(1, dtype=np.complex128)
+    kappa = 0.0
+    for i, (e, abs_lg) in enumerate(samples):
+        f = h * e
+        weight = np.abs(f)
+        if weight.any():
+            kappa += float(weight @ abs_lg) / float(weight.sum())
+        # acc[J] sums every path whose index sum is J; P_c = h J + i c eps
+        acc = _fftconvolve(acc, f)
+        if n[i] != 0:
+            J = np.arange(acc.size) - acc.size // 2
+            acc = acc * (h * J + 1j * ((i + 1) * eps - shifts[i])) ** (-n[i])
+    floor = _UNIT_ROUNDOFF * (1.0 + kappa) * float(np.abs(acc).sum())
+    return complex(acc.sum()), floor
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -351,9 +444,36 @@ def quad_F(
     the i^(|n|-m) normalization.  Requires every |Im omega_i| strictly inside
     the axis convergence strip pi(a_i + b_i Re h)."""
     spec = spec or QuadratureSpec()
-    value, err, diag = _line_integral(idx, omega, hbar, spec, pole_shifts)
+    value, err, diag = unwrap(_line_integral(idx, (omega,), hbar, spec, pole_shifts)[0])
     pref = _i_power(sum(idx.n) - idx.depth)
     return EvalResult(pref * value, err, "contour", diag)
+
+
+def quad_F_batch(
+    idx: MultiIndex,
+    omegas: Sequence,
+    hbar: complex,
+    spec: QuadratureSpec | None = None,
+    pole_shifts: Sequence[complex] | None = None,
+) -> list:
+    """quad_F at every point of omegas, as one batch that samples the
+    omega-free kernel factors once (see _line_integral): for each point the
+    EvalResult quad_F returns, or the error it raises.  An entry that is
+    already an exception passes through."""
+    spec = spec or QuadratureSpec()
+    pref = _i_power(sum(idx.n) - idx.depth)
+    return map_points(
+        lambda raw: EvalResult(pref * raw[0], raw[1], "contour", raw[2]),
+        _line_integral(idx, omegas, hbar, spec, pole_shifts),
+    )
+
+
+def _transport(idx: MultiIndex, w: Sequence[complex]) -> tuple:
+    """The arguments omega_j = w_j + w_{j+1} + ... + w_m of quad_I."""
+    w = tuple(ensure_finite_complex(v, "w") for v in w)
+    if len(w) != idx.depth:
+        raise DomainError("w must have one entry per axis")
+    return tuple(sum(w[j:], 0j) for j in range(idx.depth))
 
 
 def quad_I(
@@ -365,11 +485,17 @@ def quad_I(
     """Difference-variable form: the same integral with exponentials
     exp(-i P_k w_k); equals F at the transported arguments
     omega_j = w_j + w_{j+1} + ... + w_m."""
-    w = tuple(ensure_finite_complex(v, "w") for v in w)
-    if len(w) != idx.depth:
-        raise DomainError("w must have one entry per axis")
-    omega = tuple(sum(w[j:], 0j) for j in range(idx.depth))
-    return quad_F(idx, omega, hbar, spec)
+    return quad_F(idx, _transport(idx, w), hbar, spec)
+
+
+def quad_I_batch(
+    idx: MultiIndex,
+    ws: Sequence,
+    hbar: complex,
+    spec: QuadratureSpec | None = None,
+) -> list:
+    """quad_I at every point of ws, as one quad_F_batch."""
+    return quad_F_batch(idx, map_points(lambda w: _transport(idx, w), ws), hbar, spec)
 
 
 def quad_Li(
@@ -408,7 +534,7 @@ def quad_zeta_hbar(
         raise DomainError("zeta values are defined for real hbar > 0")
     m = len(s)
     idx = MultiIndex((1,) * m, (1,) * m, tuple(v - 1 for v in s))
-    value, err, diag = _line_integral(idx, (0j,) * m, hbar, spec)
+    value, err, diag = unwrap(_line_integral(idx, ((0j,) * m,), hbar, spec)[0])
     return EvalResult(value, err, "contour", diag)
 
 
@@ -513,7 +639,7 @@ def gen_series_depth1(
     if abs(r) > 0.5 or abs(s) > 0.5:
         raise DomainError("deformations must satisfy |r|, |s| <= 0.5")
     idx = MultiIndex((1,), (1,), (1,))
-    value, err, diag = _line_integral(
-        idx, (omega,), hbar, spec, pole_shifts=(u,), sh_offsets=((r, s),)
-    )
+    value, err, diag = unwrap(_line_integral(
+        idx, ((omega,),), hbar, spec, pole_shifts=(u,), sh_offsets=((r, s),)
+    )[0])
     return EvalResult(value, err, "contour", diag)

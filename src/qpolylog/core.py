@@ -19,6 +19,10 @@ __all__ = [
     "DomainError",
     "ConvergenceError",
     "UsageError",
+    "POINT_ERRORS",
+    "map_points",
+    "fail_points",
+    "unwrap",
     "MultiIndex",
     "EvalResult",
     "CheckReport",
@@ -48,6 +52,38 @@ class ConvergenceError(QpolylogError):
 
 class UsageError(QpolylogError):
     """Invalid configuration handed to the command-line front end."""
+
+
+#: Errors that fail one point of a batch without stopping the others.
+POINT_ERRORS = (QpolylogError, ArithmeticError, ValueError)
+
+
+def map_points(fn, items: Iterable) -> list:
+    """fn(item) at each item of a batch, in order.  An item that is already an
+    exception passes through, and an item whose fn raises one of
+    POINT_ERRORS gets that exception in its place."""
+    out = []
+    for item in items:
+        if not isinstance(item, Exception):
+            try:
+                item = fn(item)
+            except POINT_ERRORS as exc:
+                item = exc
+        out.append(item)
+    return out
+
+
+def fail_points(items: Iterable, exc: Exception) -> list:
+    """The batch with exc in place of every item that is not yet an exception:
+    a failure that does not depend on the point fails every live point."""
+    return [item if isinstance(item, Exception) else exc for item in items]
+
+
+def unwrap(result):
+    """One batch entry as a plain result: raises the exception it holds."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def ensure_finite_complex(value: complex, what: str = "value") -> complex:

@@ -18,6 +18,14 @@ Conventions (frozen; see qpolylog.conventions for the calibration evidence):
 Numerics: octant, q-deformed and companion sums are one cone sum at any
 depth, an FFT fold over a lattice of weighted prefix sums (see _cone_sum).
 Series error estimates include a round-off floor.
+
+Batches: companion_series_batch and companion_sum_I_batch sum many points
+that share the index, h and tolerance.  Their cone sums raise the
+truncation K once for the batch and build the reciprocal lattice and the
+bracket powers once per K; only exp(k log z), the fold and the convergence
+test are per point, and each point's result is bit for bit that of a batch
+of one.  companion_sum_I_batch runs the cones outside and the points
+inside, so one lattice is alive at a time.
 """
 
 from __future__ import annotations
@@ -32,10 +40,14 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    POINT_ERRORS,
     ConvergenceError,
     DomainError,
     EvalResult,
     ensure_finite_complex,
+    fail_points,
+    map_points,
+    unwrap,
     validate_hbar,
 )
 
@@ -50,7 +62,9 @@ __all__ = [
     "polylog_from_iterated_args",
     "q_multiple_polylog",
     "companion_series",
+    "companion_series_batch",
     "companion_sum_I",
+    "companion_sum_I_batch",
     "pochhammer_psi",
     "q_integral",
     "q_difference",
@@ -415,15 +429,17 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
 def _cone_sum(
     a: tuple[int, ...],
     n: tuple[int, ...],
-    z: tuple[complex, ...],
+    zs: Sequence,
     q_list: tuple[complex, ...],
     weights: tuple[complex, ...],
     params: SeriesParams,
-) -> tuple[complex, float, dict]:
+) -> list:
     """sum over k_1,...,k_m >= 1 of prod_j f_j[k_j] / prod_c K_c^(n_c), with
     f_j[k] = z_j^k / [k]_{q_j}^(a_j) and prefix sums K_c = sum_{j<=c} w_j k_j,
-    every weight w_j = weights[j] with Re w_j > 0.  Per-axis convergence
-    needs |z_j| * |q_j|^(a_j 1_{|q_j|<1}) < 1.
+    every weight w_j = weights[j] with Re w_j > 0, at every argument z of
+    zs: for each its (value, err, diagnostics), or the exception it raised.
+    An entry of zs that is already an exception passes through.  Per-axis
+    convergence needs |z_j| * |q_j|^(a_j 1_{|q_j|<1}) < 1.
 
     Truncated to the cube k_j <= K, the sum is folded slot by slot on a
     lattice with one array axis per distinct weight, whose cell i collects
@@ -436,51 +452,77 @@ def _cone_sum(
     |K_c| >= Re K_c; 2m counts a rounding per exp and per multiply; and kappa =
     sum_j (|log z_j| + a_j |log q_j|) * (mean k under |f_j|) covers exp(k log z_j)
     and the bracket powers, whose relative error grows like u k |log|.
+
+    The arguments share one ascent of K: at each K the bracket powers and
+    the blocks of the reciprocal lattice are built once, and each live
+    argument does its own exp(k log z_j), fold, floor and convergence test,
+    and leaves the batch when it converges.  Its result is bit for bit the
+    result it has alone.
     """
     m = len(n)
-    ratios = []
-    for j in range(m):
-        rj = abs(z[j])
-        if a[j] > 0 and abs(q_list[j]) < 1 - _UNIT_CIRCLE_ATOL:
-            rj *= abs(q_list[j]) ** a[j]
-        ratios.append(rj)
-    if any(r >= 1 for r in ratios):
-        raise DomainError("cone sum does not converge: per-axis ratio >= 1")
-    if any(abs(v) == 0 for v in z):
-        return 0j, 0.0, {"terms": 0}
-    r = max(ratios)
+    out: list = [None] * len(zs)
+    live = []
+    for k, z in enumerate(zs):
+        if isinstance(z, Exception):
+            out[k] = z
+            continue
+        ratios = []
+        for j in range(m):
+            rj = abs(z[j])
+            if a[j] > 0 and abs(q_list[j]) < 1 - _UNIT_CIRCLE_ATOL:
+                rj *= abs(q_list[j]) ** a[j]
+            ratios.append(rj)
+        if any(r >= 1 for r in ratios):
+            out[k] = DomainError("cone sum does not converge: per-axis ratio >= 1")
+        elif any(abs(v) == 0 for v in z):
+            out[k] = (0j, 0.0, {"terms": 0})
+        else:
+            live.append((k, max(ratios), [cmath.log(zj) for zj in z]))
 
     lattice_w = [complex(wt) for wt in dict.fromkeys(weights)]
     axis_of = [lattice_w.index(complex(wt)) for wt in weights]
     slots_on = [axis_of.count(d) for d in range(len(lattice_w))]
 
-    def fold(fs: list[np.ndarray]) -> complex:
-        """The sum over the cube, given fs[j][k] = f_j[k] for k = 0..K, f_j[0] = 0."""
-        K = fs[0].size - 1
+    def lattice_blocks(K: int) -> list:
+        """Per slot, the block of 1/K_c^(n_c) its fold multiplies by (None for
+        n_c = 0): the reciprocal lattice cut to the slot's partial shape."""
         lat = functools.reduce(
             np.add.outer, [wt * np.arange(c * K + 1) for wt, c in zip(lattice_w, slots_on)]
         )
         lat[(0,) * lat.ndim] = 1.0  # the only zero of K_c; every path has k_j >= 1
         recip = np.reciprocal(lat, out=lat)
-        acc = np.ones((1,) * recip.ndim, dtype=np.complex128)
+        shape = [1] * recip.ndim
+        blocks = []
+        for c in range(m):
+            d = axis_of[c]
+            if c == m - 1 and shape[d] == 1:
+                # a new axis is the last; fold contracts it against the whole lattice
+                blocks.append(recip if n[c] == 1 else recip ** n[c])
+                break
+            shape[d] += K
+            block = recip[tuple(slice(s) for s in shape)]
+            blocks.append(None if n[c] == 0 else block if n[c] == 1 else block ** n[c])
+        return blocks
+
+    def fold(fs: list[np.ndarray], blocks: list) -> complex:
+        """The sum over the cube, given fs[j][k] = f_j[k] for k = 0..K, f_j[0] = 0."""
+        acc = np.ones((1,) * len(lattice_w), dtype=np.complex128)
         for c, f in enumerate(fs):
             d = axis_of[c]
             if c == m - 1 and acc.shape[d] == 1:
                 # a new axis is the last; contract it without the outer product
-                block = recip if n[c] == 1 else recip ** n[c]
-                return complex((acc[..., 0] * (block @ f)).sum())
+                return complex((acc[..., 0] * (blocks[c] @ f)).sum())
             acc = _fftconvolve(acc, f, axis=d)
-            if n[c] != 0:
-                block = recip[tuple(slice(s) for s in acc.shape)]
-                acc *= block if n[c] == 1 else block ** n[c]
+            if blocks[c] is not None:
+                acc *= blocks[c]
         return complex(acc.sum())
 
-    def roundoff_floor(fs: list[np.ndarray]) -> float:
+    def roundoff_floor(fs: list[np.ndarray], logs: list) -> float:
         """u S (1 + 2m + kappa), in O(mK)."""
         K = fs[0].size - 1
         ks = np.arange(K + 1, dtype=np.float64)
         bound, growth, re_prefix, abs_prefix = 1.0, 1.0 + 2 * m, 0.0, 0.0
-        for f, zj, qj, aj, wt, nc in zip(fs, z, q_list, a, weights, n):
+        for f, log_z, qj, aj, wt, nc in zip(fs, logs, q_list, a, weights, n):
             mass = np.abs(f)
             total = float(mass.sum())
             re_prefix += wt.real
@@ -488,31 +530,42 @@ def _cone_sum(
             # 1/|K_c| <= 1/Re K_c; a negative n_c needs |K_c| <= K sum |w_j| instead
             bound *= total * (re_prefix**-nc if nc >= 0 else (abs_prefix * K) ** -nc)
             if total:
-                rate = abs(cmath.log(zj)) + aj * abs(cmath.log(qj))
+                rate = abs(log_z) + aj * abs(cmath.log(qj))
                 growth += rate * float(mass @ ks) / total  # kappa_j
         return _UNIT_ROUNDOFF * bound * growth
 
     K = min(128, params.k_max)
-    prev = None
-    while True:
-        if math.prod(c * K + 1 for c in slots_on) > _MAX_CELLS:
-            raise ConvergenceError(f"cone sum: a {K}-term lattice exceeds {_MAX_CELLS} cells")
-        ks = np.arange(1, K + 1, dtype=np.float64)
-        fs = [
-            np.concatenate(([0j], np.exp(ks * cmath.log(zj)) * _inv_bracket_pow(ks, qj, aj)))
-            for zj, qj, aj in zip(z, q_list, a)
-        ]
-        value = fold(fs)
-        tail = m * (K ** max(m - 1, 0)) * r ** (K + 1) / (1 - r)
-        if prev is not None:
-            delta = abs(value - prev)
-            if delta + tail <= params.tol:
-                err = delta + tail + roundoff_floor(fs)
-                return value, err, {"terms": K, "tail": tail}
-        prev = value
-        if K >= params.k_max:
-            raise ConvergenceError(f"cone sum: not converged within {K} terms per axis")
+    prev: dict = {}  # each live argument's value at the previous K
+    while live:
+        try:
+            if math.prod(c * K + 1 for c in slots_on) > _MAX_CELLS:
+                raise ConvergenceError(f"cone sum: a {K}-term lattice exceeds {_MAX_CELLS} cells")
+            ks = np.arange(1, K + 1, dtype=np.float64)
+            brackets = [_inv_bracket_pow(ks, qj, aj) for qj, aj in zip(q_list, a)]
+        except POINT_ERRORS as exc:
+            for k, _, _ in live:
+                out[k] = exc
+            break
+        blocks = lattice_blocks(K)
+        for k, r, logs in live:
+            fs = [np.concatenate(([0j], np.exp(ks * lg) * br)) for lg, br in zip(logs, brackets)]
+            value = fold(fs, blocks)
+            tail = m * (K ** max(m - 1, 0)) * r ** (K + 1) / (1 - r)
+            if k in prev:
+                delta = abs(value - prev[k])
+                if delta + tail <= params.tol:
+                    err = delta + tail + roundoff_floor(fs, logs)
+                    out[k] = (value, err, {"terms": K, "tail": tail})
+                    continue
+            prev[k] = value
+        live = [pt for pt in live if out[pt[0]] is None]
+        if live and K >= params.k_max:
+            exc = ConvergenceError(f"cone sum: not converged within {K} terms per axis")
+            for k, _, _ in live:
+                out[k] = exc
+            break
         K = min(2 * K, params.k_max)
+    return out
 
 
 def octant_polylog(
@@ -529,9 +582,9 @@ def octant_polylog(
     m = len(n)
     if m < 1 or len(z) != m:
         raise DomainError("n and z must be non-empty and of equal length")
-    value, err, diag = _cone_sum(
-        (0,) * m, n, z, (0.5,) * m, (1.0 + 0j,) * m, params
-    )
+    value, err, diag = unwrap(_cone_sum(
+        (0,) * m, n, (z,), (0.5,) * m, (1.0 + 0j,) * m, params
+    )[0])
     return EvalResult(value, err, "series", diag)
 
 
@@ -563,7 +616,7 @@ def q_multiple_polylog(
     for j in range(m):
         if abs(z[j]) * abs(q) ** a[j] >= 1:
             raise DomainError(f"argument {j}: need |z_j| * |q|^a_j < 1")
-    value, err, diag = _cone_sum(a, n, z, (q,) * m, (1.0 + 0j,) * m, params)
+    value, err, diag = unwrap(_cone_sum(a, n, (z,), (q,) * m, (1.0 + 0j,) * m, params)[0])
     return EvalResult(value, err, "series", diag)
 
 
@@ -587,24 +640,50 @@ def companion_series(
     computed as a weighted cone sum with arguments z_j = -exp(eps_j * omega_j),
     omega_j = w_j + w_{j+1} + ... + w_m.
     """
+    return unwrap(companion_series_batch(a, n, (w,), epsilon, params)[0])
+
+
+def companion_series_batch(
+    a: Sequence[int],
+    n: Sequence[int],
+    ws: Sequence,
+    epsilon: EpsilonVector,
+    params: SeriesParams | None = None,
+) -> list:
+    """companion_series at every point of ws, as one cone sum (see _cone_sum):
+    for each point the EvalResult companion_series returns, or the error it
+    raises.  An entry that is already an exception passes through."""
     params = params or SeriesParams()
     a = tuple(int(v) for v in a)
     n = tuple(int(v) for v in n)
-    w = tuple(ensure_finite_complex(v, "w") for v in w)
     m = len(n)
-    if m < 1 or len(a) != m or len(w) != m or epsilon.depth != m:
-        raise DomainError("a, n, w, epsilon must agree in depth")
-    weights = epsilon.weights()
-    q_list = epsilon.q_values()
-    omegas = [sum(w[j:], 0j) for j in range(m)]
-    z = tuple(-cmath.exp(weights[j] * omegas[j]) for j in range(m))
-    value, err, diag = _cone_sum(a, n, z, q_list, weights, params)
+
+    def checked(w) -> tuple:
+        w = tuple(ensure_finite_complex(v, "w") for v in w)
+        if m < 1 or len(a) != m or len(w) != m or epsilon.depth != m:
+            raise DomainError("a, n, w, epsilon must agree in depth")
+        return w
+
+    ws = map_points(checked, ws)
+    try:
+        weights = epsilon.weights()
+        q_list = epsilon.q_values()
+    except POINT_ERRORS as exc:
+        return fail_points(ws, exc)
+
+    def arguments(w: tuple) -> tuple:
+        omegas = [sum(w[j:], 0j) for j in range(m)]
+        return tuple(-cmath.exp(weights[j] * omegas[j]) for j in range(m))
+
     pref = 1.0 + 0j
     for wt in weights:
         pref *= wt
-    diag = dict(diag)
-    diag["slots"] = "".join("d" if s == "1/h" else "p" for s in epsilon.slots)
-    return EvalResult(pref * value, abs(pref) * err, "companion", diag)
+    slots = "".join("d" if s == "1/h" else "p" for s in epsilon.slots)
+    return map_points(
+        lambda raw: EvalResult(pref * raw[0], abs(pref) * raw[1], "companion",
+                               {**raw[2], "slots": slots}),
+        _cone_sum(a, n, map_points(arguments, ws), q_list, weights, params),
+    )
 
 
 def companion_sum_I(
@@ -616,20 +695,45 @@ def companion_sum_I(
     """Sum of all 2^m companion series for the first-order index
     a = b = (1, ..., 1); for real hbar > 0 and Re w_j < 0 this reproduces the
     oscillatory integral in its difference variables."""
+    return unwrap(companion_sum_I_batch(n, (w,), hbar, params)[0])
+
+
+def companion_sum_I_batch(
+    n: Sequence[int],
+    ws: Sequence,
+    hbar: complex,
+    params: SeriesParams | None = None,
+) -> list:
+    """companion_sum_I at every point of ws: for each point the EvalResult
+    companion_sum_I returns, or the error it raises.  The cones run on the
+    outside and the points on the inside, one companion_series_batch per
+    cone, so only one cone's lattice is alive at a time; a point that fails
+    in one cone skips the rest."""
     params = params or SeriesParams()
     n = tuple(int(v) for v in n)
     m = len(n)
-    hbar = validate_hbar(hbar)
-    a = (1,) * m
-    acc = KahanSum()
-    err = 0.0
-    terms = 0
-    for eps in EpsilonVector.all_vectors(m, hbar):
-        res = companion_series(a, n, w, eps, params)
-        acc.add(res.value)
-        err += res.err_estimate
-        terms += int(res.diagnostics.get("terms", 0))
-    return EvalResult(acc.value(), err, "companion", {"cones": 2**m, "terms": terms})
+    try:
+        hbar = validate_hbar(hbar)
+        cones = EpsilonVector.all_vectors(m, hbar)
+    except POINT_ERRORS as exc:
+        return fail_points(ws, exc)
+    state = list(ws)
+    sums = [KahanSum() for _ in state]
+    errs = [0.0] * len(state)
+    terms = [0] * len(state)
+    for eps in cones:
+        for k, res in enumerate(companion_series_batch((1,) * m, n, state, eps, params)):
+            if isinstance(res, Exception):
+                state[k] = res
+            else:
+                sums[k].add(res.value)
+                errs[k] += res.err_estimate
+                terms[k] += int(res.diagnostics.get("terms", 0))
+    return map_points(
+        lambda k: EvalResult(sums[k].value(), errs[k], "companion",
+                             {"cones": 2**m, "terms": terms[k]}),
+        [s if isinstance(s, Exception) else k for k, s in enumerate(state)],
+    )
 
 
 # ---------------------------------------------------------------------------

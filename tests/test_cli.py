@@ -26,6 +26,7 @@ from qpolylog import (
     quad_F,
     MultiIndex,
 )
+from qpolylog import cli
 from qpolylog.cli import (
     EXIT_EVAL,
     EXIT_OK,
@@ -632,6 +633,84 @@ class TestVerifyCommand:
 # ---------------------------------------------------------------------------
 # table subcommand
 # ---------------------------------------------------------------------------
+
+
+def count_calls(monkeypatch, name):
+    """Wrap cli.<name> and return the list its calls' batch sizes go to."""
+    sizes = []
+    inner = getattr(cli, name)
+
+    def counting(*args, **kwargs):
+        sizes.append(len(args[1]))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counting)
+    return sizes
+
+
+class TestBatchedEval:
+    """Points that share a run configuration are evaluated as one batch, with
+    the records of one-point calls, in order."""
+
+    @pytest.mark.parametrize(
+        "batch_fn,args,points",
+        [
+            ("quad_F_batch", ["--fn", "F", "--a", "1", "--b", "1", "--n", "1", "--hbar", "1.2"],
+             ["-1", "-1+2i", "-1+9i", "-0.5+3.5i", "-3"]),
+            ("quad_F_batch",
+             ["--fn", "F", "--a", "1,1", "--b", "1,1", "--n", "1,2", "--hbar", "1.3", "--tol", "1e-12"],
+             ["-1,-0.5", "-1+2i,-0.5", "-1+7.5i,-1", "-2+1i,-1-1i"]),
+            ("quad_I_batch", ["--fn", "I", "--a", "1,1", "--b", "1,1", "--n", "1,2", "--hbar", "1.3"],
+             ["-1,-0.5", "-0.7+0.2i,-1.1", "-1+9i,-1"]),
+            ("companion_sum_I_batch",
+             ["--fn", "F", "--a", "1", "--b", "1", "--n", "2", "--hbar", "1.618", "--backend",
+              "companion"],
+             ["-1", "0.5", "-2", "-0.7+0.4i"]),
+            ("companion_sum_I_batch",
+             ["--fn", "F", "--a", "1,1", "--b", "1,1", "--n", "1,1", "--hbar", SQRT2, "--backend",
+              "companion"],
+             ["-2,-1", "-1.5+0.2i,-0.5", "-1,0.5"]),
+        ],
+    )
+    def test_eval_matches_one_point_calls(self, capsys, monkeypatch, batch_fn, args, points):
+        singles = [eval_payload(capsys, "eval", *args, "--omega", p) for p in points]
+        sizes = count_calls(monkeypatch, batch_fn)
+        code, payload, _ = eval_payload(capsys, "eval", *args, "--omega", ";".join(points))
+        assert sizes == [len(points)]
+        assert payload["results"] == [s[1]["results"][0] for s in singles]
+        errors = sum(s[0] == EXIT_EVAL for s in singles)
+        assert 0 < errors < len(points)
+        assert payload["summary"]["errors"] == errors
+        assert code == EXIT_EVAL
+
+    def test_table_omega_sweep_matches_one_point_calls(self, capsys, monkeypatch):
+        args = ["--fn", "F", "--a", "1", "--b", "1", "--n", "1", "--hbar", "1.618",
+                "--backend", "companion"]
+        omegas = [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5]
+        singles = [eval_payload(capsys, "eval", *args, f"--omega={w!r}")[1]["results"][0]
+                   for w in omegas]
+        sizes = count_calls(monkeypatch, "companion_sum_I_batch")
+        code, out, _ = run_cli(capsys, "table", *args, "--sweep", "omega=-2:0.5:0.5")
+        assert sizes == [len(omegas)]
+        assert code == EXIT_EVAL
+        rows = csv_rows(out)[1:]
+        assert [float(row[0]) for row in rows] == omegas
+        for row, single in zip(rows, singles):
+            if single["error"] is None:
+                assert row[1:] == [format_float(single["value"]["re"]),
+                                   format_float(single["value"]["im"]),
+                                   format_float(single["err_estimate"])]
+            else:
+                assert row[1:] == ["", "", single["error"]]
+
+    def test_usage_error_in_a_batch_propagates(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--fn", "F", "--a", "1", "--b", "1", "--n", "1",
+            "--backend", "companion", "--hbar", "1.618", "--omega", "-1;-1,-2",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "point depth 2" in err
 
 
 class TestTableCommand:

@@ -16,7 +16,9 @@ from qpolylog.contour import (
     gen_series_depth1,
     kernel,
     quad_F,
+    quad_F_batch,
     quad_I,
+    quad_I_batch,
     quad_Li,
     quad_bernoulli_circle,
     quad_zeta_hbar,
@@ -237,19 +239,20 @@ class TestTruncationAndNodeReuse:
         ],
     )
     def test_kernel_sampled_once_per_node(self, monkeypatch, idx, omega, hbar):
-        # the h/2 pass reuses the h nodes and samples only the new odd ones
+        # the h/2 pass reuses the h nodes and samples only the new odd ones;
+        # with a = b = 1 each node takes two sh logs, sh(pi p) and sh(pi h p)
         computed = []
-        log_kernel = contour._log_kernel
+        logsh = contour._logsh
 
-        def counting(a, b, hbar, omega, p):
-            computed.append(p.size)
-            return log_kernel(a, b, hbar, omega, p)
+        def counting(z):
+            computed.append(z.size)
+            return logsh(z)
 
-        monkeypatch.setattr(contour, "_log_kernel", counting)
+        monkeypatch.setattr(contour, "_logsh", counting)
         diag = quad_F(idx, omega, hbar).diagnostics
         assert diag["levels"] == 1
-        assert sum(computed) == sum(diag["nodes_per_axis"])
-        assert diag["nodes_evaluated"] == sum(computed)
+        assert sum(computed) == 2 * sum(diag["nodes_per_axis"])
+        assert 2 * diag["nodes_evaluated"] == sum(computed)
 
     def test_diagnostics_report_refinement_history(self):
         spec = QuadratureSpec(tol=1e-12)
@@ -262,6 +265,113 @@ class TestTruncationAndNodeReuse:
         assert set(diag) == {
             "levels", "nodes_per_axis", "nodes_evaluated", "deltas", "T", "epsilon", "tail"
         }
+
+
+def one_by_one(call, points):
+    """call at each point alone: its result, or the error it raised."""
+    out = []
+    for point in points:
+        try:
+            out.append(call(point))
+        except (ConvergenceError, DomainError) as exc:
+            out.append(exc)
+    return out
+
+
+def assert_identical(batch, loop):
+    """Batch entries equal the one-point results bit for bit, errors in place."""
+    assert len(batch) == len(loop)
+    for got, want in zip(batch, loop):
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert got.value == want.value
+            assert got.err_estimate == want.err_estimate
+            assert got.backend == want.backend
+            assert dict(got.diagnostics) == dict(want.diagnostics)
+
+
+class TestBatch:
+    @pytest.mark.parametrize(
+        "idx,hbar,tol,points",
+        [
+            # |Im omega| differs, so does each point's truncation; 1 + 9i
+            # lies outside the strip pi (1 + 1.2) and keeps its error in place
+            (idx1(1, 1, 1), 1.2, 1e-10,
+             [(-1.0,), (-1 + 2j,), (-1 + 9j,), (-0.5 + 3.5j,), (-3 + 0.5j,)]),
+            (MultiIndex((1, 1), (1, 1), (1, 2)), 1.3, 1e-12,
+             [(-1.0, -0.5), (-1 + 2j, -0.5), (-1 + 7.5j, -1.0), (-2 + 1j, -1 - 1j)]),
+            (MultiIndex((2, 1, 1), (1, 0, 1), (1, 1, 2)), 1 + 0.5j, 1e-10,
+             [(-2.0, -1.0, -0.5), (-2 + 1j, -1.0, -0.5 - 0.5j)]),
+            # at h = 50 and tol 1e-13, 6 + i refines one level past the others
+            (idx1(2, 1, 1), 50.0, 1e-13, [(-1.0,), (6 + 1j,), (-4.0,), (3 + 1j,)]),
+            # mixed stopping levels 1 and 4, and points that stop converging
+            (idx1(1, 1, 3), 50.0, 1e-13,
+             [(-4.0,), (-1 + 1j,), (0.5 + 1j,), (-1.0,), (6 + 1j,)]),
+        ],
+    )
+    def test_matches_one_point_calls_bit_for_bit(self, idx, hbar, tol, points):
+        spec = QuadratureSpec(tol=tol)
+        batch = quad_F_batch(idx, points, hbar, spec)
+        assert_identical(batch, one_by_one(lambda p: quad_F(idx, p, hbar, spec), points))
+
+    def test_stopping_levels_and_errors_stay_per_point(self):
+        points = [(-4.0,), (-1 + 1j,), (0.5 + 1j,), (-1.0,)]
+        batch = quad_F_batch(idx1(1, 1, 3), points, 50.0, QuadratureSpec(tol=1e-13))
+        assert isinstance(batch[0], ConvergenceError)
+        assert batch[1].diagnostics["levels"] == 1
+        assert isinstance(batch[2], ConvergenceError)
+        assert batch[3].diagnostics["levels"] == 4
+
+    def test_node_budget_is_per_point(self, monkeypatch):
+        # the wide point leaves the batch over budget; the narrow one goes on
+        idx, points = idx1(1, 1, 1), [(-1.0,), (-1 + 6j,)]
+        monkeypatch.setattr(contour, "_MAX_NODES", 1500)
+        batch = quad_F_batch(idx, points, 1.2)
+        assert batch[0].diagnostics["levels"] == 1
+        assert isinstance(batch[1], ConvergenceError)
+        assert_identical(batch, one_by_one(lambda p: quad_F(idx, p, 1.2), points))
+
+    def test_errors_pass_through(self):
+        marker = DomainError("raised upstream")
+        batch = quad_F_batch(idx1(1, 1, 1), [marker, (-1.0,), (-1.0, -2.0)], 1.2)
+        assert batch[0] is marker
+        assert batch[1].value == quad_F(idx1(1, 1, 1), (-1.0,), 1.2).value
+        assert str(batch[2]) == "omega must have one entry per axis"
+
+    def test_shared_failure_fails_every_point(self):
+        batch = quad_F_batch(idx1(1, 1, 1), [(-1.0,), (-2.0,)], -1.0)
+        assert all(isinstance(r, DomainError) for r in batch)
+
+    def test_quad_I_batch_matches_one_point_calls(self):
+        idx = MultiIndex((1, 1), (1, 1), (1, 2))
+        ws = [(-1.0, -0.5), (-0.7 + 0.2j, -1.1), (-1 + 9j, -1.0), (-1.0,)]
+        assert_identical(
+            quad_I_batch(idx, ws, 1.3), one_by_one(lambda w: quad_I(idx, w, 1.3), ws)
+        )
+
+    def test_kernel_logs_sampled_once_per_node_of_the_widest_grid(self, monkeypatch):
+        # three points, three truncations: every level samples sh(pi p) and
+        # sh(pi h p) once on the widest point's grid, not once per point
+        idx, hbar = MultiIndex((1, 1), (1, 1), (1, 1)), 1.3
+        points = [(-1.0, -0.5), (-1 + 2j, -0.5 + 1j), (-2 + 4j, -1.0)]
+        sizes = []
+        logsh = contour._logsh
+
+        def counting(z):
+            sizes.append(z.size)
+            return logsh(z)
+
+        monkeypatch.setattr(contour, "_logsh", counting)
+        batch = quad_F_batch(idx, points, hbar)
+        diags = [r.diagnostics for r in batch]
+        assert {d["levels"] for d in diags} == {1}
+        widest = [max(d["nodes_per_axis"][i] for d in diags) for i in range(2)]
+        assert len({tuple(d["nodes_per_axis"]) for d in diags}) == 3
+        # two sh logs per axis and level, each over the widest grid's new nodes
+        assert len(sizes) == 2 * 2 * 2
+        assert sum(sizes) == 2 * sum(widest)
+        assert sum(sizes) < 2 * sum(d["nodes_evaluated"] for d in diags)
 
 
 class TestQuadI:

@@ -16,7 +16,9 @@ from qpolylog.series import (
     TruncatedSeries,
     classical_polylog,
     companion_series,
+    companion_series_batch,
     companion_sum_I,
+    companion_sum_I_batch,
     multiple_polylog,
     octant_polylog,
     pochhammer_psi,
@@ -472,6 +474,70 @@ class TestCompanionSumI:
     def test_irrational_coupling_accepted(self):
         res = companion_sum_I((1,), (-1.0,), math.sqrt(2.0))
         assert abs(res.value) > 0
+
+
+def one_by_one(call, points):
+    """call at each point alone: its result, or the error it raised."""
+    out = []
+    for point in points:
+        try:
+            out.append(call(point))
+        except (ConvergenceError, DomainError) as exc:
+            out.append(exc)
+    return out
+
+
+def assert_identical(batch, loop):
+    """Batch entries equal the one-point results bit for bit, errors in place."""
+    assert len(batch) == len(loop)
+    for got, want in zip(batch, loop):
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert got.value == want.value
+            assert got.err_estimate == want.err_estimate
+            assert got.backend == want.backend
+            assert dict(got.diagnostics) == dict(want.diagnostics)
+
+
+class TestCompanionBatch:
+    PHI = (1 + math.sqrt(5)) / 2
+
+    @pytest.mark.parametrize(
+        "n,ws,tol",
+        [
+            # w = 0.3 makes the ratio e^0.3 >= 1 inside a good batch
+            ((2,), [(-1.0,), (-2.0 + 0.5j,), (0.3,), (-0.4 - 0.2j,), (-3.0,)], 1e-12),
+            ((1, 1), [(-1.0, -0.8), (-0.7 + 0.3j, -1.1), (0.3, 0.3), (-2.0, -0.3 - 0.5j)],
+             1e-12),
+            ((1, 2), [(-0.5, -1.5 + 0.2j), (-2.5, -0.7), (-1.0, 0.4)], 1e-9),
+        ],
+    )
+    def test_sum_matches_one_point_calls_bit_for_bit(self, n, ws, tol):
+        params = SeriesParams(tol=tol)
+        batch = companion_sum_I_batch(n, ws, self.PHI, params)
+        loop = one_by_one(lambda w: companion_sum_I(n, w, self.PHI, params), ws)
+        assert any(isinstance(r, DomainError) for r in loop)
+        assert_identical(batch, loop)
+
+    def test_series_matches_one_point_calls_bit_for_bit(self):
+        eps = EpsilonVector(("1", "1/h"), math.sqrt(2.0))
+        a, n = (1, 2), (1, 1)
+        ws = [(-0.9, -1.1), (-1.5 + 0.4j, -0.6), (0.2, -1.0), (-1.0,)]
+        assert_identical(
+            companion_series_batch(a, n, ws, eps),
+            one_by_one(lambda w: companion_series(a, n, w, eps), ws),
+        )
+
+    def test_terms_stay_per_point(self):
+        # a point near the edge needs more terms than one deep inside
+        batch = companion_sum_I_batch((1,), [(-3.0,), (-0.2,)], self.PHI)
+        assert batch[0].diagnostics["terms"] < batch[1].diagnostics["terms"]
+
+    def test_shared_refusal_fails_every_point(self):
+        # a rational coupling is refused whatever the point
+        batch = companion_sum_I_batch((1,), [(-1.0,), (-2.0,)], 1.5)
+        assert all(isinstance(r, DomainError) and "nearly vanishes" in str(r) for r in batch)
 
 
 # ---------------------------------------------------------------------------
