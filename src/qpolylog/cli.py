@@ -37,11 +37,13 @@ from .contour import (
 )
 from .conventions import conventions_text
 from .core import (
+    POINT_ERRORS,
     DomainError,
     EvalResult,
     MultiIndex,
     QpolylogError,
     UsageError,
+    fail_points,
     map_points,
     unwrap,
 )
@@ -460,128 +462,112 @@ def _omega_to_w(omega: Sequence[complex]) -> tuple:
     )
 
 
-def _numeric_params(config: RunConfig) -> tuple:
-    """The quadrature and series controls of a run: --tol, or the defaults."""
-    quad_spec = QuadratureSpec(tol=config.tol) if config.tol else QuadratureSpec()
-    series_params = SeriesParams(tol=config.tol) if config.tol else SeriesParams()
-    return quad_spec, series_params
-
-
-def _evaluate_batch(config: RunConfig, points: Sequence) -> list | None:
-    """evaluate_point at every point, as one batch call for F and I on the
-    contour and companion backends, whose points share their omega-free work:
-    for each point its EvalResult, or the exception evaluate_point raises
-    there.  None for every other function and backend."""
-    if config.fn not in ("F", "I"):
-        return None
-    backend = _resolve_backend(config.fn, config.backend)
-    if backend == "closed_form":
-        return None
-    try:
-        quad_spec, series_params = _numeric_params(config)
-    except DomainError as exc:
-        return [exc] * len(points)
-
-    def prepare(point: tuple) -> tuple:
-        m = len(point)
-        idx = _index_for(config, m)
-        if backend == "contour":
-            return point
-        if idx.a != (1,) * m or idx.b != (1,) * m:
-            raise DomainError(
-                "companion backend requires the first-order index a = b = (1, ..., 1)"
-            )
-        return _omega_to_w(point) if config.fn == "F" else point
-
-    args = map_points(prepare, points)
-    if all(isinstance(arg, Exception) for arg in args):
-        return args
-    # every prepared point has depth len(n), so they share one index
-    idx = _index_for(config, len(config.n))
-    if backend == "companion":
-        return companion_sum_I_batch(idx.n, args, config.hbar, series_params)
-    batch = quad_F_batch if config.fn == "F" else quad_I_batch
-    return batch(idx, args, config.hbar, quad_spec)
-
-
-def evaluate_point(config: RunConfig, point: Sequence[complex]) -> EvalResult:
-    """Evaluate config.fn at one argument point."""
+def _evaluate(config: RunConfig, points: Sequence) -> list:
+    """config.fn at every point, in order: for each point its EvalResult, or
+    the exception raised there.  F and I on the contour and companion
+    backends are one batch call, whose points share their omega-free work;
+    every other function runs point by point."""
     fn = config.fn
     if fn is None:
         raise UsageError("--fn is required for eval/table")
-    point = tuple(point)
-    batch = _evaluate_batch(config, (point,))
-    if batch is not None:
-        return unwrap(batch[0])
     backend = _resolve_backend(fn, config.backend)
-    quad_spec, series_params = _numeric_params(config)
-    m = len(point)
+    points = [tuple(point) for point in points]
+    try:
+        quad_spec = QuadratureSpec(tol=config.tol) if config.tol else QuadratureSpec()
+        series_params = SeriesParams(tol=config.tol) if config.tol else SeriesParams()
+    except DomainError as exc:
+        return fail_points(points, exc)
 
-    if fn == "F":  # closed_form; contour and companion are batched
-        idx = _index_for(config, m)
-        if m != 1:
-            raise DomainError("closed_form backend is depth-1 only")
-        a1, b1, n1 = idx.a[0], idx.b[0], idx.n[0]
-        if b1 == 0:
-            return depth1_closed_form(a1, n1, point[0], series_params)
-        if complex(config.hbar) == 1 + 0j:
-            return depth1_closed_form(a1 + b1, n1, point[0], series_params)
-        raise DomainError(
-            "closed_form for fn=F needs b=0 (any hbar) or hbar=1 (merged "
-            "coupling)"
-        )
+    if fn in ("F", "I") and backend != "closed_form":
 
-    if fn == "Li":
-        n = config.n
-        if not n:
-            raise UsageError("--n is required for fn=Li")
-        if len(n) != m:
-            raise UsageError(f"point depth {m} does not match len(n)={len(n)}")
-        if backend == "series":
-            return multiple_polylog(n, point, series_params)
-        if any(z == 0 for z in point):
-            raise DomainError("contour backend needs nonzero arguments")
-        w = tuple(cmath.log(z) for z in point[:-1]) + (cmath.log(-point[-1]),)
-        return quad_Li(n, w, quad_spec)
+        def prepare(point: tuple) -> tuple:
+            m = len(point)
+            idx = _index_for(config, m)
+            if backend == "contour":
+                return point
+            if idx.a != (1,) * m or idx.b != (1,) * m:
+                raise DomainError(
+                    "companion backend requires the first-order index a = b = (1, ..., 1)"
+                )
+            return _omega_to_w(point) if fn == "F" else point
 
-    if fn == "qLi":
-        n = config.n
-        if not n:
-            raise UsageError("--n is required for fn=qLi")
-        if len(n) != m:
-            raise UsageError(f"point depth {m} does not match len(n)={len(n)}")
-        a = config.a or (1,) * m
-        if len(a) != m:
-            raise UsageError(f"len(a)={len(a)} does not match point depth {m}")
-        return q_multiple_polylog(a, n, point, config.hbar, series_params)
+        args = map_points(prepare, points)
+        if all(isinstance(arg, Exception) for arg in args):
+            return args
+        # every prepared point has depth len(n), so they share one index
+        idx = _index_for(config, len(config.n))
+        if backend == "companion":
+            return companion_sum_I_batch(idx.n, args, config.hbar, series_params)
+        batch = quad_F_batch if fn == "F" else quad_I_batch
+        return batch(idx, args, config.hbar, quad_spec)
 
-    if fn == "zeta":
-        if m != 0:
-            raise UsageError("fn=zeta takes no omega point; pass exponents via --n")
-        if not config.n:
-            raise UsageError("--n supplies the zeta exponents (all >= 2)")
-        return quad_zeta_hbar(config.n, config.hbar, quad_spec)
+    def one(point: tuple) -> EvalResult:
+        m = len(point)
+        if fn == "F":  # closed_form
+            idx = _index_for(config, m)
+            if m != 1:
+                raise DomainError("closed_form backend is depth-1 only")
+            a1, b1, n1 = idx.a[0], idx.b[0], idx.n[0]
+            if b1 == 0:
+                return depth1_closed_form(a1, n1, point[0], series_params)
+            if complex(config.hbar) == 1 + 0j:
+                return depth1_closed_form(a1 + b1, n1, point[0], series_params)
+            raise DomainError(
+                "closed_form for fn=F needs b=0 (any hbar) or hbar=1 (merged "
+                "coupling)"
+            )
 
-    if fn == "bernoulli":
-        if m != 1:
-            raise UsageError("fn=bernoulli expects depth-1 omega points")
-        a = config.a[0] if config.a else None
-        if a is None:
-            raise UsageError("--a is required for fn=bernoulli")
-        b = config.b[0] if config.b else 0
-        n = config.n[0] if config.n else 0
-        if backend == "contour":
-            return quad_bernoulli_circle(a, b, n, point[0], config.hbar)
-        poly = bernoulli_exact(a, b, n)
-        value = poly.eval(point[0], config.hbar)
-        return EvalResult(
-            value,
-            0.0,
-            "exact",
-            {"polynomial": str(poly), "omega_degree": poly.omega_degree()},
-        )
+        if fn == "Li":
+            n = config.n
+            if not n:
+                raise UsageError("--n is required for fn=Li")
+            if len(n) != m:
+                raise UsageError(f"point depth {m} does not match len(n)={len(n)}")
+            if backend == "series":
+                return multiple_polylog(n, point, series_params)
+            if any(z == 0 for z in point):
+                raise DomainError("contour backend needs nonzero arguments")
+            w = tuple(cmath.log(z) for z in point[:-1]) + (cmath.log(-point[-1]),)
+            return quad_Li(n, w, quad_spec)
 
-    if fn == "psi":
+        if fn == "qLi":
+            n = config.n
+            if not n:
+                raise UsageError("--n is required for fn=qLi")
+            if len(n) != m:
+                raise UsageError(f"point depth {m} does not match len(n)={len(n)}")
+            a = config.a or (1,) * m
+            if len(a) != m:
+                raise UsageError(f"len(a)={len(a)} does not match point depth {m}")
+            return q_multiple_polylog(a, n, point, config.hbar, series_params)
+
+        if fn == "zeta":
+            if m != 0:
+                raise UsageError("fn=zeta takes no omega point; pass exponents via --n")
+            if not config.n:
+                raise UsageError("--n supplies the zeta exponents (all >= 2)")
+            return quad_zeta_hbar(config.n, config.hbar, quad_spec)
+
+        if fn == "bernoulli":
+            if m != 1:
+                raise UsageError("fn=bernoulli expects depth-1 omega points")
+            a = config.a[0] if config.a else None
+            if a is None:
+                raise UsageError("--a is required for fn=bernoulli")
+            b = config.b[0] if config.b else 0
+            n = config.n[0] if config.n else 0
+            if backend == "contour":
+                return quad_bernoulli_circle(a, b, n, point[0], config.hbar)
+            poly = bernoulli_exact(a, b, n)
+            value = poly.eval(point[0], config.hbar)
+            return EvalResult(
+                value,
+                0.0,
+                "exact",
+                {"polynomial": str(poly), "omega_degree": poly.omega_degree()},
+            )
+
+        # psi
         if m != 1:
             raise UsageError("fn=psi expects scalar points")
         a = config.a[0] if config.a else None
@@ -589,7 +575,12 @@ def evaluate_point(config: RunConfig, point: Sequence[complex]) -> EvalResult:
             raise UsageError("--a is required for fn=psi")
         return pochhammer_psi(a, point[0], config.hbar, series_params)
 
-    raise UsageError(f"unknown function {fn!r}")  # pragma: no cover
+    return map_points(one, points)
+
+
+def evaluate_point(config: RunConfig, point: Sequence[complex]) -> EvalResult:
+    """Evaluate config.fn at one argument point."""
+    return unwrap(_evaluate(config, (point,))[0])
 
 
 def _point_inputs(config: RunConfig, point: Sequence[complex]) -> dict:
@@ -610,8 +601,8 @@ def _point_inputs(config: RunConfig, point: Sequence[complex]) -> dict:
 
 def _eval_records(jobs: Iterable[tuple]) -> tuple:
     """Evaluate (run config, point) jobs, one record per job, in order.
-    Consecutive jobs with the same run config are evaluated as one batch
-    where the function has a batch path (see _evaluate_batch).
+    Consecutive jobs with the same run config are evaluated together (see
+    _evaluate).
 
     A point that fails to evaluate gives an error record; a UsageError is a
     configuration problem, not a per-point failure, and propagates.
@@ -620,34 +611,21 @@ def _eval_records(jobs: Iterable[tuple]) -> tuple:
     errors = 0
     for config, group in itertools.groupby(jobs, key=lambda job: job[0]):
         points = [point for _, point in group]
-        batch = _evaluate_batch(config, points)
-        for k, point in enumerate(points):
+        for point, result in zip(points, _evaluate(config, points)):
+            if isinstance(result, UsageError):
+                raise result
             record = _point_inputs(config, point)
-            try:
-                result = evaluate_point(config, point) if batch is None else unwrap(batch[k])
-            except UsageError:
-                raise
-            except (QpolylogError, ValueError, OverflowError, ZeroDivisionError) as exc:
+            if isinstance(result, POINT_ERRORS):
                 errors += 1
                 record.update(
-                    {
-                        "value": None,
-                        "err_estimate": None,
-                        "backend": None,
-                        "diagnostics": {},
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
+                    value=None,
+                    err_estimate=None,
+                    backend=None,
+                    diagnostics={},
+                    error=f"{type(result).__name__}: {result}",
                 )
             else:
-                record.update(
-                    {
-                        "value": complex_dict(result.value),
-                        "err_estimate": float(result.err_estimate),
-                        "backend": result.backend,
-                        "diagnostics": dict(result.diagnostics),
-                        "error": None,
-                    }
-                )
+                record.update(result.to_dict(), error=None)
             records.append(record)
     return records, errors
 

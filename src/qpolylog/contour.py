@@ -142,13 +142,22 @@ def _logsh(z: np.ndarray) -> np.ndarray:
     return np.where(flip, out + 1j * math.pi, out)
 
 
+def _kernel_terms(a: int, b: int, hbar: complex, p: np.ndarray) -> list:
+    """The log-kernel terms that do not depend on omega, a log sh(pi p) and
+    b log sh(pi h p), at nodes p, in the order they are subtracted."""
+    terms = []
+    if a:
+        terms.append(a * _logsh(math.pi * p))
+    if b:
+        terms.append(b * _logsh(math.pi * hbar * p))
+    return terms
+
+
 def _log_kernel(a: int, b: int, hbar: complex, omega: complex, p: np.ndarray) -> np.ndarray:
     """log of one kernel factor, assembled before any exponentiation."""
     out = -1j * p * omega
-    if a:
-        out = out - a * _logsh(math.pi * p)
-    if b:
-        out = out - b * _logsh(math.pi * hbar * p)
+    for term in _kernel_terms(a, b, hbar, p):
+        out = out - term
     return out
 
 
@@ -232,24 +241,24 @@ class _LinePoint:
         }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _line_integral(
     idx: MultiIndex,
     omegas: Sequence,
     hbar: complex,
     spec: QuadratureSpec,
     pole_shifts: Sequence[complex] | None = None,
-    sh_offsets: Sequence[tuple[complex, complex]] | None = None,
 ) -> list:
     """Raw iterated integral over the shifted lines (no i-power prefactor) at
     every point of omegas: for each point its (value, err, diagnostics), or
     the exception that point raised.  An entry of omegas that is already an
     exception passes through.
 
-    pole_shifts u_k replace the coupling denominators by (P_k - i u_k)^(n_k);
-    sh_offsets (r_k, s_k) replace the kernel denominators by
-    (sh(pi p) - r_k) * (sh(pi h p) - s_k) (only valid with a_k = b_k = 1).
+    pole_shifts u_k replace the coupling denominators by (P_k - i u_k)^(n_k).
     The error estimate is the last halving delta, plus the truncation tail,
-    plus a round-off floor proportional to u * sum |terms|.
+    plus a round-off floor proportional to u * sum |terms|.  A point whose
+    integrand overflows on the line (large Re omega) fails alone with a
+    DomainError; the call lets no floating-point warning escape.
 
     The points share the first step h0, which does not depend on omega.  At
     each level, every axis samples its omega-free log-kernel terms
@@ -271,10 +280,6 @@ def _line_integral(
     try:
         hbar = validate_hbar(hbar)
         shifts = tuple(pole_shifts) if pole_shifts is not None else (0j,) * m
-        offsets = tuple(sh_offsets) if sh_offsets is not None else ((0j, 0j),) * m
-        for i, (r, s) in enumerate(offsets):
-            if (r != 0 or s != 0) and (idx.a[i] != 1 or idx.b[i] != 1):
-                raise DomainError("sh offsets require a = b = 1 on that axis")
         top = _lowest_pole(hbar, any(idx.b))
         eps = spec.epsilon if spec.epsilon is not None else 0.5 * top
         if eps >= top:
@@ -317,23 +322,6 @@ def _line_integral(
         live.append(_LinePoint(k, out[k], axis_T, tail, h0))
         out[k] = None
 
-    def omega_free_terms(i: int, p: np.ndarray) -> list:
-        """Axis i's log-kernel terms that do not depend on omega, at nodes p,
-        in the order they are subtracted."""
-        a, b = idx.a[i], idx.b[i]
-        terms = []
-        if a:
-            lsh = _logsh(math.pi * p)
-            terms.append(a * lsh)
-        if b:
-            lshh = _logsh(math.pi * hbar * p)
-            terms.append(b * lshh)
-        r, s = offsets[i]
-        if r != 0 or s != 0:
-            # 1/(sh - r) = (1/sh) / (1 - r/sh): fold the correction in
-            terms += [np.log(1.0 - r * np.exp(-lsh)), np.log(1.0 - s * np.exp(-lshh))]
-        return terms
-
     # Level k samples axis i at p = (h0 / 2^k) j + i eps, |j| <= half_i 2^k.
     # (h/2)(2j) == h j bit for bit, so the even nodes of a level are exactly
     # the previous level's grid: each axis keeps exp(log-kernel) and
@@ -357,7 +345,7 @@ def _line_integral(
             else:
                 j = np.arange(-wide, wide + 1)
             p = h * j + 1j * eps
-            terms = omega_free_terms(i, p)
+            terms = _kernel_terms(idx.a[i], idx.b[i], hbar, p)
             for pt in live:
                 size = pt.halves[i] << level if level else 2 * pt.halves[i] + 1
                 if size == p.size:
@@ -370,7 +358,12 @@ def _line_integral(
                     lg = lg - term
                 pt.nodes += size
                 fresh = (np.exp(lg), np.abs(lg))
+                if not np.isfinite(fresh[0]).all():
+                    out[pt.k] = DomainError(
+                        f"the integrand overflows on the line at omega[{i}] = {pt.omega[i]!r}"
+                    )
                 pt.samples[i] = tuple(map(_interleave, pt.samples[i], fresh)) if level else fresh
+        live = [pt for pt in live if out[pt.k] is None]
         going = []
         for pt in live:
             value, pt.floor = _fold(pt.samples, h, idx.n, eps, shifts)
@@ -619,27 +612,14 @@ def gen_series_depth1(
     omega: complex,
     hbar: complex,
     u: complex,
-    r: complex = 0j,
-    s: complex = 0j,
     spec: QuadratureSpec | None = None,
 ) -> EvalResult:
     """Depth-one generating integral in the extra pole variable u:
 
-        G(u; r, s) = int over R + i eps of
-            exp(-i p omega) / ((sh(pi p) - r)(sh(pi h p) - s)) * dp / (p - i u).
+        G(u) = int over R + i eps of
+            exp(-i p omega) / (sh(pi p) sh(pi h p)) * dp / (p - i u).
 
     For |u| < eps its Taylor coefficients in u give the tower of first-order
-    values, G = sum_{n>=1} F_{1,1,n}(omega) u^(n-1) at r = s = 0; the r and s
-    expansions raise the two kernel exponents.  Requires |u| < eps and
-    |r|, |s| <= 0.5."""
-    spec = spec or QuadratureSpec()
+    values, G = sum_{n>=1} F_{1,1,n}(omega) u^(n-1).  Requires |u| < eps."""
     u = ensure_finite_complex(u, "u")
-    r = ensure_finite_complex(r, "r")
-    s = ensure_finite_complex(s, "s")
-    if abs(r) > 0.5 or abs(s) > 0.5:
-        raise DomainError("deformations must satisfy |r|, |s| <= 0.5")
-    idx = MultiIndex((1,), (1,), (1,))
-    value, err, diag = unwrap(_line_integral(
-        idx, ((omega,),), hbar, spec, pole_shifts=(u,), sh_offsets=((r, s),)
-    )[0])
-    return EvalResult(value, err, "contour", diag)
+    return quad_F(MultiIndex((1,), (1,), (1,)), (omega,), hbar, spec, pole_shifts=(u,))

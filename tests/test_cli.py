@@ -711,6 +711,13 @@ class TestBatchedEval:
         assert code == EXIT_USAGE
         assert out == ""
         assert "point depth 2" in err
+        # the same for a function evaluated point by point
+        code, out, err = run_cli(
+            capsys, "eval", "--fn", "Li", "--n", "2", "--omega", "0.4;0.5,0.2",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "point depth 2" in err
 
 
 class TestTableCommand:

@@ -332,6 +332,15 @@ class TestBatch:
         assert isinstance(batch[1], ConvergenceError)
         assert_identical(batch, one_by_one(lambda p: quad_F(idx, p, 1.2), points))
 
+    def test_overflow_fails_its_point_alone(self):
+        # exp(eps Re omega) overflows on the line at omega = 1e6; the call
+        # raises no numpy warning (tier-1 runs with -W error)
+        idx, points = idx1(1, 1, 1), [(-1.0,), (1e6,), (-2.0,)]
+        batch = quad_F_batch(idx, points, 1.2)
+        assert isinstance(batch[1], DomainError)
+        assert "overflows" in str(batch[1])
+        assert_identical(batch, one_by_one(lambda p: quad_F(idx, p, 1.2), points))
+
     def test_errors_pass_through(self):
         marker = DomainError("raised upstream")
         batch = quad_F_batch(idx1(1, 1, 1), [marker, (-1.0,), (-1.0, -2.0)], 1.2)
@@ -538,17 +547,11 @@ class TestGenSeries:
         f = quad_F(
             MultiIndex((1,), (1,), (1,)), (omega,), hbar, pole_shifts=(u,)
         )
-        assert g.value == pytest.approx(f.value, abs=1e-11)
+        assert_identical([g], [f])
 
     def test_shift_must_stay_below_line(self):
         with pytest.raises(DomainError):
             gen_series_depth1(-1.0, 1.0, 0.6)  # auto epsilon is 0.5 here
-
-    def test_kernel_offsets_bounded(self):
-        with pytest.raises(DomainError):
-            gen_series_depth1(-1.0, 1.0, 0j, r=0.8)
-        with pytest.raises(DomainError):
-            gen_series_depth1(-1.0, 1.0, 0j, s=0.6j)
 
 
 # ---------------------------------------------------------------------------
