@@ -110,7 +110,21 @@ def canonical_json(obj: Any) -> str:
 
 
 def _emit_json(obj: Any, out: list) -> None:
-    if obj is None:
+    # Dispatch on the exact type first: float, str, int, dict and list are
+    # nearly every value emitted, and one type lookup is cheaper than the
+    # numbers-ABC isinstance chain that serves everything else.
+    kind = type(obj)
+    if kind is float:
+        out.append(format_float(obj))
+    elif kind is str:
+        out.append(json.dumps(obj, ensure_ascii=True))
+    elif kind is int:
+        out.append(str(obj))
+    elif kind is dict:
+        _emit_mapping(obj, out)
+    elif kind is list or kind is tuple:
+        _emit_sequence(obj, out)
+    elif obj is None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
@@ -119,29 +133,37 @@ def _emit_json(obj: Any, out: list) -> None:
     elif isinstance(obj, numbers.Real):
         out.append(format_float(float(obj)))
     elif isinstance(obj, numbers.Complex):
-        _emit_json(complex_dict(complex(obj)), out)
+        _emit_mapping(complex_dict(complex(obj)), out)
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, Mapping):
-        out.append("{")
-        first = True
-        for key in sorted(obj, key=str):
-            if not first:
-                out.append(",")
-            first = False
-            out.append(json.dumps(str(key), ensure_ascii=True))
-            out.append(":")
-            _emit_json(obj[key], out)
-        out.append("}")
+        _emit_mapping(obj, out)
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit_json(item, out)
-        out.append("]")
+        _emit_sequence(obj, out)
     else:
         raise UsageError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _emit_mapping(obj: Mapping, out: list) -> None:
+    out.append("{")
+    first = True
+    for key in sorted(obj, key=str):
+        if not first:
+            out.append(",")
+        first = False
+        out.append(json.dumps(str(key), ensure_ascii=True))
+        out.append(":")
+        _emit_json(obj[key], out)
+    out.append("}")
+
+
+def _emit_sequence(obj: Sequence, out: list) -> None:
+    out.append("[")
+    for i, item in enumerate(obj):
+        if i:
+            out.append(",")
+        _emit_json(item, out)
+    out.append("]")
 
 
 def complex_dict(z: complex) -> dict:

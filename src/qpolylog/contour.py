@@ -531,6 +531,7 @@ def quad_zeta_hbar(
     return EvalResult(value, err, "contour", diag)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def quad_bernoulli_circle(
     a: int,
     b: int,
@@ -542,7 +543,9 @@ def quad_bernoulli_circle(
 ) -> EvalResult:
     """Residue form of the Bernoulli layer: i^(n-1) times the counterclockwise
     integral of the kernel times p^(-n) around p = 0, by trapezoid quadrature
-    on a small circle (spectrally accurate)."""
+    on a small circle (spectrally accurate).  An integrand that overflows on
+    the circle (large |omega|) raises a DomainError; the call lets no
+    floating-point warning escape."""
     if a < 0 or b < 0:
         raise DomainError("a and b must be non-negative")
     omega = ensure_finite_complex(omega, "omega")
@@ -556,7 +559,10 @@ def quad_bernoulli_circle(
         theta = 2 * math.pi * np.arange(N) / N
         p = R * np.exp(1j * theta)
         vals = np.exp(_log_kernel(a, b, hbar, omega, p)) * p ** (-n)
-        return complex((2j * math.pi / N) * np.sum(vals * p))
+        total = complex((2j * math.pi / N) * np.sum(vals * p))
+        if not cmath.isfinite(total):
+            raise DomainError(f"the integrand overflows on the circle at omega = {omega!r}")
+        return total
 
     N = 64
     prev = ring(N)

@@ -600,10 +600,11 @@ def shuffles(k: int, l: int) -> list[tuple[int, ...]]:
     return rec(tuple(range(1, k + 1)), tuple(range(k + 1, k + l + 1)))
 
 
-def _prefix_products(values: Sequence[Fraction]) -> Fraction | None:
-    """Product of all prefix sums; None if any prefix sum vanishes."""
-    acc = Fraction(0)
-    prod = Fraction(1)
+def _prefix_products(values: Sequence) -> int | Fraction | None:
+    """Product of all prefix sums of ints or Fractions; None if any prefix
+    sum vanishes."""
+    acc = 0
+    prod = 1
     for v in values:
         acc += v
         if acc == 0:
@@ -619,8 +620,15 @@ def verify_a3(k: int, l: int, trials: int = 100, seed: int = 20260817) -> CheckR
         1/(prod prefix-sums of p) * 1/(prod prefix-sums of q)
           = sum over (k,l)-shuffles of 1/(prod prefix-sums of the interleaving),
 
-    evaluated at random rational points (denominators <= 100) in exact
-    arithmetic.  Passes iff both sides are exactly equal at every trial.
+    at random rational points (denominators <= 100).  A point whose prefix
+    sums include a zero is drawn again, and ``resampled`` counts those draws.
+    Both sides are homogeneous of degree -(k + l), so each point is scaled
+    by the lcm of its denominators to integers, and with P, Q, R_j the
+    integer prefix products of the two blocks and of the j-th interleaving
+    and M = prod_j R_j, the identity reads M == P Q sum_j M / R_j, an
+    equation in Python ints.  Passes iff it holds at every trial; the first
+    failing trial ends the check, and its residual |lhs - rhs| is computed
+    in Fractions at the unscaled point.
     """
     if k + l > 6:
         raise DomainError("k + l capped at 6 for the exact check")
@@ -628,39 +636,32 @@ def verify_a3(k: int, l: int, trials: int = 100, seed: int = 20260817) -> CheckR
     perms = shuffles(k, l)
     resampled = 0
 
-    def sample() -> Fraction:
+    def sample() -> tuple[int, int]:
         num = 0
         while num == 0:
             num = rng.randint(-100, 100)
-        return Fraction(num, rng.randint(1, 100))
+        return num, rng.randint(1, 100)
 
-    exact_equal = True
+    residual = 0.0
     for _ in range(trials):
         while True:
-            values = [sample() for _ in range(k + l)]
-            p_block, q_block = values[:k], values[k:]
-            lhs_p = _prefix_products(p_block)
-            lhs_q = _prefix_products(q_block)
-            shuffled_products = []
-            if lhs_p is not None and lhs_q is not None:
-                ok = True
-                for perm in perms:
-                    prod = _prefix_products([values[i - 1] for i in perm])
-                    if prod is None:
-                        ok = False
-                        break
-                    shuffled_products.append(prod)
-                if ok:
-                    break
+            drawn = [sample() for _ in range(k + l)]
+            scale = math.lcm(*(den for _, den in drawn))
+            x = [num * (scale // den) for num, den in drawn]
+            blocks = [x[:k], x[k:]] + [[x[i - 1] for i in perm] for perm in perms]
+            products = [_prefix_products(block) for block in blocks]
+            if None not in products:
+                break
             resampled += 1
-            shuffled_products = []
-        lhs = 1 / (lhs_p * lhs_q)
-        rhs = sum(1 / prod for prod in shuffled_products)
-        if lhs != rhs:
-            exact_equal = False
+        P, Q, *R = products
+        M = math.prod(R)
+        if M != P * Q * sum(M // r for r in R):
+            values = [Fraction(num, den) for num, den in drawn]
+            lhs = 1 / (_prefix_products(values[:k]) * _prefix_products(values[k:]))
+            rhs = sum(1 / _prefix_products([values[i - 1] for i in perm]) for perm in perms)
+            residual = float(abs(lhs - rhs))
             break
 
-    residual = 0.0 if exact_equal else float(abs(lhs - rhs))
     return CheckReport.from_residual(
         "partial_fraction_shuffle_exact",
         {"k": k, "l": l, "trials": trials, "seed": seed, "resampled": resampled},

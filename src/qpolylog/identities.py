@@ -14,18 +14,19 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .contour import (
     QuadratureSpec,
     depth1_closed_form,
     gen_series_depth1,
     quad_F,
+    quad_F_batch,
     quad_I,
-    quad_Li,
+    quad_I_batch,
     quad_zeta_hbar,
 )
-from .core import CheckReport, DomainError, MultiIndex
+from .core import CheckReport, DomainError, MultiIndex, unwrap
 from .exact import bernoulli_exact, verify_a3
 from .series import (
     SeriesParams,
@@ -97,6 +98,29 @@ def _point_tol(point: Mapping[str, Any], spec: CheckSpec) -> float:
     return float(point.get("tol", spec.tolerance))
 
 
+def _quad_values(
+    calls: Sequence[tuple[MultiIndex, tuple]],
+    hbar: complex,
+    spec: QuadratureSpec | None = None,
+    batch: Callable[..., list] | None = None,
+) -> Iterator[complex]:
+    """quad_F(idx, point, hbar, spec).value for each (idx, point) of calls,
+    in call order; quad_I in place of quad_F when batch is quad_I_batch.
+    The calls that share an index go to batch as one call, which gives each
+    point bit for bit its one-point value.  The values are read lazily, so
+    reading a failed call's value raises its one-point error where the
+    one-point call would have raised it."""
+    batch = batch or quad_F_batch
+    groups: dict[MultiIndex, list[int]] = {}
+    for pos, (idx, _) in enumerate(calls):
+        groups.setdefault(idx, []).append(pos)
+    results: list = [None] * len(calls)
+    for idx, members in groups.items():
+        for pos, res in zip(members, batch(idx, [calls[pos][1] for pos in members], hbar, spec)):
+            results[pos] = res
+    return (unwrap(res).value for res in results)
+
+
 # ---------------------------------------------------------------------------
 # 1. series backend vs contour backend
 # ---------------------------------------------------------------------------
@@ -140,15 +164,21 @@ def check_series_vs_contour(
     match the simplex sum Li_n(e^{w_1}, ..., -e^{w_m}).
     """
     spec = spec or default_series_vs_contour_spec(seed)
-    reports = []
+    calls = []
     for point in spec.grid:
+        m = len(point["n"])
+        # quad_Li(n, w) is quad_I with the first-order kernel at hbar = 1
+        idx = MultiIndex((1,) * m, (0,) * m, tuple(int(v) for v in point["n"]))
+        calls.append((idx, tuple(complex(v) for v in point["w"])))
+    reports = []
+    lhs_values = _quad_values(calls, 1.0, batch=quad_I_batch)
+    for point, (_, w) in zip(spec.grid, calls):
         n = tuple(point["n"])
-        w = tuple(complex(v) for v in point["w"])
         m = len(n)
         z = tuple(cmath.exp(v) for v in w[:-1]) + (-cmath.exp(w[-1]),)
-        lhs = quad_Li(n, w)
+        lhs = next(lhs_values)
         rhs = multiple_polylog(n, z)
-        residual = abs(lhs.value - rhs.value)
+        residual = abs(lhs - rhs.value)
         params = {
             "m": m,
             "n": list(n),
@@ -240,11 +270,18 @@ def default_difference_spec() -> CheckSpec:
     )
 
 
-def _stencil_derivative(f: Callable[[complex], complex], step: float) -> complex:
-    """Fourth-order central difference at 0 with one Richardson step."""
+# The shifts, in units of the stencil step, at which _stencil_derivative
+# reads f: each distinct shift once, in the order the stencil first uses it.
+_STENCIL = (2.0, 1.0, -1.0, -2.0, 0.5, -0.5)
+
+
+def _stencil_derivative(f: Mapping[float, complex], step: float) -> complex:
+    """Fourth-order central difference at 0 with one Richardson step, from
+    the values f[c * step] at the shifts c of _STENCIL.  The passes at step
+    and step / 2 share f(+-step), so the six values are all it reads."""
 
     def central(h: float) -> complex:
-        return (-f(2 * h) + 8 * f(h) - 8 * f(-h) + f(-2 * h)) / (12 * h)
+        return (-f[2 * h] + 8 * f[h] - 8 * f[-h] + f[-2 * h]) / (12 * h)
 
     d1 = central(step)
     d2 = central(step / 2.0)
@@ -257,8 +294,10 @@ def _difference_residuals(
     hbar: complex,
     spec_q: QuadratureSpec,
 ) -> list[tuple[str, float]]:
-    """Residuals of the half-step relations on every axis and both couplings."""
-    out = []
+    """Residuals of the half-step relations on every axis and both couplings.
+    The up and down points of every relation go to quad_F as one batch."""
+    labels = []
+    calls = []
     m = idx.depth
     for k in range(m):
         for which in ("a", "b"):
@@ -274,11 +313,15 @@ def _difference_residuals(
             if lowered_a[k] + lowered_b[k] < 1:
                 continue  # lowered integrand loses its decay on axis k
             step = 1j * math.pi * (1.0 if which == "a" else complex(hbar))
+            labels.append(f"axis{k + 1}-{which}")
             up = tuple(w + (step if j == k else 0) for j, w in enumerate(omega))
             dn = tuple(w - (step if j == k else 0) for j, w in enumerate(omega))
-            lhs = quad_F(idx, up, hbar, spec_q).value - quad_F(idx, dn, hbar, spec_q).value
-            rhs = quad_F(MultiIndex(lowered_a, lowered_b, idx.n), omega, hbar, spec_q).value
-            out.append((f"axis{k + 1}-{which}", abs(lhs - rhs)))
+            calls += [(idx, up), (idx, dn), (MultiIndex(lowered_a, lowered_b, idx.n), omega)]
+    values = _quad_values(calls, hbar, spec_q)
+    out = []
+    for label in labels:
+        lhs = next(values) - next(values)
+        out.append((label, abs(lhs - next(values))))
     return out
 
 
@@ -288,27 +331,29 @@ def _differential_residuals(
     hbar: complex,
     spec_q: QuadratureSpec,
 ) -> list[tuple[str, float]]:
-    """Residuals of d/d omega_k F = F(n - e_k) - F(n - e_{k-1})."""
-    out = []
+    """Residuals of d/d omega_k F = F(n - e_k) - F(n - e_{k-1}).  The
+    stencil points of every axis go to quad_F as one batch."""
     m = idx.depth
     step = 1e-3
+    shifts = [c * step for c in _STENCIL]
+    calls = []
     for k in range(m):
-
-        def shifted(d: complex, k: int = k) -> complex:
-            om = tuple(w + (d if j == k else 0) for j, w in enumerate(omega))
-            return quad_F(idx, om, hbar, spec_q).value
-
-        deriv = _stencil_derivative(shifted, step)
-        rhs = 0j
+        calls += [
+            (idx, tuple(w + (d if j == k else 0) for j, w in enumerate(omega))) for d in shifts
+        ]
         lowered = tuple(v - (1 if j == k else 0) for j, v in enumerate(idx.n))
-        rhs += quad_F(MultiIndex(idx.a, idx.b, lowered), omega, hbar, spec_q).value
+        calls.append((MultiIndex(idx.a, idx.b, lowered), omega))
         if k >= 1:
-            lowered_prev = tuple(
-                v - (1 if j == k - 1 else 0) for j, v in enumerate(idx.n)
-            )
-            rhs -= quad_F(
-                MultiIndex(idx.a, idx.b, lowered_prev), omega, hbar, spec_q
-            ).value
+            lowered_prev = tuple(v - (1 if j == k - 1 else 0) for j, v in enumerate(idx.n))
+            calls.append((MultiIndex(idx.a, idx.b, lowered_prev), omega))
+    values = _quad_values(calls, hbar, spec_q)
+    out = []
+    for k in range(m):
+        deriv = _stencil_derivative({d: next(values) for d in shifts}, step)
+        rhs = 0j
+        rhs += next(values)
+        if k >= 1:
+            rhs -= next(values)
         out.append((f"axis{k + 1}", abs(deriv - rhs)))
     return out
 
@@ -384,11 +429,14 @@ def check_distribution(
         hbar = complex(point["hbar"])
         idx = MultiIndex((1,), (1,), (n,))
         lhs = quad_F(idx, (r * omega,), (r / s) * hbar).value
+        calls = [
+            (idx, (omega + (TWO_PI_I * (alpha / r) + TWO_PI_I * hbar * (beta / s)),))
+            for alpha in _half_integer_range(r)
+            for beta in _half_integer_range(s)
+        ]
         total = 0j
-        for alpha in _half_integer_range(r):
-            for beta in _half_integer_range(s):
-                shift = TWO_PI_I * (alpha / r) + TWO_PI_I * hbar * (beta / s)
-                total += quad_F(idx, (omega + shift,), hbar).value
+        for value in _quad_values(calls, hbar):
+            total += value
         rhs = r ** (n - 1) * total
         params = {
             "r": r,
@@ -604,8 +652,7 @@ def check_symmetries(
         elif relation == "boundary":
             a, b, n = idx.a[0], idx.b[0], idx.n[0]
             sign = (-1) ** (a + b + n - 1)
-            fwd = quad_F(idx, omega, hbar).value
-            bwd = quad_F(idx, tuple(-v for v in omega), hbar).value
+            fwd, bwd = _quad_values([(idx, omega), (idx, tuple(-v for v in omega))], hbar)
             bpoly = bernoulli_exact(a, b, n).eval(omega[0], hbar)
             residual = abs(fwd + sign * bwd + bpoly)
         elif relation == "decay":
@@ -759,14 +806,16 @@ def check_shuffle(
         if case in ("depth11", "symmetric-point"):
             (a1,), (a2,) = point["a"]
             (b1,), (b2,) = point["b"]
-            f1 = quad_F(MultiIndex((a1,), (b1,), (1,)), (omega[0],), hbar).value
-            f2 = quad_F(MultiIndex((a2,), (b2,), (1,)), (omega[1],), hbar).value
-            f12 = quad_F(
-                MultiIndex((a1, a2), (b1, b2), (1, 1)), omega, hbar
-            ).value
-            f21 = quad_F(
-                MultiIndex((a2, a1), (b2, b1), (1, 1)), (omega[1], omega[0]), hbar
-            ).value
+            # (a1, b1) = (a2, b2) puts f1, f2 and f12, f21 in one batch each
+            f1, f2, f12, f21 = _quad_values(
+                [
+                    (MultiIndex((a1,), (b1,), (1,)), (omega[0],)),
+                    (MultiIndex((a2,), (b2,), (1,)), (omega[1],)),
+                    (MultiIndex((a1, a2), (b1, b2), (1, 1)), omega),
+                    (MultiIndex((a2, a1), (b2, b1), (1, 1)), (omega[1], omega[0])),
+                ],
+                hbar,
+            )
             residual = abs(f1 * f2 - f12 - f21)
             params = {
                 "case": case,

@@ -719,6 +719,20 @@ class TestBatchedEval:
         assert out == ""
         assert "point depth 2" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_circle_overflow_fails_its_point_alone(self, capsys):
+        code, payload, err = eval_payload(
+            capsys, "eval", "--fn", "bernoulli", "--backend", "contour", "--a", "2",
+            "--b", "1", "--n", "1", "--omega", "0.4;1e6", "--hbar", "1.2",
+        )
+        assert code == EXIT_EVAL
+        assert err == ""
+        good, bad = payload["results"]
+        assert good["error"] is None
+        assert bad["error"] == (
+            "DomainError: the integrand overflows on the circle at omega = (1000000+0j)"
+        )
+
 
 class TestTableCommand:
     def test_one_dimensional_sweep(self, capsys):

@@ -468,6 +468,13 @@ class TestBernoulliCircle:
         res = quad_bernoulli_circle(1, 0, -1, 0.3, 1.0)
         assert abs(res.value) <= 1e-13
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_domain_error(self):
+        # exp(-i p omega) overflows on the circle at omega = 1e6; the call
+        # names the overflow and raises no numpy warning
+        with pytest.raises(DomainError, match="overflows on the circle"):
+            quad_bernoulli_circle(2, 1, 1, 1e6, 1.2)
+
     def test_radius_validation(self):
         with pytest.raises(DomainError):
             quad_bernoulli_circle(1, 0, 1, 0.0, 1.0, radius=1.5)

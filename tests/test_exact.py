@@ -6,10 +6,12 @@ import cmath
 import math
 from fractions import Fraction
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpolylog import DomainError
+from qpolylog import DomainError, exact
 from qpolylog.exact import (
     ExactPoly,
     ExactScalar,
@@ -563,3 +565,74 @@ class TestPartialFractionCheck:
     def test_depth_cap(self):
         with pytest.raises(DomainError):
             verify_a3(4, 3)
+
+
+def _fraction_prefix_product(values):
+    acc, prod = Fraction(0), Fraction(1)
+    for v in values:
+        acc += v
+        if acc == 0:
+            return None
+        prod *= acc
+    return prod
+
+
+def reference_a3(k, l, trials, seed, perms):
+    """The identity in Fraction arithmetic, drawing the same random points
+    as verify_a3: (residual of the first failing trial or 0.0, resampled)."""
+    rng = random.Random(seed)
+    resampled = 0
+
+    def sample():
+        num = 0
+        while num == 0:
+            num = rng.randint(-100, 100)
+        return Fraction(num, rng.randint(1, 100))
+
+    for _ in range(trials):
+        while True:
+            values = [sample() for _ in range(k + l)]
+            blocks = [values[:k], values[k:]] + [[values[i - 1] for i in p] for p in perms]
+            products = [_fraction_prefix_product(b) for b in blocks]
+            if None not in products:
+                break
+            resampled += 1
+        lhs = 1 / (products[0] * products[1])
+        rhs = sum(1 / prod for prod in products[2:])
+        if lhs != rhs:
+            return float(abs(lhs - rhs)), resampled
+    return 0.0, resampled
+
+
+class TestPartialFractionReference:
+    """verify_a3 decides the identity in integers; its reports are those of
+    the Fraction arithmetic it replaced."""
+
+    @pytest.mark.parametrize("seed", [7, 11, 99])
+    @pytest.mark.parametrize(
+        "k,l", [(k, l) for k in range(1, 6) for l in range(1, 7 - k)]
+    )
+    def test_matches_fraction_reference(self, seed, k, l):
+        report = verify_a3(k, l, trials=25, seed=seed)
+        residual, resampled = reference_a3(k, l, 25, seed, shuffles(k, l))
+        assert report.passed and residual == 0.0
+        assert report.residual == 0.0
+        assert dict(report.params) == {
+            "k": k, "l": l, "trials": 25, "seed": seed, "resampled": resampled
+        }
+
+    def test_resampling_is_exercised(self):
+        # at seed 99 a drawn point has a vanishing prefix sum and is redrawn
+        assert verify_a3(2, 2, seed=99).params["resampled"] == reference_a3(
+            2, 2, 100, 99, shuffles(2, 2)
+        )[1] > 0
+
+    @pytest.mark.parametrize("seed,k,l", [(7, 1, 1), (7, 2, 2), (11, 3, 2), (99, 1, 3)])
+    def test_dropped_shuffle_fails_with_reference_residual(self, monkeypatch, seed, k, l):
+        perms = shuffles(k, l)[:-1]
+        monkeypatch.setattr(exact, "shuffles", lambda k, l: perms)
+        report = verify_a3(k, l, seed=seed)
+        residual, resampled = reference_a3(k, l, 100, seed, perms)
+        assert not report.passed
+        assert report.residual == residual > 0.0
+        assert report.params["resampled"] == resampled

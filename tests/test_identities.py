@@ -7,7 +7,8 @@ from collections import Counter
 
 import pytest
 
-from qpolylog import CheckReport, DomainError
+from qpolylog import CheckReport, DomainError, contour, identities
+from qpolylog.core import map_points
 from qpolylog.identities import (
     CHECKS,
     CheckSpec,
@@ -108,3 +109,38 @@ class TestRegistry:
 
     def test_reports_are_check_reports(self, all_reports):
         assert all(isinstance(r, CheckReport) for r in all_reports)
+
+
+class TestBatchedStencils:
+    """Points of one check that share (index, hbar, tol, pole shifts) are
+    evaluated as one quad_F_batch or quad_I_batch call, and every report
+    equals the report of one-point calls."""
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_reports_equal_one_point_calls(self, monkeypatch, seed):
+        batched = run_all(seed=seed)
+
+        def loop_F(idx, omegas, hbar, spec=None, pole_shifts=None):
+            return map_points(lambda om: identities.quad_F(idx, om, hbar, spec, pole_shifts), omegas)
+
+        def loop_I(idx, ws, hbar, spec=None):
+            return map_points(lambda w: identities.quad_I(idx, w, hbar, spec), ws)
+
+        monkeypatch.setattr(identities, "quad_F_batch", loop_F)
+        monkeypatch.setattr(identities, "quad_I_batch", loop_I)
+        assert run_all(seed=seed) == batched
+
+    def test_line_integral_calls(self, monkeypatch):
+        # run_all(seed=7) evaluates 284 points on the line; one-point calls
+        # made 294 line integrals, the batches make at most 160
+        calls = []
+        line_integral = contour._line_integral
+
+        def counting(idx, omegas, *args, **kwargs):
+            calls.append(len(omegas))
+            return line_integral(idx, omegas, *args, **kwargs)
+
+        monkeypatch.setattr(contour, "_line_integral", counting)
+        run_all(seed=7)
+        assert len(calls) <= 160
+        assert sum(calls) == 284
