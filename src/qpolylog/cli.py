@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import itertools
 import json
 import math
@@ -379,6 +380,13 @@ def build_parser() -> _Parser:
         "second axis (at most two)",
     )
     return parser
+
+
+@functools.lru_cache(maxsize=1)
+def _main_parser() -> _Parser:
+    """The parser main parses with, built on first use.  Parsing leaves no
+    state on it, so each call behaves as with a fresh build_parser()."""
+    return build_parser()
 
 
 def _merge_config_file(
@@ -839,7 +847,7 @@ def cmd_table(config: RunConfig, out) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _main_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "conventions", False):

@@ -24,10 +24,14 @@ is analytic in a strip around the line (Trefethen & Weideman, SIAM Review
 depends only on the index sum, so the nested sum is folded one axis at a
 time: a full FFT convolution with the next axis's samples, then a pointwise
 multiply by P_c^(-n_c).  Depth m costs O(m N log N) for N nodes per axis.
-The first step comes from the distance between the line and the nearest
+The first step h0 comes from the distance between the line and the nearest
 singularity; the step is halved until two successive values agree.  The
-halved grids are nested, so each pass samples the kernel only on its new
-odd nodes and reuses every earlier sample.
+halved grids are nested: (h/2)(2j) == h j bit for bit.  Every point compares
+at least levels 0 and 1 (steps h0 and h0/2), so the first pass samples the
+level-1 grid once, with one exp and one |.| of the log-kernel per node, and
+level 0 folds its even entries, which are exactly the level-0 samples.  Each
+later pass samples the kernel only on its new odd nodes and reuses every
+earlier sample.
 
 Batches: quad_F_batch and quad_I_batch evaluate many points that share the
 index, h and tolerance.  The first step and the strip width do not depend
@@ -219,21 +223,37 @@ class _LinePoint:
     """One point of a batched line integral: its truncation and refinement
     state."""
 
-    __slots__ = ("k", "omega", "T", "tail", "halves", "counts", "samples", "nodes",
+    __slots__ = ("k", "omega", "T", "tail", "halves", "counts", "samples", "fresh",
                  "deltas", "value", "floor")
 
     def __init__(self, k: int, omega: tuple, T: list, tail: float, h0: float) -> None:
         self.k, self.omega, self.T, self.tail = k, omega, T, tail
         self.halves = [math.ceil(t / h0) for t in T]
-        self.samples: list = [None] * len(omega)
-        self.nodes = 0
+        self.fresh: list = [None] * len(omega)
         self.deltas: list[float] = []
+
+    def overflow(self, i: int) -> DomainError:
+        return DomainError(
+            f"the integrand overflows on the line at omega[{i}] = {self.omega[i]!r}"
+        )
+
+    def unconverged(self, spec: QuadratureSpec, eps: float):
+        """The outcome of a point whose deltas still exceed tol at the last
+        level: its result if they settled close enough, else the error."""
+        deltas = self.deltas
+        if len(deltas) >= 2 and deltas[-1] >= deltas[-2] and deltas[-1] > 10 * spec.tol:
+            return ConvergenceError(f"line quadrature not converging: refinement deltas {deltas}")
+        if deltas[-1] > 1e3 * spec.tol:
+            return ConvergenceError(
+                f"line quadrature stalled at delta = {deltas[-1]:.3e} (tol {spec.tol:.3e})"
+            )
+        return self.result(spec.max_refine, eps)
 
     def result(self, level: int, eps: float) -> tuple[complex, float, dict]:
         return self.value, self.deltas[-1] + self.tail + self.floor, {
             "levels": level,
             "nodes_per_axis": self.counts,
-            "nodes_evaluated": self.nodes,
+            "nodes_evaluated": sum(self.counts),
             "deltas": self.deltas,
             "T": self.T,
             "epsilon": eps,
@@ -241,33 +261,59 @@ class _LinePoint:
         }
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _line_integral(
+def _over_budget(h: float) -> ConvergenceError:
+    return ConvergenceError(f"line quadrature at step {h:.3g} needs more than {_MAX_NODES} nodes")
+
+
+def _overflowing_axis(samples: list) -> int | None:
+    """The last axis whose exp(log-kernel) samples are not all finite, if
+    any: the axis a pass that samples the axes in order reports."""
+    bad = None
+    for i, (e, _) in enumerate(samples):
+        if not np.isfinite(e).all():
+            bad = i
+    return bad
+
+
+def _sample_axis(
+    a: int, b: int, hbar: complex, eps: float, h: float,
+    omegas: Sequence[complex], spans: Sequence[int], odd: bool,
+) -> list:
+    """(exp(log-kernel), |log-kernel|) of one axis at each (omega, span), on
+    the nodes p = h j + i eps with |j| <= span, or only the odd ones.  The
+    omega-free terms a log sh(pi p) and b log sh(pi h p) are sampled once, on
+    the widest grid; every other grid is a centred slice of it, and each
+    point subtracts them from its -i p omega in the order a batch of one
+    does."""
+    wide = max(spans)
+    j = np.arange(1 - wide, wide, 2) if odd else np.arange(-wide, wide + 1)
+    p = h * j + 1j * eps
+    terms = _kernel_terms(a, b, hbar, p)
+    out = []
+    for omega, span in zip(omegas, spans):
+        size = span if odd else 2 * span + 1
+        if size == p.size:
+            nodes, cut = p, terms
+        else:
+            lo = (p.size - size) // 2
+            nodes, cut = p[lo:lo + size], [t[lo:lo + size] for t in terms]
+        lg = -1j * nodes * omega
+        for term in cut:
+            lg = lg - term
+        out.append((np.exp(lg), np.abs(lg)))
+    return out
+
+
+def _line_points(
     idx: MultiIndex,
     omegas: Sequence,
     hbar: complex,
     spec: QuadratureSpec,
-    pole_shifts: Sequence[complex] | None = None,
-) -> list:
-    """Raw iterated integral over the shifted lines (no i-power prefactor) at
-    every point of omegas: for each point its (value, err, diagnostics), or
-    the exception that point raised.  An entry of omegas that is already an
-    exception passes through.
-
-    pole_shifts u_k replace the coupling denominators by (P_k - i u_k)^(n_k).
-    The error estimate is the last halving delta, plus the truncation tail,
-    plus a round-off floor proportional to u * sum |terms|.  A point whose
-    integrand overflows on the line (large Re omega) fails alone with a
-    DomainError; the call lets no floating-point warning escape.
-
-    The points share the first step h0, which does not depend on omega.  At
-    each level, every axis samples its omega-free log-kernel terms
-    a log sh(pi p) and b log sh(pi h p) once, on the widest live point's
-    grid; each point takes its own slice and subtracts them from its
-    -i p omega in the order a batch of one does.  Each point keeps its own
-    truncation, samples, fold, node budget, stopping level and errors, so
-    its result is bit for bit the result it has alone.
-    """
+    pole_shifts: Sequence[complex] | None,
+) -> tuple:
+    """The set-up of _line_integral, which does not depend on the refinement:
+    (out, live, h0, eps, shifts), with out[k] the error of point k or None,
+    and live the _LinePoint of every point without an error."""
     m = idx.depth
 
     def checked(omega) -> tuple:
@@ -289,7 +335,7 @@ def _line_integral(
                 raise DomainError("pole shifts must satisfy |u| < epsilon")
         strip = convergence_strip(idx, hbar, for_contour=True)
     except POINT_ERRORS as exc:
-        return fail_points(out, exc)
+        return fail_points(out, exc), [], None, None, None
 
     rates = {}
     for k, omega in enumerate(out):
@@ -314,79 +360,109 @@ def _line_integral(
         L = max(-math.log(target), 1.0)
         h0 = 2 * math.pi * d / (L + (order - 1) * max(math.log(L / (math.pi * d)), 0.0))
     except POINT_ERRORS as exc:
-        return fail_points(out, exc)
+        return fail_points(out, exc), [], None, None, None
     live = []
     for k, axis_rates in rates.items():
         axis_T = [spec.T if spec.T is not None else min(cut / r, 200.0) for r in axis_rates]
         tail = sum(math.exp(-r * T) / r for r, T in zip(axis_rates, axis_T))
         live.append(_LinePoint(k, out[k], axis_T, tail, h0))
         out[k] = None
+    return out, live, h0, eps, shifts
 
-    # Level k samples axis i at p = (h0 / 2^k) j + i eps, |j| <= half_i 2^k.
+
+@np.errstate(over="ignore", invalid="ignore")
+def _line_integral(
+    idx: MultiIndex,
+    omegas: Sequence,
+    hbar: complex,
+    spec: QuadratureSpec,
+    pole_shifts: Sequence[complex] | None = None,
+) -> list:
+    """Raw iterated integral over the shifted lines (no i-power prefactor) at
+    every point of omegas: for each point its (value, err, diagnostics), or
+    the exception that point raised.  An entry of omegas that is already an
+    exception passes through.
+
+    pole_shifts u_k replace the coupling denominators by (P_k - i u_k)^(n_k).
+    The error estimate is the last halving delta, plus the truncation tail,
+    plus a round-off floor proportional to u * sum |terms|.  A point whose
+    integrand overflows on the line (large Re omega) fails alone with a
+    DomainError; the call lets no floating-point warning escape.
+
+    The points share the first step h0, which does not depend on omega.  In
+    each pass, every axis samples its omega-free log-kernel terms once, on
+    the widest live point's grid (see _sample_axis).  Each point keeps its
+    own truncation, samples, fold, node budget, stopping level and errors, so
+    its result is bit for bit the result it has alone.
+    """
+    out, live, h0, eps, shifts = _line_points(idx, omegas, hbar, spec, pole_shifts)
+    m = idx.depth
+    # Level k samples axis i at p = (h0 / 2^k) j + i eps, |j| <= half_i 2^k;
+    # the grids of all points are nested in the widest one, about j = 0.
     # (h/2)(2j) == h j bit for bit, so the even nodes of a level are exactly
-    # the previous level's grid: each axis keeps exp(log-kernel) and
-    # |log-kernel| between levels and computes only its new odd nodes.  The
-    # grids of all points are nested in the widest one, about j = 0.
-    for level in range(spec.max_refine + 1):
-        h = h0 / 2**level
-        for pt in live:
-            pt.counts = [2 * (half << level) + 1 for half in pt.halves]
-            if sum(pt.counts) > _MAX_NODES:
-                out[pt.k] = ConvergenceError(
-                    f"line quadrature at step {h:.3g} needs more than {_MAX_NODES} nodes"
-                )
-        live = [pt for pt in live if out[pt.k] is None]
+    # the previous level's grid.  No point stops before level 1, so the first
+    # pass samples the level-1 grid whole and level 0 is its even entries:
+    # one exp and one |.| per node.  Each later pass samples only its new odd
+    # nodes and interleaves them with the kept samples.
+    for level in range(1, spec.max_refine + 1):
         if not live:
             break
-        for i in range(m):
-            wide = max([pt.halves[i] for pt in live])
-            if level:
-                j = np.arange(1 - (wide << level), wide << level, 2)
-            else:
-                j = np.arange(-wide, wide + 1)
-            p = h * j + 1j * eps
-            terms = _kernel_terms(idx.a[i], idx.b[i], hbar, p)
-            for pt in live:
-                size = pt.halves[i] << level if level else 2 * pt.halves[i] + 1
-                if size == p.size:
-                    nodes, cut = p, terms
-                else:
-                    lo = (p.size - size) // 2
-                    nodes, cut = p[lo:lo + size], [t[lo:lo + size] for t in terms]
-                lg = -1j * nodes * pt.omega[i]
-                for term in cut:
-                    lg = lg - term
-                pt.nodes += size
-                fresh = (np.exp(lg), np.abs(lg))
-                if not np.isfinite(fresh[0]).all():
-                    out[pt.k] = DomainError(
-                        f"the integrand overflows on the line at omega[{i}] = {pt.omega[i]!r}"
-                    )
-                pt.samples[i] = tuple(map(_interleave, pt.samples[i], fresh)) if level else fresh
-        live = [pt for pt in live if out[pt.k] is None]
-        going = []
+        h = h0 / 2**level
+        fine, coarse = [], []
         for pt in live:
+            counts = [2 * (half << level) + 1 for half in pt.halves]
+            if sum(counts) <= _MAX_NODES:
+                pt.counts = counts
+                fine.append(pt)
+            elif level > 1:
+                out[pt.k] = _over_budget(h)
+            elif sum(2 * half + 1 for half in pt.halves) <= _MAX_NODES:
+                # over budget at level 1 only: sampled on its level-0 grid,
+                # where an overflow still fails it first
+                coarse.append(pt)
+            else:
+                out[pt.k] = _over_budget(h0)
+        for pts, step, shift in ((fine, h, level), (coarse, h0, 0)):
+            if not pts:
+                continue
+            for i in range(m):
+                sampled = _sample_axis(
+                    idx.a[i], idx.b[i], hbar, eps, step, [pt.omega[i] for pt in pts],
+                    [pt.halves[i] << shift for pt in pts], odd=level > 1,
+                )
+                for pt, fresh in zip(pts, sampled):
+                    pt.fresh[i] = fresh
+        for pt in coarse:
+            bad = _overflowing_axis(pt.fresh)
+            out[pt.k] = pt.overflow(bad) if bad is not None else _over_budget(h)
+        live = []
+        for pt in fine:
+            bad = _overflowing_axis(pt.fresh)
+            if level == 1:
+                # contiguous copies, so that level 0 folds the very arrays a
+                # level-0 pass would; its overflows are reported first
+                even = [tuple(s[::2].copy() for s in axis) for axis in pt.fresh]
+                if bad is not None:
+                    first = _overflowing_axis(even)
+                    bad = bad if first is None else first
+            if bad is not None:
+                out[pt.k] = pt.overflow(bad)
+                continue
+            if level == 1:
+                pt.value = _fold(even, h0, idx.n, eps, shifts)[0]
+                pt.samples = list(pt.fresh)
+            else:
+                pt.samples = [tuple(map(_interleave, kept, new))
+                              for kept, new in zip(pt.samples, pt.fresh)]
             value, pt.floor = _fold(pt.samples, h, idx.n, eps, shifts)
-            if level:
-                pt.deltas.append(abs(value - pt.value))
+            pt.deltas.append(abs(value - pt.value))
             pt.value = value
-            if level and pt.deltas[-1] <= spec.tol:
+            if pt.deltas[-1] <= spec.tol:
                 out[pt.k] = pt.result(level, eps)
             else:
-                going.append(pt)
-        live = going
+                live.append(pt)
     for pt in live:
-        deltas = pt.deltas
-        if len(deltas) >= 2 and deltas[-1] >= deltas[-2] and deltas[-1] > 10 * spec.tol:
-            out[pt.k] = ConvergenceError(
-                f"line quadrature not converging: refinement deltas {deltas}"
-            )
-        elif deltas[-1] > 1e3 * spec.tol:
-            out[pt.k] = ConvergenceError(
-                f"line quadrature stalled at delta = {deltas[-1]:.3e} (tol {spec.tol:.3e})"
-            )
-        else:
-            out[pt.k] = pt.result(spec.max_refine, eps)
+        out[pt.k] = pt.unconverged(spec, eps)
     return out
 
 
@@ -409,6 +485,11 @@ def _fold(
         acc = _fftconvolve(acc, f)
         if n[i] != 0:
             J = np.arange(acc.size) - acc.size // 2
+            # Keep this product as written.  numpy's complex multiply is not
+            # bitwise commutative (a * b != b * a in numpy 2.4), and numpy
+            # elides a temporary operand of 256 KiB or more by swapping the
+            # operands: on 16,384 entries or more this runs as factor * acc.
+            # Reordering it, or sharing the factor between points, moves bits.
             acc = acc * (h * J + 1j * ((i + 1) * eps - shifts[i])) ** (-n[i])
     floor = _UNIT_ROUNDOFF * (1.0 + kappa) * float(np.abs(acc).sum())
     return complex(acc.sum()), floor

@@ -513,10 +513,12 @@ def sh_inverse_laurent(scale: str, a: int, order: int) -> FormalLaurent:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def q_poly(m: int) -> ExactPoly:
     """The unique degree-m polynomial Q_m with symmetric difference step i*pi:
     Q_m(omega + i pi) - Q_m(omega - i pi) = Q_{m-1}(omega), Q_0 = 1, roots in
     arithmetic progression:  Q_m(omega) = prod_j (omega - i pi (m-1-2j)) / ((2 pi i)^m m!).
+    Memoized like bernoulli_exact; typed, so that a float m still raises.
     """
     if m < 0:
         raise DomainError("m must be >= 0")

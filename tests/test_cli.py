@@ -1000,3 +1000,43 @@ class TestConventionsFlag:
         # --conventions short-circuits before subcommand validation.
         code, out, _ = run_cli(capsys, "--conventions")
         assert code == EXIT_OK and out
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+class TestParserReuse:
+    """main parses every call with one parser, built on first use; each call
+    behaves as with a freshly built one."""
+
+    def run_sequence(self, capsys, argvs):
+        out = []
+        for argv in argvs:
+            out.append(run_cli(capsys, *argv))
+        return out
+
+    @pytest.mark.parametrize("case", ["check_args", "config", "usage_error"])
+    def test_consecutive_calls_match_fresh_parsers(self, capsys, monkeypatch, tmp_path, case):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"fn": "F", "a": "1", "b": "0", "n": "0", "omega": "-1"}))
+        direct = ["eval", "--fn", "F", "--a", "1", "--b", "1", "--n", "1", "--omega", "-2"]
+        argvs = {
+            "check_args": [["verify", "a3", "k=2", "l=2"], ["verify", "a3"]],
+            "config": [["eval", "--config", str(path)], direct],
+            "usage_error": [["eval", "--fn", "nope"], direct],
+        }[case]
+        shared = self.run_sequence(capsys, argvs)
+        assert cli._main_parser() is cli._main_parser()
+        monkeypatch.setattr(cli, "_main_parser", cli.build_parser)
+        fresh = self.run_sequence(capsys, argvs)
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == {
+            "check_args": [EXIT_OK, EXIT_OK],
+            "config": [EXIT_OK, EXIT_OK],
+            "usage_error": [EXIT_USAGE, EXIT_OK],
+        }[case]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()

@@ -360,8 +360,9 @@ class TestBatch:
         )
 
     def test_kernel_logs_sampled_once_per_node_of_the_widest_grid(self, monkeypatch):
-        # three points, three truncations: every level samples sh(pi p) and
-        # sh(pi h p) once on the widest point's grid, not once per point
+        # three points, three truncations: the one pass over levels 0 and 1
+        # samples sh(pi p) and sh(pi h p) once on the widest point's grid,
+        # not once per point or per level
         idx, hbar = MultiIndex((1, 1), (1, 1), (1, 1)), 1.3
         points = [(-1.0, -0.5), (-1 + 2j, -0.5 + 1j), (-2 + 4j, -1.0)]
         sizes = []
@@ -377,10 +378,176 @@ class TestBatch:
         assert {d["levels"] for d in diags} == {1}
         widest = [max(d["nodes_per_axis"][i] for d in diags) for i in range(2)]
         assert len({tuple(d["nodes_per_axis"]) for d in diags}) == 3
-        # two sh logs per axis and level, each over the widest grid's new nodes
-        assert len(sizes) == 2 * 2 * 2
+        # two sh logs per axis, each over the widest level-1 grid
+        assert len(sizes) == 2 * 2
         assert sum(sizes) == 2 * sum(widest)
         assert sum(sizes) < 2 * sum(d["nodes_evaluated"] for d in diags)
+
+
+def two_pass(idx, omegas, hbar, spec, pole_shifts=None):
+    """_line_integral refined the two-pass way: level 0 sampled on its own
+    grid at step h0, each later level on its new odd nodes only, and every
+    point alone on its own grid.  It is built from the engine's own set-up,
+    _kernel_terms, _interleave and _fold, so both sides round alike on any
+    machine; nodes_evaluated is counted here."""
+    out, live, h0, eps, shifts = contour._line_points(idx, omegas, hbar, spec, pole_shifts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pt in live:
+            out[pt.k] = _refine_alone(pt, idx, hbar, spec, h0, eps, shifts)
+    return out
+
+
+def _refine_alone(pt, idx, hbar, spec, h0, eps, shifts):
+    samples, nodes = [None] * idx.depth, 0
+    for level in range(spec.max_refine + 1):
+        h = h0 / 2**level
+        pt.counts = [2 * (half << level) + 1 for half in pt.halves]
+        if sum(pt.counts) > contour._MAX_NODES:
+            return ConvergenceError(
+                f"line quadrature at step {h:.3g} needs more than {contour._MAX_NODES} nodes"
+            )
+        error = None
+        for i in range(idx.depth):
+            span = pt.halves[i] << level
+            j = np.arange(1 - span, span, 2) if level else np.arange(-span, span + 1)
+            p = h * j + 1j * eps
+            lg = -1j * p * pt.omega[i]
+            for term in contour._kernel_terms(idx.a[i], idx.b[i], hbar, p):
+                lg = lg - term
+            nodes += p.size
+            fresh = (np.exp(lg), np.abs(lg))
+            if not np.isfinite(fresh[0]).all():
+                error = DomainError(
+                    f"the integrand overflows on the line at omega[{i}] = {pt.omega[i]!r}"
+                )
+            samples[i] = tuple(map(contour._interleave, samples[i], fresh)) if level else fresh
+        if error is not None:
+            return error
+        value, pt.floor = contour._fold(samples, h, idx.n, eps, shifts)
+        if level:
+            pt.deltas.append(abs(value - pt.value))
+        pt.value = value
+        if level and pt.deltas[-1] <= spec.tol:
+            outcome = pt.result(level, eps)
+            break
+    else:
+        outcome = pt.unconverged(spec, eps)
+    if isinstance(outcome, Exception):
+        return outcome
+    value, err, diag = outcome
+    return value, err, {**diag, "nodes_evaluated": nodes}
+
+
+def assert_same_outcomes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, Exception):
+            assert type(g) is type(w) and str(g) == str(w)
+        else:
+            assert g == w  # value, estimate and diagnostics, bit for bit
+
+
+# overflows on the odd nodes of its level-1 grid only, at h = 1.2 and tol 1e-10
+ODD_OVERFLOW = 1706.4508 + 3j
+
+
+class TestOnePass:
+    """The first pass samples the level-1 grid once and folds level 0 from
+    its even entries; the result is the two-pass refinement's, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "idx,hbar,tol,points,shifts",
+        [
+            (idx1(1, 1, 1), 1.2, 1e-10,
+             [(-1.0,), (-1 + 2j,), (-1 + 9j,), (-0.5 + 3.5j,), (-3 + 0.5j,)], None),
+            (MultiIndex((1, 1), (1, 1), (1, 2)), 1.3 + 0.4j, 1e-12,
+             [(-1.0, -0.5), (-1 + 2j, -0.5), (-2 + 1j, -1 - 1j)], None),
+            (MultiIndex((2, 1, 1), (1, 0, 1), (1, 1, 2)), 1 + 0.5j, 1e-10,
+             [(-2.0, -1.0, -0.5), (-2 + 1j, -1.0, -0.5 - 0.5j)], None),
+            # the pole shift of gen_series_depth1
+            (idx1(1, 1, 1), 1.3, 1e-12, [(-1.2,), (-0.4 + 1j,)], (0.1 - 0.05j,)),
+            # 24,753 nodes per axis
+            (MultiIndex((1, 1), (0, 1), (1, 2)), 3.1, 1e-13,
+             [(-2.6208992563278373 + 2.9145008940925963j,
+               -2.7587133628012634 - 11.000295837076807j)], None),
+            # overflow on the level-0 grid; overflow on level-1 odd nodes only
+            (idx1(1, 1, 1), 1.2, 1e-10, [(5000.0,), (ODD_OVERFLOW,), (-1.0,)], None),
+            (MultiIndex((1, 1), (1, 1), (1, 1)), 1.2, 1e-10,
+             [(5000.0, ODD_OVERFLOW), (ODD_OVERFLOW, 5000.0), (ODD_OVERFLOW, -1.0),
+              (-1.0, ODD_OVERFLOW), (-1.0, -0.5)], None),
+            # levels 2 and 4; points that stop converging
+            (idx1(1, 1, 2), 50.0, 1e-13, [(-4.0,), (-1 + 1j,), (-1.0,), (6 + 1j,)], None),
+            (idx1(1, 1, 3), 50.0, 1e-13, [(-4.0,), (-1 + 1j,), (0.5 + 1j,), (-1.0,)], None),
+        ],
+    )
+    def test_matches_two_passes(self, idx, hbar, tol, points, shifts):
+        spec = QuadratureSpec(tol=tol)
+        got = contour._line_integral(idx, points, hbar, spec, shifts)
+        assert_same_outcomes(got, two_pass(idx, points, hbar, spec, shifts))
+
+    def test_wide_grid_and_deep_levels_are_reached(self):
+        big = contour._line_integral(
+            MultiIndex((1, 1), (0, 1), (1, 2)),
+            [(-2.6208992563278373 + 2.9145008940925963j,
+              -2.7587133628012634 - 11.000295837076807j)],
+            3.1, QuadratureSpec(tol=1e-13),
+        )[0]
+        assert max(big[2]["nodes_per_axis"]) == 24753
+        deep = contour._line_integral(
+            idx1(1, 1, 2), [(-4.0,), (-1.0,)], 50.0, QuadratureSpec(tol=1e-13)
+        )
+        assert [r[2]["levels"] for r in deep] == [4, 2]
+
+    def test_level_zero_overflows_are_reported_first(self):
+        # each level reports its last overflowing axis, and an overflow on
+        # level-1 odd nodes counts only if no axis overflows at level 0; so
+        # (5000, ODD_OVERFLOW) failing on axis 0 shows ODD_OVERFLOW is finite
+        # on its level-0 nodes
+        idx, spec = MultiIndex((1, 1), (1, 1), (1, 1)), QuadratureSpec()
+        points = [(ODD_OVERFLOW, -1.0), (-1.0, ODD_OVERFLOW), (5000.0, ODD_OVERFLOW),
+                  (ODD_OVERFLOW, 5000.0), (ODD_OVERFLOW, ODD_OVERFLOW)]
+        axes = [0, 1, 0, 1, 1]
+        got = contour._line_integral(idx, points, 1.2, spec)
+        for err, axis, point in zip(got, axes, points):
+            assert isinstance(err, DomainError)
+            omega = complex(point[axis])
+            assert str(err) == f"the integrand overflows on the line at omega[{axis}] = {omega!r}"
+
+    def test_level_one_budget_failure_alone(self, monkeypatch):
+        # level 1 would need more than _MAX_NODES nodes: only the level-0
+        # grid is sampled, and the point fails at the level-1 step
+        spec, idx = QuadratureSpec(), idx1(1, 1, 1)
+        want = two_pass(idx, [(-1.0,)], 1 + 65j, spec)
+        sizes = []
+        logsh = contour._logsh
+
+        def counting(z):
+            sizes.append(z.size)
+            return logsh(z)
+
+        monkeypatch.setattr(contour, "_logsh", counting)
+        got = contour._line_integral(idx, [(-1.0,)], 1 + 65j, spec)
+        assert isinstance(got[0], ConvergenceError) and "step 3.71e-06" in str(got[0])
+        assert_same_outcomes(got, want)
+        level0 = max(sizes)
+        assert 2 * level0 - 1 > contour._MAX_NODES >= level0
+
+    @pytest.mark.parametrize(
+        "budget,kinds",
+        [
+            # -1 + 6i fails at level 0, -1 + 3i at level 1
+            (300, [tuple, ConvergenceError, ConvergenceError, ConvergenceError]),
+            # -1 + 6i fails at level 1; 3000 + 6i overflows at level 0 first
+            (1500, [tuple, ConvergenceError, DomainError, tuple]),
+        ],
+    )
+    def test_budget_failures_beside_points_that_go_on(self, monkeypatch, budget, kinds):
+        monkeypatch.setattr(contour, "_MAX_NODES", budget)
+        idx, spec = idx1(1, 1, 1), QuadratureSpec()
+        points = [(-1.0,), (-1 + 6j,), (3000 + 6j,), (-1 + 3j,)]
+        got = contour._line_integral(idx, points, 1.2, spec)
+        assert [type(r) for r in got] == kinds
+        assert_same_outcomes(got, two_pass(idx, points, 1.2, spec))
 
 
 class TestQuadI:
@@ -518,6 +685,14 @@ class TestDepth1ClosedForm:
         assert res.value == pytest.approx(
             classical_polylog(3, -math.exp(w)).value, abs=1e-12
         )
+
+    def test_memoized_q_poly_changes_no_bit(self, monkeypatch):
+        grid = [(a, n, omega) for a in (1, 2, 3) for n in (0, 1, 2)
+                for omega in (-0.3, -1.0 + 0.5j, -2.0 - 1.0j)]
+        memo = [depth1_closed_form(a, n, omega) for a, n, omega in grid]
+        monkeypatch.setattr(contour, "q_poly", q_poly.__wrapped__)
+        fresh = [depth1_closed_form(a, n, omega) for a, n, omega in grid]
+        assert memo == fresh
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -379,6 +379,20 @@ class TestQPoly:
         with pytest.raises(DomainError):
             q_poly(-1)
 
+    def test_memoized(self):
+        # the result is immutable, so every caller shares one object; errors
+        # are not cached, and the memo is typed, so a float m still raises
+        for m in range(4):
+            assert q_poly(m) is q_poly(m)
+            assert q_poly(m) == q_poly.__wrapped__(m)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                q_poly(-1)
+        q_poly(2)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                q_poly(2.0)
+
 
 # ---------------------------------------------------------------------------
 # Bernoulli-type polynomials
