@@ -29,17 +29,25 @@ singularity; the step is halved until two successive values agree.  The
 halved grids are nested: (h/2)(2j) == h j bit for bit.  Every point compares
 at least levels 0 and 1 (steps h0 and h0/2), so the first pass samples the
 level-1 grid once, with one exp and one |.| of the log-kernel per node, and
-level 0 folds its even entries, which are exactly the level-0 samples.  Each
-later pass samples the kernel only on its new odd nodes and reuses every
-earlier sample.
+level 0 folds its even entries, which are exactly the level-0 samples.
+Level 0 only gives the value that the first delta compares with, so its
+fold forms no round-off floor.  Each later pass samples the kernel only on
+its new odd nodes and reuses every earlier sample.
 
 Batches: quad_F_batch and quad_I_batch evaluate many points that share the
 index, h and tolerance.  The first step and the strip width do not depend
-on omega, so every point's grid at a level is a centred slice of the widest
-one, and the omega-free factors a log sh(pi p) and b log sh(pi h p) are
-sampled once per node of that grid; only exp(-i p omega), the fold and the
-stopping test are per point.  Each point's value, estimate, diagnostics and
-errors are bit for bit those of a batch of one, which is what quad_F runs.
+on omega, so every point's grid at a level, on every axis, is a centred
+slice of the widest one.  The omega-free factors log sh(pi p) and
+log sh(pi h p) are evaluated once per node of that grid and pass, and each
+axis scales its slice by its own a_i or b_i; only exp(-i p omega), the fold
+and the stopping test are per point.  The grid is symmetric bit for bit,
+h (-j) == -(h j), so for real c > 0 the left half of log sh(c p) is the
+mirror conj(right half) + i pi of the right half: that factor is evaluated on
+j >= 0 only.  The mirror needs numpy's complex exp and log to be
+conjugate-symmetric, exp(conj w) == conj(exp w), as C99's cexp and clog are;
+at complex h the b factor has no mirror and is evaluated whole.  Each
+point's value, estimate, diagnostics and errors are bit for bit those of a
+batch of one, which is what quad_F runs.
 """
 
 from __future__ import annotations
@@ -275,33 +283,51 @@ def _overflowing_axis(samples: list) -> int | None:
     return bad
 
 
-def _sample_axis(
-    a: int, b: int, hbar: complex, eps: float, h: float,
-    omegas: Sequence[complex], spans: Sequence[int], odd: bool,
-) -> list:
-    """(exp(log-kernel), |log-kernel|) of one axis at each (omega, span), on
-    the nodes p = h j + i eps with |j| <= span, or only the odd ones.  The
-    omega-free terms a log sh(pi p) and b log sh(pi h p) are sampled once, on
-    the widest grid; every other grid is a centred slice of it, and each
-    point subtracts them from its -i p omega in the order a batch of one
-    does."""
-    wide = max(spans)
+def _mirrored_logsh(c: complex, p: np.ndarray) -> np.ndarray:
+    """_logsh(c p) on a grid p = h j + i eps that is symmetric about j = 0.
+    For real c > 0 only the right half (j >= 0) is evaluated: c p at -j is
+    -conj(c p at j) bit for bit, where _logsh takes its flip branch, so the
+    left half is conj(right) + i pi.  That needs exp and log to be
+    conjugate-symmetric (exp(conj w) == conj(exp w)), as C99's cexp and clog
+    are.  A complex c has no mirror: the whole grid is evaluated."""
+    if complex(c).imag != 0:
+        return _logsh(c * p)
+    mid = p.size // 2
+    right = _logsh(c * p[mid:])
+    return np.concatenate((np.conj(right[::-1][:mid]) + 1j * math.pi, right))
+
+
+def _centred(arr: np.ndarray, size: int) -> np.ndarray:
+    lo = (arr.size - size) // 2
+    return arr[lo:lo + size]
+
+
+def _sample_pass(
+    idx: MultiIndex, hbar: complex, eps: float, h: float,
+    pts: Sequence[_LinePoint], shift: int, odd: bool,
+) -> None:
+    """Set pt.fresh[i] to (exp(log-kernel), |log-kernel|) of each point and
+    axis on the nodes p = h j + i eps with |j| <= pt.halves[i] << shift, or
+    on the odd ones only.  The omega-free factors log sh(pi p) and
+    log sh(pi h p) are evaluated once, on the widest grid over all axes and
+    points (see _mirrored_logsh), and every other grid is a centred slice of
+    it.  Each axis scales its slices by a_i and b_i, and each point subtracts
+    them from its -i p omega in the order a batch of one does."""
+    spans = [[pt.halves[i] << shift for pt in pts] for i in range(idx.depth)]
+    wide = max(map(max, spans))
     j = np.arange(1 - wide, wide, 2) if odd else np.arange(-wide, wide + 1)
     p = h * j + 1j * eps
-    terms = _kernel_terms(a, b, hbar, p)
-    out = []
-    for omega, span in zip(omegas, spans):
-        size = span if odd else 2 * span + 1
-        if size == p.size:
-            nodes, cut = p, terms
-        else:
-            lo = (p.size - size) // 2
-            nodes, cut = p[lo:lo + size], [t[lo:lo + size] for t in terms]
-        lg = -1j * nodes * omega
-        for term in cut:
-            lg = lg - term
-        out.append((np.exp(lg), np.abs(lg)))
-    return out
+    sh_pi = _mirrored_logsh(math.pi, p) if any(idx.a) else None
+    sh_pi_h = _mirrored_logsh(math.pi * hbar, p) if any(idx.b) else None
+    for i, axis_spans in enumerate(spans):
+        sizes = [span if odd else 2 * span + 1 for span in axis_spans]
+        terms = [c * _centred(log, max(sizes))
+                 for c, log in ((idx.a[i], sh_pi), (idx.b[i], sh_pi_h)) if c]
+        for pt, size in zip(pts, sizes):
+            lg = -1j * _centred(p, size) * pt.omega[i]
+            for term in terms:
+                lg = lg - _centred(term, size)
+            pt.fresh[i] = (np.exp(lg), np.abs(lg))
 
 
 def _line_points(
@@ -390,20 +416,22 @@ def _line_integral(
     DomainError; the call lets no floating-point warning escape.
 
     The points share the first step h0, which does not depend on omega.  In
-    each pass, every axis samples its omega-free log-kernel terms once, on
-    the widest live point's grid (see _sample_axis).  Each point keeps its
-    own truncation, samples, fold, node budget, stopping level and errors, so
-    its result is bit for bit the result it has alone.
+    each pass, log sh(pi p) and log sh(pi h p) are evaluated once per node of
+    the widest grid over all axes and live points, and on its right half only
+    where the mirror holds (see _sample_pass and _mirrored_logsh).  Each point
+    keeps its own truncation, samples, fold, node budget, stopping level and
+    errors, so its result is bit for bit the result it has alone.
     """
     out, live, h0, eps, shifts = _line_points(idx, omegas, hbar, spec, pole_shifts)
-    m = idx.depth
     # Level k samples axis i at p = (h0 / 2^k) j + i eps, |j| <= half_i 2^k;
     # the grids of all points are nested in the widest one, about j = 0.
     # (h/2)(2j) == h j bit for bit, so the even nodes of a level are exactly
     # the previous level's grid.  No point stops before level 1, so the first
     # pass samples the level-1 grid whole and level 0 is its even entries:
-    # one exp and one |.| per node.  Each later pass samples only its new odd
-    # nodes and interleaves them with the kept samples.
+    # one exp and one |.| per node.  Level 0 gives only the value the first
+    # delta compares with, so its fold forms no round-off floor.  Each later
+    # pass samples only its new odd nodes and interleaves them with the kept
+    # samples.
     for level in range(1, spec.max_refine + 1):
         if not live:
             break
@@ -423,15 +451,8 @@ def _line_integral(
             else:
                 out[pt.k] = _over_budget(h0)
         for pts, step, shift in ((fine, h, level), (coarse, h0, 0)):
-            if not pts:
-                continue
-            for i in range(m):
-                sampled = _sample_axis(
-                    idx.a[i], idx.b[i], hbar, eps, step, [pt.omega[i] for pt in pts],
-                    [pt.halves[i] << shift for pt in pts], odd=level > 1,
-                )
-                for pt, fresh in zip(pts, sampled):
-                    pt.fresh[i] = fresh
+            if pts:
+                _sample_pass(idx, hbar, eps, step, pts, shift, odd=level > 1)
         for pt in coarse:
             bad = _overflowing_axis(pt.fresh)
             out[pt.k] = pt.overflow(bad) if bad is not None else _over_budget(h)
@@ -439,9 +460,10 @@ def _line_integral(
         for pt in fine:
             bad = _overflowing_axis(pt.fresh)
             if level == 1:
-                # contiguous copies, so that level 0 folds the very arrays a
-                # level-0 pass would; its overflows are reported first
-                even = [tuple(s[::2].copy() for s in axis) for axis in pt.fresh]
+                # contiguous copies of exp(log-kernel), so that level 0 folds
+                # the very arrays a level-0 pass would; its overflows are
+                # reported first
+                even = [(e[::2].copy(), None) for e, _ in pt.fresh]
                 if bad is not None:
                     first = _overflowing_axis(even)
                     bad = bad if first is None else first
@@ -449,7 +471,7 @@ def _line_integral(
                 out[pt.k] = pt.overflow(bad)
                 continue
             if level == 1:
-                pt.value = _fold(even, h0, idx.n, eps, shifts)[0]
+                pt.value = _fold(even, h0, idx.n, eps, shifts, with_floor=False)[0]
                 pt.samples = list(pt.fresh)
             else:
                 pt.samples = [tuple(map(_interleave, kept, new))
@@ -467,20 +489,24 @@ def _line_integral(
 
 
 def _fold(
-    samples: list, h: float, n: Sequence[int], eps: float, shifts: Sequence[complex]
-) -> tuple[complex, float]:
+    samples: list, h: float, n: Sequence[int], eps: float, shifts: Sequence[complex],
+    with_floor: bool = True,
+) -> tuple[complex, float | None]:
     """Trapezoid sum at step h over the samples (exp(log-kernel), |log-kernel|)
     of each axis, and its round-off floor u * sum |terms| * (1 + sum_i
     kappa_i): exp turns the absolute rounding of a log-space factor into a
     relative error of about u |log|, and kappa_i is the |term|-weighted mean
-    of |log| on axis i."""
+    of |log| on axis i.  With with_floor=False the floor is None and the
+    |log-kernel| entries are not read; the value is formed by the same
+    operations, so it is the same to the bit."""
     acc = np.ones(1, dtype=np.complex128)
     kappa = 0.0
     for i, (e, abs_lg) in enumerate(samples):
         f = h * e
-        weight = np.abs(f)
-        if weight.any():
-            kappa += float(weight @ abs_lg) / float(weight.sum())
+        if with_floor:
+            weight = np.abs(f)
+            if weight.any():
+                kappa += float(weight @ abs_lg) / float(weight.sum())
         # acc[J] sums every path whose index sum is J; P_c = h J + i c eps
         acc = _fftconvolve(acc, f)
         if n[i] != 0:
@@ -491,8 +517,10 @@ def _fold(
             # operands: on 16,384 entries or more this runs as factor * acc.
             # Reordering it, or sharing the factor between points, moves bits.
             acc = acc * (h * J + 1j * ((i + 1) * eps - shifts[i])) ** (-n[i])
-    floor = _UNIT_ROUNDOFF * (1.0 + kappa) * float(np.abs(acc).sum())
-    return complex(acc.sum()), floor
+    value = complex(acc.sum())
+    if not with_floor:
+        return value, None
+    return value, _UNIT_ROUNDOFF * (1.0 + kappa) * float(np.abs(acc).sum())
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:

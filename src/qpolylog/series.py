@@ -302,7 +302,17 @@ def classical_polylog(n: int, z: complex, params: SeriesParams | None = None) ->
     while k0 <= params.k_max:
         k1 = min(k0 + chunk - 1, params.k_max)
         ks = np.arange(k0, k1 + 1, dtype=np.float64)
-        terms = np.exp(ks * log_z) / ks**n
+        # exp(x) underflows to exactly 0 below x = -745.13, so a term with
+        # k Re log z < -800 is exactly 0 in any faithful libm.  Only the
+        # prefix above that cut (k Re log z falls with k) is computed; zeros
+        # fill the chunk to its length, on which np.sum's pairwise grouping
+        # depends.  The sums and the floor below then see the same numbers;
+        # only the signs of zeros differ, which a sum with a nonzero k = 1
+        # term cannot see.
+        live = ks[:np.count_nonzero(ks * log_z.real >= -800.0)]
+        terms = np.exp(live * log_z) / live**n
+        if live.size < ks.size:
+            terms = np.concatenate((terms, np.zeros(ks.size - live.size, dtype=np.complex128)))
         acc.add(complex(np.sum(terms)))
         mags = np.abs(terms)
         abs_sum += float(np.sum(mags))

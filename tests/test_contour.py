@@ -118,6 +118,36 @@ class TestKernel:
         assert val == 0 or abs(val) < 1e-300
 
 
+class TestMirroredLogsh:
+    """On a grid p = h j + i eps and for real c > 0, c p at -j is -conj(c p)
+    at j, so _logsh's flip branch gives conj(right half) + i pi there: the
+    mirrored fill is _logsh(c p), bit for bit."""
+
+    def test_exp_and_log_are_conjugate_symmetric(self):
+        # what the mirror needs of numpy's complex exp and log
+        rng = np.random.default_rng(3)
+        w = rng.uniform(-800, 700, 20000) + 1j * rng.uniform(-50, 50, 20000)
+        w[::2] /= 400.0
+        assert np.exp(np.conj(w)).tobytes() == np.conj(np.exp(w)).tobytes()
+        assert np.log(np.conj(w)).tobytes() == np.conj(np.log(w)).tobytes()
+
+    # c as the engine forms it: pi for sh(pi p), pi * h with complex h for
+    # sh(pi h p); at c = 50 pi the far nodes' exp(-2 c p) underflows
+    @pytest.mark.parametrize(
+        "c", [math.pi, math.pi * (1.2 + 0j), math.pi * complex(math.sqrt(2)), math.pi * (50 + 0j)]
+    )
+    @pytest.mark.parametrize(
+        "h,eps", [(0.137, 0.5), (0.05, 0.4166666666666667), (0.3, 0.25), (0.0123, 0.1)]
+    )
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_equals_full_evaluation(self, c, h, eps, odd):
+        span = 96
+        j = np.arange(1 - span, span, 2) if odd else np.arange(-span, span + 1)
+        p = h * j + 1j * eps
+        got = contour._mirrored_logsh(c, p)
+        assert got.tobytes() == contour._logsh(c * p).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Line integrals: anchors and internal consistency
 # ---------------------------------------------------------------------------
@@ -236,11 +266,14 @@ class TestTruncationAndNodeReuse:
         [
             (idx1(1, 1, 2), (-0.7,), 1.2),
             (MultiIndex((1, 1), (1, 1), (1, 2)), (-1.0, -0.5), 1.3),
+            (idx1(1, 1, 2), (-0.7,), 1.2 + 0.3j),
         ],
     )
     def test_kernel_sampled_once_per_node(self, monkeypatch, idx, omega, hbar):
-        # the h/2 pass reuses the h nodes and samples only the new odd ones;
-        # with a = b = 1 each node takes two sh logs, sh(pi p) and sh(pi h p)
+        # one pass covers levels 0 and 1: sh(pi p) and sh(pi h p) take one sh
+        # log each per node of the widest level-1 grid over the axes, and
+        # only on its right half j >= 0 where the left half is the mirror:
+        # always for sh(pi p), and for sh(pi h p) when h is real
         computed = []
         logsh = contour._logsh
 
@@ -251,8 +284,9 @@ class TestTruncationAndNodeReuse:
         monkeypatch.setattr(contour, "_logsh", counting)
         diag = quad_F(idx, omega, hbar).diagnostics
         assert diag["levels"] == 1
-        assert sum(computed) == 2 * sum(diag["nodes_per_axis"])
-        assert 2 * diag["nodes_evaluated"] == sum(computed)
+        widest = max(diag["nodes_per_axis"])
+        half = (widest + 1) // 2
+        assert computed == [half, half if hbar.imag == 0 else widest]
 
     def test_diagnostics_report_refinement_history(self):
         spec = QuadratureSpec(tol=1e-12)
@@ -361,8 +395,8 @@ class TestBatch:
 
     def test_kernel_logs_sampled_once_per_node_of_the_widest_grid(self, monkeypatch):
         # three points, three truncations: the one pass over levels 0 and 1
-        # samples sh(pi p) and sh(pi h p) once on the widest point's grid,
-        # not once per point or per level
+        # samples sh(pi p) and sh(pi h p) once on the widest grid over the
+        # points and axes, not once per point, axis or level
         idx, hbar = MultiIndex((1, 1), (1, 1), (1, 1)), 1.3
         points = [(-1.0, -0.5), (-1 + 2j, -0.5 + 1j), (-2 + 4j, -1.0)]
         sizes = []
@@ -376,11 +410,11 @@ class TestBatch:
         batch = quad_F_batch(idx, points, hbar)
         diags = [r.diagnostics for r in batch]
         assert {d["levels"] for d in diags} == {1}
-        widest = [max(d["nodes_per_axis"][i] for d in diags) for i in range(2)]
+        widest = max(max(d["nodes_per_axis"]) for d in diags)
         assert len({tuple(d["nodes_per_axis"]) for d in diags}) == 3
-        # two sh logs per axis, each over the widest level-1 grid
-        assert len(sizes) == 2 * 2
-        assert sum(sizes) == 2 * sum(widest)
+        # one sh log of each kind for both axes, over the right half of the
+        # widest level-1 grid; h is real, so the left half is the mirror
+        assert sizes == [(widest + 1) // 2] * 2
         assert sum(sizes) < 2 * sum(d["nodes_evaluated"] for d in diags)
 
 
@@ -478,6 +512,11 @@ class TestOnePass:
             # levels 2 and 4; points that stop converging
             (idx1(1, 1, 2), 50.0, 1e-13, [(-4.0,), (-1 + 1j,), (-1.0,), (6 + 1j,)], None),
             (idx1(1, 1, 3), 50.0, 1e-13, [(-4.0,), (-1 + 1j,), (0.5 + 1j,), (-1.0,)], None),
+            # depth 3, mixed axes share the log sh samples of one grid
+            (MultiIndex((2, 0, 1), (0, 1, 1), (1, 0, 2)), 1.2, 1e-10,
+             [(-1.0, -0.5 + 0.2j, -0.3), (-2.0, -1.0, -0.5)], None),
+            # tiny and subnormal samples: exp(-i p omega) ~ exp(-700 - ...)
+            (idx1(1, 1, 1), 1.2, 1e-10, [(-1400.0,), (-1700 + 1j,)], None),
         ],
     )
     def test_matches_two_passes(self, idx, hbar, tol, points, shifts):
@@ -529,7 +568,10 @@ class TestOnePass:
         got = contour._line_integral(idx, [(-1.0,)], 1 + 65j, spec)
         assert isinstance(got[0], ConvergenceError) and "step 3.71e-06" in str(got[0])
         assert_same_outcomes(got, want)
+        # h is complex: sh(pi p) is evaluated on the right half of the
+        # level-0 grid, sh(pi h p) on all of it
         level0 = max(sizes)
+        assert sizes == [(level0 + 1) // 2, level0]
         assert 2 * level0 - 1 > contour._MAX_NODES >= level0
 
     @pytest.mark.parametrize(

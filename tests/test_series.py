@@ -6,6 +6,7 @@ import cmath
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from qpolylog import ConvergenceError, DomainError, series
@@ -187,6 +188,73 @@ class TestClassicalPolylog:
         res = classical_polylog(4, 0.0)
         assert res.value == 0j
         assert res.err_estimate == 0.0
+
+
+def full_chunk_polylog(n: int, z: complex, params: SeriesParams):
+    """classical_polylog for n >= 1 and 0 < |z| <= 1 with every term of
+    every 4096-term chunk exponentiated, underflowing ones included: the
+    (value, estimate, diagnostics) it returns, or the error it raises."""
+    acc = KahanSum()
+    log_z = cmath.log(z)
+    r = abs(z)
+    abs_sum = k_abs_sum = 0.0
+    k0 = 1
+    while k0 <= params.k_max:
+        k1 = min(k0 + 4095, params.k_max)
+        ks = np.arange(k0, k1 + 1, dtype=np.float64)
+        terms = np.exp(ks * log_z) / ks**n
+        acc.add(complex(np.sum(terms)))
+        mags = np.abs(terms)
+        abs_sum += float(np.sum(mags))
+        k_abs_sum += float(np.dot(ks, mags))
+        K = k1
+        tail = r ** (K + 1) / (1 - r) / (K + 1) ** n if r < 1 else K ** (1 - n) / (n - 1)
+        if tail <= params.tol:
+            floor = series._UNIT_ROUNDOFF * (3 * abs_sum + abs(log_z) * k_abs_sum)
+            return acc.value(), tail + floor, {"n": n, "terms": K}
+        k0 = k1 + 1
+    return ConvergenceError(
+        f"classical_polylog: tail bound {tail:.3e} above tol {params.tol:.3e} "
+        f"after {params.k_max} terms"
+    )
+
+
+class TestClassicalPolylogCutoff:
+    """Terms with k Re log z < -800 underflow to exactly 0, so
+    classical_polylog exponentiates only the prefix of each chunk above that
+    cut; every value, estimate and diagnostic is that of the full chunks."""
+
+    # cut at k ~ 406 and 804 in the first chunk, ~ 4030 at its end, ~ 7,600
+    # in the second chunk (reached at tol 1e-300), past 8e5, and none at
+    # |z| = 1, where the tail bound never falls below 1e-12
+    @pytest.mark.parametrize(
+        "r,n",
+        [(r, n) for r in (0.14, 0.37, 0.82, 0.9, 0.999, 1.0) for n in (1, 2, 3, 4)
+         if r < 1 or n >= 2],
+    )
+    def test_matches_full_chunks(self, r, n):
+        tols = (1e-12, 1e-300) if r < 1 else (1e-12,)
+        for theta, k_max, tol in itertools.product(
+            (0.0, 0.7, math.pi, -2.2), (8, 100, 4095, 4097, 10**6), tols
+        ):
+            z = cmath.rect(r, theta)
+            params = SeriesParams(tol=tol, k_max=k_max)
+            want = full_chunk_polylog(n, z, params)
+            try:
+                res = classical_polylog(n, z, params)
+            except ConvergenceError as exc:
+                assert isinstance(want, ConvergenceError) and str(exc) == str(want)
+                continue
+            assert (res.value, res.err_estimate, dict(res.diagnostics)) == want
+
+    def test_cut_falls_in_a_later_chunk(self):
+        # at |z| = 0.9 and tol 1e-300 the loop reaches k = 8192, and the
+        # terms of the second chunk past k ~ 7,593 are not computed
+        z, params = cmath.rect(0.9, 0.7), SeriesParams(tol=1e-300)
+        res = classical_polylog(2, z, params)
+        assert 4096 < -800 / math.log(0.9) < res.diagnostics["terms"] == 8192
+        want = full_chunk_polylog(2, z, params)
+        assert (res.value, res.err_estimate, dict(res.diagnostics)) == want
 
 
 # ---------------------------------------------------------------------------
