@@ -547,12 +547,14 @@ def _evaluate(config: RunConfig, points: Sequence) -> list:
                 "coupling)"
             )
 
-        if fn == "Li":
+        if fn in ("Li", "qLi"):
             n = config.n
             if not n:
-                raise UsageError("--n is required for fn=Li")
+                raise UsageError(f"--n is required for fn={fn}")
             if len(n) != m:
                 raise UsageError(f"point depth {m} does not match len(n)={len(n)}")
+
+        if fn == "Li":
             if backend == "series":
                 return multiple_polylog(n, point, series_params)
             if any(z == 0 for z in point):
@@ -561,11 +563,6 @@ def _evaluate(config: RunConfig, points: Sequence) -> list:
             return quad_Li(n, w, quad_spec)
 
         if fn == "qLi":
-            n = config.n
-            if not n:
-                raise UsageError("--n is required for fn=qLi")
-            if len(n) != m:
-                raise UsageError(f"point depth {m} does not match len(n)={len(n)}")
             a = config.a or (1,) * m
             if len(a) != m:
                 raise UsageError(f"len(a)={len(a)} does not match point depth {m}")
@@ -754,7 +751,7 @@ def _verify_reports(config: RunConfig) -> list:
             {"r": r, "s": s, "n": n, "omega": -2.0, "hbar": 1.2, "tol": tol}
             for n in (1, 2)
         )
-        spec = CheckSpec("distribution", grid, tol, ("contour",))
+        spec = CheckSpec("distribution", grid, tol)
         return check(spec, seed=config.seed)
     if args:
         raise UsageError(

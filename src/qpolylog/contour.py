@@ -31,8 +31,9 @@ at least levels 0 and 1 (steps h0 and h0/2), so the first pass samples the
 level-1 grid once, with one exp and one |.| of the log-kernel per node, and
 level 0 folds its even entries, which are exactly the level-0 samples.
 Level 0 only gives the value that the first delta compares with, so its
-fold forms no round-off floor.  Each later pass samples the kernel only on
-its new odd nodes and reuses every earlier sample.
+fold forms no round-off floor.  Each later pass samples its whole grid
+again, and no sample outlives its pass: only near round-off (large h, tol
+~ 1e-13) does a point refine past level 1.
 
 Batches: quad_F_batch and quad_I_batch evaluate many points that share the
 index, h and tolerance.  The first step and the strip width do not depend
@@ -154,22 +155,13 @@ def _logsh(z: np.ndarray) -> np.ndarray:
     return np.where(flip, out + 1j * math.pi, out)
 
 
-def _kernel_terms(a: int, b: int, hbar: complex, p: np.ndarray) -> list:
-    """The log-kernel terms that do not depend on omega, a log sh(pi p) and
-    b log sh(pi h p), at nodes p, in the order they are subtracted."""
-    terms = []
-    if a:
-        terms.append(a * _logsh(math.pi * p))
-    if b:
-        terms.append(b * _logsh(math.pi * hbar * p))
-    return terms
-
-
 def _log_kernel(a: int, b: int, hbar: complex, omega: complex, p: np.ndarray) -> np.ndarray:
     """log of one kernel factor, assembled before any exponentiation."""
     out = -1j * p * omega
-    for term in _kernel_terms(a, b, hbar, p):
-        out = out - term
+    if a:
+        out = out - a * _logsh(math.pi * p)
+    if b:
+        out = out - b * _logsh(math.pi * hbar * p)
     return out
 
 
@@ -231,13 +223,13 @@ class _LinePoint:
     """One point of a batched line integral: its truncation and refinement
     state."""
 
-    __slots__ = ("k", "omega", "T", "tail", "halves", "counts", "samples", "fresh",
-                 "deltas", "value", "floor")
+    __slots__ = ("k", "omega", "T", "tail", "halves", "counts", "samples", "deltas",
+                 "value", "floor")
 
     def __init__(self, k: int, omega: tuple, T: list, tail: float, h0: float) -> None:
         self.k, self.omega, self.T, self.tail = k, omega, T, tail
         self.halves = [math.ceil(t / h0) for t in T]
-        self.fresh: list = [None] * len(omega)
+        self.samples: list = [None] * len(omega)
         self.deltas: list[float] = []
 
     def overflow(self, i: int) -> DomainError:
@@ -303,31 +295,29 @@ def _centred(arr: np.ndarray, size: int) -> np.ndarray:
 
 
 def _sample_pass(
-    idx: MultiIndex, hbar: complex, eps: float, h: float,
-    pts: Sequence[_LinePoint], shift: int, odd: bool,
+    idx: MultiIndex, hbar: complex, eps: float, h0: float,
+    pts: Sequence[_LinePoint], level: int,
 ) -> None:
-    """Set pt.fresh[i] to (exp(log-kernel), |log-kernel|) of each point and
-    axis on the nodes p = h j + i eps with |j| <= pt.halves[i] << shift, or
-    on the odd ones only.  The omega-free factors log sh(pi p) and
-    log sh(pi h p) are evaluated once, on the widest grid over all axes and
-    points (see _mirrored_logsh), and every other grid is a centred slice of
-    it.  Each axis scales its slices by a_i and b_i, and each point subtracts
-    them from its -i p omega in the order a batch of one does."""
-    spans = [[pt.halves[i] << shift for pt in pts] for i in range(idx.depth)]
-    wide = max(map(max, spans))
-    j = np.arange(1 - wide, wide, 2) if odd else np.arange(-wide, wide + 1)
-    p = h * j + 1j * eps
+    """Set pt.samples[i] to (exp(log-kernel), |log-kernel|) of each point and
+    axis on its level grid p = (h0 / 2^level) j + i eps, |j| <= pt.halves[i]
+    << level.  The omega-free factors log sh(pi p) and log sh(pi h p) are
+    evaluated once, on the widest grid over all axes and points (see
+    _mirrored_logsh), and every other grid is a centred slice of it.  Each
+    axis scales its slices by a_i and b_i, and each point subtracts them from
+    its -i p omega in the order a batch of one does."""
+    sizes = [[2 * (pt.halves[i] << level) + 1 for pt in pts] for i in range(idx.depth)]
+    wide = max(map(max, sizes)) // 2
+    p = h0 / 2**level * np.arange(-wide, wide + 1) + 1j * eps
     sh_pi = _mirrored_logsh(math.pi, p) if any(idx.a) else None
     sh_pi_h = _mirrored_logsh(math.pi * hbar, p) if any(idx.b) else None
-    for i, axis_spans in enumerate(spans):
-        sizes = [span if odd else 2 * span + 1 for span in axis_spans]
-        terms = [c * _centred(log, max(sizes))
+    for i, axis_sizes in enumerate(sizes):
+        terms = [c * _centred(log, max(axis_sizes))
                  for c, log in ((idx.a[i], sh_pi), (idx.b[i], sh_pi_h)) if c]
-        for pt, size in zip(pts, sizes):
+        for pt, size in zip(pts, axis_sizes):
             lg = -1j * _centred(p, size) * pt.omega[i]
             for term in terms:
                 lg = lg - _centred(term, size)
-            pt.fresh[i] = (np.exp(lg), np.abs(lg))
+            pt.samples[i] = (np.exp(lg), np.abs(lg))
 
 
 def _line_points(
@@ -429,9 +419,9 @@ def _line_integral(
     # the previous level's grid.  No point stops before level 1, so the first
     # pass samples the level-1 grid whole and level 0 is its even entries:
     # one exp and one |.| per node.  Level 0 gives only the value the first
-    # delta compares with, so its fold forms no round-off floor.  Each later
-    # pass samples only its new odd nodes and interleaves them with the kept
-    # samples.
+    # delta compares with, so its fold forms no round-off floor.  Every pass
+    # samples its whole level grid; only near round-off does a point go past
+    # level 1.
     for level in range(1, spec.max_refine + 1):
         if not live:
             break
@@ -450,20 +440,19 @@ def _line_integral(
                 coarse.append(pt)
             else:
                 out[pt.k] = _over_budget(h0)
-        for pts, step, shift in ((fine, h, level), (coarse, h0, 0)):
+        for pts, pass_level in ((fine, level), (coarse, 0)):
             if pts:
-                _sample_pass(idx, hbar, eps, step, pts, shift, odd=level > 1)
+                _sample_pass(idx, hbar, eps, h0, pts, pass_level)
         for pt in coarse:
-            bad = _overflowing_axis(pt.fresh)
+            bad = _overflowing_axis(pt.samples)
             out[pt.k] = pt.overflow(bad) if bad is not None else _over_budget(h)
         live = []
         for pt in fine:
-            bad = _overflowing_axis(pt.fresh)
+            bad = _overflowing_axis(pt.samples)
             if level == 1:
-                # contiguous copies of exp(log-kernel), so that level 0 folds
-                # the very arrays a level-0 pass would; its overflows are
+                # level 0 folds the even entries, and its overflows are
                 # reported first
-                even = [(e[::2].copy(), None) for e, _ in pt.fresh]
+                even = [(e[::2], None) for e, _ in pt.samples]
                 if bad is not None:
                     first = _overflowing_axis(even)
                     bad = bad if first is None else first
@@ -472,10 +461,6 @@ def _line_integral(
                 continue
             if level == 1:
                 pt.value = _fold(even, h0, idx.n, eps, shifts, with_floor=False)[0]
-                pt.samples = list(pt.fresh)
-            else:
-                pt.samples = [tuple(map(_interleave, kept, new))
-                              for kept, new in zip(pt.samples, pt.fresh)]
             value, pt.floor = _fold(pt.samples, h, idx.n, eps, shifts)
             pt.deltas.append(abs(value - pt.value))
             pt.value = value
@@ -523,14 +508,6 @@ def _fold(
     return value, _UNIT_ROUNDOFF * (1.0 + kappa) * float(np.abs(acc).sum())
 
 
-def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """The array even[0], odd[0], even[1], ..., odd[-1], even[-1]."""
-    out = np.empty(even.size + odd.size, dtype=np.result_type(even, odd))
-    out[0::2] = even
-    out[1::2] = odd
-    return out
-
-
 def _i_power(k: int) -> complex:
     return (1j) ** (k % 4)
 
@@ -545,10 +522,7 @@ def quad_F(
     """F_{a,b,n}(omega) by line quadrature (see module docstring), including
     the i^(|n|-m) normalization.  Requires every |Im omega_i| strictly inside
     the axis convergence strip pi(a_i + b_i Re h)."""
-    spec = spec or QuadratureSpec()
-    value, err, diag = unwrap(_line_integral(idx, (omega,), hbar, spec, pole_shifts)[0])
-    pref = _i_power(sum(idx.n) - idx.depth)
-    return EvalResult(pref * value, err, "contour", diag)
+    return unwrap(quad_F_batch(idx, (omega,), hbar, spec, pole_shifts)[0])
 
 
 def quad_F_batch(

@@ -31,7 +31,6 @@ __all__ = [
     "weight",
     "convergence_strip",
     "in_strip",
-    "require_in_strip",
 ]
 
 #: Admissible evaluation backends.
@@ -282,21 +281,3 @@ def in_strip(
         raise DomainError(f"omega must have {idx.depth} components, got {len(omega)}")
     return all(abs(complex(w).imag) < s - margin for w, s in zip(omega, strips))
 
-
-def require_in_strip(
-    idx: MultiIndex,
-    omega: Sequence[complex],
-    hbar: complex,
-    margin: float = 0.0,
-    what: str = "omega",
-) -> None:
-    """Raise DomainError unless omega is inside the convergence strip."""
-    strips = convergence_strip(idx, hbar)
-    if len(omega) != idx.depth:
-        raise DomainError(f"{what} must have {idx.depth} components, got {len(omega)}")
-    for i, (w, s) in enumerate(zip(omega, strips)):
-        if not abs(complex(w).imag) < s - margin:
-            raise DomainError(
-                f"{what}[{i}] = {complex(w)!r} outside convergence strip "
-                f"|Im| < {s - margin:.6g}"
-            )

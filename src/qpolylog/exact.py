@@ -17,9 +17,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .core import CheckReport, DomainError, ensure_finite_complex
+from .core import CheckReport, DomainError
 
 __all__ = [
     "ExactScalar",
@@ -33,7 +33,6 @@ __all__ = [
     "bernoulli_classical",
     "shuffles",
     "verify_a3",
-    "eval_exact",
 ]
 
 _RationalLike = (int, Fraction)
@@ -365,15 +364,6 @@ class ExactPoly:
                 factors.append("h" if k == 1 else f"h^{k}")
             parts.append("*".join(factors))
         return " + ".join(parts)
-
-
-def eval_exact(
-    poly: ExactPoly, omega: complex, hbar: complex = 1.0, pi_val: float = math.pi
-) -> complex:
-    """Numeric evaluation of an ExactPoly, substituting pi and i numerically."""
-    omega = ensure_finite_complex(omega, "omega")
-    hbar = ensure_finite_complex(hbar, "hbar")
-    return poly.eval(omega, hbar, pi_val)
 
 
 # ---------------------------------------------------------------------------

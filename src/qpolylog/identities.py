@@ -69,13 +69,11 @@ class CheckSpec:
 
     ``grid`` is a tuple of parameter mappings, one per comparison point; a
     point may carry its own ``tol`` entry overriding ``tolerance``.
-    ``backends`` names the evaluation backends the check exercises.
     """
 
     identity_name: str
     grid: tuple = ()
     tolerance: float = 1e-8
-    backends: tuple = ()
 
 
 def _cstr(z: complex) -> str:
@@ -151,7 +149,6 @@ def default_series_vs_contour_spec(seed: int = DEFAULT_SEED) -> CheckSpec:
         identity_name="series_vs_contour",
         grid=tuple(grid),
         tolerance=1e-8,
-        backends=("series", "contour"),
     )
 
 
@@ -266,7 +263,6 @@ def default_difference_spec() -> CheckSpec:
         identity_name="difference_and_differential",
         grid=tuple(grid),
         tolerance=1e-8,
-        backends=("contour",),
     )
 
 
@@ -411,7 +407,6 @@ def default_distribution_spec() -> CheckSpec:
         identity_name="distribution",
         grid=tuple(grid),
         tolerance=1e-6,
-        backends=("contour",),
     )
 
 
@@ -469,7 +464,6 @@ def default_h1_spec() -> CheckSpec:
         identity_name="h1",
         grid=tuple(grid),
         tolerance=1e-7,
-        backends=("contour", "closed_form", "series"),
     )
 
 
@@ -601,7 +595,6 @@ def default_symmetries_spec() -> CheckSpec:
         identity_name="symmetries",
         grid=tuple(grid),
         tolerance=1e-8,
-        backends=("contour", "exact"),
     )
 
 
@@ -690,7 +683,6 @@ def default_companion_spec() -> CheckSpec:
         identity_name="companion",
         grid=tuple(grid),
         tolerance=1e-7,
-        backends=("companion", "contour"),
     )
 
 
@@ -774,7 +766,6 @@ def default_shuffle_spec() -> CheckSpec:
         identity_name="shuffle",
         grid=tuple(grid),
         tolerance=1e-7,
-        backends=("contour", "exact"),
     )
 
 
@@ -870,7 +861,6 @@ def default_asymptotic_spec() -> CheckSpec:
         identity_name="asymptotic",
         grid=tuple(grid),
         tolerance=0.5,
-        backends=("contour", "series", "closed_form"),
     )
 
 
@@ -988,7 +978,6 @@ def default_q_calculus_spec() -> CheckSpec:
         identity_name="q_calculus",
         grid=tuple(grid),
         tolerance=1e-10,
-        backends=("series",),
     )
 
 
@@ -1070,7 +1059,6 @@ def default_rational_hbar_spec() -> CheckSpec:
         identity_name="rational_hbar",
         grid=tuple(grid),
         tolerance=1e-6,
-        backends=("contour", "closed_form"),
     )
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -59,7 +59,6 @@ __all__ = [
     "classical_polylog",
     "multiple_polylog",
     "octant_polylog",
-    "polylog_from_iterated_args",
     "q_multiple_polylog",
     "companion_series",
     "companion_series_batch",
@@ -399,21 +398,6 @@ def multiple_polylog(
                 f"multiple_polylog: not converged within {params.k_max} terms"
             )
         K = min(2 * K, params.k_max)
-
-
-def polylog_from_iterated_args(
-    n: Sequence[int], z_path: Sequence[complex]
-) -> tuple[complex, ...]:
-    """Convert a multiplicative argument path (z_1, ..., z_{m+1}) into the
-    ratio arguments (z_2/z_1, ..., z_{m+1}/z_m) used by the simplex series.
-    Requires len(z_path) == len(n) + 1 and all path entries nonzero."""
-    n = tuple(int(v) for v in n)
-    z_path = tuple(ensure_finite_complex(v, "z_path") for v in z_path)
-    if len(z_path) != len(n) + 1:
-        raise DomainError("z_path must have exactly one more entry than n")
-    if any(v == 0 for v in z_path):
-        raise DomainError("z_path entries must be nonzero")
-    return tuple(z_path[i + 1] / z_path[i] for i in range(len(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -395,6 +395,21 @@ class TestEvalCommand:
         assert code == EXIT_USAGE
         assert "qpolylog: error:" in err
 
+    @pytest.mark.parametrize("fn", ["Li", "qLi"])
+    @pytest.mark.parametrize(
+        "n_args,message",
+        [
+            ((), "--n is required for fn={fn}"),
+            (("--n", "1,2"), "point depth 1 does not match len(n)=2"),
+        ],
+    )
+    def test_polylog_n_checked(self, capsys, fn, n_args, message):
+        code, out, err = run_cli(
+            capsys, "eval", "--fn", fn, *n_args, "--hbar", "0.5", "--omega", "0.3",
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"qpolylog: error: {message.format(fn=fn)}\n"
+
     def test_bernoulli_exact_polynomial_text(self, capsys):
         code, payload, _ = eval_payload(
             capsys,

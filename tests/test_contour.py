@@ -418,12 +418,20 @@ class TestBatch:
         assert sum(sizes) < 2 * sum(d["nodes_evaluated"] for d in diags)
 
 
+def _interleave(even, odd):
+    """The array even[0], odd[0], even[1], ..., odd[-1], even[-1]."""
+    out = np.empty(even.size + odd.size, dtype=np.result_type(even, odd))
+    out[0::2] = even
+    out[1::2] = odd
+    return out
+
+
 def two_pass(idx, omegas, hbar, spec, pole_shifts=None):
-    """_line_integral refined the two-pass way: level 0 sampled on its own
-    grid at step h0, each later level on its new odd nodes only, and every
-    point alone on its own grid.  It is built from the engine's own set-up,
-    _kernel_terms, _interleave and _fold, so both sides round alike on any
-    machine; nodes_evaluated is counted here."""
+    """_line_integral refined another way: level 0 sampled on its own grid at
+    step h0, each later level on its new odd nodes only and interleaved with
+    the kept samples, and every point alone on its own grid.  It is built
+    from the engine's own set-up, _log_kernel and _fold, so both sides round
+    alike on any machine; nodes_evaluated is counted here."""
     out, live, h0, eps, shifts = contour._line_points(idx, omegas, hbar, spec, pole_shifts)
     with np.errstate(over="ignore", invalid="ignore"):
         for pt in live:
@@ -445,16 +453,14 @@ def _refine_alone(pt, idx, hbar, spec, h0, eps, shifts):
             span = pt.halves[i] << level
             j = np.arange(1 - span, span, 2) if level else np.arange(-span, span + 1)
             p = h * j + 1j * eps
-            lg = -1j * p * pt.omega[i]
-            for term in contour._kernel_terms(idx.a[i], idx.b[i], hbar, p):
-                lg = lg - term
+            lg = contour._log_kernel(idx.a[i], idx.b[i], hbar, pt.omega[i], p)
             nodes += p.size
             fresh = (np.exp(lg), np.abs(lg))
             if not np.isfinite(fresh[0]).all():
                 error = DomainError(
                     f"the integrand overflows on the line at omega[{i}] = {pt.omega[i]!r}"
                 )
-            samples[i] = tuple(map(contour._interleave, samples[i], fresh)) if level else fresh
+            samples[i] = tuple(map(_interleave, samples[i], fresh)) if level else fresh
         if error is not None:
             return error
         value, pt.floor = contour._fold(samples, h, idx.n, eps, shifts)
@@ -487,7 +493,8 @@ ODD_OVERFLOW = 1706.4508 + 3j
 
 class TestOnePass:
     """The first pass samples the level-1 grid once and folds level 0 from
-    its even entries; the result is the two-pass refinement's, bit for bit."""
+    its even entries, and every later pass samples its whole grid; the
+    result is the odd-node refinement's, bit for bit."""
 
     @pytest.mark.parametrize(
         "idx,hbar,tol,points,shifts",
@@ -517,6 +524,10 @@ class TestOnePass:
              [(-1.0, -0.5 + 0.2j, -0.3), (-2.0, -1.0, -0.5)], None),
             # tiny and subnormal samples: exp(-i p omega) ~ exp(-700 - ...)
             (idx1(1, 1, 1), 1.2, 1e-10, [(-1400.0,), (-1700 + 1j,)], None),
+            # complex h, depth 2: levels 2, 3, 4 and 2 with no mirror for
+            # sh(pi h p)
+            (MultiIndex((2, 1), (1, 1), (1, 1)), 50 + 20j, 1e-13,
+             [(-1.0, -1.0), (-4.0, -4.0), (-1 + 1j, -1 + 1j), (-2.0, -0.5)], None),
         ],
     )
     def test_matches_two_passes(self, idx, hbar, tol, points, shifts):
@@ -536,6 +547,28 @@ class TestOnePass:
             idx1(1, 1, 2), [(-4.0,), (-1.0,)], 50.0, QuadratureSpec(tol=1e-13)
         )
         assert [r[2]["levels"] for r in deep] == [4, 2]
+        complex_h = contour._line_integral(
+            MultiIndex((2, 1), (1, 1), (1, 1)),
+            [(-1.0, -1.0), (-4.0, -4.0), (-1 + 1j, -1 + 1j), (-2.0, -0.5)],
+            50 + 20j, QuadratureSpec(tol=1e-13),
+        )
+        assert [r[2]["levels"] for r in complex_h] == [2, 3, 4, 2]
+
+    def test_every_level_samples_its_whole_grid(self, monkeypatch):
+        # each pass takes both sh logs on the right half of its level's
+        # widest grid (h is real, so the left half is the mirror); levels
+        # 2-4 sample the whole grid again, even nodes included
+        sizes = []
+        logsh = contour._logsh
+
+        def counting(z):
+            sizes.append(z.size)
+            return logsh(z)
+
+        monkeypatch.setattr(contour, "_logsh", counting)
+        points = [(-4.0,), (-1 + 1j,), (0.5 + 1j,), (-1.0,), (6 + 1j,)]
+        contour._line_integral(idx1(1, 1, 3), points, 50.0, QuadratureSpec(tol=1e-13))
+        assert sizes == [461, 461, 921, 921, 1841, 1841, 3681, 3681]
 
     def test_level_zero_overflows_are_reported_first(self):
         # each level reports its last overflowing axis, and an overflow on

@@ -15,7 +15,6 @@ from qpolylog.core import (
     convergence_strip,
     ensure_finite_complex,
     in_strip,
-    require_in_strip,
     validate_hbar,
     weight,
 )
@@ -174,12 +173,6 @@ class TestStrips:
         assert in_strip(idx, (-1 + 3j,), 1.0)
         assert not in_strip(idx, (-1 + 3.2j,), 1.0)
         assert not in_strip(idx, (-1 + 3j,), 1.0, margin=0.5)
-
-    def test_require_in_strip_raises(self):
-        idx = MultiIndex((1,), (0,), (1,))
-        require_in_strip(idx, (-1,), 1.0)
-        with pytest.raises(DomainError):
-            require_in_strip(idx, (-1 + 4j,), 1.0)
 
     def test_contour_rejects_bare_axis(self):
         idx = MultiIndex((0,), (0,), (2,))

@@ -19,7 +19,6 @@ from qpolylog.exact import (
     bernoulli_classical,
     bernoulli_exact,
     binom_general,
-    eval_exact,
     exp_series,
     q_poly,
     sh_inverse_laurent,
@@ -248,12 +247,6 @@ class TestExactPoly:
         assert p.conjugate_coeffs().eval(omega) == pytest.approx(
             p.eval(omega).conjugate()
         )
-
-    def test_eval_exact_wrapper(self):
-        p = ExactPoly.omega() * ExactScalar.two_pi_i()
-        assert eval_exact(p, 0.5) == pytest.approx(0.5 * 2j * math.pi)
-        with pytest.raises(DomainError):
-            eval_exact(p, float("nan"))
 
     def test_str_rendering(self):
         assert str(ExactPoly.zero()) == "0"

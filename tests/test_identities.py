@@ -100,7 +100,6 @@ class TestRegistry:
             identity_name="series_vs_contour",
             grid=({"n": (2,), "w": (-1.5,), "tol": 1e-8},),
             tolerance=1e-8,
-            backends=("series", "contour"),
         )
         reports = check_series_vs_contour(spec)
         assert len(reports) == 1

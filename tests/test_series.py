@@ -23,7 +23,6 @@ from qpolylog.series import (
     multiple_polylog,
     octant_polylog,
     pochhammer_psi,
-    polylog_from_iterated_args,
     q_difference,
     q_integral,
     q_multiple_polylog,
@@ -325,21 +324,6 @@ class TestMultiplePolylog:
             multiple_polylog((1, 1), (0.3,))  # length mismatch
         with pytest.raises(DomainError):
             multiple_polylog((), ())
-
-
-class TestIteratedArgs:
-    def test_ratio_path(self):
-        path = (2.0, 1.0, 0.5 + 0.5j)
-        assert polylog_from_iterated_args((1, 1), path) == (
-            0.5,
-            pytest.approx(0.5 + 0.5j),
-        )
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            polylog_from_iterated_args((1, 1), (1.0, 2.0))
-        with pytest.raises(DomainError):
-            polylog_from_iterated_args((1,), (1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
