@@ -299,13 +299,13 @@ def _sample_pass(
     pts: Sequence[_LinePoint], level: int,
 ) -> None:
     """Set pt.samples[i] to (exp(log-kernel), |log-kernel|) of each point and
-    axis on its level grid p = (h0 / 2^level) j + i eps, |j| <= pt.halves[i]
-    << level.  The omega-free factors log sh(pi p) and log sh(pi h p) are
-    evaluated once, on the widest grid over all axes and points (see
-    _mirrored_logsh), and every other grid is a centred slice of it.  Each
-    axis scales its slices by a_i and b_i, and each point subtracts them from
-    its -i p omega in the order a batch of one does."""
-    sizes = [[2 * (pt.halves[i] << level) + 1 for pt in pts] for i in range(idx.depth)]
+    axis on its level grid p = (h0 / 2^level) j + i eps of pt.counts[i] =
+    2 (pt.halves[i] << level) + 1 nodes.  The omega-free factors log sh(pi p)
+    and log sh(pi h p) are evaluated once, on the widest grid over all axes
+    and points (see _mirrored_logsh), and every other grid is a centred slice
+    of it.  Each axis scales its slices by a_i and b_i, and each point
+    subtracts them from its -i p omega in the order a batch of one does."""
+    sizes = [[pt.counts[i] for pt in pts] for i in range(idx.depth)]
     wide = max(map(max, sizes)) // 2
     p = h0 / 2**level * np.arange(-wide, wide + 1) + 1j * eps
     sh_pi = _mirrored_logsh(math.pi, p) if any(idx.a) else None
@@ -434,9 +434,10 @@ def _line_integral(
                 fine.append(pt)
             elif level > 1:
                 out[pt.k] = _over_budget(h)
-            elif sum(2 * half + 1 for half in pt.halves) <= _MAX_NODES:
+            elif sum(counts := [2 * half + 1 for half in pt.halves]) <= _MAX_NODES:
                 # over budget at level 1 only: sampled on its level-0 grid,
                 # where an overflow still fails it first
+                pt.counts = counts
                 coarse.append(pt)
             else:
                 out[pt.k] = _over_budget(h0)

@@ -27,6 +27,7 @@ __all__ = [
     "EvalResult",
     "CheckReport",
     "ensure_finite_complex",
+    "ensure_err_estimate",
     "validate_hbar",
     "weight",
     "convergence_strip",
@@ -91,6 +92,14 @@ def ensure_finite_complex(value: complex, what: str = "value") -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"non-finite {what}: {z!r}")
     return z
+
+
+def ensure_err_estimate(err: float) -> float:
+    """Coerce to float and reject a non-finite or negative error estimate."""
+    err = float(err)
+    if not math.isfinite(err) or err < 0.0:
+        raise DomainError(f"err_estimate must be finite and >= 0: {err!r}")
+    return err
 
 
 def validate_hbar(hbar: complex, numeric: bool = True) -> complex:
@@ -186,10 +195,7 @@ class EvalResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", ensure_finite_complex(self.value, "result value"))
-        err = float(self.err_estimate)
-        if not math.isfinite(err) or err < 0.0:
-            raise DomainError(f"err_estimate must be finite and >= 0: {err!r}")
-        object.__setattr__(self, "err_estimate", err)
+        object.__setattr__(self, "err_estimate", ensure_err_estimate(self.err_estimate))
         if self.backend not in BACKENDS:
             raise DomainError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
         object.__setattr__(self, "diagnostics", _freeze_mapping(self.diagnostics))

@@ -20,12 +20,18 @@ depth, an FFT fold over a lattice of weighted prefix sums (see _cone_sum).
 Series error estimates include a round-off floor.
 
 Batches: companion_series_batch and companion_sum_I_batch sum many points
-that share the index, h and tolerance.  Their cone sums raise the
-truncation K once for the batch and build the reciprocal lattice and the
-bracket powers once per K; only exp(k log z), the fold and the convergence
-test are per point, and each point's result is bit for bit that of a batch
-of one.  companion_sum_I_batch runs the cones outside and the points
-inside, so one lattice is alive at a time.
+that share the index, h and tolerance.  In their cone sums the points are
+the rows of stacked arrays that raise the truncation K together: each fold
+step convolves every row with its own terms and multiplies all rows by one
+shared block of the reciprocal lattice, and each row reads its value and
+convergence test from itself and leaves the stack when it converges.  When
+K doubles, the terms and bracket powers of k <= K are carried over.  Rows
+fold in chunks that keep a chunk's stacked lattices within the cell budget,
+a stack whose carried terms outgrow their own budget climbs on in parts, and
+each point's result is bit for bit that of a batch of one.
+companion_sum_I_batch runs the cones outside and adds each cone's raw
+per-point results into the per-point sums, so one lattice is alive at a
+time.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .core import (
     ConvergenceError,
     DomainError,
     EvalResult,
+    ensure_err_estimate,
     ensure_finite_complex,
     fail_points,
     map_points,
@@ -71,8 +78,10 @@ __all__ = [
 
 _UNIT_CIRCLE_ATOL = 1e-12
 _UNIT_ROUNDOFF = 2.0**-53
-# Cell budget of one cone-sum lattice (80 MB of complex128)
+# Cell budget of one cone-sum lattice (80 MB of complex128), and of the terms
+# one stack of cone-sum rows carries from one truncation to the next (5 MB)
 _MAX_CELLS = 5_000_000
+_MAX_CARRIED = _MAX_CELLS // 16
 
 
 @dataclass(frozen=True)
@@ -205,34 +214,38 @@ def _q_power(q: complex, k: np.ndarray | int) -> np.ndarray | complex:
     return np.exp(np.asarray(k, dtype=np.float64) * complex(cmath.log(q)))
 
 
-def _inv_bracket_pow(ks: np.ndarray, q: complex, a: int) -> np.ndarray:
-    """1 / [k]_q^a with [k]_q = q^k - q^(-k), computed in overflow-safe form."""
+def _inv_bracket_pow(ks: np.ndarray, q: complex, a: int) -> np.ndarray | None:
+    """1 / [k]_q^a with [k]_q = q^k - q^(-k), computed in overflow-safe form;
+    None for a = 0, where there is no bracket."""
     if a == 0:
-        return np.ones(len(ks), dtype=np.complex128)
+        return None
     q = complex(q)
     absq = abs(q)
     if absq == 0:
         raise DomainError("q must be nonzero")
     if absq <= 0.99:
-        # 1/[k]^a = (-1)^a q^(a k) / (1 - q^(2k))^a  (avoids q^(-k) overflow)
-        q2k = _q_power(q, 2 * ks)
-        denom = (1.0 - q2k) ** a
-        if np.any(denom == 0):
+        # 1/[k]^a = (-1)^a q^(a k) / (1 - q^(2k))^a  (avoids q^(-k) overflow),
+        # with q^k = exp(k log q) as _q_power forms it
+        log_q = complex(cmath.log(q))
+        denom = 1.0 - np.exp(2 * ks * log_q)
+        if a > 1:  # x ** 1 is x bit for bit, by numpy's slow general power
+            denom = denom ** a
+        if (denom == 0).any():
             raise DomainError("q-bracket vanishes: q is a root of unity")
-        return (-1) ** a * _q_power(q, a * ks) / denom
+        return (-1) ** a * np.exp(a * ks * log_q) / denom
     qk = _q_power(q, ks)
     br = qk - 1.0 / qk
     if abs(absq - 1.0) < 1e-12:
         # On the unit circle [k]_q = 2i sin(pi t k) for q = exp(i pi t); a
         # (nearly) rational t makes some bracket (nearly) vanish and the
         # series ill-conditioned, so refuse instead of amplifying noise.
-        if np.any(np.abs(br) < 1e-6):
+        if (np.abs(br) < 1e-6).any():
             raise DomainError(
                 "q-bracket nearly vanishes on the unit circle: the "
                 "deformation parameter is (close to) rational; use a "
                 "quadrature backend instead"
             )
-    elif np.any(br == 0):
+    elif (br == 0).any():
         raise DomainError("q-bracket vanishes: q is a root of unity")
     return br ** (-a)
 
@@ -406,17 +419,24 @@ def multiple_polylog(
 
 
 def _fftconvolve(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Full linear convolution of a with the 1-D sequence b along one axis of
-    a, through numpy.fft."""
+    """Full linear convolution of a with b along one axis of a, through
+    numpy.fft.  A 1-D b is one sequence for every lane of a; a 2-D b holds
+    one sequence per row, and row p of b convolves a[p] (axis must not be 0).
+    numpy transforms each lane of a stacked array as it transforms that lane
+    alone, so row p of the result is bit for bit the convolution of a[p]
+    with b[p] on its own."""
     axis %= a.ndim
     shape = [1] * a.ndim
     shape[axis] = -1
+    if b.ndim == 2:
+        shape[0] = b.shape[0]
     if a.shape[axis] == 1:
         return a * b.reshape(shape)
-    size = a.shape[axis] + b.size - 1
+    size = a.shape[axis] + b.shape[-1] - 1
     nfft = 1 << (size - 1).bit_length()
-    fb = np.fft.fft(b, nfft).reshape(shape)
-    out = np.fft.ifft(np.fft.fft(a, nfft, axis=axis) * fb, axis=axis)
+    fa = np.fft.fft(a, nfft, axis=axis)
+    fa *= np.fft.fft(b, nfft).reshape(shape)
+    out = np.fft.ifft(fa, axis=axis, out=fa)
     return out[(slice(None),) * axis + (slice(size),)]
 
 
@@ -447,10 +467,18 @@ def _cone_sum(
     sum_j (|log z_j| + a_j |log q_j|) * (mean k under |f_j|) covers exp(k log z_j)
     and the bracket powers, whose relative error grows like u k |log|.
 
-    The arguments share one ascent of K: at each K the bracket powers and
-    the blocks of the reciprocal lattice are built once, and each live
-    argument does its own exp(k log z_j), fold, floor and convergence test,
-    and leaves the batch when it converges.  Its result is bit for bit the
+    The arguments are rows of one stack that climbs K together.  At each K
+    the terms of slot j form one (rows, K+1) array; a fold step is one FFT
+    convolution of every row with its own f_j along the slot's axis and one
+    broadcast multiply by the shared block.  Each row reads its value, floor
+    and convergence test from its own lattice, and leaves the stack when it
+    converges.  When K doubles only k in (K, 2K] gets new bracket powers and
+    exp(k log z_j); the first two truncations cut their blocks from one
+    reciprocal lattice.  Rows are folded in chunks whose stacked lattices
+    stay within _MAX_CELLS cells, and a stack whose carried terms would pass
+    _MAX_CARRIED cells splits into stacks that climb on one after another,
+    cutting their blocks from the largest lattice yet.  Every operation acts
+    on a row as it acts on that row alone, so a result is bit for bit the
     result it has alone.
     """
     m = len(n)
@@ -477,47 +505,56 @@ def _cone_sum(
     axis_of = [lattice_w.index(complex(wt)) for wt in weights]
     slots_on = [axis_of.count(d) for d in range(len(lattice_w))]
 
-    def lattice_blocks(K: int) -> list:
-        """Per slot, the block of 1/K_c^(n_c) its fold multiplies by (None for
-        n_c = 0): the reciprocal lattice cut to the slot's partial shape."""
+    unit = (1,) * len(lattice_w)
+    row_axes = [d + 1 for d in axis_of]  # slot axes of an array with a row axis first
+
+    def cells(K: int) -> int:
+        return math.prod(c * K + 1 for c in slots_on)
+
+    def reciprocal_lattice(K: int) -> np.ndarray:
         lat = functools.reduce(
             np.add.outer, [wt * np.arange(c * K + 1) for wt, c in zip(lattice_w, slots_on)]
         )
         lat[(0,) * lat.ndim] = 1.0  # the only zero of K_c; every path has k_j >= 1
-        recip = np.reciprocal(lat, out=lat)
+        return np.reciprocal(lat, out=lat)
+
+    def lattice_blocks(recip: np.ndarray, K: int) -> list:
+        """Per slot, the block of 1/K_c^(n_c) its fold multiplies by (None for
+        n_c = 0), cut to the slot's partial shape from a reciprocal lattice of
+        K or more terms: its cells i_d <= c_d K are those of K, bit for bit.
+        A new axis as the last slot gets the whole lattice of K, which fold
+        contracts it against (ones for n_c = 0)."""
         shape = [1] * recip.ndim
         blocks = []
         for c in range(m):
             d = axis_of[c]
-            if c == m - 1 and shape[d] == 1:
-                # a new axis is the last; fold contracts it against the whole lattice
-                blocks.append(recip if n[c] == 1 else recip ** n[c])
-                break
+            skip = n[c] == 0 and not (c == m - 1 and shape[d] == 1)
             shape[d] += K
             block = recip[tuple(slice(s) for s in shape)]
-            blocks.append(None if n[c] == 0 else block if n[c] == 1 else block ** n[c])
+            blocks.append(None if skip else block if n[c] == 1 else block ** n[c])
         return blocks
 
-    def fold(fs: list[np.ndarray], blocks: list) -> complex:
-        """The sum over the cube, given fs[j][k] = f_j[k] for k = 0..K, f_j[0] = 0."""
-        acc = np.ones((1,) * len(lattice_w), dtype=np.complex128)
-        for c, f in enumerate(fs):
-            d = axis_of[c]
+    def fold(fs: list[np.ndarray], blocks: list) -> list[complex]:
+        """The sum over the cube of each row, given fs[j][p, k] = f_j[k] of
+        row p for k = 0..K, f_j[0] = 0."""
+        rows = range(len(fs[0]))
+        acc = ones[:len(rows)]  # only read: the first step makes a new array
+        for c, (f, d) in enumerate(zip(fs, row_axes)):
             if c == m - 1 and acc.shape[d] == 1:
                 # a new axis is the last; contract it without the outer product
-                return complex((acc[..., 0] * (blocks[c] @ f)).sum())
+                return [complex((acc[p, ..., 0] * (blocks[c] @ f[p])).sum()) for p in rows]
             acc = _fftconvolve(acc, f, axis=d)
             if blocks[c] is not None:
                 acc *= blocks[c]
-        return complex(acc.sum())
+        return [complex(acc[p].sum()) for p in rows]
 
-    def roundoff_floor(fs: list[np.ndarray], logs: list) -> float:
-        """u S (1 + 2m + kappa), in O(mK)."""
-        K = fs[0].size - 1
+    def roundoff_floor(fs: list[np.ndarray], p: int, logs: list) -> float:
+        """u S (1 + 2m + kappa) of row p, in O(mK)."""
+        K = fs[0].shape[1] - 1
         ks = np.arange(K + 1, dtype=np.float64)
         bound, growth, re_prefix, abs_prefix = 1.0, 1.0 + 2 * m, 0.0, 0.0
         for f, log_z, qj, aj, wt, nc in zip(fs, logs, q_list, a, weights, n):
-            mass = np.abs(f)
+            mass = np.abs(f[p])
             total = float(mass.sum())
             re_prefix += wt.real
             abs_prefix += abs(wt)
@@ -528,37 +565,77 @@ def _cone_sum(
                 growth += rate * float(mass @ ks) / total  # kappa_j
         return _UNIT_ROUNDOFF * bound * growth
 
-    K = min(128, params.k_max)
-    prev: dict = {}  # each live argument's value at the previous K
-    while live:
-        try:
-            if math.prod(c * K + 1 for c in slots_on) > _MAX_CELLS:
-                raise ConvergenceError(f"cone sum: a {K}-term lattice exceeds {_MAX_CELLS} cells")
-            ks = np.arange(1, K + 1, dtype=np.float64)
-            brackets = [_inv_bracket_pow(ks, qj, aj) for qj, aj in zip(q_list, a)]
-        except POINT_ERRORS as exc:
-            for k, _, _ in live:
-                out[k] = exc
-            break
-        blocks = lattice_blocks(K)
-        for k, r, logs in live:
-            fs = [np.concatenate(([0j], np.exp(ks * lg) * br)) for lg, br in zip(logs, brackets)]
-            value = fold(fs, blocks)
-            tail = m * (K ** max(m - 1, 0)) * r ** (K + 1) / (1 - r)
-            if k in prev:
-                delta = abs(value - prev[k])
-                if delta + tail <= params.tol:
-                    err = delta + tail + roundoff_floor(fs, logs)
-                    out[k] = (value, err, {"terms": K, "tail": tail})
-                    continue
-            prev[k] = value
-        live = [pt for pt in live if out[pt[0]] is None]
-        if live and K >= params.k_max:
-            exc = ConvergenceError(f"cone sum: not converged within {K} terms per axis")
-            for k, _, _ in live:
-                out[k] = exc
-            break
-        K = min(2 * K, params.k_max)
+    # per slot, the rows' log z_j as a column, and their terms f_j[0..done]
+    lgs = np.array([logs for _, _, logs in live], dtype=np.complex128)
+    lgs = lgs.reshape(-1, m).T[:, :, None]
+    fs = [np.zeros((len(live), 1), dtype=np.complex128)] * m
+    ones = np.ones((len(live),) + unit, dtype=np.complex128)
+    # Stacks of rows that climb K alone: (rows, each row's value at the
+    # previous K, lgs, fs, K, done), with the terms of k <= done carried.  A
+    # stack whose carried terms would pass _MAX_CARRIED cells splits.
+    stacks = [(live, [None] * len(live), lgs, fs, min(128, params.k_max), 0)]
+    lattice_K = 0  # the largest lattice yet, which serves every K up to it
+    while stacks:
+        live, prev, lgs, fs, K, done = stacks.pop()
+        while live:
+            fit = max(1, _MAX_CARRIED // (m * (K + 1)))
+            if len(live) > fit:
+                # copies, so that the stack's full arrays can go
+                rest = live[fit:], prev[fit:], lgs[:, fit:], [f[fit:].copy() for f in fs]
+                stacks.append(rest + (K, done))
+                live, prev, lgs, fs = live[:fit], prev[:fit], lgs[:, :fit], [f[:fit] for f in fs]
+            try:
+                size = cells(K)
+                if size > _MAX_CELLS:
+                    raise ConvergenceError(
+                        f"cone sum: a {K}-term lattice exceeds {_MAX_CELLS} cells"
+                    )
+                ks = np.arange(done + 1, K + 1, dtype=np.float64)
+                brackets = [_inv_bracket_pow(ks, qj, aj) for qj, aj in zip(q_list, a)]
+            except POINT_ERRORS as exc:
+                for k, _, _ in live:
+                    out[k] = exc
+                break
+            for j, br in enumerate(brackets):
+                grown = np.empty((len(live), K + 1), dtype=np.complex128)
+                grown[:, :done + 1] = fs[j]
+                new = np.multiply(ks, lgs[j], out=grown[:, done + 1:])
+                np.exp(new, out=new)
+                if br is not None:  # a_j = 0: ones could change only the sign of a zero
+                    new *= br
+                fs[j] = grown
+            if lattice_K < K:
+                # the first truncation builds the second's lattice when it fits
+                ahead = min(2 * K, params.k_max)
+                lattice_K = ahead if not done and cells(ahead) <= _MAX_CELLS else K
+                recip = reciprocal_lattice(lattice_K)
+            blocks = lattice_blocks(recip, K)
+            chunk, values = _MAX_CELLS // size, []
+            for s in range(0, len(live), chunk):
+                values += fold([f[s:s + chunk] for f in fs], blocks)
+            keep = []
+            for p, ((k, r, logs), value) in enumerate(zip(live, values)):
+                tail = m * (K ** max(m - 1, 0)) * r ** (K + 1) / (1 - r)
+                if prev[p] is not None:
+                    delta = abs(value - prev[p])
+                    if delta + tail <= params.tol:
+                        err = delta + tail + roundoff_floor(fs, p, logs)
+                        out[k] = (value, err, {"terms": K, "tail": tail})
+                        continue
+                prev[p] = value
+                keep.append(p)
+            if len(keep) < len(live):
+                live = [live[p] for p in keep]
+                if not live:
+                    break
+                prev = [prev[p] for p in keep]
+                lgs, fs = lgs[:, keep], [f[keep] for f in fs]
+            if K >= params.k_max:
+                exc = ConvergenceError(f"cone sum: not converged within {K} terms per axis")
+                for k, _, _ in live:
+                    out[k] = exc
+                break
+            done, K = K, min(2 * K, params.k_max)
     return out
 
 
@@ -650,20 +727,38 @@ def companion_series_batch(
     params = params or SeriesParams()
     a = tuple(int(v) for v in a)
     n = tuple(int(v) for v in n)
+    ws = map_points(functools.partial(_checked_w, a, n, epsilon.depth), ws)
+    pref, raws = _companion_cone(a, n, ws, epsilon, params)
+    slots = "".join("d" if s == "1/h" else "p" for s in epsilon.slots)
+    return map_points(
+        lambda raw: EvalResult(pref * raw[0], abs(pref) * raw[1], "companion",
+                               {**raw[2], "slots": slots}),
+        raws,
+    )
+
+
+def _checked_w(a: tuple, n: tuple, depth: int, w) -> tuple:
+    """One companion point as a tuple of finite complex numbers, of the depth
+    of a, n and the sign vector."""
     m = len(n)
+    w = tuple(ensure_finite_complex(v, "w") for v in w)
+    if m < 1 or len(a) != m or len(w) != m or depth != m:
+        raise DomainError("a, n, w, epsilon must agree in depth")
+    return w
 
-    def checked(w) -> tuple:
-        w = tuple(ensure_finite_complex(v, "w") for v in w)
-        if m < 1 or len(a) != m or len(w) != m or epsilon.depth != m:
-            raise DomainError("a, n, w, epsilon must agree in depth")
-        return w
 
-    ws = map_points(checked, ws)
+def _companion_cone(
+    a: tuple, n: tuple, ws: list, epsilon: EpsilonVector, params: SeriesParams
+) -> tuple[complex, list]:
+    """(prod_j eps_j, the cone sum of the companion series of epsilon at every
+    checked point of ws): the raw (value, err, diagnostics) of _cone_sum,
+    before the prefactor, or the error of the point."""
+    m = len(n)
     try:
         weights = epsilon.weights()
         q_list = epsilon.q_values()
     except POINT_ERRORS as exc:
-        return fail_points(ws, exc)
+        return 0j, fail_points(ws, exc)
 
     def arguments(w: tuple) -> tuple:
         omegas = [sum(w[j:], 0j) for j in range(m)]
@@ -672,12 +767,7 @@ def companion_series_batch(
     pref = 1.0 + 0j
     for wt in weights:
         pref *= wt
-    slots = "".join("d" if s == "1/h" else "p" for s in epsilon.slots)
-    return map_points(
-        lambda raw: EvalResult(pref * raw[0], abs(pref) * raw[1], "companion",
-                               {**raw[2], "slots": slots}),
-        _cone_sum(a, n, map_points(arguments, ws), q_list, weights, params),
-    )
+    return pref, _cone_sum(a, n, map_points(arguments, ws), q_list, weights, params)
 
 
 def companion_sum_I(
@@ -700,9 +790,11 @@ def companion_sum_I_batch(
 ) -> list:
     """companion_sum_I at every point of ws: for each point the EvalResult
     companion_sum_I returns, or the error it raises.  The cones run on the
-    outside and the points on the inside, one companion_series_batch per
-    cone, so only one cone's lattice is alive at a time; a point that fails
-    in one cone skips the rest."""
+    outside, each one stacked cone sum of the points still alive (see
+    _cone_sum), so only one cone's lattice is alive at a time.  Each cone's
+    raw per-point results go straight into the per-point sums, checked as
+    companion_series_batch checks them; a point that fails in one cone skips
+    the rest."""
     params = params or SeriesParams()
     n = tuple(int(v) for v in n)
     m = len(n)
@@ -711,18 +803,26 @@ def companion_sum_I_batch(
         cones = EpsilonVector.all_vectors(m, hbar)
     except POINT_ERRORS as exc:
         return fail_points(ws, exc)
-    state = list(ws)
+    a = (1,) * m
+    state = map_points(functools.partial(_checked_w, a, n, m), ws)
     sums = [KahanSum() for _ in state]
     errs = [0.0] * len(state)
     terms = [0] * len(state)
     for eps in cones:
-        for k, res in enumerate(companion_series_batch((1,) * m, n, state, eps, params)):
-            if isinstance(res, Exception):
-                state[k] = res
-            else:
-                sums[k].add(res.value)
-                errs[k] += res.err_estimate
-                terms[k] += int(res.diagnostics.get("terms", 0))
+        pref, raws = _companion_cone(a, n, state, eps, params)
+        for k, raw in enumerate(raws):
+            if isinstance(raw, Exception):
+                state[k] = raw
+                continue
+            try:
+                value = ensure_finite_complex(pref * raw[0], "result value")
+                err = ensure_err_estimate(abs(pref) * raw[1])
+            except POINT_ERRORS as exc:
+                state[k] = exc
+                continue
+            sums[k].add(value)
+            errs[k] += err
+            terms[k] += raw[2]["terms"]
     return map_points(
         lambda k: EvalResult(sums[k].value(), errs[k], "companion",
                              {"cones": 2**m, "terms": terms[k]}),

@@ -139,10 +139,12 @@ class TestMirroredLogsh:
     @pytest.mark.parametrize(
         "h,eps", [(0.137, 0.5), (0.05, 0.4166666666666667), (0.3, 0.25), (0.0123, 0.1)]
     )
-    @pytest.mark.parametrize("odd", [False, True])
-    def test_equals_full_evaluation(self, c, h, eps, odd):
-        span = 96
-        j = np.arange(1 - span, span, 2) if odd else np.arange(-span, span + 1)
+    # full grids |j| <= half, as _sample_pass builds them, with a half-width
+    # of either parity (the mirror splits the grid at mid = half)
+    @pytest.mark.parametrize("odd_half", [False, True])
+    def test_equals_full_evaluation(self, c, h, eps, odd_half):
+        half = 97 if odd_half else 96
+        j = np.arange(-half, half + 1)
         p = h * j + 1j * eps
         got = contour._mirrored_logsh(c, p)
         assert got.tobytes() == contour._logsh(c * p).tobytes()
@@ -235,6 +237,24 @@ class TestPrefixSumConvolution:
         for row, got in zip(grid, out):
             direct = np.convolve(row, b)
             assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    def test_one_sequence_per_row(self):
+        # a 2-D b gives row p of a its own sequence b[p]: bit for bit the
+        # convolution of that row alone, and of a lone one-row stack
+        rng = np.random.default_rng(6)
+        b = rng.normal(size=(3, 41)) + 1j * rng.normal(size=(3, 41))
+        for a, axis in (
+            (rng.normal(size=(3, 29)) + 1j * rng.normal(size=(3, 29)), 1),
+            (rng.normal(size=(3, 29, 5)) + 1j * rng.normal(size=(3, 29, 5)), 1),
+            (rng.normal(size=(3, 4, 29)) + 1j * rng.normal(size=(3, 4, 29)), 2),
+            (np.ones((3, 1, 1), dtype=complex), 2),
+        ):
+            out = _fftconvolve(a, b, axis=axis)
+            for p in range(3):
+                alone = _fftconvolve(a[p], b[p], axis=axis - 1)
+                assert out[p].tobytes() == alone.tobytes()
+                one_row = _fftconvolve(a[p:p + 1], b[p:p + 1], axis=axis)[0]
+                assert out[p].tobytes() == one_row.tobytes()
 
 
 class TestTruncationAndNodeReuse:

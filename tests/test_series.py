@@ -591,6 +591,178 @@ class TestCompanionBatch:
         batch = companion_sum_I_batch((1,), [(-1.0,), (-2.0,)], 1.5)
         assert all(isinstance(r, DomainError) and "nearly vanishes" in str(r) for r in batch)
 
+    def test_depth_three_mixed_weight_cones(self):
+        # the six mixed cones fold two-axis lattices, every row on one block
+        n = (1, 2, 1)
+        ws = [(-1.0, -1.0, -1.0), (-0.5 + 0.3j, -1.0, -0.8), (-2.0, -0.6, -1.2 - 0.2j)]
+        params = SeriesParams(tol=1e-9)
+        batch = companion_sum_I_batch(n, ws, self.PHI, params)
+        assert not any(isinstance(r, Exception) for r in batch)
+        assert_identical(batch, one_by_one(lambda w: companion_sum_I(n, w, self.PHI, params), ws))
+
+    @staticmethod
+    def spy_on_folds(monkeypatch) -> list:
+        """The (rows, K + 1) shape of every stack of terms a fold step convolves."""
+        shapes = []
+        convolve = series._fftconvolve
+
+        def spy(a, b, axis=-1):
+            shapes.append(b.shape)
+            return convolve(a, b, axis)
+
+        monkeypatch.setattr(series, "_fftconvolve", spy)
+        return shapes
+
+    def test_rows_fold_in_chunks(self, monkeypatch):
+        # two weights: a (K + 1) x (K + 1) lattice, so a budget of 70000
+        # cells folds 4 rows at a time at K = 128, and 1 at K = 256
+        monkeypatch.setattr(series, "_MAX_CELLS", 70000)
+        shapes = self.spy_on_folds(monkeypatch)
+        eps = EpsilonVector(("1", "1/h"), self.PHI)
+        ws = [(-1.0 - 0.1 * k, -0.8 + 0.1j * k) for k in range(8)]
+        batch = companion_series_batch((1, 1), (1, 1), ws, eps)
+        assert shapes == [(4, 129)] * 2 + [(1, 257)] * 8
+        assert_identical(
+            batch, one_by_one(lambda w: companion_series((1, 1), (1, 1), w, eps), ws)
+        )
+
+    def test_carried_terms_stay_within_their_budget(self, monkeypatch):
+        # 2 (K + 1) carried terms a row: a budget of 1100 cells splits 8 rows
+        # into stacks of 4 at K = 128, and of 2 at K = 256
+        monkeypatch.setattr(series, "_MAX_CARRIED", 1100)
+        shapes = self.spy_on_folds(monkeypatch)
+        eps = EpsilonVector(("1", "1"), self.PHI)
+        ws = [(-1.0 - 0.1 * k, -0.8 + 0.1j * k) for k in range(8)]
+        batch = companion_series_batch((1, 1), (1, 1), ws, eps)
+        assert max(rows * 2 * terms for rows, terms in shapes) <= 1100
+        assert {rows for rows, _ in shapes} == {2, 4}
+        assert_identical(
+            batch, one_by_one(lambda w: companion_series((1, 1), (1, 1), w, eps), ws)
+        )
+
+    @pytest.mark.parametrize("k_max", [64, 200])
+    def test_short_ascents(self, k_max):
+        # k_max = 200 truncates at K = 128, then 200; k_max = 64 once, at 64
+        params = SeriesParams(k_max=k_max)
+        ws = [(-3.0,), (-1.0 + 0.5j,), (-0.05,)]
+        batch = companion_sum_I_batch((1,), ws, self.PHI, params)
+        assert isinstance(batch[2], ConvergenceError)
+        assert isinstance(batch[0], ConvergenceError) == (k_max == 64)
+        loop = one_by_one(lambda w: companion_sum_I((1,), w, self.PHI, params), ws)
+        assert_identical(batch, loop)
+
+    @pytest.mark.parametrize("cells,error", [(None, DomainError), (200, ConvergenceError)])
+    def test_budget_error_before_bracket_error(self, monkeypatch, cells, error):
+        # at h = 200/199 the brackets [199]_q and [200]_q nearly vanish, so
+        # K = 256 refuses h; a budget of 200 cells refuses its 257-cell
+        # lattice first
+        if cells:
+            monkeypatch.setattr(series, "_MAX_CELLS", cells)
+        h, ws = 200 / 199, [(-1.0,), (-2.0 + 0.5j,)]
+        batch = companion_sum_I_batch((1,), ws, h)
+        assert all(type(r) is error for r in batch)
+        assert_identical(batch, one_by_one(lambda w: companion_sum_I((1,), w, h), ws))
+
+    def test_terms_are_carried_across_truncations(self, monkeypatch):
+        # a point that stops at K = 256 gets bracket powers for k <= 128 at
+        # K = 128, and only for 128 < k <= 256 at K = 256
+        seen = []
+        brackets = series._inv_bracket_pow
+
+        def spy(ks, q, a):
+            seen.append(len(ks))
+            return brackets(ks, q, a)
+
+        monkeypatch.setattr(series, "_inv_bracket_pow", spy)
+        res = companion_series((1,), (1,), (-1.0,), EpsilonVector(("1",), self.PHI))
+        assert res.diagnostics["terms"] == 256
+        assert seen == [128, 128]
+
+
+def crandn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def same_bytes(got, want) -> bool:
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestStackedFoldNumpy:
+    """What the stacked cone-sum fold needs of numpy: an operation on a stack
+    of rows gives each row the bytes it gives that row alone, and the terms
+    and lattices of K are prefixes of those of 2K."""
+
+    def test_fft_along_an_axis_matches_rows(self):
+        rng = np.random.default_rng(11)
+        x = crandn(rng, 5, 129, 33)
+        for axis, nfft in ((1, 512), (2, 64), (1, None)):
+            got = np.fft.fft(x, nfft, axis=axis)
+            rows = [np.fft.fft(row, nfft, axis=axis - 1) for row in x]
+            assert same_bytes(got, np.stack(rows))
+            back = [np.fft.ifft(row, axis=axis - 1) for row in got]
+            assert same_bytes(np.fft.ifft(got, axis=axis), np.stack(back))
+            assert same_bytes(np.fft.ifft(got, axis=axis, out=got), np.stack(back))
+        # the per-row kernels: a (rows, K + 1) array along its last axis
+        b = crandn(rng, 5, 129)
+        assert same_bytes(np.fft.fft(b, 512), np.stack([np.fft.fft(row, 512) for row in b]))
+
+    def test_row_sums_of_a_sliced_fft_output(self):
+        # a row of a stacked view is walked as the lone view is; a
+        # reshape(rows, -1) of it would copy and regroup the pairwise sum
+        rng = np.random.default_rng(12)
+        x = crandn(rng, 4, 1024)
+        rows = np.fft.ifft(x)[:, :700]
+        assert same_bytes(rows.sum(axis=1), [np.fft.ifft(r)[:700].sum() for r in x])
+        x = crandn(rng, 4, 1024, 40)
+        planes = np.fft.ifft(x, axis=1)[:, :700]
+        for plane, lone in zip(planes, x):
+            assert same_bytes(plane.sum(), np.fft.ifft(lone, axis=0)[:700].sum())
+
+    def test_broadcast_products_match_rows(self):
+        rng = np.random.default_rng(13)
+        a, b, block = crandn(rng, 5, 512, 33), crandn(rng, 5, 512, 1), crandn(rng, 512, 33)
+        assert same_bytes(a * b, np.stack([r * s for r, s in zip(a, b)]))
+        acc = a[:, :300]
+        want = np.stack([r * block[:300] for r in acc])
+        acc *= block[:300]
+        assert same_bytes(acc, want)
+        # the terms: ks * log z over a column of logs, then * brackets
+        ks, lgs, br = np.arange(129, 257, dtype=np.float64), crandn(rng, 5, 1), crandn(rng, 128)
+        terms = np.exp(ks * lgs)
+        terms *= br
+        assert same_bytes(terms, np.stack([np.exp(ks * complex(lg)) * br for lg in lgs[:, 0]]))
+
+    def test_gemv_on_a_slice_of_a_larger_lattice(self):
+        rng = np.random.default_rng(14)
+        K, w = 128, 1 / (1.3 + 0.4j)
+        big = np.reciprocal(np.add.outer(np.arange(2 * K + 1), w * np.arange(2 * K + 1)) + 0.5)
+        f = crandn(rng, K + 1)
+        cut = big[:K + 1, :K + 1]
+        assert same_bytes(cut @ f, np.ascontiguousarray(cut) @ f)
+        cut3 = np.multiply.outer(big[:40, :40], big[0])[:20, :20, :K + 1]
+        assert same_bytes(cut3 @ f, np.ascontiguousarray(cut3) @ f)
+
+    def test_carried_prefixes(self):
+        ks = np.arange(1, 257, dtype=np.float64)
+        lg = cmath.log(-0.3 + 0.2j)
+        carried = np.concatenate((np.exp(ks[:128] * lg), np.exp(ks[128:] * lg)))
+        assert same_bytes(carried, np.exp(ks * lg))
+        phi = (1 + math.sqrt(5)) / 2
+        for q, a in ((0.5, 1), (0.3 + 0.4j, 2), (cmath.exp(1j * math.pi * phi), 1),
+                     (cmath.exp(1j * math.pi / (1.3 + 0.4j)), 1)):
+            carried = np.concatenate((series._inv_bracket_pow(ks[:128], q, a),
+                                      series._inv_bracket_pow(ks[128:], q, a)))
+            assert same_bytes(carried, series._inv_bracket_pow(ks, q, a))
+
+        def reciprocal_lattice(weights, slots, K):
+            lat = np.add.outer(*[w * np.arange(c * K + 1) for w, c in zip(weights, slots)])
+            lat[0, 0] = 1.0
+            return np.reciprocal(lat, out=lat)
+
+        weights, slots = (1.0 + 0j, 1 / (1.3 + 0.4j)), (2, 1)
+        big = reciprocal_lattice(weights, slots, 256)
+        assert same_bytes(big[:257, :129], reciprocal_lattice(weights, slots, 128))
+
 
 # ---------------------------------------------------------------------------
 # Error estimates against a 40-digit reference
