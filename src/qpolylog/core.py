@@ -27,7 +27,6 @@ __all__ = [
     "EvalResult",
     "CheckReport",
     "ensure_finite_complex",
-    "ensure_err_estimate",
     "validate_hbar",
     "weight",
     "convergence_strip",
@@ -94,7 +93,7 @@ def ensure_finite_complex(value: complex, what: str = "value") -> complex:
     return z
 
 
-def ensure_err_estimate(err: float) -> float:
+def _ensure_err_estimate(err: float) -> float:
     """Coerce to float and reject a non-finite or negative error estimate."""
     err = float(err)
     if not math.isfinite(err) or err < 0.0:
@@ -195,7 +194,7 @@ class EvalResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", ensure_finite_complex(self.value, "result value"))
-        object.__setattr__(self, "err_estimate", ensure_err_estimate(self.err_estimate))
+        object.__setattr__(self, "err_estimate", _ensure_err_estimate(self.err_estimate))
         if self.backend not in BACKENDS:
             raise DomainError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
         object.__setattr__(self, "diagnostics", _freeze_mapping(self.diagnostics))

@@ -25,10 +25,10 @@ the rows of stacked arrays that raise the truncation K together: each fold
 step convolves every row with its own terms and multiplies all rows by one
 shared block of the reciprocal lattice, and each row reads its value and
 convergence test from itself and leaves the stack when it converges.  When
-K doubles, the terms and bracket powers of k <= K are carried over.  Rows
-fold in chunks that keep a chunk's stacked lattices within the cell budget,
-a stack whose carried terms outgrow their own budget climbs on in parts, and
-each point's result is bit for bit that of a batch of one.
+K doubles, the rows' terms and bracket powers of k <= K are carried over
+while the terms fit the cell budget.  Rows fold in chunks that keep a
+chunk's stacked lattices and terms within that budget, and each point's
+result is bit for bit that of a batch of one.
 companion_sum_I_batch runs the cones outside and adds each cone's raw
 per-point results into the per-point sums, so one lattice is alive at a
 time.
@@ -50,7 +50,7 @@ from .core import (
     ConvergenceError,
     DomainError,
     EvalResult,
-    ensure_err_estimate,
+    _ensure_err_estimate,
     ensure_finite_complex,
     fail_points,
     map_points,
@@ -78,10 +78,10 @@ __all__ = [
 
 _UNIT_CIRCLE_ATOL = 1e-12
 _UNIT_ROUNDOFF = 2.0**-53
-# Cell budget of one cone-sum lattice (80 MB of complex128), and of the terms
-# one stack of cone-sum rows carries from one truncation to the next (5 MB)
+# Cell budget of one cone-sum lattice (80 MB of complex128), of the lattices
+# and terms of a chunk of cone-sum rows, and of the terms the rows carry from
+# one truncation to the next
 _MAX_CELLS = 5_000_000
-_MAX_CARRIED = _MAX_CELLS // 16
 
 
 @dataclass(frozen=True)
@@ -239,13 +239,13 @@ def _inv_bracket_pow(ks: np.ndarray, q: complex, a: int) -> np.ndarray | None:
         # On the unit circle [k]_q = 2i sin(pi t k) for q = exp(i pi t); a
         # (nearly) rational t makes some bracket (nearly) vanish and the
         # series ill-conditioned, so refuse instead of amplifying noise.
-        if (np.abs(br) < 1e-6).any():
+        if np.any(np.abs(br) < 1e-6):
             raise DomainError(
                 "q-bracket nearly vanishes on the unit circle: the "
                 "deformation parameter is (close to) rational; use a "
                 "quadrature backend instead"
             )
-    elif (br == 0).any():
+    elif np.any(br == 0):
         raise DomainError("q-bracket vanishes: q is a root of unity")
     return br ** (-a)
 
@@ -436,7 +436,7 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
     nfft = 1 << (size - 1).bit_length()
     fa = np.fft.fft(a, nfft, axis=axis)
     fa *= np.fft.fft(b, nfft).reshape(shape)
-    out = np.fft.ifft(fa, axis=axis, out=fa)
+    out = np.fft.ifft(fa, axis=axis)
     return out[(slice(None),) * axis + (slice(size),)]
 
 
@@ -472,14 +472,14 @@ def _cone_sum(
     convolution of every row with its own f_j along the slot's axis and one
     broadcast multiply by the shared block.  Each row reads its value, floor
     and convergence test from its own lattice, and leaves the stack when it
-    converges.  When K doubles only k in (K, 2K] gets new bracket powers and
-    exp(k log z_j); the first two truncations cut their blocks from one
-    reciprocal lattice.  Rows are folded in chunks whose stacked lattices
-    stay within _MAX_CELLS cells, and a stack whose carried terms would pass
-    _MAX_CARRIED cells splits into stacks that climb on one after another,
-    cutting their blocks from the largest lattice yet.  Every operation acts
-    on a row as it acts on that row alone, so a result is bit for bit the
-    result it has alone.
+    converges.  While the terms of all rows fit in _MAX_CELLS cells, they
+    and the bracket powers are carried when K doubles, and only k in
+    (K, 2K] gets new ones; past that the bracket powers of every k <= K are
+    formed again and each chunk forms its rows' terms whole.  The first two
+    truncations cut their blocks from one reciprocal lattice.  Rows are
+    folded in chunks whose stacked lattices and terms stay within
+    _MAX_CELLS cells.  Every operation acts on a row as it acts on that row
+    alone, so a result is bit for bit the result it has alone.
     """
     m = len(n)
     out: list = [None] * len(zs)
@@ -565,77 +565,82 @@ def _cone_sum(
                 growth += rate * float(mass @ ks) / total  # kappa_j
         return _UNIT_ROUNDOFF * bound * growth
 
-    # per slot, the rows' log z_j as a column, and their terms f_j[0..done]
+    def grow(f: np.ndarray, lg: np.ndarray, br, ks: np.ndarray) -> np.ndarray:
+        """The terms f[p, k] = exp(k log z_j) / [k]^(a_j) of each row for
+        k = 0..K, grown from the prefix f of k = 0..d: ks = 1..K, lg the
+        rows' log z_j as a column, br the bracket powers of k = d+1..K (None
+        for a_j = 0)."""
+        d = f.shape[1] - 1
+        grown = np.empty((len(f), len(ks) + 1), dtype=np.complex128)
+        grown[:, :d + 1] = f
+        new = np.multiply(ks[d:], lg, out=grown[:, d + 1:])
+        np.exp(new, out=new)
+        if br is not None:  # a_j = 0: ones could change only the sign of a zero
+            new *= br
+        return grown
+
+    # per slot, the rows' log z_j as a column, and their terms of k = 0..d
+    # while all rows' terms fit the cell budget (d = 0 past it)
     lgs = np.array([logs for _, _, logs in live], dtype=np.complex128)
     lgs = lgs.reshape(-1, m).T[:, :, None]
-    fs = [np.zeros((len(live), 1), dtype=np.complex128)] * m
+    f0 = np.zeros((len(live), 1), dtype=np.complex128)  # f_j[0] of every row
+    carried = [f0] * m
     ones = np.ones((len(live),) + unit, dtype=np.complex128)
-    # Stacks of rows that climb K alone: (rows, each row's value at the
-    # previous K, lgs, fs, K, done), with the terms of k <= done carried.  A
-    # stack whose carried terms would pass _MAX_CARRIED cells splits.
-    stacks = [(live, [None] * len(live), lgs, fs, min(128, params.k_max), 0)]
-    lattice_K = 0  # the largest lattice yet, which serves every K up to it
-    while stacks:
-        live, prev, lgs, fs, K, done = stacks.pop()
-        while live:
-            fit = max(1, _MAX_CARRIED // (m * (K + 1)))
-            if len(live) > fit:
-                # copies, so that the stack's full arrays can go
-                rest = live[fit:], prev[fit:], lgs[:, fit:], [f[fit:].copy() for f in fs]
-                stacks.append(rest + (K, done))
-                live, prev, lgs, fs = live[:fit], prev[:fit], lgs[:, :fit], [f[:fit] for f in fs]
-            try:
-                size = cells(K)
-                if size > _MAX_CELLS:
-                    raise ConvergenceError(
-                        f"cone sum: a {K}-term lattice exceeds {_MAX_CELLS} cells"
-                    )
-                ks = np.arange(done + 1, K + 1, dtype=np.float64)
-                brackets = [_inv_bracket_pow(ks, qj, aj) for qj, aj in zip(q_list, a)]
-            except POINT_ERRORS as exc:
-                for k, _, _ in live:
-                    out[k] = exc
-                break
-            for j, br in enumerate(brackets):
-                grown = np.empty((len(live), K + 1), dtype=np.complex128)
-                grown[:, :done + 1] = fs[j]
-                new = np.multiply(ks, lgs[j], out=grown[:, done + 1:])
-                np.exp(new, out=new)
-                if br is not None:  # a_j = 0: ones could change only the sign of a zero
-                    new *= br
-                fs[j] = grown
-            if lattice_K < K:
-                # the first truncation builds the second's lattice when it fits
-                ahead = min(2 * K, params.k_max)
-                lattice_K = ahead if not done and cells(ahead) <= _MAX_CELLS else K
-                recip = reciprocal_lattice(lattice_K)
-            blocks = lattice_blocks(recip, K)
-            chunk, values = _MAX_CELLS // size, []
-            for s in range(0, len(live), chunk):
-                values += fold([f[s:s + chunk] for f in fs], blocks)
-            keep = []
-            for p, ((k, r, logs), value) in enumerate(zip(live, values)):
+    prev = [None] * len(live)  # each live row's value at the previous K
+    K, lattice_K = min(128, params.k_max), 0
+    while live:
+        carry = len(live) * m * (K + 1) <= _MAX_CELLS
+        if not carry:
+            carried = [f0] * m
+        try:
+            size = cells(K)
+            if size > _MAX_CELLS:
+                raise ConvergenceError(f"cone sum: a {K}-term lattice exceeds {_MAX_CELLS} cells")
+            ks = np.arange(1, K + 1, dtype=np.float64)
+            d = carried[0].shape[1] - 1
+            brackets = [_inv_bracket_pow(ks[d:], qj, aj) for qj, aj in zip(q_list, a)]
+        except POINT_ERRORS as exc:
+            for k, _, _ in live:
+                out[k] = exc
+            break
+        if lattice_K < K:
+            # the first truncation builds the second's lattice when it fits
+            ahead = min(2 * K, params.k_max)
+            lattice_K = ahead if not lattice_K and cells(ahead) <= _MAX_CELLS else K
+            recip = reciprocal_lattice(lattice_K)
+        blocks = lattice_blocks(recip, K)
+        if carry:
+            carried = [grow(f, lg, br, ks) for f, lg, br in zip(carried, lgs, brackets)]
+        chunk, keep = max(1, _MAX_CELLS // (size + m * (K + 1))), []
+        for s in range(0, len(live), chunk):
+            rows = slice(s, s + chunk)
+            if carry:
+                fs = [f[rows] for f in carried]
+            else:
+                fs = [grow(f0[rows], lg[rows], br, ks) for lg, br in zip(lgs, brackets)]
+            for p, value in enumerate(fold(fs, blocks), s):
+                k, r, logs = live[p]
                 tail = m * (K ** max(m - 1, 0)) * r ** (K + 1) / (1 - r)
                 if prev[p] is not None:
                     delta = abs(value - prev[p])
                     if delta + tail <= params.tol:
-                        err = delta + tail + roundoff_floor(fs, p, logs)
+                        err = delta + tail + roundoff_floor(fs, p - s, logs)
                         out[k] = (value, err, {"terms": K, "tail": tail})
                         continue
                 prev[p] = value
                 keep.append(p)
-            if len(keep) < len(live):
-                live = [live[p] for p in keep]
-                if not live:
-                    break
-                prev = [prev[p] for p in keep]
-                lgs, fs = lgs[:, keep], [f[keep] for f in fs]
-            if K >= params.k_max:
-                exc = ConvergenceError(f"cone sum: not converged within {K} terms per axis")
-                for k, _, _ in live:
-                    out[k] = exc
-                break
-            done, K = K, min(2 * K, params.k_max)
+            del fs  # before the next chunk forms its terms
+        if not keep:
+            break
+        if len(keep) < len(live):
+            live, prev = [live[p] for p in keep], [prev[p] for p in keep]
+            lgs, f0, carried = lgs[:, keep], f0[keep], [f[keep] for f in carried]
+        if K >= params.k_max:
+            exc = ConvergenceError(f"cone sum: not converged within {K} terms per axis")
+            for k, _, _ in live:
+                out[k] = exc
+            break
+        K = min(2 * K, params.k_max)
     return out
 
 
@@ -816,7 +821,7 @@ def companion_sum_I_batch(
                 continue
             try:
                 value = ensure_finite_complex(pref * raw[0], "result value")
-                err = ensure_err_estimate(abs(pref) * raw[1])
+                err = _ensure_err_estimate(abs(pref) * raw[1])
             except POINT_ERRORS as exc:
                 state[k] = exc
                 continue

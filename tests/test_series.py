@@ -602,42 +602,59 @@ class TestCompanionBatch:
 
     @staticmethod
     def spy_on_folds(monkeypatch) -> list:
-        """The (rows, K + 1) shape of every stack of terms a fold step convolves."""
-        shapes = []
+        """Every (rows, K + 1) stack of terms a fold step convolves."""
+        stacks = []
         convolve = series._fftconvolve
 
         def spy(a, b, axis=-1):
-            shapes.append(b.shape)
+            stacks.append(b)
             return convolve(a, b, axis)
 
         monkeypatch.setattr(series, "_fftconvolve", spy)
-        return shapes
+        return stacks
 
     def test_rows_fold_in_chunks(self, monkeypatch):
-        # two weights: a (K + 1) x (K + 1) lattice, so a budget of 70000
-        # cells folds 4 rows at a time at K = 128, and 1 at K = 256
+        # two weights: a (K + 1) x (K + 1) lattice and 2 (K + 1) terms a
+        # row, so a budget of 70000 cells folds 4 rows at a time at K = 128,
+        # and 1 at K = 256
         monkeypatch.setattr(series, "_MAX_CELLS", 70000)
-        shapes = self.spy_on_folds(monkeypatch)
+        stacks = self.spy_on_folds(monkeypatch)
         eps = EpsilonVector(("1", "1/h"), self.PHI)
         ws = [(-1.0 - 0.1 * k, -0.8 + 0.1j * k) for k in range(8)]
         batch = companion_series_batch((1, 1), (1, 1), ws, eps)
-        assert shapes == [(4, 129)] * 2 + [(1, 257)] * 8
+        assert [b.shape for b in stacks] == [(4, 129)] * 2 + [(1, 257)] * 8
         assert_identical(
             batch, one_by_one(lambda w: companion_series((1, 1), (1, 1), w, eps), ws)
         )
 
-    def test_carried_terms_stay_within_their_budget(self, monkeypatch):
-        # 2 (K + 1) carried terms a row: a budget of 1100 cells splits 8 rows
-        # into stacks of 4 at K = 128, and of 2 at K = 256
-        monkeypatch.setattr(series, "_MAX_CARRIED", 1100)
-        shapes = self.spy_on_folds(monkeypatch)
+    def test_terms_past_the_budget_are_formed_per_chunk(self, monkeypatch):
+        # 8 rows would carry 2 (K + 1) terms each, more than a budget of
+        # 1100 cells: each chunk forms its own terms, where one row alone
+        # carries its terms from K = 128.  A chunk's 2K + 1 lattice cells
+        # and 2 (K + 1) terms a row fit 2 rows at K = 128, and 1 at K = 256
+        monkeypatch.setattr(series, "_MAX_CELLS", 1100)
+        stacks = self.spy_on_folds(monkeypatch)
         eps = EpsilonVector(("1", "1"), self.PHI)
         ws = [(-1.0 - 0.1 * k, -0.8 + 0.1j * k) for k in range(8)]
         batch = companion_series_batch((1, 1), (1, 1), ws, eps)
-        assert max(rows * 2 * terms for rows, terms in shapes) <= 1100
-        assert {rows for rows, _ in shapes} == {2, 4}
+        assert {b.shape for b in stacks} == {(2, 129), (1, 257)}
+        assert all(b.base is None for b in stacks)
         assert_identical(
             batch, one_by_one(lambda w: companion_series((1, 1), (1, 1), w, eps), ws)
+        )
+
+    def test_rows_share_one_ascent(self, monkeypatch):
+        # rows that never converge within k_max climb K together: the
+        # bracket powers of each k are computed once for all of them
+        seen = self.spy_on_brackets(monkeypatch)
+        eps = EpsilonVector(("1",), self.PHI)
+        ws = [(-0.04 - 0.002 * k + 0.01j * k,) for k in range(8)]
+        params = SeriesParams(k_max=512)
+        batch = companion_series_batch((1,), (1,), ws, eps, params)
+        assert all(isinstance(r, ConvergenceError) for r in batch)
+        assert seen == [128, 128, 256]
+        assert_identical(
+            batch, one_by_one(lambda w: companion_series((1,), (1,), w, eps, params), ws)
         )
 
     @pytest.mark.parametrize("k_max", [64, 200])
@@ -663,9 +680,9 @@ class TestCompanionBatch:
         assert all(type(r) is error for r in batch)
         assert_identical(batch, one_by_one(lambda w: companion_sum_I((1,), w, h), ws))
 
-    def test_terms_are_carried_across_truncations(self, monkeypatch):
-        # a point that stops at K = 256 gets bracket powers for k <= 128 at
-        # K = 128, and only for 128 < k <= 256 at K = 256
+    @staticmethod
+    def spy_on_brackets(monkeypatch) -> list:
+        """The number of k of every call to _inv_bracket_pow."""
         seen = []
         brackets = series._inv_bracket_pow
 
@@ -674,6 +691,12 @@ class TestCompanionBatch:
             return brackets(ks, q, a)
 
         monkeypatch.setattr(series, "_inv_bracket_pow", spy)
+        return seen
+
+    def test_terms_are_carried_across_truncations(self, monkeypatch):
+        # a point that stops at K = 256 gets bracket powers for k <= 128 at
+        # K = 128, and only for 128 < k <= 256 at K = 256
+        seen = self.spy_on_brackets(monkeypatch)
         res = companion_series((1,), (1,), (-1.0,), EpsilonVector(("1",), self.PHI))
         assert res.diagnostics["terms"] == 256
         assert seen == [128, 128]
@@ -701,7 +724,6 @@ class TestStackedFoldNumpy:
             assert same_bytes(got, np.stack(rows))
             back = [np.fft.ifft(row, axis=axis - 1) for row in got]
             assert same_bytes(np.fft.ifft(got, axis=axis), np.stack(back))
-            assert same_bytes(np.fft.ifft(got, axis=axis, out=got), np.stack(back))
         # the per-row kernels: a (rows, K + 1) array along its last axis
         b = crandn(rng, 5, 129)
         assert same_bytes(np.fft.fft(b, 512), np.stack([np.fft.fft(row, 512) for row in b]))
@@ -726,9 +748,10 @@ class TestStackedFoldNumpy:
         want = np.stack([r * block[:300] for r in acc])
         acc *= block[:300]
         assert same_bytes(acc, want)
-        # the terms: ks * log z over a column of logs, then * brackets
-        ks, lgs, br = np.arange(129, 257, dtype=np.float64), crandn(rng, 5, 1), crandn(rng, 128)
-        terms = np.exp(ks * lgs)
+        # the terms: ks * log z over a column of logs, then * brackets, in place
+        ks, lgs, br = np.arange(1, 257, dtype=np.float64), crandn(rng, 5, 1), crandn(rng, 256)
+        terms = np.multiply(ks, lgs, out=np.zeros((5, 257), dtype=np.complex128)[:, 1:])
+        np.exp(terms, out=terms)
         terms *= br
         assert same_bytes(terms, np.stack([np.exp(ks * complex(lg)) * br for lg in lgs[:, 0]]))
 
