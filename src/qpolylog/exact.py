@@ -5,9 +5,12 @@ as exact polynomials in omega and h^{+-1}, classical Bernoulli polynomials,
 shuffle permutations, and the exact partial-fraction identity behind the
 shuffle product.
 
-Design: scalars are finite sums q * i^s * pi^t with rational q, s in {0, 1}
-(powers of i are fully reduced so equality is decidable), and integer t.
-No general symbolic engine is used.
+Design: scalars and polynomials share one sparse-term representation, a
+sorted tuple of terms (x, y, c) with at most one term per exponent pair and
+no zero coefficient, and one implementation of its ring arithmetic.  Scalars
+are sums q * i^s * pi^t with rational q, s in {0, 1} (powers of i are fully
+reduced so equality is decidable), and integer t; polynomials are sums
+c * omega^j * h^k with scalar c.  No general symbolic engine is used.
 """
 
 from __future__ import annotations
@@ -55,6 +58,77 @@ def binom_general(x: int, j: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Sparse sums: the ring arithmetic that scalars and polynomials share
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _SparseSum:
+    """Finite sum of terms (x, y, c): a coefficient c times the monomial in
+    which the subclass's two symbols carry the integer exponents x and y.
+
+    Canonical form: at most one term per (x, y), terms sorted by (x, y), zero
+    coefficients dropped; equality is therefore decidable term by term.  A
+    subclass supplies the rest: ``_canon`` reduces a raw term to its key and
+    coefficient, ``_is_zero_coeff`` tests a coefficient, ``_coerce`` lifts a
+    plain operand of ``*`` into the ring, and ``_symbols`` names the two
+    symbols for ``str``.
+    """
+
+    terms: tuple
+
+    @classmethod
+    def from_terms(cls, items: Iterable[tuple]) -> "_SparseSum":
+        acc: dict = {}
+        for x, y, c in items:
+            key, c = cls._canon(x, y, c)
+            acc[key] = acc[key] + c if key in acc else c
+        is_zero = cls._is_zero_coeff
+        return cls(tuple((x, y, c) for (x, y), c in sorted(acc.items()) if not is_zero(c)))
+
+    @classmethod
+    def zero(cls) -> "_SparseSum":
+        return cls(())
+
+    def __add__(self, other: "_SparseSum") -> "_SparseSum":
+        return type(self).from_terms(self.terms + other.terms)
+
+    def __neg__(self) -> "_SparseSum":
+        return type(self)(tuple((x, y, -c) for x, y, c in self.terms))
+
+    def __sub__(self, other: "_SparseSum") -> "_SparseSum":
+        return self + (-other)
+
+    def __mul__(self, other) -> "_SparseSum":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return type(self).from_terms(
+            (x1 + x2, y1 + y2, c1 * c2)
+            for x1, y1, c1 in self.terms
+            for x2, y2, c2 in other.terms
+        )
+
+    __rmul__ = __mul__  # the ring is commutative
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __str__(self) -> str:
+        x_sym, y_sym = self._symbols
+        parts = []
+        for x, y, c in self.terms:
+            part = f"({c})"
+            if x:
+                part = f"{part}*{x_sym}" if x == 1 else f"{part}*{x_sym}^{x}"
+            if y:
+                part = f"{part}*{y_sym}" if y == 1 else f"{part}*{y_sym}^{y}"
+            parts.append(part)
+        return " + ".join(parts) or "0"
+
+
+# ---------------------------------------------------------------------------
 # Scalars: Q[i, pi, 1/pi]
 # ---------------------------------------------------------------------------
 
@@ -62,47 +136,39 @@ def binom_general(x: int, j: int) -> int:
 def _reduce_i_power(s: int) -> tuple[int, int]:
     """Reduce i^s to sign * i^(s mod 2); returns (sign, s in {0,1})."""
     s %= 4
-    if s == 0:
-        return 1, 0
-    if s == 1:
-        return 1, 1
-    if s == 2:
-        return -1, 0
-    return -1, 1
+    return (1 if s < 2 else -1), s % 2
 
 
 @dataclass(frozen=True)
-class ExactScalar:
-    """Finite sum of terms q * i^s * pi^t with q rational, s in {0,1}, t integer.
-
-    Canonical form: at most one term per (s, t), powers of i fully reduced,
-    zero terms dropped; equality is therefore decidable term-by-term.
+class ExactScalar(_SparseSum):
+    """Finite sum of terms (s, t, q) = q * i^s * pi^t with q rational, s in
+    {0,1}, t integer: powers of i fully reduced, in the canonical form of
+    every sparse sum.
     """
 
-    terms: tuple[tuple[int, int, Fraction], ...]  # (s, t, coefficient)
+    _symbols = ("i", "pi")
 
     def __post_init__(self) -> None:
         for s, t, q in self.terms:
             if s not in (0, 1) or not isinstance(q, Fraction) or q == 0:
                 raise DomainError(f"non-canonical scalar term {(s, t, q)!r}")
 
+    @staticmethod
+    def _canon(s: int, t: int, q) -> tuple[tuple[int, int], Fraction]:
+        sign, s_red = _reduce_i_power(s)
+        return (s_red, int(t)), sign * Fraction(q)
+
+    @staticmethod
+    def _is_zero_coeff(q: Fraction) -> bool:
+        return q == 0
+
+    @classmethod
+    def _coerce(cls, other):
+        if isinstance(other, _RationalLike):
+            return cls.rational(other)
+        return other if isinstance(other, ExactScalar) else NotImplemented
+
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_terms(cls, items: Iterable[tuple[int, int, Fraction]]) -> "ExactScalar":
-        acc: dict[tuple[int, int], Fraction] = {}
-        for s, t, q in items:
-            sign, s_red = _reduce_i_power(s)
-            key = (s_red, int(t))
-            acc[key] = acc.get(key, Fraction(0)) + sign * Fraction(q)
-        terms = tuple(
-            (s, t, q) for (s, t), q in sorted(acc.items()) if q != 0
-        )
-        return cls(terms)
-
-    @classmethod
-    def zero(cls) -> "ExactScalar":
-        return cls(())
 
     @classmethod
     def one(cls) -> "ExactScalar":
@@ -136,31 +202,6 @@ class ExactScalar:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other: "ExactScalar") -> "ExactScalar":
-        return ExactScalar.from_terms(self.terms + other.terms)
-
-    def __neg__(self) -> "ExactScalar":
-        return ExactScalar(tuple((s, t, -q) for s, t, q in self.terms))
-
-    def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        return self + (-other)
-
-    def __mul__(self, other) -> "ExactScalar":
-        if isinstance(other, _RationalLike):
-            other = ExactScalar.rational(other)
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
-        items = []
-        for s1, t1, q1 in self.terms:
-            for s2, t2, q2 in other.terms:
-                items.append((s1 + s2, t1 + t2, q1 * q2))
-        return ExactScalar.from_terms(items)
-
-    def __rmul__(self, other) -> "ExactScalar":
-        if isinstance(other, _RationalLike):
-            return self * ExactScalar.rational(other)
-        return NotImplemented
-
     def __pow__(self, k: int) -> "ExactScalar":
         if k < 0:
             raise DomainError("negative scalar powers are not defined in the ring")
@@ -168,10 +209,6 @@ class ExactScalar:
         for _ in range(k):
             out = out * self
         return out
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def conjugate(self) -> "ExactScalar":
         """Coefficient conjugation i -> -i (pi and rationals fixed)."""
@@ -186,19 +223,6 @@ class ExactScalar:
             total += base * (1j if s == 1 else 1.0)
         return total
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for s, t, q in self.terms:
-            factors = [f"({q})"]
-            if s == 1:
-                factors.append("i")
-            if t != 0:
-                factors.append(f"pi^{t}" if t != 1 else "pi")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
 
 # ---------------------------------------------------------------------------
 # Polynomials in omega and h^{+-1} with ExactScalar coefficients
@@ -206,11 +230,12 @@ class ExactScalar:
 
 
 @dataclass(frozen=True)
-class ExactPoly:
+class ExactPoly(_SparseSum):
     """Polynomial in omega (non-negative powers) and h (integer powers,
-    Laurent), with ExactScalar coefficients; monomials kept sorted."""
+    Laurent), with ExactScalar coefficients: terms (omega_exp, h_exp, coeff),
+    in the canonical form of every sparse sum."""
 
-    terms: tuple[tuple[int, int, ExactScalar], ...]  # (omega_exp, h_exp, coeff)
+    _symbols = ("omega", "h")
 
     def __post_init__(self) -> None:
         for j, k, c in self.terms:
@@ -219,17 +244,21 @@ class ExactPoly:
             if c.is_zero:
                 raise DomainError("zero coefficient stored in ExactPoly")
 
-    @classmethod
-    def from_terms(cls, items: Iterable[tuple[int, int, ExactScalar]]) -> "ExactPoly":
-        acc: dict[tuple[int, int], ExactScalar] = {}
-        for j, k, c in items:
-            key = (int(j), int(k))
-            acc[key] = acc.get(key, ExactScalar.zero()) + c
-        return cls(tuple((j, k, c) for (j, k), c in sorted(acc.items()) if not c.is_zero))
+    @staticmethod
+    def _canon(j: int, k: int, c: ExactScalar) -> tuple[tuple[int, int], ExactScalar]:
+        return (int(j), int(k)), c
+
+    @staticmethod
+    def _is_zero_coeff(c: ExactScalar) -> bool:
+        return c.is_zero
 
     @classmethod
-    def zero(cls) -> "ExactPoly":
-        return cls(())
+    def _coerce(cls, other):
+        if isinstance(other, _RationalLike):
+            other = ExactScalar.rational(other)
+        if isinstance(other, ExactScalar):
+            return cls.scalar(other)
+        return other if isinstance(other, ExactPoly) else NotImplemented
 
     @classmethod
     def scalar(cls, c: ExactScalar) -> "ExactPoly":
@@ -246,39 +275,6 @@ class ExactPoly:
     @classmethod
     def monomial(cls, omega_exp: int, h_exp: int, coeff: ExactScalar) -> "ExactPoly":
         return cls.from_terms([(omega_exp, h_exp, coeff)])
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other: "ExactPoly") -> "ExactPoly":
-        return ExactPoly.from_terms(self.terms + other.terms)
-
-    def __neg__(self) -> "ExactPoly":
-        return ExactPoly(tuple((j, k, -c) for j, k, c in self.terms))
-
-    def __sub__(self, other: "ExactPoly") -> "ExactPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "ExactPoly":
-        if isinstance(other, _RationalLike):
-            other = ExactPoly.scalar(ExactScalar.rational(other))
-        elif isinstance(other, ExactScalar):
-            other = ExactPoly.scalar(other)
-        if not isinstance(other, ExactPoly):
-            return NotImplemented
-        items = []
-        for j1, k1, c1 in self.terms:
-            for j2, k2, c2 in other.terms:
-                items.append((j1 + j2, k1 + k2, c1 * c2))
-        return ExactPoly.from_terms(items)
-
-    def __rmul__(self, other) -> "ExactPoly":
-        if isinstance(other, (ExactScalar,) + _RationalLike):
-            return self.__mul__(other)
-        return NotImplemented
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def omega_degree(self) -> int:
         """Degree in omega (-1 for the zero polynomial)."""
@@ -351,19 +347,6 @@ class ExactPoly:
         for j, k, c in self.terms:
             total += c.to_complex(pi_val) * omega**j * hbar**k
         return total
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for j, k, c in self.terms:
-            factors = [f"({c})"]
-            if j:
-                factors.append("omega" if j == 1 else f"omega^{j}")
-            if k:
-                factors.append("h" if k == 1 else f"h^{k}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -477,25 +460,13 @@ def sh_inverse_laurent(scale: str, a: int, order: int) -> FormalLaurent:
     for k in range(1, inner_order // 2 + 1):
         coeff = ExactScalar.pi_power(2 * k, Fraction(1, math.factorial(2 * k + 1)))
         g[2 * k] = ExactPoly.monomial(0, 2 * k * h_exp, coeff)
-    inv = _invert_unit_series(g, inner_order)
-
-    # (1+g)^{-a} by repeated multiplication (a is small in practice)
-    acc = [ExactPoly.one()] + [ExactPoly.zero()] * inner_order
-    for _ in range(a):
-        new = [ExactPoly.zero()] * (inner_order + 1)
-        for i_pow in range(inner_order + 1):
-            if acc[i_pow].is_zero:
-                continue
-            for j_pow in range(inner_order + 1 - i_pow):
-                if inv[j_pow].is_zero:
-                    continue
-                new[i_pow + j_pow] = new[i_pow + j_pow] + acc[i_pow] * inv[j_pow]
-        acc = new
+    inv = FormalLaurent(0, tuple(_invert_unit_series(g, inner_order)))
+    # (1+g)^{-a} as a product of Laurent series (a is small in practice)
+    power = math.prod([inv] * (a - 1), start=inv)
 
     # prefactor (2 scale)^{-a} p^{-a}
     pref = ExactPoly.monomial(0, -a * h_exp, ExactScalar.pi_power(-a, Fraction(1, 2**a)))
-    coeffs = [pref * c for c in acc[: order + a + 1]]
-    return FormalLaurent(-a, tuple(coeffs))
+    return FormalLaurent(-a, tuple(pref * c for c in power.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +505,7 @@ def bernoulli_exact(a: int, b: int, n: int) -> ExactPoly:
         raise DomainError("a and b must be non-negative")
     if a + b + n < 1:
         return ExactPoly.zero()
-    window = a + b + n
+    window = max(a + b + n, a, b)  # sh_inverse_laurent needs order >= a, b
     series = exp_series(window)
     if a > 0:
         series = series * sh_inverse_laurent("pi", a, window)

@@ -223,31 +223,31 @@ def _inv_bracket_pow(ks: np.ndarray, q: complex, a: int) -> np.ndarray | None:
     absq = abs(q)
     if absq == 0:
         raise DomainError("q must be nonzero")
-    if absq <= 0.99:
-        # 1/[k]^a = (-1)^a q^(a k) / (1 - q^(2k))^a  (avoids q^(-k) overflow),
-        # with q^k = exp(k log q) as _q_power forms it
-        log_q = complex(cmath.log(q))
-        denom = 1.0 - np.exp(2 * ks * log_q)
-        if a > 1:  # x ** 1 is x bit for bit, by numpy's slow general power
-            denom = denom ** a
-        if (denom == 0).any():
-            raise DomainError("q-bracket vanishes: q is a root of unity")
-        return (-1) ** a * np.exp(a * ks * log_q) / denom
-    qk = _q_power(q, ks)
-    br = qk - 1.0 / qk
     if abs(absq - 1.0) < 1e-12:
         # On the unit circle [k]_q = 2i sin(pi t k) for q = exp(i pi t); a
         # (nearly) rational t makes some bracket (nearly) vanish and the
         # series ill-conditioned, so refuse instead of amplifying noise.
+        qk = _q_power(q, ks)
+        br = qk - 1.0 / qk
         if np.any(np.abs(br) < 1e-6):
             raise DomainError(
                 "q-bracket nearly vanishes on the unit circle: the "
                 "deformation parameter is (close to) rational; use a "
                 "quadrature backend instead"
             )
-    elif np.any(br == 0):
+        return br ** (-a)
+    # Off the circle, with r the one of q and 1/q inside it,
+    # 1/[k]_r^a = (-1)^a r^(a k) / (1 - r^(2k))^a, and [k]_q = -[k]_r when
+    # r = 1/q, so no power overflows; r^k = exp(k log r) as _q_power forms it
+    log_r, sign = complex(cmath.log(q)), (-1) ** a
+    if absq > 1:
+        log_r, sign = -log_r, 1
+    denom = 1.0 - np.exp(2 * ks * log_r)
+    if a > 1:  # x ** 1 is x bit for bit, by numpy's slow general power
+        denom = denom ** a
+    if (denom == 0).any():
         raise DomainError("q-bracket vanishes: q is a root of unity")
-    return br ** (-a)
+    return sign * np.exp(a * ks * log_r) / denom
 
 
 def _bracket(k: int, q: complex) -> complex:

@@ -866,3 +866,25 @@ class TestDepthFour:
         assert comp.diagnostics["cones"] == 16
         assert abs(quad.value - comp.value) <= quad.err_estimate + comp.err_estimate
         assert abs(quad.value - comp.value) <= 1e-12 * abs(quad.value)
+
+
+class TestCompanionComplexCoupling:
+    # at complex hbar the two nomes leave the unit circle on opposite sides;
+    # outside it (|q| = 1.97 for the dual nome at hbar = 1.3 + 0.4i),
+    # q^k - q^(-k) overflows unless the bracket is formed from 1/q
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "n,w,hbar",
+        [
+            ((2,), (-0.28665954253255865 + 0.8299859091252129j,), 1.3 + 0.4j),
+            ((0,), (-1.55 - 0.27j,), 1.34 - 0.89j),
+            ((1,), (-1.2 + 0.3j,), 2.1 + 0.7j),
+            ((1, 2), (-1.79 - 0.14j, -2.21 + 0.36j), 1.16 - 0.98j),
+            ((2, 1), (-1.6 + 0.2j, -0.9 - 0.1j), 0.8 + 0.6j),
+        ],
+    )
+    def test_companion_matches_quadrature(self, n, w, hbar):
+        m = len(n)
+        quad = quad_I(MultiIndex((1,) * m, (1,) * m, n), w, hbar)
+        comp = companion_sum_I(n, w, hbar)
+        assert abs(quad.value - comp.value) <= quad.err_estimate + comp.err_estimate

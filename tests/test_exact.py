@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpolylog import DomainError, exact
+from qpolylog.contour import quad_bernoulli_circle
 from qpolylog.exact import (
     ExactPoly,
     ExactScalar,
@@ -164,7 +165,50 @@ class TestExactScalar:
 # ---------------------------------------------------------------------------
 
 
+def poly_strategy():
+    """Small random polynomials: omega exponents 0-3, h exponents -2..2,
+    coefficients from scalar_strategy."""
+    term = st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=-2, max_value=2),
+        scalar_strategy(),
+    )
+    return st.lists(term, max_size=3).map(
+        lambda items: sum(
+            (ExactPoly.monomial(j, k, c) for j, k, c in items), ExactPoly.zero()
+        )
+    )
+
+
 class TestExactPoly:
+    OMEGA, HBAR = 0.7 - 0.3j, 1.25 + 0.1j
+
+    @settings(derandomize=True, max_examples=40)
+    @given(poly_strategy(), poly_strategy(), poly_strategy())
+    def test_ring_axioms(self, x, y, z):
+        assert (x + y) == (y + x)
+        assert (x * y) == (y * x)
+        assert ((x + y) + z) == (x + (y + z))
+        assert ((x * y) * z) == (x * (y * z))
+        assert ((x + y) * z) == (x * z + y * z)
+        assert (x - x).is_zero
+        assert (x * ExactPoly.one()) == x
+        assert (x * ExactPoly.zero()).is_zero
+
+    @settings(derandomize=True, max_examples=40)
+    @given(poly_strategy(), poly_strategy())
+    def test_eval_is_a_homomorphism(self, x, y):
+        def size(p: ExactPoly) -> float:
+            return sum(
+                abs(c.to_complex()) * abs(self.OMEGA) ** j * abs(self.HBAR) ** k
+                for j, k, c in p.terms
+            )
+
+        tol = 1e-12 * (1 + size(x) * size(y) + size(x) + size(y))
+        xv, yv = x.eval(self.OMEGA, self.HBAR), y.eval(self.OMEGA, self.HBAR)
+        assert abs((x * y).eval(self.OMEGA, self.HBAR) - xv * yv) <= tol
+        assert abs((x + y).eval(self.OMEGA, self.HBAR) - (xv + yv)) <= tol
+
     def test_constructors_and_degree(self):
         assert ExactPoly.zero().is_zero
         assert ExactPoly.zero().omega_degree() == -1
@@ -517,6 +561,22 @@ class TestBernoulliExact:
                 bernoulli_exact(a, b, n).conjugate_coeffs(),
                 bernoulli_exact(a, b, n) * Fraction(sign),
             )
+
+    # n < 0 with 1 <= a + b + n < max(a, b): the Laurent window a + b + n
+    # alone lies below an sh exponent, every such triple with a, b <= 3
+    @pytest.mark.parametrize(
+        "a,b,n",
+        [
+            (0, 2, -1), (0, 3, -2), (0, 3, -1), (1, 2, -2), (1, 3, -3),
+            (1, 3, -2), (2, 0, -1), (2, 1, -2), (2, 2, -3), (2, 3, -3),
+            (3, 0, -2), (3, 0, -1), (3, 1, -3), (3, 1, -2), (3, 2, -3),
+        ],
+    )
+    def test_negative_n_matches_circle(self, a, b, n):
+        for omega, hbar in [(0.4, 1.3), (-0.7 + 0.2j, 1.7 + 0.3j)]:
+            circle = quad_bernoulli_circle(a, b, n, omega, hbar)
+            value = bernoulli_exact(a, b, n).eval(omega, hbar)
+            assert abs(value - circle.value) <= circle.err_estimate
 
     def test_omega_degree(self):
         # degree is a + b + n - 1
