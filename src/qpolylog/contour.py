@@ -40,15 +40,26 @@ index, h and tolerance.  The first step and the strip width do not depend
 on omega, so every point's grid at a level, on every axis, is a centred
 slice of the widest one.  The omega-free factors log sh(pi p) and
 log sh(pi h p) are evaluated once per node of that grid and pass, and each
-axis scales its slice by its own a_i or b_i; only exp(-i p omega), the fold
-and the stopping test are per point.  The grid is symmetric bit for bit,
+axis scales its slice by its own a_i or b_i; only exp(-i p omega) and the
+stopping test are per point.  The grid is symmetric bit for bit,
 h (-j) == -(h j), so for real c > 0 the left half of log sh(c p) is the
 mirror conj(right half) + i pi of the right half: that factor is evaluated on
 j >= 0 only.  The mirror needs numpy's complex exp and log to be
 conjugate-symmetric, exp(conj w) == conj(exp w), as C99's cexp and clog are;
-at complex h the b factor has no mirror and is evaluated whole.  Each
-point's value, estimate, diagnostics and errors are bit for bit those of a
-batch of one, which is what quad_F runs.
+at complex h the b factor has no mirror and is evaluated whole.
+
+Each fold (levels 0 and 1 of the first pass, and each later level) takes
+the points it folds as the rows of one stack: each axis's samples h e are
+the zero-padded rows of one array, and each later axis is one FFT
+convolution per group of rows whose own convolution rounds up to the same
+power of two, which is the transform length of the row alone.  The factor
+P_c^(-n_c), the sums and kappa are taken on each row's own slice.  numpy's
+complex multiply is not bitwise commutative, and numpy evaluates acc *
+factor with a temporary factor of 16,384 entries (256 KiB) or more as
+factor * acc, reusing the temporary; each row is multiplied in the order
+that product takes at the row's own size.  So each point's value, estimate,
+diagnostics and errors are bit for bit those of a batch of one, which is
+what quad_F runs.
 """
 
 from __future__ import annotations
@@ -74,7 +85,7 @@ from .core import (
     validate_hbar,
 )
 from .exact import binom_general, q_poly
-from .series import _UNIT_ROUNDOFF, SeriesParams, _fftconvolve, classical_polylog
+from .series import _UNIT_ROUNDOFF, SeriesParams, classical_polylog
 
 __all__ = [
     "QuadratureSpec",
@@ -150,6 +161,8 @@ def _logsh(z: np.ndarray) -> np.ndarray:
     exact under exp(k * _logsh) for every integer k."""
     z = np.asarray(z, dtype=np.complex128)
     flip = z.real < 0
+    if not flip.any():  # e.g. every right half that _mirrored_logsh passes
+        return z + np.log(1.0 - np.exp(-2.0 * z))
     zz = np.where(flip, -z, z)
     out = zz + np.log(1.0 - np.exp(-2.0 * zz))
     return np.where(flip, out + 1j * math.pi, out)
@@ -408,9 +421,11 @@ def _line_integral(
     The points share the first step h0, which does not depend on omega.  In
     each pass, log sh(pi p) and log sh(pi h p) are evaluated once per node of
     the widest grid over all axes and live points, and on its right half only
-    where the mirror holds (see _sample_pass and _mirrored_logsh).  Each point
-    keeps its own truncation, samples, fold, node budget, stopping level and
-    errors, so its result is bit for bit the result it has alone.
+    where the mirror holds (see _sample_pass and _mirrored_logsh), and the
+    points that do not overflow are folded as the rows of one stack (see
+    _fold_rows).  Each point keeps its own truncation, samples, node budget,
+    stopping level and errors, and its row its own transform length, so its
+    result is bit for bit the result it has alone.
     """
     out, live, h0, eps, shifts = _line_points(idx, omegas, hbar, spec, pole_shifts)
     # Level k samples axis i at p = (h0 / 2^k) j + i eps, |j| <= half_i 2^k;
@@ -447,7 +462,7 @@ def _line_integral(
         for pt in coarse:
             bad = _overflowing_axis(pt.samples)
             out[pt.k] = pt.overflow(bad) if bad is not None else _over_budget(h)
-        live = []
+        folded, evens = [], []
         for pt in fine:
             bad = _overflowing_axis(pt.samples)
             if level == 1:
@@ -460,9 +475,16 @@ def _line_integral(
             if bad is not None:
                 out[pt.k] = pt.overflow(bad)
                 continue
+            folded.append(pt)
             if level == 1:
-                pt.value = _fold(even, h0, idx.n, eps, shifts, with_floor=False)[0]
-            value, pt.floor = _fold(pt.samples, h, idx.n, eps, shifts)
+                evens.append(even)
+        if level == 1:
+            for pt, (value, _) in zip(folded, _fold_rows(evens, h0, idx.n, eps, shifts, False)):
+                pt.value = value
+        live = []
+        sums = _fold_rows([pt.samples for pt in folded], h, idx.n, eps, shifts)
+        for pt, (value, floor) in zip(folded, sums):
+            pt.floor = floor
             pt.deltas.append(abs(value - pt.value))
             pt.value = value
             if pt.deltas[-1] <= spec.tol:
@@ -474,39 +496,94 @@ def _line_integral(
     return out
 
 
-def _fold(
-    samples: list, h: float, n: Sequence[int], eps: float, shifts: Sequence[complex],
+def _fold_rows(
+    rows: list, h: float, n: Sequence[int], eps: float, shifts: Sequence[complex],
     with_floor: bool = True,
-) -> tuple[complex, float | None]:
-    """Trapezoid sum at step h over the samples (exp(log-kernel), |log-kernel|)
-    of each axis, and its round-off floor u * sum |terms| * (1 + sum_i
-    kappa_i): exp turns the absolute rounding of a log-space factor into a
-    relative error of about u |log|, and kappa_i is the |term|-weighted mean
-    of |log| on axis i.  With with_floor=False the floor is None and the
-    |log-kernel| entries are not read; the value is formed by the same
-    operations, so it is the same to the bit."""
-    acc = np.ones(1, dtype=np.complex128)
-    kappa = 0.0
-    for i, (e, abs_lg) in enumerate(samples):
-        f = h * e
+) -> list[tuple[complex, float | None]]:
+    """Trapezoid sum at step h of each point, and its round-off floor
+    u * sum |terms| * (1 + sum_i kappa_i), where rows[r][i] holds the samples
+    (exp(log-kernel), |log-kernel|) of point r on axis i: exp turns the
+    absolute rounding of a log-space factor into a relative error of about
+    u |log|, and kappa_i is the |term|-weighted mean of |log| on axis i.
+    With with_floor=False the floors are None and the |log-kernel| entries
+    are not read; the values are formed by the same operations, so they are
+    the same to the bit.
+
+    The points are the rows of one stack of at most _MAX_NODES cells (more
+    rows are folded in chunks), laid out as the module docstring describes;
+    the first axis is the product 1 f, which keeps the sign of zeros as a
+    point alone does.  Each row gets the bits it gets alone."""
+    if not rows:
+        return []
+    lens = [[row[i][0].size for row in rows] for i in range(len(n))]
+    # no row of any array in the stack is wider than the full convolution of
+    # the widest samples of each axis
+    per = max(_MAX_NODES // (sum(map(max, lens)) - len(n) + 1), 1)
+    if len(rows) > per:
+        return [res for k in range(0, len(rows), per)
+                for res in _fold_rows(rows[k:k + per], h, n, eps, shifts, with_floor)]
+    sizes = [1] * len(rows)
+    kappa = [0.0] * len(rows)
+    for i, nc in enumerate(n):
+        f = np.zeros((len(rows), max(lens[i])), dtype=np.complex128)
+        for r, row in enumerate(rows):
+            e, abs_lg = row[i]
+            sizes[r] += e.size - 1
+            fr = np.multiply(h, e, f[r, :e.size])
+            if with_floor:
+                weight = np.abs(fr)
+                total = float(weight.sum())
+                if total:  # some weight is nonzero
+                    kappa[r] += float(weight @ abs_lg) / total
+        # acc[r, J] sums every path of row r whose index sum is J; P_c = h J + i c eps
+        acc = np.multiply(1 + 0j, f, f) if i == 0 else _convolve_rows(acc, f, sizes)
+        if nc != 0:
+            mid = max(sizes) // 2
+            J = np.arange(-mid, mid + 1.0)
+            factor = (h * J + 1j * ((i + 1) * eps - shifts[i])) ** (-nc)
+            for r, s in enumerate(sizes):
+                seg, cut = acc[r, :s], factor[mid - s // 2:mid + s // 2 + 1]
+                # numpy's complex multiply is not bitwise commutative, and
+                # numpy elides a temporary operand of 256 KiB or more by
+                # swapping the operands: a point alone forms acc * factor
+                # with a new factor, which runs as factor * acc on 16,384
+                # entries or more.  Each row keeps the order its size gives.
+                if seg.nbytes >= 256 * 1024:
+                    np.multiply(cut, seg, seg)
+                else:
+                    np.multiply(seg, cut, seg)
+    out = []
+    for r, s in enumerate(sizes):
+        seg = acc[r, :s]
+        floor = None
         if with_floor:
-            weight = np.abs(f)
-            if weight.any():
-                kappa += float(weight @ abs_lg) / float(weight.sum())
-        # acc[J] sums every path whose index sum is J; P_c = h J + i c eps
-        acc = _fftconvolve(acc, f)
-        if n[i] != 0:
-            J = np.arange(acc.size) - acc.size // 2
-            # Keep this product as written.  numpy's complex multiply is not
-            # bitwise commutative (a * b != b * a in numpy 2.4), and numpy
-            # elides a temporary operand of 256 KiB or more by swapping the
-            # operands: on 16,384 entries or more this runs as factor * acc.
-            # Reordering it, or sharing the factor between points, moves bits.
-            acc = acc * (h * J + 1j * ((i + 1) * eps - shifts[i])) ** (-n[i])
-    value = complex(acc.sum())
-    if not with_floor:
-        return value, None
-    return value, _UNIT_ROUNDOFF * (1.0 + kappa) * float(np.abs(acc).sum())
+            floor = _UNIT_ROUNDOFF * (1.0 + kappa[r]) * float(np.abs(seg).sum())
+        out.append((complex(seg.sum()), floor))
+    return out
+
+
+def _convolve_rows(acc: np.ndarray, f: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Row r of acc convolved with row r of f, cut to its own sizes[r]
+    entries and zero-padded (with +0): one FFT convolution per group of rows
+    whose own size rounds up to the same power of two, which is the
+    transform length a row has alone (the stack's widths could round
+    higher).  numpy transforms each row of a stack as it transforms that row
+    alone, so each row gets the bits it gets alone."""
+    groups: dict[int, list[int]] = {}
+    for r, s in enumerate(sizes):
+        groups.setdefault(1 << (s - 1).bit_length(), []).append(r)
+    out = None if len(groups) == 1 else np.zeros((len(sizes), max(sizes)), dtype=np.complex128)
+    for nfft, members in groups.items():
+        fa = np.fft.fft(acc if out is None else acc[members], nfft)
+        fa *= np.fft.fft(f if out is None else f[members], nfft)
+        conv = np.fft.ifft(fa)
+        if out is None:
+            for r, s in enumerate(sizes):
+                conv[r, s:] = 0
+            return conv
+        for r, row in zip(members, conv):
+            out[r, :sizes[r]] = row[:sizes[r]]
+    return out
 
 
 def _i_power(k: int) -> complex:

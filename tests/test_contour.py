@@ -4,9 +4,12 @@ circle residues, the depth-one closed form, and the generating integral."""
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qpolylog import ConvergenceError, DomainError, contour
 from qpolylog.contour import (
@@ -26,6 +29,7 @@ from qpolylog.contour import (
 from qpolylog.core import MultiIndex
 from qpolylog.exact import bernoulli_exact, q_poly
 from qpolylog.series import (
+    _UNIT_ROUNDOFF,
     _fftconvolve,
     classical_polylog,
     companion_sum_I,
@@ -150,6 +154,30 @@ class TestMirroredLogsh:
         assert got.tobytes() == contour._logsh(c * p).tobytes()
 
 
+def logsh_flip_branch(z):
+    """The _logsh formula that reflects every entry with Re z < 0."""
+    z = np.asarray(z, dtype=np.complex128)
+    flip = z.real < 0
+    zz = np.where(flip, -z, z)
+    out = zz + np.log(1.0 - np.exp(-2.0 * zz))
+    return np.where(flip, out + 1j * math.pi, out)
+
+
+class TestLogsh:
+    # right halves as _mirrored_logsh passes them (j = 0 included), and
+    # whole grids; at c = 50 pi the far nodes' exp(-2 z) underflows
+    @pytest.mark.parametrize(
+        "c", [math.pi, math.pi * 1.3, math.pi * (1.2 + 0.4j), math.pi * (1 - 0.3j),
+              math.pi * 50, math.pi * 60]
+    )
+    @pytest.mark.parametrize("h,eps", [(0.137, 0.5), (0.0123, 0.1), (0.3, 0.25)])
+    @pytest.mark.parametrize("left", [0, 97])
+    def test_matches_flip_branch_formula(self, c, h, eps, left):
+        p = h * np.arange(-left, 98) + 1j * eps
+        with np.errstate(under="ignore"):
+            assert contour._logsh(c * p).tobytes() == logsh_flip_branch(c * p).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Line integrals: anchors and internal consistency
 # ---------------------------------------------------------------------------
@@ -257,6 +285,101 @@ class TestPrefixSumConvolution:
                 assert out[p].tobytes() == one_row.tobytes()
 
 
+def crandn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestStackedLineFoldNumpy:
+    """What the stacked contour fold needs of numpy: rows of different
+    lengths, zero-padded to one width, give each row the bytes it has alone
+    under an FFT of its own length and under a sum of its own slice; and a
+    product with a new temporary runs in the operand order its size gives."""
+
+    def test_explicit_length_fft_of_padded_rows(self):
+        rng = np.random.default_rng(21)
+        lens, width = (300, 100, 100, 300, 241), 599
+        stack = np.zeros((len(lens), width), dtype=np.complex128)
+        rows = [crandn(rng, size) for size in lens]
+        for r, row in enumerate(rows):
+            stack[r, :row.size] = row
+        # a transform shorter than the stack crops only padding; a longer
+        # one pads it further
+        for nfft in (512, 1024):
+            got = np.fft.fft(stack, nfft, axis=1)
+            assert same_bytes(got, np.stack([np.fft.fft(row, nfft) for row in rows]))
+            assert same_bytes(np.fft.ifft(got, axis=1),
+                              np.stack([np.fft.ifft(np.fft.fft(row, nfft)) for row in rows]))
+        # a convolution: rows (300, 100) and (100, 300) convolve to 399
+        # entries, which a row alone transforms at 512 (the stack's
+        # 599 + 599 - 1 would round to 2048)
+        other = np.zeros((2, width), dtype=np.complex128)
+        kernels = [crandn(rng, size) for size in (100, 300)]
+        for r, row in enumerate(kernels):
+            other[r, :row.size] = row
+        fa = np.fft.fft(stack[:2], 512)
+        fa *= np.fft.fft(other, 512)
+        for got, a, b in zip(np.fft.ifft(fa), rows, kernels):
+            assert same_bytes(got[:a.size + b.size - 1], _fftconvolve(a, b))
+
+    @pytest.mark.parametrize("size", [16383, 16384, 27745])
+    def test_elided_temporary_swaps_operands_from_256_kib(self, size):
+        rng = np.random.default_rng(size)
+        acc = crandn(rng, size)
+        J = np.arange(size) - size // 2
+        elided = acc * (0.01 * J + 0.3j) ** (-2)  # the factor is a temporary
+        factor = (0.01 * J + 0.3j) ** (-2)
+        acc_first = np.multiply(acc, factor, out=acc.copy())
+        factor_first = np.multiply(factor, acc, out=acc.copy())
+        if acc.nbytes >= 256 * 1024:
+            assert same_bytes(elided, factor_first)
+            # out= keeps the order it is given; where the two orders round
+            # apart, acc-first is not what the elided temporary gives
+            assert same_bytes(elided, acc_first) == same_bytes(acc_first, factor_first)
+        else:
+            assert same_bytes(elided, acc_first)
+        # the fold multiplies in place, on a row of a wider stack
+        stack = np.zeros((3, size + 7), dtype=np.complex128)
+        stack[1, :size] = acc
+        for first, want in ((True, factor_first), (False, acc_first)):
+            row = stack[1, :size]
+            row[:] = acc
+            if first:
+                np.multiply(factor, row, row)
+            else:
+                np.multiply(row, factor, row)
+            assert same_bytes(row, want)
+
+    def test_first_axis_in_place(self):
+        # 1 f in place on a zero-padded stack is the lone 1 f, signed zeros
+        # and subnormals included, and leaves the padding +0
+        rng = np.random.default_rng(24)
+        rows = [crandn(rng, size) * 10.0 ** rng.integers(-320, 5, size) for size in (5, 329, 3)]
+        rows[0][:4] = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]
+        stack = np.zeros((3, 329), dtype=np.complex128)
+        for r, row in enumerate(rows):
+            stack[r, :row.size] = row
+        np.multiply(1 + 0j, stack, stack)
+        for r, row in enumerate(rows):
+            assert same_bytes(stack[r, :row.size], np.ones(1, dtype=np.complex128) * row)
+            assert same_bytes(stack[r, row.size:], np.zeros(329 - row.size, dtype=np.complex128))
+
+    def test_sums_of_left_aligned_row_slices(self):
+        rng = np.random.default_rng(23)
+        lens = (2233, 27745, 9, 1024, 1)
+        stack = np.zeros((len(lens), max(lens)), dtype=np.complex128)
+        rows = [crandn(rng, size) for size in lens]
+        for r, row in enumerate(rows):
+            stack[r, :row.size] = row
+        for r, row in enumerate(rows):
+            seg = stack[r, :row.size]
+            assert same_bytes(seg.sum(), row.sum())
+            assert same_bytes(np.abs(seg).sum(), np.abs(row).sum())
+
+
+def same_bytes(got, want) -> bool:
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestTruncationAndNodeReuse:
     @pytest.mark.parametrize(
         "a,b,n,omega,hbar",
@@ -343,6 +466,35 @@ def assert_identical(batch, loop):
             assert got.err_estimate == want.err_estimate
             assert got.backend == want.backend
             assert dict(got.diagnostics) == dict(want.diagnostics)
+
+
+# (h, tol): real, complex, and h = 50 at tol 1e-13, where points refine to
+# levels 2-4 or stop converging
+SWEEP_HBAR_TOL = [(1.2, 1e-10), (1.3 + 0.4j, 1e-12), ((1 + math.sqrt(5)) / 2, 1e-10),
+                  (50.0, 1e-13), (50 + 20j, 1e-13)]
+
+
+@st.composite
+def line_batches(draw):
+    """(idx, points, h, tol, node budget) of a batched line integral: depth
+    1-3, 1-16 points in and out of the strip, some that overflow on the line
+    (on the level-0 grid, or on level-1 odd nodes only), and node budgets
+    that fail some points at level 0 or 1."""
+    hbar, tol = draw(st.sampled_from(SWEEP_HBAR_TOL))
+    # at h = 50 the line sits 1/100 above the axis, where grids are fine and
+    # refine to level 4: depth 1-2 only, and every axis has sh(pi h p),
+    # without which an axis decays slowly and its grid grows to ~10^5 nodes
+    deep = abs(hbar) < 50
+    m = draw(st.integers(1, 3 if deep else 2))
+    kinds = [(0, 1), (1, 1), (2, 1), (1, 2)] + [(1, 0)] * deep
+    ab = draw(st.lists(st.sampled_from(kinds), min_size=m, max_size=m))
+    n = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    idx = MultiIndex(tuple(a for a, _ in ab), tuple(b for _, b in ab), tuple(n))
+    finite = st.builds(complex, st.floats(-4.0, 0.5), st.floats(-1.5, 1.5))
+    omega = st.one_of(finite, finite, finite, st.sampled_from([5000.0, ODD_OVERFLOW]))
+    points = draw(st.lists(st.tuples(*[omega] * m), min_size=1, max_size=16))
+    budget = draw(st.sampled_from([contour._MAX_NODES] * 2 + [1500, 300]))
+    return idx, points, hbar, tol, budget
 
 
 class TestBatch:
@@ -437,6 +589,69 @@ class TestBatch:
         assert sizes == [(widest + 1) // 2] * 2
         assert sum(sizes) < 2 * sum(d["nodes_evaluated"] for d in diags)
 
+    def test_rows_in_different_fft_groups(self, monkeypatch):
+        # each later axis is one FFT per group of rows whose own convolution
+        # rounds to the same power of two: at level 1, the (1197, 289) row
+        # takes 2048 entries and the other five 1024, (641, 289) and
+        # (289, 489) among them, where the stack's widths would round to 2048
+        idx, hbar, spec = MultiIndex((1, 1), (1, 1), (1, 2)), 1.3, QuadratureSpec()
+        points = [(-1.0, -0.5), (-1 + 2j, -0.5), (-2 + 1j, -1 - 1j), (-1 + 4j, -0.5),
+                  (-1.5 + 5.5j, -0.7), (-2.0, -1 + 3j)]
+        shapes = []
+        ifft = np.fft.ifft
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", spy)
+        got = contour._line_integral(idx, points, hbar, spec)
+        monkeypatch.undo()
+        assert [r[2]["nodes_per_axis"] for r in got][3:] == [[641, 289], [1197, 289], [289, 489]]
+        # one inverse transform per group: level 0, then level 1
+        assert shapes == [(5, 512), (1, 1024), (5, 1024), (1, 2048)]
+        assert_same_outcomes(got, two_pass(idx, points, hbar, spec))
+        assert_identical(quad_F_batch(idx, points, hbar, spec),
+                         one_by_one(lambda p: quad_F(idx, p, hbar, spec), points))
+
+    def test_row_past_the_elision_boundary_beside_small_rows(self):
+        # one row folds 27,745 entries, where a point alone multiplies by
+        # its factor as factor * acc; the others fold about 2,200
+        idx, hbar, spec = MultiIndex((1, 1), (0, 1), (1, 2)), 3.1, QuadratureSpec(tol=1e-13)
+        points = [(-2.6208992563278373 + 2.9145008940925963j,
+                   -2.7587133628012634 - 11.000295837076807j), (-1.0, -0.5), (-2 + 0.3j, -1.0)]
+        got = contour._line_integral(idx, points, hbar, spec)
+        folded = [sum(r[2]["nodes_per_axis"]) - 1 for r in got]
+        assert folded[0] == 27745 and max(folded[1:]) < 16384
+        assert_same_outcomes(got, two_pass(idx, points, hbar, spec))
+        assert_identical(quad_F_batch(idx, points, hbar, spec),
+                         one_by_one(lambda p: quad_F(idx, p, hbar, spec), points))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(line_batches())
+    # levels 1, 2 and 4 and points that stop converging, at real and complex h
+    @example((idx1(1, 1, 2), [(-4.0,), (-1 + 1j,), (-1.0,), (6 + 1j,)], 50.0, 1e-13, 1 << 21))
+    @example((MultiIndex((2, 1), (1, 1), (1, 1)),
+              [(-1.0, -1.0), (-4.0, -4.0), (-1 + 1j, -1 + 1j), (-2.0, -0.5)],
+              50 + 20j, 1e-13, 1 << 21))
+    def test_sweep_matches_one_point_calls_and_two_passes(self, case):
+        idx, points, hbar, tol, budget = case
+        spec = QuadratureSpec(tol=tol)
+        with mock.patch.object(contour, "_MAX_NODES", budget):
+            got = contour._line_integral(idx, points, hbar, spec)
+            alone = [contour._line_integral(idx, [p], hbar, spec)[0] for p in points]
+            want = two_pass(idx, points, hbar, spec)
+        # repr tells -0.0 from 0.0 and gives two NaNs one key: a fold can
+        # overflow to NaN on finite samples, in a batch and alone
+        assert list(map(outcome_key, got)) == list(map(outcome_key, alone))
+        assert list(map(outcome_key, got)) == list(map(outcome_key, want))
+
+
+def outcome_key(outcome):
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return repr(outcome)
+
 
 def _interleave(even, odd):
     """The array even[0], odd[0], even[1], ..., odd[-1], even[-1]."""
@@ -446,12 +661,33 @@ def _interleave(even, odd):
     return out
 
 
+def fold_alone(samples, h, n, eps, shifts):
+    """The trapezoid sum of one point and its round-off floor, folded alone
+    with one FFT convolution per axis: the one-point fold that the stacked
+    _fold_rows replaced, kept here as its reference."""
+    acc = np.ones(1, dtype=np.complex128)
+    kappa = 0.0
+    for i, (e, abs_lg) in enumerate(samples):
+        f = h * e
+        weight = np.abs(f)
+        if weight.any():
+            kappa += float(weight @ abs_lg) / float(weight.sum())
+        acc = _fftconvolve(acc, f)
+        if n[i] != 0:
+            J = np.arange(acc.size) - acc.size // 2
+            # kept as written: on 16,384 entries or more numpy elides the
+            # temporary factor and runs this as factor * acc
+            acc = acc * (h * J + 1j * ((i + 1) * eps - shifts[i])) ** (-n[i])
+    return complex(acc.sum()), _UNIT_ROUNDOFF * (1.0 + kappa) * float(np.abs(acc).sum())
+
+
 def two_pass(idx, omegas, hbar, spec, pole_shifts=None):
     """_line_integral refined another way: level 0 sampled on its own grid at
     step h0, each later level on its new odd nodes only and interleaved with
-    the kept samples, and every point alone on its own grid.  It is built
-    from the engine's own set-up, _log_kernel and _fold, so both sides round
-    alike on any machine; nodes_evaluated is counted here."""
+    the kept samples, and every point alone on its own grid and in its own
+    fold (fold_alone).  It is built from the engine's own set-up and
+    _log_kernel, so both sides round alike on any machine; nodes_evaluated
+    is counted here."""
     out, live, h0, eps, shifts = contour._line_points(idx, omegas, hbar, spec, pole_shifts)
     with np.errstate(over="ignore", invalid="ignore"):
         for pt in live:
@@ -483,7 +719,7 @@ def _refine_alone(pt, idx, hbar, spec, h0, eps, shifts):
             samples[i] = tuple(map(_interleave, samples[i], fresh)) if level else fresh
         if error is not None:
             return error
-        value, pt.floor = contour._fold(samples, h, idx.n, eps, shifts)
+        value, pt.floor = fold_alone(samples, h, idx.n, eps, shifts)
         if level:
             pt.deltas.append(abs(value - pt.value))
         pt.value = value
