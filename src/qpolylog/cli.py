@@ -24,17 +24,18 @@ import math
 import numbers
 import re
 import sys
-from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Mapping, Sequence
 
 from .contour import (
     QuadratureSpec,
+    _quad_rows,
+    _Row,
+    _transport,
+    _zeta_row,
     depth1_closed_form,
     quad_bernoulli_circle,
-    quad_F_batch,
-    quad_I_batch,
     quad_Li,
-    quad_zeta_hbar,
 )
 from .conventions import conventions_text
 from .core import (
@@ -492,29 +493,28 @@ def _omega_to_w(omega: Sequence[complex]) -> tuple:
     )
 
 
-def _evaluate(config: RunConfig, points: Sequence) -> list:
-    """config.fn at every point, in order: for each point its EvalResult, or
-    the exception raised there.  F and I on the contour and companion
-    backends are one batch call, whose points share their omega-free work;
-    every other function runs point by point."""
+def _evaluate(config: RunConfig, points: Sequence, hbars: Sequence | None = None) -> list:
+    """config.fn at every point, in order, at hbars[k] (default config.hbar):
+    for each its EvalResult, or the exception raised there.  Contour F, I and
+    zeta points are rows of one _quad_rows call, companion points of one hbar
+    one companion_sum_I_batch call; the rest run point by point."""
     fn = config.fn
     if fn is None:
         raise UsageError("--fn is required for eval/table")
     backend = _resolve_backend(fn, config.backend)
     points = [tuple(point) for point in points]
+    hbars = [config.hbar] * len(points) if hbars is None else hbars
     try:
         quad_spec = QuadratureSpec(tol=config.tol) if config.tol else QuadratureSpec()
         series_params = SeriesParams(tol=config.tol) if config.tol else SeriesParams()
     except DomainError as exc:
         return fail_points(points, exc)
 
-    if fn in ("F", "I") and backend != "closed_form":
+    if fn in ("F", "I") and backend == "companion":
 
         def prepare(point: tuple) -> tuple:
             m = len(point)
             idx = _index_for(config, m)
-            if backend == "contour":
-                return point
             if idx.a != (1,) * m or idx.b != (1,) * m:
                 raise DomainError(
                     "companion backend requires the first-order index a = b = (1, ..., 1)"
@@ -525,14 +525,17 @@ def _evaluate(config: RunConfig, points: Sequence) -> list:
         if all(isinstance(arg, Exception) for arg in args):
             return args
         # every prepared point has depth len(n), so they share one index
-        idx = _index_for(config, len(config.n))
-        if backend == "companion":
-            return companion_sum_I_batch(idx.n, args, config.hbar, series_params)
-        batch = quad_F_batch if fn == "F" else quad_I_batch
-        return batch(idx, args, config.hbar, quad_spec)
+        n = _index_for(config, len(config.n)).n
+        out = []
+        for hbar, group in itertools.groupby(zip(args, hbars), key=lambda job: job[1]):
+            out += companion_sum_I_batch(n, [arg for arg, _ in group], hbar, series_params)
+        return out
 
-    def one(point: tuple) -> EvalResult:
+    def one(point: tuple, hbar: complex) -> EvalResult | _Row:
         m = len(point)
+        if fn in ("F", "I") and backend == "contour":
+            idx = _index_for(config, m)
+            return _Row(idx, point if fn == "F" else _transport(idx, point), hbar)
         if fn == "F":  # closed_form
             idx = _index_for(config, m)
             if m != 1:
@@ -540,7 +543,7 @@ def _evaluate(config: RunConfig, points: Sequence) -> list:
             a1, b1, n1 = idx.a[0], idx.b[0], idx.n[0]
             if b1 == 0:
                 return depth1_closed_form(a1, n1, point[0], series_params)
-            if complex(config.hbar) == 1 + 0j:
+            if complex(hbar) == 1 + 0j:
                 return depth1_closed_form(a1 + b1, n1, point[0], series_params)
             raise DomainError(
                 "closed_form for fn=F needs b=0 (any hbar) or hbar=1 (merged "
@@ -566,14 +569,14 @@ def _evaluate(config: RunConfig, points: Sequence) -> list:
             a = config.a or (1,) * m
             if len(a) != m:
                 raise UsageError(f"len(a)={len(a)} does not match point depth {m}")
-            return q_multiple_polylog(a, n, point, config.hbar, series_params)
+            return q_multiple_polylog(a, n, point, hbar, series_params)
 
         if fn == "zeta":
             if m != 0:
                 raise UsageError("fn=zeta takes no omega point; pass exponents via --n")
             if not config.n:
                 raise UsageError("--n supplies the zeta exponents (all >= 2)")
-            return quad_zeta_hbar(config.n, config.hbar, quad_spec)
+            return _zeta_row(config.n, hbar)
 
         if fn == "bernoulli":
             if m != 1:
@@ -584,9 +587,9 @@ def _evaluate(config: RunConfig, points: Sequence) -> list:
             b = config.b[0] if config.b else 0
             n = config.n[0] if config.n else 0
             if backend == "contour":
-                return quad_bernoulli_circle(a, b, n, point[0], config.hbar)
+                return quad_bernoulli_circle(a, b, n, point[0], hbar)
             poly = bernoulli_exact(a, b, n)
-            value = poly.eval(point[0], config.hbar)
+            value = poly.eval(point[0], hbar)
             return EvalResult(
                 value,
                 0.0,
@@ -600,9 +603,14 @@ def _evaluate(config: RunConfig, points: Sequence) -> list:
         a = config.a[0] if config.a else None
         if a is None:
             raise UsageError("--a is required for fn=psi")
-        return pochhammer_psi(a, point[0], config.hbar, series_params)
+        return pochhammer_psi(a, point[0], hbar, series_params)
 
-    return map_points(one, points)
+    results = map_points(lambda job: one(*job), zip(points, hbars))
+    rows = [k for k, res in enumerate(results) if isinstance(res, _Row)]
+    if rows:  # the contour rows, as one call
+        for k, res in zip(rows, _quad_rows([results[k] for k in rows], quad_spec)):
+            results[k] = res
+    return results
 
 
 def evaluate_point(config: RunConfig, point: Sequence[complex]) -> EvalResult:
@@ -626,34 +634,29 @@ def _point_inputs(config: RunConfig, point: Sequence[complex]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _eval_records(jobs: Iterable[tuple]) -> tuple:
-    """Evaluate (run config, point) jobs, one record per job, in order.
-    Consecutive jobs with the same run config are evaluated together (see
-    _evaluate).
-
-    A point that fails to evaluate gives an error record; a UsageError is a
-    configuration problem, not a per-point failure, and propagates.
-    """
+def _eval_records(config: RunConfig, points: Sequence, hbars: Sequence | None = None) -> tuple:
+    """One record per point, in order, from one _evaluate call at hbars[k]
+    (a table hbar sweep) or config.hbar.  A point that fails to evaluate
+    gives an error record; a UsageError is a configuration problem, not a
+    per-point failure, and propagates."""
     records = []
     errors = 0
-    for config, group in itertools.groupby(jobs, key=lambda job: job[0]):
-        points = [point for _, point in group]
-        for point, result in zip(points, _evaluate(config, points)):
-            if isinstance(result, UsageError):
-                raise result
-            record = _point_inputs(config, point)
-            if isinstance(result, POINT_ERRORS):
-                errors += 1
-                record.update(
-                    value=None,
-                    err_estimate=None,
-                    backend=None,
-                    diagnostics={},
-                    error=f"{type(result).__name__}: {result}",
-                )
-            else:
-                record.update(result.to_dict(), error=None)
-            records.append(record)
+    for point, result in zip(points, _evaluate(config, points, hbars)):
+        if isinstance(result, UsageError):
+            raise result
+        record = _point_inputs(config, point)
+        if isinstance(result, POINT_ERRORS):
+            errors += 1
+            record.update(
+                value=None,
+                err_estimate=None,
+                backend=None,
+                diagnostics={},
+                error=f"{type(result).__name__}: {result}",
+            )
+        else:
+            record.update(result.to_dict(), error=None)
+        records.append(record)
     return records, errors
 
 
@@ -669,7 +672,7 @@ def cmd_eval(config: RunConfig, out) -> int:
         points = config.omega or ()
         if not points:
             raise UsageError("eval requires --omega (one or more points)")
-    records, errors = _eval_records((config, point) for point in points)
+    records, errors = _eval_records(config, points)
     payload = {
         "schema": 1,
         "command": "eval",
@@ -814,13 +817,13 @@ def cmd_table(config: RunConfig, out) -> int:
         raise UsageError("omega sweeps are depth-1 only")
 
     combos = list(itertools.product(*(s.values() for s in sweeps)))
-    jobs = []
+    points, hbars = [], []
     for combo in combos:
         at = {s.var: complex(v) for s, v in zip(sweeps, combo)}
-        run = replace(config, hbar=at["hbar"]) if "hbar" in at else config
+        hbars.append(at.get("hbar", config.hbar))
         point = (at["omega"],) if "omega" in at else base_point
-        jobs.append((run, () if config.fn == "zeta" else point))
-    records, errors = _eval_records(jobs)
+        points.append(() if config.fn == "zeta" else point)
+    records, errors = _eval_records(config, points, hbars)
 
     writer = csv.writer(out)
     writer.writerow([s.var for s in sweeps] + ["re", "im", "err"])

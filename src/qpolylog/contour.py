@@ -35,31 +35,28 @@ fold forms no round-off floor.  Each later pass samples its whole grid
 again, and no sample outlives its pass: only near round-off (large h, tol
 ~ 1e-13) does a point refine past level 1.
 
-Batches: quad_F_batch and quad_I_batch evaluate many points that share the
-index, h and tolerance.  The first step and the strip width do not depend
-on omega, so every point's grid at a level, on every axis, is a centred
-slice of the widest one.  The omega-free factors log sh(pi p) and
-log sh(pi h p) are evaluated once per node of that grid and pass, and each
-axis scales its slice by its own a_i or b_i; only exp(-i p omega) and the
-stopping test are per point.  The grid is symmetric bit for bit,
-h (-j) == -(h j), so for real c > 0 the left half of log sh(c p) is the
-mirror conj(right half) + i pi of the right half: that factor is evaluated on
-j >= 0 only.  The mirror needs numpy's complex exp and log to be
-conjugate-symmetric, exp(conj w) == conj(exp w), as C99's cexp and clog are;
-at complex h the b factor has no mirror and is evaluated whole.
+Batches: one call evaluates many rows, each with its own index, h and pole
+shifts, and so its own first step, line height, strip and truncation (see
+_line_integral), in waves of _WAVE rows that bound the samples and stacks
+held at once.  In a wave, rows of one step and eps share a grid, of which
+every axis grid is a centred slice, and log sh(pi p) and log sh(pi h p) are
+evaluated once per grid and c, in one _logsh call per pass, and only on the
+right half where the mirror gives the left: h (-j) == -(h j) bit for bit,
+so for real c > 0 the left half of log sh(c p) is conj(right half) + i pi.
+That needs numpy's complex exp and log to be conjugate-symmetric, as C99's
+cexp and clog are; at complex h, sh(pi h p) has no mirror.
 
-Each fold (levels 0 and 1 of the first pass, and each later level) takes
-the points it folds as the rows of one stack: each axis's samples h e are
-the zero-padded rows of one array, and each later axis is one FFT
-convolution per group of rows whose own convolution rounds up to the same
-power of two, which is the transform length of the row alone.  The factor
-P_c^(-n_c), the sums and kappa are taken on each row's own slice.  numpy's
-complex multiply is not bitwise commutative, and numpy evaluates acc *
-factor with a temporary factor of 16,384 entries (256 KiB) or more as
-factor * acc, reusing the temporary; each row is multiplied in the order
-that product takes at the row's own size.  So each point's value, estimate,
-diagnostics and errors are bit for bit those of a batch of one, which is
-what quad_F runs.
+Each fold takes the rows of one depth as the rows of a stack: each axis's
+samples h e are the zero-padded rows of one array, and each later axis is
+one FFT convolution per group of rows whose own convolution rounds up to the
+same power of two, the transform length of the row alone.  Each factor
+P_c^(-n_c) is formed once per (h, eps, shift, n_c), and level 0 takes every
+other entry of level 1's.  numpy's complex multiply is not bitwise
+commutative, and numpy evaluates acc * factor with a temporary factor of
+16,384 entries (256 KiB) or more as factor * acc; each row is multiplied in
+the order that product takes at its own size.  So each row's value,
+estimate, diagnostics and errors are bit for bit those it has alone, which
+is what quad_F runs, and rows that repeat one another are computed once.
 """
 
 from __future__ import annotations
@@ -67,7 +64,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,6 +102,9 @@ __all__ = [
 # Node budget of one trapezoid pass, summed over the axes: bounds memory at
 # the smallest line heights, where the uniform step gets fine.
 _MAX_NODES = 1 << 21
+# Rows refined together, and cells of one fold stack at the width of a row's
+# full convolution: they bound the samples and FFT work arrays held at once.
+_WAVE, _MAX_STACK = 16, 1 << 15
 
 
 @dataclass(frozen=True)
@@ -232,25 +232,66 @@ def _axis_decay_rates(strip: Sequence[float], omega: Sequence[complex]) -> list[
 # ---------------------------------------------------------------------------
 
 
+class _Row(NamedTuple):
+    """One row of a contour call: quad_F(idx, omega, hbar, pole_shifts=...),
+    or the raw integral (no i-power prefactor) if not prefixed."""
+
+    idx: MultiIndex
+    omega: Sequence
+    hbar: complex
+    pole_shifts: Sequence[complex] | None = None
+    prefixed: bool = True
+
+
+class _Line:
+    """What rows of one index, h and pole shifts share: eps, strip, h0 and, per
+    axis, the factors (c, exponent) of log sh(c p) in its log-kernel (c = pi
+    or pi h) and its coupling (pole, n_c), where P_c - i u_c = h J + pole."""
+
+    __slots__ = ("eps", "factors", "couplings", "strip", "h0")
+
+    def __init__(self, idx: MultiIndex, hbar: complex, shifts: tuple, spec: QuadratureSpec):
+        top = _lowest_pole(hbar, any(idx.b))
+        self.eps = eps = spec.epsilon if spec.epsilon is not None else 0.5 * top
+        if eps >= top:
+            raise DomainError(f"epsilon must lie below the lowest kernel pole ({top:.6g})")
+        for u in shifts:
+            if u != 0 and abs(u) >= eps:
+                raise DomainError("pole shifts must satisfy |u| < epsilon")
+        pi_h = math.pi * hbar
+        self.factors = [tuple([f for f in ((math.pi, a), (pi_h, b)) if f[1]])
+                        for a, b in zip(idx.a, idx.b)]
+        self.couplings = [(1j * (c * eps - u), nc)
+                          for c, (u, nc) in enumerate(zip(shifts, idx.n), start=1)]
+        self.strip = convergence_strip(idx, hbar, for_contour=True)
+        # The trapezoid error is the integrand's Fourier transform at the
+        # aliasing frequency 2 pi / h.  A pole of order k at distance d from
+        # the line gives ~ (2 pi / h)^(k-1) exp(-2 pi d / h), so the first
+        # step solves 2 pi d / h = L + (k - 1) ln(L / (pi d)) with
+        # L = ln(1 / target).
+        d = _strip_half_width(eps, top, idx.n, shifts)
+        order = max([idx.a[0] + idx.b[0] + idx.n[0]] + [a + b for a, b in zip(idx.a, idx.b)])
+        L = max(-math.log(spec.tol * 1e-2), 1.0)
+        self.h0 = 2 * math.pi * d / (L + (order - 1) * max(math.log(L / (math.pi * d)), 0.0))
+
+
 class _LinePoint:
-    """One point of a batched line integral: its truncation and refinement
-    state."""
+    """One row of a line integral: its line, truncation and refinement
+    state; h is the step of the grid it is sampled on."""
 
-    __slots__ = ("k", "omega", "T", "tail", "halves", "counts", "samples", "deltas",
-                 "value", "floor")
+    __slots__ = ("k", "line", "omega", "T", "tail", "halves", "h", "counts", "deltas", "value",
+                 "floor")
 
-    def __init__(self, k: int, omega: tuple, T: list, tail: float, h0: float) -> None:
-        self.k, self.omega, self.T, self.tail = k, omega, T, tail
-        self.halves = [math.ceil(t / h0) for t in T]
-        self.samples: list = [None] * len(omega)
+    def __init__(self, k: int, line: _Line, omega: tuple, T: list, tail: float) -> None:
+        self.k, self.line, self.omega, self.T, self.tail = k, line, omega, T, tail
+        self.halves = [math.ceil(t / line.h0) for t in T]
         self.deltas: list[float] = []
 
     def overflow(self, i: int) -> DomainError:
-        return DomainError(
-            f"the integrand overflows on the line at omega[{i}] = {self.omega[i]!r}"
-        )
+        omega = self.omega[i]
+        return DomainError(f"the integrand overflows on the line at omega[{i}] = {omega!r}")
 
-    def unconverged(self, spec: QuadratureSpec, eps: float):
+    def unconverged(self, spec: QuadratureSpec):
         """The outcome of a point whose deltas still exceed tol at the last
         level: its result if they settled close enough, else the error."""
         deltas = self.deltas
@@ -260,16 +301,16 @@ class _LinePoint:
             return ConvergenceError(
                 f"line quadrature stalled at delta = {deltas[-1]:.3e} (tol {spec.tol:.3e})"
             )
-        return self.result(spec.max_refine, eps)
+        return self.result(spec.max_refine)
 
-    def result(self, level: int, eps: float) -> tuple[complex, float, dict]:
+    def result(self, level: int) -> tuple[complex, float, dict]:
         return self.value, self.deltas[-1] + self.tail + self.floor, {
             "levels": level,
             "nodes_per_axis": self.counts,
             "nodes_evaluated": sum(self.counts),
             "deltas": self.deltas,
             "T": self.T,
-            "epsilon": eps,
+            "epsilon": self.line.eps,
             "tail": self.tail,
         }
 
@@ -288,18 +329,21 @@ def _overflowing_axis(samples: list) -> int | None:
     return bad
 
 
-def _mirrored_logsh(c: complex, p: np.ndarray) -> np.ndarray:
-    """_logsh(c p) on a grid p = h j + i eps that is symmetric about j = 0.
-    For real c > 0 only the right half (j >= 0) is evaluated: c p at -j is
+def _mirrored_logsh(pairs: Sequence[tuple]) -> list[np.ndarray]:
+    """_logsh(c p) for each (c, p) of pairs, p a grid h j + i eps symmetric
+    about j = 0, from one _logsh call, which works entry by entry.  For real
+    c > 0 only the right half (j >= 0) is evaluated: c p at -j is
     -conj(c p at j) bit for bit, where _logsh takes its flip branch, so the
-    left half is conj(right) + i pi.  That needs exp and log to be
-    conjugate-symmetric (exp(conj w) == conj(exp w)), as C99's cexp and clog
-    are.  A complex c has no mirror: the whole grid is evaluated."""
-    if complex(c).imag != 0:
-        return _logsh(c * p)
-    mid = p.size // 2
-    right = _logsh(c * p[mid:])
-    return np.concatenate((np.conj(right[::-1][:mid]) + 1j * math.pi, right))
+    left half is conj(right) + i pi (see the module docstring)."""
+    args = [c * p if complex(c).imag != 0 else c * p[p.size // 2:] for c, p in pairs]
+    logs, at = _logsh(np.concatenate(args)), 0
+    out = []
+    for (c, p), arg in zip(pairs, args):
+        log, at = logs[at:at + arg.size], at + arg.size
+        if arg.size < p.size:
+            log = np.concatenate((np.conj(log[::-1][:p.size // 2]) + 1j * math.pi, log))
+        out.append(log)
+    return out
 
 
 def _centred(arr: np.ndarray, size: int) -> np.ndarray:
@@ -307,229 +351,204 @@ def _centred(arr: np.ndarray, size: int) -> np.ndarray:
     return arr[lo:lo + size]
 
 
-def _sample_pass(
-    idx: MultiIndex, hbar: complex, eps: float, h0: float,
-    pts: Sequence[_LinePoint], level: int,
-) -> None:
-    """Set pt.samples[i] to (exp(log-kernel), |log-kernel|) of each point and
-    axis on its level grid p = (h0 / 2^level) j + i eps of pt.counts[i] =
-    2 (pt.halves[i] << level) + 1 nodes.  The omega-free factors log sh(pi p)
-    and log sh(pi h p) are evaluated once, on the widest grid over all axes
-    and points (see _mirrored_logsh), and every other grid is a centred slice
-    of it.  Each axis scales its slices by a_i and b_i, and each point
-    subtracts them from its -i p omega in the order a batch of one does."""
-    sizes = [[pt.counts[i] for pt in pts] for i in range(idx.depth)]
-    wide = max(map(max, sizes)) // 2
-    p = h0 / 2**level * np.arange(-wide, wide + 1) + 1j * eps
-    sh_pi = _mirrored_logsh(math.pi, p) if any(idx.a) else None
-    sh_pi_h = _mirrored_logsh(math.pi * hbar, p) if any(idx.b) else None
-    for i, axis_sizes in enumerate(sizes):
-        terms = [c * _centred(log, max(axis_sizes))
-                 for c, log in ((idx.a[i], sh_pi), (idx.b[i], sh_pi_h)) if c]
-        for pt, size in zip(pts, axis_sizes):
-            lg = -1j * _centred(p, size) * pt.omega[i]
-            for term in terms:
-                lg = lg - _centred(term, size)
-            pt.samples[i] = (np.exp(lg), np.abs(lg))
+def _sample_pass(pts: Sequence[_LinePoint]) -> list:
+    """For each point, its samples (exp(log-kernel), |log-kernel|) on each
+    axis i, on its grid p = pt.h j + i eps of pt.counts[i] nodes, a centred
+    slice of the widest grid of that step and eps.  Each log sh(c p) is
+    evaluated once per grid and c (one _mirrored_logsh call) and scaled once
+    per exponent; each point subtracts the slices from its -i p omega in the
+    order a point alone does."""
+    grids: dict = {}  # (h, eps) -> widest size
+    terms = set()  # (h, eps, c, exponent)
+    for pt in pts:
+        grid = (pt.h, pt.line.eps)
+        grids[grid] = max(grids.get(grid, 0), max(pt.counts))
+        terms.update([grid + f for factors in pt.line.factors for f in factors])
+    p = {grid: grid[0] * np.arange(-(w // 2), w // 2 + 1) + 1j * grid[1]
+         for grid, w in grids.items()}
+    spans = list({key[:3] for key in terms})
+    logs = dict(zip(spans, _mirrored_logsh([(c, p[h, eps]) for h, eps, c in spans])))
+    terms = {key: key[3] * logs[key[:3]] for key in terms}
+    samples = []
+    for pt in pts:
+        grid = (pt.h, pt.line.eps)
+        samples.append([])
+        for i, (size, factors) in enumerate(zip(pt.counts, pt.line.factors)):
+            lg = -1j * _centred(p[grid], size) * pt.omega[i]
+            for factor in factors:
+                lg = lg - _centred(terms[grid + factor], size)
+            samples[-1].append((np.exp(lg), np.abs(lg)))
+    return samples
 
 
-def _line_points(
-    idx: MultiIndex,
-    omegas: Sequence,
-    hbar: complex,
-    spec: QuadratureSpec,
-    pole_shifts: Sequence[complex] | None,
-) -> tuple:
-    """The set-up of _line_integral, which does not depend on the refinement:
-    (out, live, h0, eps, shifts), with out[k] the error of point k or None,
-    and live the _LinePoint of every point without an error."""
-    m = idx.depth
-
-    def checked(omega) -> tuple:
-        omega = tuple(ensure_finite_complex(v, "omega") for v in omega)
-        if len(omega) != m:
-            raise DomainError("omega must have one entry per axis")
-        return omega
-
-    out = map_points(checked, omegas)
-    try:
-        hbar = validate_hbar(hbar)
-        shifts = tuple(pole_shifts) if pole_shifts is not None else (0j,) * m
-        top = _lowest_pole(hbar, any(idx.b))
-        eps = spec.epsilon if spec.epsilon is not None else 0.5 * top
-        if eps >= top:
-            raise DomainError(f"epsilon must lie below the lowest kernel pole ({top:.6g})")
-        for u in shifts:
-            if u != 0 and abs(u) >= eps:
-                raise DomainError("pole shifts must satisfy |u| < epsilon")
-        strip = convergence_strip(idx, hbar, for_contour=True)
-    except POINT_ERRORS as exc:
-        return fail_points(out, exc), [], None, None, None
-
-    rates = {}
-    for k, omega in enumerate(out):
-        if not isinstance(omega, Exception):
-            try:
-                rates[k] = _axis_decay_rates(strip, omega)
-            except DomainError as exc:
-                out[k] = exc
-    try:
-        target = spec.tol * 1e-2
-        # Cut each axis where its tail exp(-d T) / d drops below one unit
-        # round-off (or below target, if that is finer): past there the
-        # samples add nothing to the sum.
-        cut = max(-math.log(target), -math.log(_UNIT_ROUNDOFF))
-        # The trapezoid error is the integrand's Fourier transform at the
-        # aliasing frequency 2 pi / h.  A pole of order k at distance d from
-        # the line gives ~ (2 pi / h)^(k-1) exp(-2 pi d / h), so the first
-        # step solves 2 pi d / h = L + (k - 1) ln(L / (pi d)) with
-        # L = ln(1 / target).
-        d = _strip_half_width(eps, top, idx.n, shifts)
-        order = max([idx.a[0] + idx.b[0] + idx.n[0]] + [a + b for a, b in zip(idx.a, idx.b)])
-        L = max(-math.log(target), 1.0)
-        h0 = 2 * math.pi * d / (L + (order - 1) * max(math.log(L / (math.pi * d)), 0.0))
-    except POINT_ERRORS as exc:
-        return fail_points(out, exc), [], None, None, None
-    live = []
-    for k, axis_rates in rates.items():
-        axis_T = [spec.T if spec.T is not None else min(cut / r, 200.0) for r in axis_rates]
-        tail = sum(math.exp(-r * T) / r for r, T in zip(axis_rates, axis_T))
-        live.append(_LinePoint(k, out[k], axis_T, tail, h0))
-        out[k] = None
-    return out, live, h0, eps, shifts
+def _line_points(rows: Sequence, spec: QuadratureSpec) -> tuple[list, list]:
+    """The set-up of _line_integral: (out, live), with out[k] the error of
+    row k, or the position of the earlier row it repeats bit for bit, or
+    None; live holds the _LinePoint of every other row."""
+    # Cut each axis where its tail exp(-d T) / d drops below one unit
+    # round-off (or below tol / 100, if that is finer): past there the
+    # samples add nothing to the sum.
+    cut = max(-math.log(spec.tol * 1e-2), -math.log(_UNIT_ROUNDOFF))
+    lines: dict = {}
+    seen: dict = {}
+    out, live = [], []
+    for k, row in enumerate(rows):
+        out.append(row if isinstance(row, Exception) else None)
+        if out[k] is not None:
+            continue
+        idx, omega, hbar, pole_shifts = row[:4]
+        try:
+            omega = tuple(ensure_finite_complex(v, "omega") for v in omega)
+            if len(omega) != idx.depth:
+                raise DomainError("omega must have one entry per axis")
+            hbar = validate_hbar(hbar)
+            shifts = tuple(pole_shifts) if pole_shifts is not None else (0j,) * idx.depth
+            # h and shifts that are equal as numbers give equal bits
+            line = lines.get((idx, hbar, shifts))
+            if line is None:
+                try:
+                    line = _Line(idx, hbar, shifts, spec)
+                except POINT_ERRORS as exc:
+                    line = exc
+                lines[idx, hbar, shifts] = line
+            if isinstance(line, Exception):
+                out[k] = line
+                continue
+            # omega is not: -0.0 and 0.0 may round apart, and repr tells them apart
+            first = seen.get((line, omega))
+            if first is not None and repr(omega) == repr(first.omega):
+                out[k] = first.k
+                continue
+            rates = _axis_decay_rates(line.strip, omega)
+        except POINT_ERRORS as exc:
+            out[k] = exc
+            continue
+        axis_T = [spec.T if spec.T is not None else min(cut / r, 200.0) for r in rates]
+        tail = sum(math.exp(-r * T) / r for r, T in zip(rates, axis_T))
+        live.append(_LinePoint(k, line, omega, axis_T, tail))
+        seen[line, omega] = live[-1]
+    live.sort(key=lambda pt: len(pt.omega))  # runs of one depth fold as one stack
+    return out, live
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _line_integral(
-    idx: MultiIndex,
-    omegas: Sequence,
-    hbar: complex,
-    spec: QuadratureSpec,
-    pole_shifts: Sequence[complex] | None = None,
-) -> list:
+def _line_integral(rows: Sequence, spec: QuadratureSpec) -> list:
     """Raw iterated integral over the shifted lines (no i-power prefactor) at
-    every point of omegas: for each point its (value, err, diagnostics), or
-    the exception that point raised.  An entry of omegas that is already an
-    exception passes through.
+    each row (idx, omega, hbar, pole_shifts) of rows: for each row its
+    (value, err, diagnostics), or the exception that row raised.  A row that
+    is already an exception passes through.
 
-    pole_shifts u_k replace the coupling denominators by (P_k - i u_k)^(n_k).
-    The error estimate is the last halving delta, plus the truncation tail,
-    plus a round-off floor proportional to u * sum |terms|.  A point whose
-    integrand overflows on the line (large Re omega) fails alone with a
-    DomainError; the call lets no floating-point warning escape.
-
-    The points share the first step h0, which does not depend on omega.  In
-    each pass, log sh(pi p) and log sh(pi h p) are evaluated once per node of
-    the widest grid over all axes and live points, and on its right half only
-    where the mirror holds (see _sample_pass and _mirrored_logsh), and the
-    points that do not overflow are folded as the rows of one stack (see
-    _fold_rows).  Each point keeps its own truncation, samples, node budget,
-    stopping level and errors, and its row its own transform length, so its
-    result is bit for bit the result it has alone.
+    pole_shifts u_k (None: all 0) replace the coupling denominators by
+    (P_k - i u_k)^(n_k).  The error estimate is the last halving delta, plus
+    the truncation tail, plus a round-off floor proportional to
+    u * sum |terms|.  A row whose integrand overflows on the line (large
+    Re omega), or whose nested sum or floor is not finite, fails alone with
+    a DomainError; the call lets no floating-point warning escape.  Each
+    pass samples the live rows of a wave at once (see _sample_pass) and
+    folds them as stacked rows (see _fold_rows); every row keeps its own
+    grids, budget, stopping level and errors, and so the bits it has alone.
     """
-    out, live, h0, eps, shifts = _line_points(idx, omegas, hbar, spec, pole_shifts)
-    # Level k samples axis i at p = (h0 / 2^k) j + i eps, |j| <= half_i 2^k;
-    # the grids of all points are nested in the widest one, about j = 0.
-    # (h/2)(2j) == h j bit for bit, so the even nodes of a level are exactly
-    # the previous level's grid.  No point stops before level 1, so the first
-    # pass samples the level-1 grid whole and level 0 is its even entries:
-    # one exp and one |.| per node.  Level 0 gives only the value the first
-    # delta compares with, so its fold forms no round-off floor.  Every pass
-    # samples its whole level grid; only near round-off does a point go past
-    # level 1.
+    out, live = _line_points(rows, spec)
+    for k in range(0, len(live), _WAVE):
+        _refine(live[k:k + _WAVE], out, spec)
+    return [out[r] if isinstance(r, int) else r for r in out]
+
+
+def _refine(live: list, out: list, spec: QuadratureSpec) -> None:
+    """Refine the rows of live together, each to its own outcome out[pt.k]."""
+    # Level k samples axis i at p = (h0 / 2^k) j + i eps, |j| <= half_i 2^k:
+    # the first pass samples the level-1 grid, and level 0 folds its even
+    # entries (see the module docstring).
     for level in range(1, spec.max_refine + 1):
         if not live:
             break
-        h = h0 / 2**level
         fine, coarse = [], []
         for pt in live:
             counts = [2 * (half << level) + 1 for half in pt.halves]
             if sum(counts) <= _MAX_NODES:
-                pt.counts = counts
+                pt.counts, pt.h = counts, pt.line.h0 / 2**level
                 fine.append(pt)
             elif level > 1:
-                out[pt.k] = _over_budget(h)
+                out[pt.k] = _over_budget(pt.line.h0 / 2**level)
             elif sum(counts := [2 * half + 1 for half in pt.halves]) <= _MAX_NODES:
                 # over budget at level 1 only: sampled on its level-0 grid,
                 # where an overflow still fails it first
-                pt.counts = counts
+                pt.counts, pt.h = counts, pt.line.h0
                 coarse.append(pt)
             else:
-                out[pt.k] = _over_budget(h0)
-        for pts, pass_level in ((fine, level), (coarse, 0)):
-            if pts:
-                _sample_pass(idx, hbar, eps, h0, pts, pass_level)
-        for pt in coarse:
-            bad = _overflowing_axis(pt.samples)
+                out[pt.k] = _over_budget(pt.line.h0)
+        # no sample outlives its pass
+        samples = _sample_pass(fine + coarse) if fine or coarse else []
+        for pt, row in zip(coarse, samples[len(fine):]):
+            bad = _overflowing_axis(row)
+            h = pt.line.h0 / 2**level
             out[pt.k] = pt.overflow(bad) if bad is not None else _over_budget(h)
-        folded, evens = [], []
-        for pt in fine:
-            bad = _overflowing_axis(pt.samples)
-            if level == 1:
-                # level 0 folds the even entries, and its overflows are
-                # reported first
-                even = [(e[::2], None) for e, _ in pt.samples]
-                if bad is not None:
-                    first = _overflowing_axis(even)
-                    bad = bad if first is None else first
-            if bad is not None:
-                out[pt.k] = pt.overflow(bad)
-                continue
-            folded.append(pt)
-            if level == 1:
-                evens.append(even)
-        if level == 1:
-            for pt, (value, _) in zip(folded, _fold_rows(evens, h0, idx.n, eps, shifts, False)):
+        del samples[len(fine):]
+        factors: dict = {}
+        sums = _fold_rows(fine, samples, level, factors)
+        if level == 1:  # level 0 folds the even entries
+            evens = [[(e[::2], None) for e, _ in row] for row in samples]
+            for pt, (value, _) in zip(fine, _fold_rows(fine, evens, 0, factors, False)):
                 pt.value = value
         live = []
-        sums = _fold_rows([pt.samples for pt in folded], h, idx.n, eps, shifts)
-        for pt, (value, floor) in zip(folded, sums):
+        for r, (pt, (value, floor)) in enumerate(zip(fine, sums)):
+            if not (cmath.isfinite(pt.value) and cmath.isfinite(value) and math.isfinite(floor)):
+                # a sample that is not finite leaves no sum finite; the
+                # errors go in order: overflows on the level-0 grid, on the
+                # level's grid, then the level-0 sum, then the level's
+                bad = _overflowing_axis(samples[r])
+                if bad is not None and level == 1:
+                    first = _overflowing_axis(evens[r])
+                    bad = bad if first is None else first
+                step = pt.h if cmath.isfinite(pt.value) else pt.line.h0
+                out[pt.k] = pt.overflow(bad) if bad is not None else DomainError(
+                    f"the nested sum overflows on the line at step {step:.3g}")
+                continue
             pt.floor = floor
             pt.deltas.append(abs(value - pt.value))
             pt.value = value
             if pt.deltas[-1] <= spec.tol:
-                out[pt.k] = pt.result(level, eps)
+                out[pt.k] = pt.result(level)
             else:
                 live.append(pt)
     for pt in live:
-        out[pt.k] = pt.unconverged(spec, eps)
-    return out
+        out[pt.k] = pt.unconverged(spec)
 
 
 def _fold_rows(
-    rows: list, h: float, n: Sequence[int], eps: float, shifts: Sequence[complex],
-    with_floor: bool = True,
+    pts: list, samples: list, level: int, factors: dict, with_floor: bool = True,
 ) -> list[tuple[complex, float | None]]:
-    """Trapezoid sum at step h of each point, and its round-off floor
-    u * sum |terms| * (1 + sum_i kappa_i), where rows[r][i] holds the samples
-    (exp(log-kernel), |log-kernel|) of point r on axis i: exp turns the
+    """Trapezoid sum of each point of pts at its step h0 / 2^level, and its
+    round-off floor u * sum |terms| * (1 + sum_i kappa_i), from samples[r][i]
+    = (exp(log-kernel), |log-kernel|) of pts[r] on axis i: exp turns the
     absolute rounding of a log-space factor into a relative error of about
     u |log|, and kappa_i is the |term|-weighted mean of |log| on axis i.
-    With with_floor=False the floors are None and the |log-kernel| entries
-    are not read; the values are formed by the same operations, so they are
-    the same to the bit.
-
-    The points are the rows of one stack of at most _MAX_NODES cells (more
-    rows are folded in chunks), laid out as the module docstring describes;
-    the first axis is the product 1 f, which keeps the sign of zeros as a
-    point alone does.  Each row gets the bits it gets alone."""
-    if not rows:
+    with_floor=False gives no floors, and the same values to the bit.
+    factors maps (h, pole, n_c) to P_c^(-n_c) and takes the ones formed here.
+    Each run of points of one depth folds as the rows of stacks of at most
+    _MAX_STACK cells (see the module docstring); the first axis is the
+    product 1 f, which keeps the sign of zeros as a point alone does."""
+    if not pts:
         return []
-    lens = [[row[i][0].size for row in rows] for i in range(len(n))]
+    m = len(samples[0])
+    run = next((r for r, row in enumerate(samples) if len(row) != m), len(pts))
+    widths = [max(row[i][0].size for row in samples[:run]) for i in range(m)]
     # no row of any array in the stack is wider than the full convolution of
     # the widest samples of each axis
-    per = max(_MAX_NODES // (sum(map(max, lens)) - len(n) + 1), 1)
-    if len(rows) > per:
-        return [res for k in range(0, len(rows), per)
-                for res in _fold_rows(rows[k:k + per], h, n, eps, shifts, with_floor)]
-    sizes = [1] * len(rows)
-    kappa = [0.0] * len(rows)
-    for i, nc in enumerate(n):
-        f = np.zeros((len(rows), max(lens[i])), dtype=np.complex128)
-        for r, row in enumerate(rows):
+    per = min(run, max(_MAX_STACK // (sum(widths) - m + 1), 1))
+    if per < len(pts):  # rows of another depth follow, or more than one stack holds
+        return [res for k in range(0, len(pts), per)
+                for res in _fold_rows(pts[k:k + per], samples[k:k + per], level, factors,
+                                      with_floor)]
+    steps = [pt.line.h0 / 2**level for pt in pts]
+    sizes = [1] * len(pts)
+    kappa = [0.0] * len(pts)
+    for i, width in enumerate(widths):
+        f = np.zeros((len(pts), width), dtype=np.complex128)
+        for r, row in enumerate(samples):
             e, abs_lg = row[i]
             sizes[r] += e.size - 1
-            fr = np.multiply(h, e, f[r, :e.size])
+            fr = np.multiply(steps[r], e, f[r, :e.size])
             if with_floor:
                 weight = np.abs(fr)
                 total = float(weight.sum())
@@ -537,12 +556,23 @@ def _fold_rows(
                     kappa[r] += float(weight @ abs_lg) / total
         # acc[r, J] sums every path of row r whose index sum is J; P_c = h J + i c eps
         acc = np.multiply(1 + 0j, f, f) if i == 0 else _convolve_rows(acc, f, sizes)
-        if nc != 0:
-            mid = max(sizes) // 2
-            J = np.arange(-mid, mid + 1.0)
-            factor = (h * J + 1j * ((i + 1) * eps - shifts[i])) ** (-nc)
-            for r, s in enumerate(sizes):
-                seg, cut = acc[r, :s], factor[mid - s // 2:mid + s // 2 + 1]
+        # P_c^(-n_c), once per (h, pole, n_c) on the widest row that takes
+        # it; (h/2)(2J) == h J bit for bit, so a factor at step h is every
+        # other entry of one at step h/2
+        keys = [(h,) + pt.line.couplings[i] for h, pt in zip(steps, pts)]
+        need: dict = {}
+        for key, s in zip(keys, sizes):
+            if key[2]:
+                need[key] = max(need.get(key, 0), s)
+        for (h, pole, nc), s in need.items():
+            finer = factors.get((h / 2, pole, nc))
+            if finer is not None and finer.size >= 2 * s - 1:
+                factors[h, pole, nc] = _centred(finer, 2 * s - 1)[::2]
+            else:
+                factors[h, pole, nc] = (h * np.arange(-(s // 2), s // 2 + 1.0) + pole) ** (-nc)
+        for r, (key, s) in enumerate(zip(keys, sizes)):
+            if key[2]:
+                seg, cut = acc[r, :s], _centred(factors[key], s)
                 # numpy's complex multiply is not bitwise commutative, and
                 # numpy elides a temporary operand of 256 KiB or more by
                 # swapping the operands: a point alone forms acc * factor
@@ -600,7 +630,7 @@ def quad_F(
     """F_{a,b,n}(omega) by line quadrature (see module docstring), including
     the i^(|n|-m) normalization.  Requires every |Im omega_i| strictly inside
     the axis convergence strip pi(a_i + b_i Re h)."""
-    return unwrap(quad_F_batch(idx, (omega,), hbar, spec, pole_shifts)[0])
+    return unwrap(_quad_rows([_Row(idx, omega, hbar, pole_shifts)], spec)[0])
 
 
 def quad_F_batch(
@@ -610,16 +640,29 @@ def quad_F_batch(
     spec: QuadratureSpec | None = None,
     pole_shifts: Sequence[complex] | None = None,
 ) -> list:
-    """quad_F at every point of omegas, as one batch that samples the
-    omega-free kernel factors once (see _line_integral): for each point the
-    EvalResult quad_F returns, or the error it raises.  An entry that is
-    already an exception passes through."""
-    spec = spec or QuadratureSpec()
-    pref = _i_power(sum(idx.n) - idx.depth)
-    return map_points(
-        lambda raw: EvalResult(pref * raw[0], raw[1], "contour", raw[2]),
-        _line_integral(idx, omegas, hbar, spec, pole_shifts),
-    )
+    """quad_F at every point of omegas, as one _quad_rows call: for each
+    point the EvalResult quad_F returns, or the error it raises.  An entry
+    that is already an exception passes through."""
+    rows = [om if isinstance(om, Exception) else _Row(idx, om, hbar, pole_shifts) for om in omegas]
+    return _quad_rows(rows, spec)
+
+
+def _quad_rows(rows: Sequence, spec: QuadratureSpec | None = None) -> list:
+    """For each _Row of rows, as one _line_integral call, its EvalResult (the
+    raw integral if not row.prefixed) or its error, bit for bit as alone.
+    A row that is already an exception passes through."""
+    out = []
+    for row, raw in zip(rows, _line_integral(rows, spec or QuadratureSpec())):
+        if not isinstance(raw, Exception):
+            value, err, diag = raw
+            if row.prefixed:
+                value = _i_power(sum(row.idx.n) - row.idx.depth) * value
+            try:
+                raw = EvalResult(value, err, "contour", diag)
+            except POINT_ERRORS as exc:
+                raw = exc
+        out.append(raw)
+    return out
 
 
 def _transport(idx: MultiIndex, w: Sequence[complex]) -> tuple:
@@ -679,7 +722,11 @@ def quad_zeta_hbar(
     """Deformed zeta value: the raw iterated integral (no i-power prefactor)
     with first-order kernels a = b = 1 on every axis, omega = 0, and coupling
     exponents n_k = s_k - 1.  Requires integer s_k >= 2 and real hbar > 0."""
-    spec = spec or QuadratureSpec()
+    return unwrap(_quad_rows([_zeta_row(s, hbar)], spec)[0])
+
+
+def _zeta_row(s: Sequence[int], hbar: complex) -> _Row:
+    """The _Row of quad_zeta_hbar(s, hbar), with its arguments checked."""
     s = tuple(int(v) for v in s)
     if not s or any(v < 2 for v in s):
         raise DomainError("zeta exponents must be integers >= 2")
@@ -688,8 +735,7 @@ def quad_zeta_hbar(
         raise DomainError("zeta values are defined for real hbar > 0")
     m = len(s)
     idx = MultiIndex((1,) * m, (1,) * m, tuple(v - 1 for v in s))
-    value, err, diag = unwrap(_line_integral(idx, ((0j,) * m,), hbar, spec)[0])
-    return EvalResult(value, err, "contour", diag)
+    return _Row(idx, (0j,) * m, hbar, prefixed=False)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -14,19 +14,17 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Generator, Iterator, Mapping, Sequence
 
 from .contour import (
     QuadratureSpec,
+    _quad_rows,
+    _Row,
+    _transport,
+    _zeta_row,
     depth1_closed_form,
-    gen_series_depth1,
-    quad_F,
-    quad_F_batch,
-    quad_I,
-    quad_I_batch,
-    quad_zeta_hbar,
 )
-from .core import CheckReport, DomainError, MultiIndex, unwrap
+from .core import CheckReport, DomainError, MultiIndex, ensure_finite_complex, map_points, unwrap
 from .exact import bernoulli_exact, verify_a3
 from .series import (
     SeriesParams,
@@ -96,27 +94,44 @@ def _point_tol(point: Mapping[str, Any], spec: CheckSpec) -> float:
     return float(point.get("tol", spec.tolerance))
 
 
-def _quad_values(
-    calls: Sequence[tuple[MultiIndex, tuple]],
-    hbar: complex,
-    spec: QuadratureSpec | None = None,
-    batch: Callable[..., list] | None = None,
-) -> Iterator[complex]:
-    """quad_F(idx, point, hbar, spec).value for each (idx, point) of calls,
-    in call order; quad_I in place of quad_F when batch is quad_I_batch.
-    The calls that share an index go to batch as one call, which gives each
-    point bit for bit its one-point value.  The values are read lazily, so
-    reading a failed call's value raises its one-point error where the
-    one-point call would have raised it."""
-    batch = batch or quad_F_batch
-    groups: dict[MultiIndex, list[int]] = {}
-    for pos, (idx, _) in enumerate(calls):
-        groups.setdefault(idx, []).append(pos)
-    results: list = [None] * len(calls)
-    for idx, members in groups.items():
-        for pos, res in zip(members, batch(idx, [calls[pos][1] for pos in members], hbar, spec)):
-            results[pos] = res
-    return (unwrap(res).value for res in results)
+def _quad_values(rows: Sequence, spec: QuadratureSpec | None = None) -> Iterator[complex]:
+    """The value of each contour._Row of rows, in order, from one _quad_rows
+    call, read lazily: reading a failed row's value raises its one-point
+    error where the one-point call raised it."""
+    return (unwrap(res).value for res in _quad_rows(rows, spec))
+
+
+# One grid point for _check_points: yields its list of contour rows, receives
+# an iterator over their values and returns the point's reports.
+PointReports = Generator[list, Iterator[complex], list]
+
+
+def _check_points(grid: Sequence, point_reports: Callable, spec=None) -> list[CheckReport]:
+    """The reports of every point of grid, in grid order, with the contour
+    rows of all points as one _quad_rows call under spec.  The points read
+    their values lazily and finish in grid order, so a failed row raises its
+    one-point error where a one-point call raised it, and an error in
+    building a point's rows is raised once the points before it finish."""
+    pending, rows, failed = [], [], None
+    for point in grid:
+        gen = point_reports(point)
+        try:
+            calls = next(gen)
+        except Exception as exc:  # raised in its turn, below
+            failed = exc
+            break
+        pending.append((gen, len(rows), len(rows) + len(calls)))
+        rows += calls
+    results = _quad_rows(rows, spec)
+    reports = []
+    for gen, lo, hi in pending:
+        try:
+            gen.send(unwrap(res).value for res in results[lo:hi])
+        except StopIteration as stop:
+            reports += stop.value
+    if failed is not None:
+        raise failed
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +183,7 @@ def check_series_vs_contour(
         idx = MultiIndex((1,) * m, (0,) * m, tuple(int(v) for v in point["n"]))
         calls.append((idx, tuple(complex(v) for v in point["w"])))
     reports = []
-    lhs_values = _quad_values(calls, 1.0, batch=quad_I_batch)
+    lhs_values = _quad_values(map_points(lambda c: _Row(c[0], _transport(*c), 1.0), calls))
     for point, (_, w) in zip(spec.grid, calls):
         n = tuple(point["n"])
         m = len(n)
@@ -284,16 +299,12 @@ def _stencil_derivative(f: Mapping[float, complex], step: float) -> complex:
     return (16.0 * d2 - d1) / 15.0
 
 
-def _difference_residuals(
-    idx: MultiIndex,
-    omega: tuple,
-    hbar: complex,
-    spec_q: QuadratureSpec,
-) -> list[tuple[str, float]]:
-    """Residuals of the half-step relations on every axis and both couplings.
-    The up and down points of every relation go to quad_F as one batch."""
+def _difference_residuals(idx: MultiIndex, omega: tuple, hbar: complex) -> PointReports:
+    """Residuals of the half-step relations on every axis and both couplings,
+    for _check_points: it yields the rows of the up, down and lowered points
+    of every relation and returns the (label, residual) pairs."""
     labels = []
-    calls = []
+    rows = []
     m = idx.depth
     for k in range(m):
         for which in ("a", "b"):
@@ -312,8 +323,9 @@ def _difference_residuals(
             labels.append(f"axis{k + 1}-{which}")
             up = tuple(w + (step if j == k else 0) for j, w in enumerate(omega))
             dn = tuple(w - (step if j == k else 0) for j, w in enumerate(omega))
-            calls += [(idx, up), (idx, dn), (MultiIndex(lowered_a, lowered_b, idx.n), omega)]
-    values = _quad_values(calls, hbar, spec_q)
+            rows += [_Row(idx, up, hbar), _Row(idx, dn, hbar),
+                     _Row(MultiIndex(lowered_a, lowered_b, idx.n), omega, hbar)]
+    values = yield rows
     out = []
     for label in labels:
         lhs = next(values) - next(values)
@@ -321,28 +333,25 @@ def _difference_residuals(
     return out
 
 
-def _differential_residuals(
-    idx: MultiIndex,
-    omega: tuple,
-    hbar: complex,
-    spec_q: QuadratureSpec,
-) -> list[tuple[str, float]]:
-    """Residuals of d/d omega_k F = F(n - e_k) - F(n - e_{k-1}).  The
-    stencil points of every axis go to quad_F as one batch."""
+def _differential_residuals(idx: MultiIndex, omega: tuple, hbar: complex) -> PointReports:
+    """Residuals of d/d omega_k F = F(n - e_k) - F(n - e_{k-1}), for
+    _check_points: it yields the rows of the stencil and lowered points of
+    every axis and returns the (label, residual) pairs."""
     m = idx.depth
     step = 1e-3
     shifts = [c * step for c in _STENCIL]
-    calls = []
+    rows = []
     for k in range(m):
-        calls += [
-            (idx, tuple(w + (d if j == k else 0) for j, w in enumerate(omega))) for d in shifts
+        rows += [
+            _Row(idx, tuple(w + (d if j == k else 0) for j, w in enumerate(omega)), hbar)
+            for d in shifts
         ]
         lowered = tuple(v - (1 if j == k else 0) for j, v in enumerate(idx.n))
-        calls.append((MultiIndex(idx.a, idx.b, lowered), omega))
+        rows.append(_Row(MultiIndex(idx.a, idx.b, lowered), omega, hbar))
         if k >= 1:
             lowered_prev = tuple(v - (1 if j == k - 1 else 0) for j, v in enumerate(idx.n))
-            calls.append((MultiIndex(idx.a, idx.b, lowered_prev), omega))
-    values = _quad_values(calls, hbar, spec_q)
+            rows.append(_Row(MultiIndex(idx.a, idx.b, lowered_prev), omega, hbar))
+    values = yield rows
     out = []
     for k in range(m):
         deriv = _stencil_derivative({d: next(values) for d in shifts}, step)
@@ -360,17 +369,17 @@ def check_difference_and_differential(
     """Half-step difference equations in omega (lowering each coupling
     exponent) and the first-order differential relation in each argument."""
     spec = spec or default_difference_spec()
-    quad_spec = QuadratureSpec(tol=1e-12)
-    reports = []
-    for point in spec.grid:
+
+    def point_reports(point: Mapping[str, Any]) -> PointReports:
         idx = MultiIndex(tuple(point["a"]), tuple(point["b"]), tuple(point["n"]))
         omega = tuple(complex(v) for v in point["omega"])
         hbar = complex(point["hbar"])
         tol = _point_tol(point, spec)
         if point["case"] == "difference":
-            pairs = _difference_residuals(idx, omega, hbar, quad_spec)
+            pairs = yield from _difference_residuals(idx, omega, hbar)
         else:
-            pairs = _differential_residuals(idx, omega, hbar, quad_spec)
+            pairs = yield from _differential_residuals(idx, omega, hbar)
+        reports = []
         for label, residual in pairs:
             params = {
                 "case": point["case"],
@@ -382,7 +391,9 @@ def check_difference_and_differential(
                 "hbar": _cstr(hbar),
             }
             reports.append(_report(spec.identity_name, params, residual, tol))
-    return reports
+        return reports
+
+    return _check_points(spec.grid, point_reports, QuadratureSpec(tol=1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -416,21 +427,21 @@ def check_distribution(
     """Scaling hbar by r/s and the argument by r equals r^(|n|-m) times the
     sum over the r*s per-axis imaginary shifts (depth 1, first-order index)."""
     spec = spec or default_distribution_spec()
-    reports = []
-    for point in spec.grid:
+
+    def point_reports(point: Mapping[str, Any]) -> PointReports:
         r, s = int(point["r"]), int(point["s"])
         n = int(point["n"])
         omega = complex(point["omega"])
         hbar = complex(point["hbar"])
         idx = MultiIndex((1,), (1,), (n,))
-        lhs = quad_F(idx, (r * omega,), (r / s) * hbar).value
-        calls = [
-            (idx, (omega + (TWO_PI_I * (alpha / r) + TWO_PI_I * hbar * (beta / s)),))
+        values = yield [_Row(idx, (r * omega,), (r / s) * hbar)] + [
+            _Row(idx, (omega + (TWO_PI_I * (alpha / r) + TWO_PI_I * hbar * (beta / s)),), hbar)
             for alpha in _half_integer_range(r)
             for beta in _half_integer_range(s)
         ]
+        lhs = next(values)
         total = 0j
-        for value in _quad_values(calls, hbar):
+        for value in values:
             total += value
         rhs = r ** (n - 1) * total
         params = {
@@ -440,10 +451,9 @@ def check_distribution(
             "omega": _cstr(omega),
             "hbar": _cstr(hbar),
         }
-        reports.append(
-            _report(spec.identity_name, params, abs(lhs - rhs), _point_tol(point, spec))
-        )
-    return reports
+        return [_report(spec.identity_name, params, abs(lhs - rhs), _point_tol(point, spec))]
+
+    return _check_points(spec.grid, point_reports)
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +506,14 @@ def check_h1(spec: CheckSpec | None = None, seed: int = DEFAULT_SEED) -> list[Ch
     the explicit multinomial form."""
     spec = spec or default_h1_spec()
     series_params = SeriesParams()
-    reports = []
-    for point in spec.grid:
+
+    def point_reports(point: Mapping[str, Any]) -> PointReports:
         omega = tuple(complex(v) for v in point["omega"])
         n = tuple(point["n"])
         tol = _point_tol(point, spec)
         if point["m"] == 1:
             a, b = int(point["a"]), int(point["b"])
-            idx = MultiIndex((a,), (b,), n)
-            lhs = quad_F(idx, omega, 1.0).value
+            (lhs,) = yield [_Row(MultiIndex((a,), (b,), n), omega, 1.0)]
             rhs = depth1_closed_form(a + b, n[0], omega[0], series_params).value
             params = {
                 "m": 1,
@@ -514,8 +523,7 @@ def check_h1(spec: CheckSpec | None = None, seed: int = DEFAULT_SEED) -> list[Ch
                 "omega": [_cstr(v) for v in omega],
             }
         else:
-            idx = MultiIndex((1, 1), (1, 1), n)
-            lhs = quad_F(idx, omega, 1.0).value
+            (lhs,) = yield [_Row(MultiIndex((1, 1), (1, 1), n), omega, 1.0)]
             rhs = _h1_depth2_closed(n, omega, series_params)
             params = {
                 "m": 2,
@@ -524,8 +532,9 @@ def check_h1(spec: CheckSpec | None = None, seed: int = DEFAULT_SEED) -> list[Ch
                 "n": list(n),
                 "omega": [_cstr(v) for v in omega],
             }
-        reports.append(_report(spec.identity_name, params, abs(lhs - rhs), tol))
-    return reports
+        return [_report(spec.identity_name, params, abs(lhs - rhs), tol)]
+
+    return _check_points(spec.grid, point_reports)
 
 
 # ---------------------------------------------------------------------------
@@ -605,51 +614,49 @@ def check_symmetries(
     reflection against the exact residue-pairing polynomial, and far-left
     decay."""
     spec = spec or default_symmetries_spec()
-    reports = []
-    for point in spec.grid:
+
+    def point_reports(point: Mapping[str, Any]) -> PointReports:
         relation = point["relation"]
         tol = _point_tol(point, spec)
         hbar = complex(point["hbar"])
         if relation.startswith("zeta"):
             s = tuple(point["s"])
+            h = hbar.real
             if relation == "zeta-anchor":
-                residual = abs(quad_zeta_hbar(s, hbar.real).value - 1j * math.pi / 12.0)
+                (value,) = yield [_zeta_row(s, h)]
+                residual = abs(value - 1j * math.pi / 12.0)
             else:
-                h = hbar.real
-                lhs = quad_zeta_hbar(s, h).value
+                lhs, value = yield [_zeta_row(s, h), _zeta_row(s, 1.0 / h)]
                 factor = h ** (sum(v - 1 for v in s) - len(s))
-                rhs = factor * quad_zeta_hbar(s, 1.0 / h).value
-                residual = abs(lhs - rhs)
+                residual = abs(lhs - factor * value)
             params = {"relation": relation, "s": list(s), "hbar": _cstr(hbar)}
-            reports.append(_report(spec.identity_name, params, residual, tol))
-            continue
+            return [_report(spec.identity_name, params, residual, tol)]
         idx = MultiIndex(tuple(point["a"]), tuple(point["b"]), tuple(point["n"]))
         omega = tuple(complex(v) for v in point["omega"])
         m = idx.depth
         if relation == "conjugation":
             sign = (-1) ** (sum(idx.a) + sum(idx.b) + m)
-            base = quad_F(idx, omega, hbar).value
-            conj = quad_F(
-                idx,
-                tuple(v.conjugate() for v in omega),
-                hbar.conjugate(),
-            ).value.conjugate()
-            residual = abs(conj - sign * base)
+            base, conj = yield [
+                _Row(idx, omega, hbar),
+                _Row(idx, tuple(v.conjugate() for v in omega), hbar.conjugate()),
+            ]
+            residual = abs(conj.conjugate() - sign * base)
         elif relation == "modular":
-            lhs = quad_F(idx, omega, hbar).value
             swapped = MultiIndex(idx.b, idx.a, idx.n)
-            rhs = hbar ** (sum(idx.n) - m) * quad_F(
-                swapped, tuple(v / hbar for v in omega), 1.0 / hbar
-            ).value
-            residual = abs(lhs - rhs)
+            lhs, value = yield [
+                _Row(idx, omega, hbar),
+                _Row(swapped, tuple(v / hbar for v in omega), 1.0 / hbar),
+            ]
+            residual = abs(lhs - hbar ** (sum(idx.n) - m) * value)
         elif relation == "boundary":
             a, b, n = idx.a[0], idx.b[0], idx.n[0]
             sign = (-1) ** (a + b + n - 1)
-            fwd, bwd = _quad_values([(idx, omega), (idx, tuple(-v for v in omega))], hbar)
+            fwd, bwd = yield [_Row(idx, omega, hbar), _Row(idx, tuple(-v for v in omega), hbar)]
             bpoly = bernoulli_exact(a, b, n).eval(omega[0], hbar)
             residual = abs(fwd + sign * bwd + bpoly)
         elif relation == "decay":
-            residual = abs(quad_F(idx, omega, hbar).value)
+            (value,) = yield [_Row(idx, omega, hbar)]
+            residual = abs(value)
         else:  # pragma: no cover - guarded by default grid
             raise DomainError(f"unknown symmetry relation {relation!r}")
         params = {
@@ -660,8 +667,9 @@ def check_symmetries(
             "omega": [_cstr(v) for v in omega],
             "hbar": _cstr(hbar),
         }
-        reports.append(_report(spec.identity_name, params, residual, tol))
-    return reports
+        return [_report(spec.identity_name, params, residual, tol)]
+
+    return _check_points(spec.grid, point_reports)
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +701,8 @@ def check_companion(
     difference variables; at (nearly) rational deformation the series backend
     must refuse."""
     spec = spec or default_companion_spec()
-    reports = []
-    for point in spec.grid:
+
+    def point_reports(point: Mapping[str, Any]) -> PointReports:
         n = tuple(point["n"])
         w = tuple(complex(v) for v in point["w"])
         hbar = complex(point["hbar"])
@@ -705,6 +713,7 @@ def check_companion(
             "hbar": _cstr(hbar),
         }
         if point.get("relation") == "rational-guard":
+            yield []
             params["relation"] = "rational-guard"
             try:
                 companion_sum_I(n, w, hbar)
@@ -712,15 +721,13 @@ def check_companion(
                 residual = 0.0
             else:
                 residual = 1.0
-            reports.append(_report(spec.identity_name, params, residual, 0.0))
-            continue
+            return [_report(spec.identity_name, params, residual, 0.0)]
         idx = MultiIndex((1,) * m, (1,) * m, n)
-        lhs = quad_I(idx, w, hbar).value
+        (lhs,) = yield [_Row(idx, _transport(idx, w), hbar)]
         rhs = companion_sum_I(n, w, hbar).value
-        reports.append(
-            _report(spec.identity_name, params, abs(lhs - rhs), _point_tol(point, spec))
-        )
-    return reports
+        return [_report(spec.identity_name, params, abs(lhs - rhs), _point_tol(point, spec))]
+
+    return _check_points(spec.grid, point_reports)
 
 
 # ---------------------------------------------------------------------------
@@ -776,37 +783,27 @@ def check_shuffle(
     the same relation at the level of pole-shifted generating integrals, and
     the exact partial-fraction shuffle on random rational points."""
     spec = spec or default_shuffle_spec()
-    reports = []
-    for point in spec.grid:
+
+    def point_reports(point: Mapping[str, Any]) -> PointReports:
         case = point["case"]
         if case == "exact-partial-fraction":
             k, l = int(point["k"]), int(point["l"])
+            yield []
             inner = verify_a3(k, l, seed=seed)
-            reports.append(
-                _report(
-                    spec.identity_name,
-                    {"case": case, "k": k, "l": l},
-                    inner.residual,
-                    inner.tolerance,
-                )
-            )
-            continue
+            params = {"case": case, "k": k, "l": l}
+            return [_report(spec.identity_name, params, inner.residual, inner.tolerance)]
         omega = tuple(complex(v) for v in point["omega"])
         hbar = complex(point["hbar"])
         tol = _point_tol(point, spec)
         if case in ("depth11", "symmetric-point"):
             (a1,), (a2,) = point["a"]
             (b1,), (b2,) = point["b"]
-            # (a1, b1) = (a2, b2) puts f1, f2 and f12, f21 in one batch each
-            f1, f2, f12, f21 = _quad_values(
-                [
-                    (MultiIndex((a1,), (b1,), (1,)), (omega[0],)),
-                    (MultiIndex((a2,), (b2,), (1,)), (omega[1],)),
-                    (MultiIndex((a1, a2), (b1, b2), (1, 1)), omega),
-                    (MultiIndex((a2, a1), (b2, b1), (1, 1)), (omega[1], omega[0])),
-                ],
-                hbar,
-            )
+            f1, f2, f12, f21 = yield [
+                _Row(MultiIndex((a1,), (b1,), (1,)), (omega[0],), hbar),
+                _Row(MultiIndex((a2,), (b2,), (1,)), (omega[1],), hbar),
+                _Row(MultiIndex((a1, a2), (b1, b2), (1, 1)), omega, hbar),
+                _Row(MultiIndex((a2, a1), (b2, b1), (1, 1)), (omega[1], omega[0]), hbar),
+            ]
             residual = abs(f1 * f2 - f12 - f21)
             params = {
                 "case": case,
@@ -818,13 +815,14 @@ def check_shuffle(
         elif case == "generating":
             u = complex(point["u"])
             v = complex(point["v"])
-            g1 = gen_series_depth1(omega[0], hbar, u).value
-            g2 = gen_series_depth1(omega[1], hbar, v).value
-            idx2 = MultiIndex((1, 1), (1, 1), (1, 1))
-            h12 = quad_F(idx2, omega, hbar, pole_shifts=(u, u + v)).value
-            h21 = quad_F(
-                idx2, (omega[1], omega[0]), hbar, pole_shifts=(v, u + v)
-            ).value
+            # g1 and g2 are gen_series_depth1 at omega[0], u and omega[1], v
+            idx1, idx2 = MultiIndex((1,), (1,), (1,)), MultiIndex((1, 1), (1, 1), (1, 1))
+            g1, g2, h12, h21 = yield [
+                _Row(idx1, (omega[0],), hbar, (ensure_finite_complex(u, "u"),)),
+                _Row(idx1, (omega[1],), hbar, (ensure_finite_complex(v, "u"),)),
+                _Row(idx2, omega, hbar, (u, u + v)),
+                _Row(idx2, (omega[1], omega[0]), hbar, (v, u + v)),
+            ]
             residual = abs(g1 * g2 - h12 - h21)
             params = {
                 "case": case,
@@ -835,8 +833,9 @@ def check_shuffle(
             }
         else:  # pragma: no cover - guarded by default grid
             raise DomainError(f"unknown shuffle case {case!r}")
-        reports.append(_report(spec.identity_name, params, residual, tol))
-    return reports
+        return [_report(spec.identity_name, params, residual, tol)]
+
+    return _check_points(spec.grid, point_reports)
 
 
 # ---------------------------------------------------------------------------
@@ -864,30 +863,34 @@ def default_asymptotic_spec() -> CheckSpec:
     )
 
 
-def _asymptotic_gaps(point: Mapping[str, Any]) -> list[float]:
-    """|ratio - 1| for each hbar in the decreasing sequence."""
+def _asymptotic_gaps(point: Mapping[str, Any]) -> PointReports:
+    """|ratio - 1| for each hbar in the decreasing sequence, for
+    _check_points: it yields the rows of the contour values, one per hbar,
+    and returns the gaps."""
     case = point["case"]
     params = SeriesParams()
+    hbars = [float(hbar) for hbar in point["hbars"]]
+    if case in ("depth1", "depth1-scale"):
+        n = int(point["n"])
+        omega = complex(point["omega"])
+        idx, args = MultiIndex((1 if case == "depth1" else 2,), (1,), (n,)), (omega,)
+    elif case == "depth2":
+        n1, n2 = (int(v) for v in point["n"])
+        w1, w2 = (complex(v) for v in point["omega"])
+        idx, args = MultiIndex((1, 1), (1, 1), (n1, n2)), (w1, w2)
+    else:  # pragma: no cover - guarded by default grid
+        raise DomainError(f"unknown asymptotic case {case!r}")
+    values = yield [_Row(idx, args, h) for h in hbars]
     gaps = []
-    for hbar in point["hbars"]:
-        h = float(hbar)
+    for h in hbars:
         if case == "depth1":
-            n = int(point["n"])
-            omega = complex(point["omega"])
-            idx = MultiIndex((1,), (1,), (n,))
-            num = TWO_PI_I * h * quad_F(idx, (omega,), h).value
+            num = TWO_PI_I * h * next(values)
             den = classical_polylog(n + 1, -cmath.exp(omega), params).value
         elif case == "depth1-scale":
-            n = int(point["n"])
-            omega = complex(point["omega"])
-            idx = MultiIndex((2,), (1,), (n,))
-            num = TWO_PI_I * h * quad_F(idx, (omega,), h).value
+            num = TWO_PI_I * h * next(values)
             den = depth1_closed_form(2, n + 1, omega, params).value
-        elif case == "depth2":
-            n1, n2 = (int(v) for v in point["n"])
-            w1, w2 = (complex(v) for v in point["omega"])
-            idx = MultiIndex((1, 1), (1, 1), (n1, n2))
-            num = (TWO_PI_I * h) ** 2 * quad_F(idx, (w1, w2), h).value
+        else:
+            num = (TWO_PI_I * h) ** 2 * next(values)
             den = classical_polylog(
                 n1 + n2 + 1, -cmath.exp(w1), params
             ).value * classical_polylog(1, -cmath.exp(w2), params).value
@@ -897,8 +900,6 @@ def _asymptotic_gaps(point: Mapping[str, Any]) -> list[float]:
                     (cmath.exp(w1 - w2), -cmath.exp(w2)),
                     params,
                 ).value
-        else:  # pragma: no cover - guarded by default grid
-            raise DomainError(f"unknown asymptotic case {case!r}")
         gaps.append(abs(num / den - 1.0))
     return gaps
 
@@ -910,9 +911,9 @@ def check_asymptotic(
     the predicted weight-raised combination; the gap must shrink monotonically
     along the hbar sequence and be small at the final hbar."""
     spec = spec or default_asymptotic_spec()
-    reports = []
-    for point in spec.grid:
-        gaps = _asymptotic_gaps(point)
+
+    def point_reports(point: Mapping[str, Any]) -> PointReports:
+        gaps = yield from _asymptotic_gaps(point)
         worst_increase = 0.0
         for first, second in zip(gaps, gaps[1:]):
             worst_increase = max(worst_increase, second - first)
@@ -929,23 +930,14 @@ def check_asymptotic(
             ],
             "hbars": [float(h) for h in point["hbars"]],
         }
-        reports.append(
-            _report(
-                spec.identity_name,
-                {**base_params, "measure": "final-gap"},
-                gaps[-1],
-                _point_tol(point, spec),
-            )
-        )
-        reports.append(
-            _report(
-                spec.identity_name,
-                {**base_params, "measure": "monotone"},
-                worst_increase,
-                0.0,
-            )
-        )
-    return reports
+        return [
+            _report(spec.identity_name, {**base_params, "measure": "final-gap"}, gaps[-1],
+                    _point_tol(point, spec)),
+            _report(spec.identity_name, {**base_params, "measure": "monotone"}, worst_increase,
+                    0.0),
+        ]
+
+    return _check_points(spec.grid, point_reports)
 
 
 # ---------------------------------------------------------------------------
@@ -1070,13 +1062,12 @@ def check_rational_hbar(
     argument-scaling relation composed with the hbar = 1 reduction)."""
     spec = spec or default_rational_hbar_spec()
     series_params = SeriesParams()
-    reports = []
-    for point in spec.grid:
+
+    def point_reports(point: Mapping[str, Any]) -> PointReports:
         r, s = int(point["r"]), int(point["s"])
         n = int(point["n"])
         omega = complex(point["omega"])
-        idx = MultiIndex((1,), (1,), (n,))
-        lhs = quad_F(idx, (r * omega,), r / s).value
+        (lhs,) = yield [_Row(MultiIndex((1,), (1,), (n,)), (r * omega,), r / s)]
         total = 0j
         for alpha in _half_integer_range(r):
             for beta in _half_integer_range(s):
@@ -1084,10 +1075,9 @@ def check_rational_hbar(
                 total += depth1_closed_form(2, n, shifted, series_params).value
         rhs = r ** (n - 1) * total
         params = {"r": r, "s": s, "n": [n], "omega": _cstr(omega)}
-        reports.append(
-            _report(spec.identity_name, params, abs(lhs - rhs), _point_tol(point, spec))
-        )
-    return reports
+        return [_report(spec.identity_name, params, abs(lhs - rhs), _point_tol(point, spec))]
+
+    return _check_points(spec.grid, point_reports)
 
 
 # ---------------------------------------------------------------------------

@@ -651,12 +651,18 @@ class TestVerifyCommand:
 
 
 def count_calls(monkeypatch, name):
-    """Wrap cli.<name> and return the list its calls' batch sizes go to."""
+    """Wrap cli.<name> and return the list its calls' batch sizes go to.
+    The contour batches quad_F_batch and quad_I_batch are counted as the
+    calls of cli._quad_rows, which the CLI makes in their place."""
     sizes = []
+    if name in ("quad_F_batch", "quad_I_batch"):
+        name, at = "_quad_rows", 0
+    else:
+        at = 1
     inner = getattr(cli, name)
 
     def counting(*args, **kwargs):
-        sizes.append(len(args[1]))
+        sizes.append(len(args[at]))
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(cli, name, counting)
@@ -717,6 +723,36 @@ class TestBatchedEval:
                                    format_float(single["err_estimate"])]
             else:
                 assert row[1:] == ["", "", single["error"]]
+
+    @pytest.mark.parametrize(
+        "args,sweep",
+        [
+            # rows that stop at levels 1, 2 and 4
+            (["--fn", "F", "--a", "1", "--b", "1", "--n", "2", "--omega", "-1+1i", "--tol", "1e-13"],
+             "hbar=40:60:2.5"),
+            # depth 2; at hbar = 0.25 the point leaves the strip
+            (["--fn", "F", "--a", "1,1", "--b", "1,1", "--n", "1,2", "--omega", "-1+4i,-0.5"],
+             "hbar=0.25:1.5:0.25"),
+        ],
+    )
+    def test_table_hbar_sweep_is_one_contour_call(self, capsys, monkeypatch, args, sweep):
+        start, stop, step = (float(v) for v in sweep.split("=")[1].split(":"))
+        hbars = [start + i * step for i in range(int(round((stop - start) / step)) + 1)]
+        singles = [eval_payload(capsys, "eval", *args, f"--hbar={h!r}")[1]["results"][0]
+                   for h in hbars]
+        sizes = count_calls(monkeypatch, "quad_F_batch")
+        code, out, _ = run_cli(capsys, "table", *args, "--sweep", sweep)
+        assert sizes == [len(hbars)]
+        rows = csv_rows(out)[1:]
+        assert [float(row[0]) for row in rows] == hbars
+        for row, single in zip(rows, singles):
+            if single["error"] is None:
+                assert row[1:] == [format_float(single["value"]["re"]),
+                                   format_float(single["value"]["im"]),
+                                   format_float(single["err_estimate"])]
+            else:
+                assert row[1:] == ["", "", single["error"]]
+        assert code == (EXIT_EVAL if any(s["error"] for s in singles) else EXIT_OK)
 
     def test_usage_error_in_a_batch_propagates(self, capsys):
         code, out, err = run_cli(

@@ -44,6 +44,10 @@ def idx1(a: int, b: int, n: int) -> MultiIndex:
     return MultiIndex((a,), (b,), (n,))
 
 
+# one row of a contour call (see contour._quad_rows)
+Row = contour._Row
+
+
 def sh(x: complex) -> complex:
     return cmath.exp(x) - cmath.exp(-x)
 
@@ -150,7 +154,7 @@ class TestMirroredLogsh:
         half = 97 if odd_half else 96
         j = np.arange(-half, half + 1)
         p = h * j + 1j * eps
-        got = contour._mirrored_logsh(c, p)
+        got = contour._mirrored_logsh([(c, p)])[0]
         assert got.tobytes() == contour._logsh(c * p).tobytes()
 
 
@@ -416,7 +420,8 @@ class TestTruncationAndNodeReuse:
         # one pass covers levels 0 and 1: sh(pi p) and sh(pi h p) take one sh
         # log each per node of the widest level-1 grid over the axes, and
         # only on its right half j >= 0 where the left half is the mirror:
-        # always for sh(pi p), and for sh(pi h p) when h is real
+        # always for sh(pi p), and for sh(pi h p) when h is real; both go
+        # through one _logsh call
         computed = []
         logsh = contour._logsh
 
@@ -429,7 +434,7 @@ class TestTruncationAndNodeReuse:
         assert diag["levels"] == 1
         widest = max(diag["nodes_per_axis"])
         half = (widest + 1) // 2
-        assert computed == [half, half if hbar.imag == 0 else widest]
+        assert computed == [half + (half if hbar.imag == 0 else widest)]
 
     def test_diagnostics_report_refinement_history(self):
         spec = QuadratureSpec(tol=1e-12)
@@ -547,6 +552,20 @@ class TestBatch:
         assert "overflows" in str(batch[1])
         assert_identical(batch, one_by_one(lambda p: quad_F(idx, p, 1.2), points))
 
+    def test_sum_that_overflows_fails_its_row_alone(self):
+        # every sample is finite but the nested sum is not: the row fails at
+        # its first level (level 0, step h0), where it used to refine to
+        # level 4 and return NaN, and its neighbours keep their bits
+        idx, hbar = MultiIndex((0, 0, 0), (1, 1, 1), (0, 0, 0)), 1.3 + 0.4j
+        spec = QuadratureSpec(tol=1e-12)
+        points = [(-1.0, -0.5, -0.3), (0, 1706.4508 + 3j, 1706.4508 + 3j), (-2.0, -1.0, -0.5)]
+        got = quad_F_batch(idx, points, hbar, spec)
+        assert isinstance(got[1], DomainError)
+        assert str(got[1]) == "the nested sum overflows on the line at step 0.0685"
+        assert_identical(got, one_by_one(lambda p: quad_F(idx, p, hbar, spec), points))
+        assert_same_outcomes(line_integral(idx, points, hbar, spec),
+                             two_pass(idx, points, hbar, spec))
+
     def test_errors_pass_through(self):
         marker = DomainError("raised upstream")
         batch = quad_F_batch(idx1(1, 1, 1), [marker, (-1.0,), (-1.0, -2.0)], 1.2)
@@ -585,8 +604,9 @@ class TestBatch:
         widest = max(max(d["nodes_per_axis"]) for d in diags)
         assert len({tuple(d["nodes_per_axis"]) for d in diags}) == 3
         # one sh log of each kind for both axes, over the right half of the
-        # widest level-1 grid; h is real, so the left half is the mirror
-        assert sizes == [(widest + 1) // 2] * 2
+        # widest level-1 grid (h is real, so the left half is the mirror),
+        # in one _logsh call
+        assert sizes == [(widest + 1) // 2 * 2]
         assert sum(sizes) < 2 * sum(d["nodes_evaluated"] for d in diags)
 
     def test_rows_in_different_fft_groups(self, monkeypatch):
@@ -605,11 +625,11 @@ class TestBatch:
             return ifft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "ifft", spy)
-        got = contour._line_integral(idx, points, hbar, spec)
+        got = line_integral(idx, points, hbar, spec)
         monkeypatch.undo()
         assert [r[2]["nodes_per_axis"] for r in got][3:] == [[641, 289], [1197, 289], [289, 489]]
-        # one inverse transform per group: level 0, then level 1
-        assert shapes == [(5, 512), (1, 1024), (5, 1024), (1, 2048)]
+        # one inverse transform per group: level 1, then level 0
+        assert shapes == [(5, 1024), (1, 2048), (5, 512), (1, 1024)]
         assert_same_outcomes(got, two_pass(idx, points, hbar, spec))
         assert_identical(quad_F_batch(idx, points, hbar, spec),
                          one_by_one(lambda p: quad_F(idx, p, hbar, spec), points))
@@ -620,7 +640,7 @@ class TestBatch:
         idx, hbar, spec = MultiIndex((1, 1), (0, 1), (1, 2)), 3.1, QuadratureSpec(tol=1e-13)
         points = [(-2.6208992563278373 + 2.9145008940925963j,
                    -2.7587133628012634 - 11.000295837076807j), (-1.0, -0.5), (-2 + 0.3j, -1.0)]
-        got = contour._line_integral(idx, points, hbar, spec)
+        got = line_integral(idx, points, hbar, spec)
         folded = [sum(r[2]["nodes_per_axis"]) - 1 for r in got]
         assert folded[0] == 27745 and max(folded[1:]) < 16384
         assert_same_outcomes(got, two_pass(idx, points, hbar, spec))
@@ -638,11 +658,11 @@ class TestBatch:
         idx, points, hbar, tol, budget = case
         spec = QuadratureSpec(tol=tol)
         with mock.patch.object(contour, "_MAX_NODES", budget):
-            got = contour._line_integral(idx, points, hbar, spec)
-            alone = [contour._line_integral(idx, [p], hbar, spec)[0] for p in points]
+            got = line_integral(idx, points, hbar, spec)
+            alone = [line_integral(idx, [p], hbar, spec)[0] for p in points]
             want = two_pass(idx, points, hbar, spec)
-        # repr tells -0.0 from 0.0 and gives two NaNs one key: a fold can
-        # overflow to NaN on finite samples, in a batch and alone
+        # repr tells -0.0 from 0.0; a fold that overflows on finite samples
+        # fails its row, in a batch and alone
         assert list(map(outcome_key, got)) == list(map(outcome_key, alone))
         assert list(map(outcome_key, got)) == list(map(outcome_key, want))
 
@@ -651,6 +671,106 @@ def outcome_key(outcome):
     if isinstance(outcome, Exception):
         return type(outcome), str(outcome)
     return repr(outcome)
+
+
+def result_key(result):
+    """Value, estimate, backend and diagnostics of an EvalResult (repr tells
+    -0.0 from 0.0), or the type and text of an error."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    return repr((result.value, result.err_estimate, result.backend, dict(result.diagnostics)))
+
+
+GOLDEN = (1 + math.sqrt(5)) / 2
+AXIS_KINDS = [(a, b) for a in (0, 1, 2) for b in (0, 1, 2) if a + b >= 1]
+
+
+@st.composite
+def mixed_rows(draw):
+    """(rows, tol) of one contour call whose rows each have their own index,
+    h and pole shifts: depth 1-3, per axis a, b in {0, 1, 2} with a + b >= 1
+    and n in 0..3, real and complex h, pole shifts on a = b = n = 1 rows, and
+    omega inside and outside the strip."""
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        m = draw(st.integers(1, 3))
+        ab = draw(st.lists(st.sampled_from(AXIS_KINDS), min_size=m, max_size=m))
+        n = tuple(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)))
+        idx = MultiIndex(tuple(a for a, _ in ab), tuple(b for _, b in ab), n)
+        hbar = draw(st.sampled_from([1.2, GOLDEN, 0.8, 1.3 + 0.4j, 2.5 - 0.7j]))
+        inside = st.builds(complex, st.floats(-4.0, 0.5), st.floats(-1.2, 1.2))
+        outside = st.builds(complex, st.floats(-2.0, 0.0), st.sampled_from([-12.0, 15.0]))
+        omega = tuple(draw(st.one_of(inside, inside, inside, outside)) for _ in range(m))
+        shifts = None
+        if ab == [(1, 1)] * m and n == (1,) * m and draw(st.booleans()):
+            shift = st.builds(complex, st.floats(-0.1, 0.1), st.floats(-0.1, 0.1))
+            shifts = tuple(draw(shift) for _ in range(m))
+        rows.append(Row(idx, omega, hbar, shifts))
+    return rows, draw(st.sampled_from([1e-10, 1e-12]))
+
+
+@st.composite
+def mixed_calls(draw):
+    """(rows, tol, wave, stack): mixed_rows with the rows refined in waves of
+    `wave` rows and folded in stacks of at most `stack` cells."""
+    rows, tol = draw(mixed_rows())
+    return rows, tol, draw(st.sampled_from([contour._WAVE, 3])), draw(
+        st.sampled_from([contour._MAX_STACK, 2000]))
+
+
+class TestMixedRows:
+    """Rows of any index, h and pole shifts in one call each get the result
+    of their one-point quad_F call, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(mixed_calls())
+    # h = 50 at tol 1e-13: rows that refine to levels 2-4 beside level-1 rows
+    @example(([Row(idx1(1, 1, 2), (-4.0,), 50.0), Row(idx1(1, 1, 2), (-1.0,), 50.0),
+               Row(idx1(1, 1, 3), (-1.0,), 50.0), Row(idx1(2, 1, 1), (-1.0,), 1.2),
+               Row(MultiIndex((1, 1), (1, 1), (1, 2)), (-1.0, -0.5), 1.3)], 1e-13, 16, 1 << 15))
+    # a row over the node budget, one that overflows on the line, good rows
+    # and a duplicated one
+    @example(([Row(idx1(1, 1, 1), (-1.0,), 1 + 65j), Row(idx1(1, 1, 1), (5000.0,), 1.2),
+               Row(idx1(1, 1, 1), (-1.0,), 1.2), Row(idx1(2, 0, 1), (-1.0,), 1.2),
+               Row(idx1(1, 1, 1), (-1.0,), 1.2)], 1e-10, 2, 1 << 15))
+    def test_each_row_matches_its_one_point_call(self, case):
+        rows, tol, wave, stack = case
+        spec = QuadratureSpec(tol=tol)
+        with mock.patch.multiple(contour, _WAVE=wave, _MAX_STACK=stack):
+            got = contour._quad_rows(rows, spec)
+        alone = one_by_one(lambda row: quad_F(row.idx, row.omega, row.hbar, spec, row.pole_shifts),
+                           rows)
+        assert list(map(result_key, got)) == list(map(result_key, alone))
+
+    def test_levels_and_errors_of_the_explicit_rows(self):
+        spec = QuadratureSpec(tol=1e-13)
+        rows = [Row(idx1(1, 1, 2), (-4.0,), 50.0), Row(idx1(1, 1, 2), (-1.0,), 50.0),
+                Row(idx1(1, 1, 1), (-1.0,), 1 + 65j), Row(idx1(1, 1, 1), (5000.0,), 1.2),
+                Row(idx1(2, 1, 1), (-1.0,), 1.2)]
+        got = contour._quad_rows(rows, spec)
+        assert [r.diagnostics["levels"] for r in (got[0], got[1])] == [4, 2]
+        assert isinstance(got[2], ConvergenceError) and "nodes" in str(got[2])
+        assert isinstance(got[3], DomainError) and "overflows" in str(got[3])
+        assert got[4].diagnostics["levels"] < 4
+
+    def test_identical_rows_are_computed_once(self, monkeypatch):
+        row = Row(MultiIndex((1, 1), (1, 1), (1, 2)), (-1.0, -0.5), 1.3)
+        twin = Row(row.idx, (-1.0, -0.5), 1.3 + 0j)
+        signed = Row(row.idx, (-1.0, -0.0), 1.3)  # -0.0 may round apart from 0.0
+        zero = Row(row.idx, (-1.0, 0.0), 1.3)
+        folded = []
+        fold_rows = contour._fold_rows
+
+        def spy(pts, samples, *args):
+            folded.append(len(pts))
+            return fold_rows(pts, samples, *args)
+
+        monkeypatch.setattr(contour, "_fold_rows", spy)
+        got = contour._line_integral([row, twin, signed, zero, row], QuadratureSpec())
+        # row, signed and zero are folded; twin and the repeat take row's result
+        assert folded[0] == 3
+        assert got[0] is got[1] is got[4]
+        assert got[2] is not got[3]
 
 
 def _interleave(even, odd):
@@ -681,6 +801,13 @@ def fold_alone(samples, h, n, eps, shifts):
     return complex(acc.sum()), _UNIT_ROUNDOFF * (1.0 + kappa) * float(np.abs(acc).sum())
 
 
+def line_integral(idx, omegas, hbar, spec, pole_shifts=None):
+    """contour._line_integral at the row (idx, omega, hbar, pole_shifts) of
+    each point of omegas."""
+    rows = [Row(idx, om, hbar, pole_shifts) for om in omegas]
+    return contour._line_integral(rows, spec)
+
+
 def two_pass(idx, omegas, hbar, spec, pole_shifts=None):
     """_line_integral refined another way: level 0 sampled on its own grid at
     step h0, each later level on its new odd nodes only and interleaved with
@@ -688,14 +815,17 @@ def two_pass(idx, omegas, hbar, spec, pole_shifts=None):
     fold (fold_alone).  It is built from the engine's own set-up and
     _log_kernel, so both sides round alike on any machine; nodes_evaluated
     is counted here."""
-    out, live, h0, eps, shifts = contour._line_points(idx, omegas, hbar, spec, pole_shifts)
+    rows = [Row(idx, om, hbar, pole_shifts) for om in omegas]
+    out, live = contour._line_points(rows, spec)
+    shifts = tuple(pole_shifts) if pole_shifts is not None else (0j,) * idx.depth
     with np.errstate(over="ignore", invalid="ignore"):
         for pt in live:
-            out[pt.k] = _refine_alone(pt, idx, hbar, spec, h0, eps, shifts)
-    return out
+            out[pt.k] = _refine_alone(pt, idx, hbar, spec, shifts)
+    return [out[r] if isinstance(r, int) else r for r in out]
 
 
-def _refine_alone(pt, idx, hbar, spec, h0, eps, shifts):
+def _refine_alone(pt, idx, hbar, spec, shifts):
+    h0, eps = pt.line.h0, pt.line.eps
     samples, nodes = [None] * idx.depth, 0
     for level in range(spec.max_refine + 1):
         h = h0 / 2**level
@@ -719,15 +849,20 @@ def _refine_alone(pt, idx, hbar, spec, h0, eps, shifts):
             samples[i] = tuple(map(_interleave, samples[i], fresh)) if level else fresh
         if error is not None:
             return error
+        # the engine folds level 0 once the level-1 samples are checked
+        if level == 1 and not cmath.isfinite(pt.value):
+            return DomainError(f"the nested sum overflows on the line at step {h0:.3g}")
         value, pt.floor = fold_alone(samples, h, idx.n, eps, shifts)
+        if level and not (cmath.isfinite(value) and math.isfinite(pt.floor)):
+            return DomainError(f"the nested sum overflows on the line at step {h:.3g}")
         if level:
             pt.deltas.append(abs(value - pt.value))
         pt.value = value
         if level and pt.deltas[-1] <= spec.tol:
-            outcome = pt.result(level, eps)
+            outcome = pt.result(level)
             break
     else:
-        outcome = pt.unconverged(spec, eps)
+        outcome = pt.unconverged(spec)
     if isinstance(outcome, Exception):
         return outcome
     value, err, diag = outcome
@@ -788,22 +923,22 @@ class TestOnePass:
     )
     def test_matches_two_passes(self, idx, hbar, tol, points, shifts):
         spec = QuadratureSpec(tol=tol)
-        got = contour._line_integral(idx, points, hbar, spec, shifts)
+        got = line_integral(idx, points, hbar, spec, shifts)
         assert_same_outcomes(got, two_pass(idx, points, hbar, spec, shifts))
 
     def test_wide_grid_and_deep_levels_are_reached(self):
-        big = contour._line_integral(
+        big = line_integral(
             MultiIndex((1, 1), (0, 1), (1, 2)),
             [(-2.6208992563278373 + 2.9145008940925963j,
               -2.7587133628012634 - 11.000295837076807j)],
             3.1, QuadratureSpec(tol=1e-13),
         )[0]
         assert max(big[2]["nodes_per_axis"]) == 24753
-        deep = contour._line_integral(
+        deep = line_integral(
             idx1(1, 1, 2), [(-4.0,), (-1.0,)], 50.0, QuadratureSpec(tol=1e-13)
         )
         assert [r[2]["levels"] for r in deep] == [4, 2]
-        complex_h = contour._line_integral(
+        complex_h = line_integral(
             MultiIndex((2, 1), (1, 1), (1, 1)),
             [(-1.0, -1.0), (-4.0, -4.0), (-1 + 1j, -1 + 1j), (-2.0, -0.5)],
             50 + 20j, QuadratureSpec(tol=1e-13),
@@ -812,8 +947,9 @@ class TestOnePass:
 
     def test_every_level_samples_its_whole_grid(self, monkeypatch):
         # each pass takes both sh logs on the right half of its level's
-        # widest grid (h is real, so the left half is the mirror); levels
-        # 2-4 sample the whole grid again, even nodes included
+        # widest grid (h is real, so the left half is the mirror), in one
+        # _logsh call; levels 2-4 sample the whole grid again, even nodes
+        # included
         sizes = []
         logsh = contour._logsh
 
@@ -823,8 +959,8 @@ class TestOnePass:
 
         monkeypatch.setattr(contour, "_logsh", counting)
         points = [(-4.0,), (-1 + 1j,), (0.5 + 1j,), (-1.0,), (6 + 1j,)]
-        contour._line_integral(idx1(1, 1, 3), points, 50.0, QuadratureSpec(tol=1e-13))
-        assert sizes == [461, 461, 921, 921, 1841, 1841, 3681, 3681]
+        line_integral(idx1(1, 1, 3), points, 50.0, QuadratureSpec(tol=1e-13))
+        assert sizes == [2 * 461, 2 * 921, 2 * 1841, 2 * 3681]
 
     def test_level_zero_overflows_are_reported_first(self):
         # each level reports its last overflowing axis, and an overflow on
@@ -835,7 +971,7 @@ class TestOnePass:
         points = [(ODD_OVERFLOW, -1.0), (-1.0, ODD_OVERFLOW), (5000.0, ODD_OVERFLOW),
                   (ODD_OVERFLOW, 5000.0), (ODD_OVERFLOW, ODD_OVERFLOW)]
         axes = [0, 1, 0, 1, 1]
-        got = contour._line_integral(idx, points, 1.2, spec)
+        got = line_integral(idx, points, 1.2, spec)
         for err, axis, point in zip(got, axes, points):
             assert isinstance(err, DomainError)
             omega = complex(point[axis])
@@ -854,13 +990,14 @@ class TestOnePass:
             return logsh(z)
 
         monkeypatch.setattr(contour, "_logsh", counting)
-        got = contour._line_integral(idx, [(-1.0,)], 1 + 65j, spec)
+        got = line_integral(idx, [(-1.0,)], 1 + 65j, spec)
         assert isinstance(got[0], ConvergenceError) and "step 3.71e-06" in str(got[0])
         assert_same_outcomes(got, want)
         # h is complex: sh(pi p) is evaluated on the right half of the
-        # level-0 grid, sh(pi h p) on all of it
-        level0 = max(sizes)
-        assert sizes == [(level0 + 1) // 2, level0]
+        # level-0 grid, sh(pi h p) on all of it, in one _logsh call
+        (size,) = sizes
+        level0 = (2 * size - 1) // 3
+        assert size == (level0 + 1) // 2 + level0
         assert 2 * level0 - 1 > contour._MAX_NODES >= level0
 
     @pytest.mark.parametrize(
@@ -876,7 +1013,7 @@ class TestOnePass:
         monkeypatch.setattr(contour, "_MAX_NODES", budget)
         idx, spec = idx1(1, 1, 1), QuadratureSpec()
         points = [(-1.0,), (-1 + 6j,), (3000 + 6j,), (-1 + 3j,)]
-        got = contour._line_integral(idx, points, 1.2, spec)
+        got = line_integral(idx, points, 1.2, spec)
         assert [type(r) for r in got] == kinds
         assert_same_outcomes(got, two_pass(idx, points, 1.2, spec))
 

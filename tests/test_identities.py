@@ -12,10 +12,15 @@ from qpolylog.core import map_points
 from qpolylog.identities import (
     CHECKS,
     CheckSpec,
+    check_h1,
     check_q_calculus,
     check_series_vs_contour,
+    check_symmetries,
     run_all,
 )
+
+H1_GOOD = {"m": 1, "a": 1, "b": 1, "n": (1,), "omega": (-1.0,)}
+H1_OUTSIDE = {"m": 1, "a": 1, "b": 1, "n": (1,), "omega": (-1 + 9j,)}
 
 EXPECTED_COUNTS = {
     "asymptotic": 6,
@@ -111,35 +116,64 @@ class TestRegistry:
 
 
 class TestBatchedStencils:
-    """Points of one check that share (index, hbar, tol, pole shifts) are
-    evaluated as one quad_F_batch or quad_I_batch call, and every report
-    equals the report of one-point calls."""
+    """The contour rows of one check family, at every grid point and hbar,
+    are evaluated as one contour._quad_rows call per quadrature spec, and
+    every report equals the report of one-point calls."""
 
     @pytest.mark.parametrize("seed", [7, 11])
     def test_reports_equal_one_point_calls(self, monkeypatch, seed):
         batched = run_all(seed=seed)
 
-        def loop_F(idx, omegas, hbar, spec=None, pole_shifts=None):
-            return map_points(lambda om: identities.quad_F(idx, om, hbar, spec, pole_shifts), omegas)
+        def one_point(rows, spec=None):
+            def alone(row):
+                if row.prefixed:
+                    return contour.quad_F(row.idx, row.omega, row.hbar, spec, row.pole_shifts)
+                return contour.quad_zeta_hbar([v + 1 for v in row.idx.n], row.hbar, spec)
 
-        def loop_I(idx, ws, hbar, spec=None):
-            return map_points(lambda w: identities.quad_I(idx, w, hbar, spec), ws)
+            return map_points(alone, rows)
 
-        monkeypatch.setattr(identities, "quad_F_batch", loop_F)
-        monkeypatch.setattr(identities, "quad_I_batch", loop_I)
+        monkeypatch.setattr(identities, "_quad_rows", one_point)
         assert run_all(seed=seed) == batched
 
     def test_line_integral_calls(self, monkeypatch):
-        # run_all(seed=7) evaluates 284 points on the line; one-point calls
-        # made 294 line integrals, the batches make at most 160
+        # run_all(seed=7) evaluates 284 rows on the line: one-point calls
+        # made 294 line integrals, batches of one index and hbar 155, and
+        # one call per family makes 9 (q_calculus has no contour rows)
         calls = []
         line_integral = contour._line_integral
 
-        def counting(idx, omegas, *args, **kwargs):
-            calls.append(len(omegas))
-            return line_integral(idx, omegas, *args, **kwargs)
+        def counting(rows, spec):
+            calls.append(len(rows))
+            return line_integral(rows, spec)
 
         monkeypatch.setattr(contour, "_line_integral", counting)
         run_all(seed=7)
-        assert len(calls) <= 160
+        assert len(calls) <= 9
         assert sum(calls) == 284
+
+    @pytest.mark.parametrize(
+        "check,grid,error,message",
+        [
+            # the second point leaves the strip; the third has no "a", which
+            # is found first but raised in its turn
+            (check_h1, (H1_GOOD, H1_OUTSIDE, {"m": 1, "n": (1,)}),
+             DomainError, r"axis 0: \|Im omega\| = 9 is not inside the convergence strip"),
+            (check_h1, (H1_GOOD, {"m": 1, "n": (1,)}, H1_OUTSIDE), KeyError, "omega"),
+            (check_symmetries,
+             ({"relation": "decay", "a": (1,), "b": (1,), "n": (1,), "omega": (5000.0,),
+               "hbar": 1.2},
+              {"relation": "zeta-anchor", "s": (1,), "hbar": 1.0}),
+             DomainError, r"the integrand overflows on the line at omega\[0\] = \(5000\+0j\)"),
+            # series_vs_contour reads its whole grid before any value
+            (check_series_vs_contour, ({"n": (2,), "w": (-1 + 4j,)}, {"w": (-1.0,)}),
+             KeyError, "n"),
+            (check_series_vs_contour,
+             ({"n": (2,), "w": (-1.0,)}, {"n": (2,), "w": (-1 + 4j,)},
+              {"n": (1, 1), "w": (-1.0,)}),
+             DomainError, r"axis 0: \|Im omega\| = 4 is not inside the convergence strip"),
+        ],
+    )
+    def test_failing_custom_grid_raises_its_first_error(self, check, grid, error, message):
+        # the error that point-by-point evaluation raised first
+        with pytest.raises(error, match=message):
+            check(CheckSpec(check.__name__.removeprefix("check_"), grid))
