@@ -76,7 +76,6 @@ from .core import (
     MultiIndex,
     convergence_strip,
     ensure_finite_complex,
-    fail_points,
     map_points,
     unwrap,
     validate_hbar,
