@@ -557,7 +557,8 @@ def _fold_rows(
         acc = np.multiply(1 + 0j, f, f) if i == 0 else _convolve_rows(acc, f, sizes)
         # P_c^(-n_c), once per (h, pole, n_c) on the widest row that takes
         # it; (h/2)(2J) == h J bit for bit, so a factor at step h is every
-        # other entry of one at step h/2
+        # other entry of one at step h/2, copied so that every multiply
+        # takes contiguous operands, as SIMD loops may round strided ones apart
         keys = [(h,) + pt.line.couplings[i] for h, pt in zip(steps, pts)]
         need: dict = {}
         for key, s in zip(keys, sizes):
@@ -566,7 +567,7 @@ def _fold_rows(
         for (h, pole, nc), s in need.items():
             finer = factors.get((h / 2, pole, nc))
             if finer is not None and finer.size >= 2 * s - 1:
-                factors[h, pole, nc] = _centred(finer, 2 * s - 1)[::2]
+                factors[h, pole, nc] = _centred(finer, 2 * s - 1)[::2].copy()
             else:
                 factors[h, pole, nc] = (h * np.arange(-(s // 2), s // 2 + 1.0) + pole) ** (-nc)
         for r, (key, s) in enumerate(zip(keys, sizes)):
