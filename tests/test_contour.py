@@ -553,9 +553,9 @@ class TestBatch:
         assert_identical(batch, one_by_one(lambda p: quad_F(idx, p, 1.2), points))
 
     def test_sum_that_overflows_fails_its_row_alone(self):
-        # every sample is finite but the nested sum is not: the row fails at
-        # its first level (level 0, step h0), where it used to refine to
-        # level 4 and return NaN, and its neighbours keep their bits
+        # every sample is finite but the nested sum is not: the row fails
+        # with a DomainError at its first level (level 0, step h0) rather
+        # than refine on NaN deltas, and its neighbours keep their bits
         idx, hbar = MultiIndex((0, 0, 0), (1, 1, 1), (0, 0, 0)), 1.3 + 0.4j
         spec = QuadratureSpec(tol=1e-12)
         points = [(-1.0, -0.5, -0.3), (0, 1706.4508 + 3j, 1706.4508 + 3j), (-2.0, -1.0, -0.5)]

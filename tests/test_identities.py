@@ -154,15 +154,15 @@ class TestBatchedStencils:
     @pytest.mark.parametrize(
         "check,grid,error,message",
         [
-            # the second point leaves the strip; the third has no "a", which
-            # is found first but raised in its turn
+            # the second point leaves the strip; the third has no omega,
+            # which is found first but raised in its turn
             (check_h1, (H1_GOOD, H1_OUTSIDE, {"m": 1, "n": (1,)}),
              DomainError, r"axis 0: \|Im omega\| = 9 is not inside the convergence strip"),
             (check_h1, (H1_GOOD, {"m": 1, "n": (1,)}, H1_OUTSIDE), KeyError, "omega"),
             (check_symmetries,
              ({"relation": "decay", "a": (1,), "b": (1,), "n": (1,), "omega": (5000.0,),
                "hbar": 1.2},
-              {"relation": "zeta-anchor", "s": (1,), "hbar": 1.0}),
+              {"relation": "zeta-anchor", "s": (1,), "hbar": 1.0}),  # s = 1 is refused
              DomainError, r"the integrand overflows on the line at omega\[0\] = \(5000\+0j\)"),
             # series_vs_contour reads its whole grid before any value
             (check_series_vs_contour, ({"n": (2,), "w": (-1 + 4j,)}, {"w": (-1.0,)}),
