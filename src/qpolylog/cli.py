@@ -589,10 +589,9 @@ def _evaluate(config: RunConfig, points: Sequence, hbars: Sequence | None = None
             if backend == "contour":
                 return quad_bernoulli_circle(a, b, n, point[0], hbar)
             poly = bernoulli_exact(a, b, n)
-            value = poly.eval(point[0], hbar)
             return EvalResult(
-                value,
-                0.0,
+                poly.eval(point[0], hbar),
+                poly._eval_rounding(point[0], hbar),
                 "exact",
                 {"polynomial": str(poly), "omega_degree": poly.omega_degree()},
             )

@@ -25,15 +25,16 @@ depends only on the index sum, so the nested sum is folded one axis at a
 time: a full FFT convolution with the next axis's samples, then a pointwise
 multiply by P_c^(-n_c).  Depth m costs O(m N log N) for N nodes per axis.
 The first step h0 comes from the distance between the line and the nearest
-singularity; the step is halved until two successive values agree.  The
-halved grids are nested: (h/2)(2j) == h j bit for bit.  Every point compares
-at least levels 0 and 1 (steps h0 and h0/2), so the first pass samples the
-level-1 grid once, with one exp and one |.| of the log-kernel per node, and
-level 0 folds its even entries, which are exactly the level-0 samples.
-Level 0 only gives the value that the first delta compares with, so its
-fold forms no round-off floor.  Each later pass samples its whole grid
-again, and no sample outlives its pass: only near round-off (large h, tol
-~ 1e-13) does a point refine past level 1.
+singularity, so that the step-h0 value already meets tol / 100.  Its error
+is certified by the trapezoid rule's known rate: the first pass samples the
+step-h0 grid once, with one exp and one |.| of the log-kernel per node, and
+the step-2h0 grid folds its even entries ((2h0) j == h0 (2j) bit for bit,
+and its fold forms no round-off floor).  Their difference, times the rate
+E(h) / E(2h) of the aliasing model (see _Line) and a margin, is the error of
+the step-h0 value; while it exceeds tol the step is halved, and each pass
+samples its whole grid again, so no sample outlives its pass.  A point
+refines past the first pass only where its delta is far above what the
+model predicts, or where Re omega shifts the aliasing frequency past pi / h0.
 
 Batches: one call evaluates many rows, each with its own index, h and pole
 shifts, and so its own first step, line height, strip and truncation (see
@@ -50,11 +51,11 @@ Each fold takes the rows of one depth as the rows of a stack: each axis's
 samples h e are the zero-padded rows of one array, and each later axis is
 one FFT convolution per group of rows whose own convolution rounds up to the
 same power of two, the transform length of the row alone.  Each factor
-P_c^(-n_c) is formed once per (h, eps, shift, n_c), and level 0 takes every
-other entry of level 1's.  numpy's complex multiply is not bitwise
-commutative, and numpy evaluates acc * factor with a temporary factor of
-16,384 entries (256 KiB) or more as factor * acc; each row is multiplied in
-the order that product takes at its own size.  So each row's value,
+P_c^(-n_c) is formed once per (h, eps, shift, n_c), and the step-2h0 grid
+takes every other entry of the step-h0 grid's.  numpy's complex multiply is
+not bitwise commutative, and numpy evaluates acc * factor with a temporary
+factor of 16,384 entries (256 KiB) or more as factor * acc; each row is
+multiplied in the order that product takes at its own size.  So each row's value,
 estimate, diagnostics and errors are bit for bit those it has alone, which
 is what quad_F runs, and rows that repeat one another are computed once.
 """
@@ -104,6 +105,10 @@ _MAX_NODES = 1 << 21
 # Rows refined together, and cells of one fold stack at the width of a row's
 # full convolution: they bound the samples and FFT work arrays held at once.
 _WAVE, _MAX_STACK = 16, 1 << 15
+# Margin on the rate model's error of a returned value (_LinePoint.error):
+# with it, every estimate of the calibration grid in tests/test_calibration.py
+# bounds its actual error.
+_RATE_MARGIN = 4.0
 
 
 @dataclass(frozen=True)
@@ -115,9 +120,12 @@ class QuadratureSpec:
     T: per-axis truncation override (None = automatic: axis i is cut at
         T_i = min(ln(1/min(u, tol/100)) / d_i, 200), so that its tail
         exp(-d_i T_i) / d_i at decay rate d_i lies below one unit round-off u).
-    max_refine: number of step-halving passes allowed after the first step.
-    tol: absolute convergence target: the step is halved until the values
-        at h and h/2 differ by at most tol, and the h/2 value is returned.
+    max_refine: number of step-halving passes allowed after the first step
+        h0, so that the finest step is h0 / 2^max_refine.
+    tol: absolute convergence target: the step is halved until the error of
+        the value at step h, certified from its difference to the value at
+        step 2h by the trapezoid rule's convergence rate, is at most tol, and
+        that value is returned.
     """
 
     epsilon: float | None = None
@@ -243,11 +251,12 @@ class _Row(NamedTuple):
 
 
 class _Line:
-    """What rows of one index, h and pole shifts share: eps, strip, h0 and, per
-    axis, the factors (c, exponent) of log sh(c p) in its log-kernel (c = pi
-    or pi h) and its coupling (pole, n_c), where P_c - i u_c = h J + pole."""
+    """What rows of one index, h and pole shifts share: eps, strip, h0, the
+    distance d and order of the nearest pole and, per axis, the factors
+    (c, exponent) of log sh(c p) in its log-kernel (c = pi or pi h) and its
+    coupling (pole, n_c), where P_c - i u_c = h J + pole."""
 
-    __slots__ = ("eps", "factors", "couplings", "strip", "h0")
+    __slots__ = ("eps", "factors", "couplings", "strip", "d", "order", "h0")
 
     def __init__(self, idx: MultiIndex, hbar: complex, shifts: tuple, spec: QuadratureSpec):
         top = _lowest_pole(hbar, any(idx.b))
@@ -265,13 +274,14 @@ class _Line:
         self.strip = convergence_strip(idx, hbar, for_contour=True)
         # The trapezoid error is the integrand's Fourier transform at the
         # aliasing frequency 2 pi / h.  A pole of order k at distance d from
-        # the line gives ~ (2 pi / h)^(k-1) exp(-2 pi d / h), so the first
-        # step solves 2 pi d / h = L + (k - 1) ln(L / (pi d)) with
-        # L = ln(1 / target).
-        d = _strip_half_width(eps, top, idx.n, shifts)
-        order = max([idx.a[0] + idx.b[0] + idx.n[0]] + [a + b for a, b in zip(idx.a, idx.b)])
+        # the line gives E(h) ~ (2 pi / h)^(k-1) exp(-2 pi d / h), so the
+        # first step solves 2 pi d / h = L + (k - 1) ln(L / (pi d)) with
+        # L = ln(1 / target), and E(h) / E(2 h) = 2^(k-1) exp(-pi d / h)
+        # (at Re omega = 0; see _LinePoint.error).
+        self.d = d = _strip_half_width(eps, top, idx.n, shifts)
+        self.order = max([idx.a[0] + idx.b[0] + idx.n[0]] + [a + b for a, b in zip(idx.a, idx.b)])
         L = max(-math.log(spec.tol * 1e-2), 1.0)
-        self.h0 = 2 * math.pi * d / (L + (order - 1) * max(math.log(L / (math.pi * d)), 0.0))
+        self.h0 = 2 * math.pi * d / (L + (self.order - 1) * max(math.log(L / (math.pi * d)), 0.0))
 
 
 class _LinePoint:
@@ -286,13 +296,29 @@ class _LinePoint:
         self.halves = [math.ceil(t / line.h0) for t in T]
         self.deltas: list[float] = []
 
+    def error(self) -> float:
+        """The error of the value at step h, from its delta to the value at
+        step 2h: _RATE_MARGIN E(h) / E(2h) delta (see _Line), where
+        exp(-i p omega) shifts the aliasing frequency x = pi / h by up to
+        W = max |Re omega_i|: E(h) / E(2h) = ((2x - W) / (x - W))^(k-1)
+        exp(-d x).  At W >= x the step-2h grid aliases the error of the
+        step-h value onto itself, which delta cannot see: inf.  (At complex
+        h, aliasing terms that nearly cancel at step 2h can still leave
+        delta short; the margin covers the calibration grid.)"""
+        x, shift, line = math.pi / self.h, max(abs(w.real) for w in self.omega), self.line
+        if shift >= x:
+            return math.inf
+        rho = ((2 * x - shift) / (x - shift)) ** (line.order - 1) * math.exp(-line.d * x)
+        return _RATE_MARGIN * rho * self.deltas[-1]
+
     def overflow(self, i: int) -> DomainError:
         omega = self.omega[i]
         return DomainError(f"the integrand overflows on the line at omega[{i}] = {omega!r}")
 
     def unconverged(self, spec: QuadratureSpec):
-        """The outcome of a point whose deltas still exceed tol at the last
-        level: its result if they settled close enough, else the error."""
+        """The outcome of a point whose certified error still exceeds tol at
+        the last level: its result, with the last delta as its error, if the
+        deltas settled close enough, else the error."""
         deltas = self.deltas
         if len(deltas) >= 2 and deltas[-1] >= deltas[-2] and deltas[-1] > 10 * spec.tol:
             return ConvergenceError(f"line quadrature not converging: refinement deltas {deltas}")
@@ -300,11 +326,11 @@ class _LinePoint:
             return ConvergenceError(
                 f"line quadrature stalled at delta = {deltas[-1]:.3e} (tol {spec.tol:.3e})"
             )
-        return self.result(spec.max_refine)
+        return self.result(deltas[-1])
 
-    def result(self, level: int) -> tuple[complex, float, dict]:
-        return self.value, self.deltas[-1] + self.tail + self.floor, {
-            "levels": level,
+    def result(self, err: float) -> tuple[complex, float, dict]:
+        return self.value, err + self.tail + self.floor, {
+            "levels": len(self.deltas),
             "nodes_per_axis": self.counts,
             "nodes_evaluated": sum(self.counts),
             "deltas": self.deltas,
@@ -312,10 +338,6 @@ class _LinePoint:
             "epsilon": self.line.eps,
             "tail": self.tail,
         }
-
-
-def _over_budget(h: float) -> ConvergenceError:
-    return ConvergenceError(f"line quadrature at step {h:.3g} needs more than {_MAX_NODES} nodes")
 
 
 def _overflowing_axis(samples: list) -> int | None:
@@ -328,21 +350,35 @@ def _overflowing_axis(samples: list) -> int | None:
     return bad
 
 
-def _mirrored_logsh(pairs: Sequence[tuple]) -> list[np.ndarray]:
-    """_logsh(c p) for each (c, p) of pairs, p a grid h j + i eps symmetric
-    about j = 0, from one _logsh call, which works entry by entry.  For real
-    c > 0 only the right half (j >= 0) is evaluated: c p at -j is
-    -conj(c p at j) bit for bit, where _logsh takes its flip branch, so the
-    left half is conj(right) + i pi (see the module docstring)."""
+def _mirrored_logsh(pairs: Sequence[tuple]) -> list[tuple]:
+    """(_logsh(c p), _logsh_rounding(c p, that log)) for each (c, p) of
+    pairs, p a grid h j + i eps symmetric about j = 0, from one _logsh call,
+    which works entry by entry.  For real c > 0 only the right half (j >= 0)
+    is evaluated: c p at -j is -conj(c p at j) bit for bit, where _logsh
+    takes its flip branch, so the left half of the log is conj(right) + i pi
+    (see the module docstring), and that of the rounding, which reads only
+    |c p| and real parts, is the right half mirrored."""
     args = [c * p if complex(c).imag != 0 else c * p[p.size // 2:] for c, p in pairs]
-    logs, at = _logsh(np.concatenate(args)), 0
+    z = np.concatenate(args)
+    logs = _logsh(z)
+    roundings, at = _logsh_rounding(z, logs), 0
     out = []
     for (c, p), arg in zip(pairs, args):
-        log, at = logs[at:at + arg.size], at + arg.size
+        log, rounding = logs[at:at + arg.size], roundings[at:at + arg.size]
+        at += arg.size
         if arg.size < p.size:
             log = np.concatenate((np.conj(log[::-1][:p.size // 2]) + 1j * math.pi, log))
-        out.append(log)
+            rounding = np.concatenate((rounding[::-1][:p.size // 2], rounding))
+        out.append((log, rounding))
     return out
+
+
+def _logsh_rounding(z: np.ndarray, log: np.ndarray) -> np.ndarray:
+    """The rounding of log = _logsh(z) beyond u |log|, in units of u: with
+    Re z >= 0 (else flipped), exp(-2 z) takes the error u |2 z| of its
+    argument, and 1 - exp(-2 z) cancels near the zeros of sh, which gives
+    (1 + 2 |z|) |exp(-2 z)| / |1 - exp(-2 z)| = (1 + 2 |z|) exp(-|Re z| - Re log)."""
+    return (1 + 2 * np.abs(z)) * np.exp(-np.abs(z.real) - log.real)
 
 
 def _centred(arr: np.ndarray, size: int) -> np.ndarray:
@@ -351,12 +387,14 @@ def _centred(arr: np.ndarray, size: int) -> np.ndarray:
 
 
 def _sample_pass(pts: Sequence[_LinePoint]) -> list:
-    """For each point, its samples (exp(log-kernel), |log-kernel|) on each
-    axis i, on its grid p = pt.h j + i eps of pt.counts[i] nodes, a centred
-    slice of the widest grid of that step and eps.  Each log sh(c p) is
-    evaluated once per grid and c (one _mirrored_logsh call) and scaled once
-    per exponent; each point subtracts the slices from its -i p omega in the
-    order a point alone does."""
+    """For each point, its samples (exp(log-kernel), rounding) on each axis
+    i, on its grid p = pt.h j + i eps of pt.counts[i] nodes, a centred slice
+    of the widest grid of that step and eps; rounding is |log-kernel| plus
+    the axis factors' summed _logsh_rounding, in units of u.  Each log
+    sh(c p) is evaluated once per grid and c (one _mirrored_logsh call) and
+    scaled once per exponent, and -i p and the summed rounding once per grid
+    (and factors); each point subtracts the slices from its -i p omega in
+    the order a point alone does."""
     grids: dict = {}  # (h, eps) -> widest size
     terms = set()  # (h, eps, c, exponent)
     for pt in pts:
@@ -367,16 +405,22 @@ def _sample_pass(pts: Sequence[_LinePoint]) -> list:
          for grid, w in grids.items()}
     spans = list({key[:3] for key in terms})
     logs = dict(zip(spans, _mirrored_logsh([(c, p[h, eps]) for h, eps, c in spans])))
-    terms = {key: key[3] * logs[key[:3]] for key in terms}
+    terms = {key: key[3] * logs[key[:3]][0] for key in terms}
+    phases = {grid: -1j * p[grid] for grid in p}
+    roundings: dict = {}  # (h, eps, factors) -> sum of exponent * rounding
     samples = []
     for pt in pts:
         grid = (pt.h, pt.line.eps)
         samples.append([])
         for i, (size, factors) in enumerate(zip(pt.counts, pt.line.factors)):
-            lg = -1j * _centred(p[grid], size) * pt.omega[i]
+            lg = _centred(phases[grid], size) * pt.omega[i]
             for factor in factors:
                 lg = lg - _centred(terms[grid + factor], size)
-            samples[-1].append((np.exp(lg), np.abs(lg)))
+            rounding = roundings.get(grid + factors)
+            if rounding is None:
+                rounding = roundings[grid + factors] = sum(
+                    k * logs[grid + (c,)][1] for c, k in factors)
+            samples[-1].append((np.exp(lg), np.abs(lg) + _centred(rounding, size)))
     return samples
 
 
@@ -438,9 +482,10 @@ def _line_integral(rows: Sequence, spec: QuadratureSpec) -> list:
     is already an exception passes through.
 
     pole_shifts u_k (None: all 0) replace the coupling denominators by
-    (P_k - i u_k)^(n_k).  The error estimate is the last halving delta, plus
-    the truncation tail, plus a round-off floor proportional to
-    u * sum |terms|.  A row whose integrand overflows on the line (large
+    (P_k - i u_k)^(n_k).  The error estimate is the rate-certified error of
+    the returned value (_LinePoint.error), plus the truncation tail, plus a
+    round-off floor proportional to u * sum |terms|; diagnostics["levels"]
+    counts the deltas.  A row whose integrand overflows on the line (large
     Re omega), or whose nested sum or floor is not finite, fails alone with
     a DomainError; the call lets no floating-point warning escape.  Each
     pass samples the live rows of a wave at once (see _sample_pass) and
@@ -456,58 +501,48 @@ def _line_integral(rows: Sequence, spec: QuadratureSpec) -> list:
 def _refine(live: list, out: list, spec: QuadratureSpec) -> None:
     """Refine the rows of live together, each to its own outcome out[pt.k]."""
     # Level k samples axis i at p = (h0 / 2^k) j + i eps, |j| <= half_i 2^k:
-    # the first pass samples the level-1 grid, and level 0 folds its even
-    # entries (see the module docstring).
-    for level in range(1, spec.max_refine + 1):
-        if not live:
-            break
-        fine, coarse = [], []
+    # the first pass samples the level-0 grid, and the step-2h0 grid folds
+    # its even entries (see the module docstring).
+    for level in range(spec.max_refine + 1):
+        fine = []
         for pt in live:
-            counts = [2 * (half << level) + 1 for half in pt.halves]
+            counts, h = [2 * (half << level) + 1 for half in pt.halves], pt.line.h0 / 2**level
             if sum(counts) <= _MAX_NODES:
-                pt.counts, pt.h = counts, pt.line.h0 / 2**level
+                pt.counts, pt.h = counts, h
                 fine.append(pt)
-            elif level > 1:
-                out[pt.k] = _over_budget(pt.line.h0 / 2**level)
-            elif sum(counts := [2 * half + 1 for half in pt.halves]) <= _MAX_NODES:
-                # over budget at level 1 only: sampled on its level-0 grid,
-                # where an overflow still fails it first
-                pt.counts, pt.h = counts, pt.line.h0
-                coarse.append(pt)
             else:
-                out[pt.k] = _over_budget(pt.line.h0)
+                out[pt.k] = ConvergenceError(
+                    f"line quadrature at step {h:.3g} needs more than {_MAX_NODES} nodes")
+        if not fine:
+            return
         # no sample outlives its pass
-        samples = _sample_pass(fine + coarse) if fine or coarse else []
-        for pt, row in zip(coarse, samples[len(fine):]):
-            bad = _overflowing_axis(row)
-            h = pt.line.h0 / 2**level
-            out[pt.k] = pt.overflow(bad) if bad is not None else _over_budget(h)
-        del samples[len(fine):]
+        samples = _sample_pass(fine)
         factors: dict = {}
         sums = _fold_rows(fine, samples, level, factors)
-        if level == 1:  # level 0 folds the even entries
-            evens = [[(e[::2], None) for e, _ in row] for row in samples]
-            for pt, (value, _) in zip(fine, _fold_rows(fine, evens, 0, factors, False)):
+        if level == 0:  # the step-2h0 grid folds the even entries
+            evens = [[(e[e.size // 2 % 2::2], None) for e, _ in row] for row in samples]
+            for pt, (value, _) in zip(fine, _fold_rows(fine, evens, -1, factors, False)):
                 pt.value = value
         live = []
         for r, (pt, (value, floor)) in enumerate(zip(fine, sums)):
             if not (cmath.isfinite(pt.value) and cmath.isfinite(value) and math.isfinite(floor)):
                 # a sample that is not finite leaves no sum finite; the
-                # errors go in order: overflows on the level-0 grid, on the
-                # level's grid, then the level-0 sum, then the level's
+                # errors go in order: overflows on the step-2h0 grid, on
+                # the level's grid, then the step-2h0 sum, then the level's
                 bad = _overflowing_axis(samples[r])
-                if bad is not None and level == 1:
+                if bad is not None and level == 0:
                     first = _overflowing_axis(evens[r])
                     bad = bad if first is None else first
-                step = pt.h if cmath.isfinite(pt.value) else pt.line.h0
+                step = pt.h if cmath.isfinite(pt.value) else 2 * pt.line.h0
                 out[pt.k] = pt.overflow(bad) if bad is not None else DomainError(
                     f"the nested sum overflows on the line at step {step:.3g}")
                 continue
             pt.floor = floor
             pt.deltas.append(abs(value - pt.value))
             pt.value = value
-            if pt.deltas[-1] <= spec.tol:
-                out[pt.k] = pt.result(level)
+            err = pt.error()
+            if err <= spec.tol:
+                out[pt.k] = pt.result(err)
             else:
                 live.append(pt)
     for pt in live:
@@ -519,9 +554,10 @@ def _fold_rows(
 ) -> list[tuple[complex, float | None]]:
     """Trapezoid sum of each point of pts at its step h0 / 2^level, and its
     round-off floor u * sum |terms| * (1 + sum_i kappa_i), from samples[r][i]
-    = (exp(log-kernel), |log-kernel|) of pts[r] on axis i: exp turns the
-    absolute rounding of a log-space factor into a relative error of about
-    u |log|, and kappa_i is the |term|-weighted mean of |log| on axis i.
+    = (exp(log-kernel), rounding) of pts[r] on axis i (see _sample_pass):
+    exp turns the absolute rounding of a log-space factor into a relative
+    error of about u rounding, and kappa_i is the |term|-weighted mean of
+    rounding on axis i.
     with_floor=False gives no floors, and the same values to the bit.
     factors maps (h, pole, n_c) to P_c^(-n_c) and takes the ones formed here.
     Each run of points of one depth folds as the rows of stacks of at most
@@ -545,14 +581,14 @@ def _fold_rows(
     for i, width in enumerate(widths):
         f = np.zeros((len(pts), width), dtype=np.complex128)
         for r, row in enumerate(samples):
-            e, abs_lg = row[i]
+            e, rounding = row[i]
             sizes[r] += e.size - 1
             fr = np.multiply(steps[r], e, f[r, :e.size])
             if with_floor:
                 weight = np.abs(fr)
                 total = float(weight.sum())
                 if total:  # some weight is nonzero
-                    kappa[r] += float(weight @ abs_lg) / total
+                    kappa[r] += float(weight @ rounding) / total
         # acc[r, J] sums every path of row r whose index sum is J; P_c = h J + i c eps
         acc = np.multiply(1 + 0j, f, f) if i == 0 else _convolve_rows(acc, f, sizes)
         # P_c^(-n_c), once per (h, pole, n_c) on the widest row that takes
@@ -762,26 +798,30 @@ def quad_bernoulli_circle(
     if not 0 < R < top:
         raise DomainError(f"radius must lie in (0, {top:.6g})")
 
-    def ring(N: int) -> complex:
+    def ring(N: int) -> tuple[complex, float]:
+        """The trapezoid sum on N nodes, and its round-off floor
+        u (1 + kappa) sum |terms|, with kappa as in _fold_rows."""
         theta = 2 * math.pi * np.arange(N) / N
         p = R * np.exp(1j * theta)
-        vals = np.exp(_log_kernel(a, b, hbar, omega, p)) * p ** (-n)
-        total = complex((2j * math.pi / N) * np.sum(vals * p))
+        lg = _log_kernel(a, b, hbar, omega, p)
+        terms = np.exp(lg) * p ** (-n) * p
+        total = complex((2j * math.pi / N) * np.sum(terms))
         if not cmath.isfinite(total):
             raise DomainError(f"the integrand overflows on the circle at omega = {omega!r}")
-        return total
+        weight = np.abs(terms)
+        mass = float(weight.sum())
+        kappa = float(weight @ np.abs(lg)) / mass if mass else 0.0
+        return total, _UNIT_ROUNDOFF * (1.0 + kappa) * (2 * math.pi / N) * mass
 
     N = 64
-    prev = ring(N)
+    prev, _ = ring(N)
     while N < 8192:
         N *= 2
-        cur = ring(N)
+        cur, floor = ring(N)
         delta = abs(cur - prev)
-        scale = max(1.0, abs(cur))
-        if delta <= tol * scale:
+        if delta <= tol * max(1.0, abs(cur)):
             return EvalResult(
-                _i_power(n - 1) * cur, delta + 1e-16 * scale, "contour",
-                {"nodes": N, "radius": R},
+                _i_power(n - 1) * cur, delta + floor, "contour", {"nodes": N, "radius": R},
             )
         prev = cur
     raise ConvergenceError("circle quadrature did not stabilize")

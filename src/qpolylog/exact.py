@@ -348,6 +348,19 @@ class ExactPoly(_SparseSum):
             total += c.to_complex(pi_val) * omega**j * hbar**k
         return total
 
+    def _eval_rounding(self, omega: complex, hbar: complex = 1.0) -> float:
+        """A first-order bound on the rounding error of eval(omega, hbar):
+        u = 2^-53 times sum |term| times its operation count, that is each
+        scalar part float(q) pi^t and their sum, two integer powers by
+        repeated squaring, two products and the running sum."""
+        bound = 0.0
+        for j, k, c in self.terms:
+            ops = (len(self.terms) + len(c.terms) + max(abs(t) for _, t, _ in c.terms) + 8
+                   + 6 * (j.bit_length() + abs(k).bit_length()))
+            size = sum(abs(float(q)) * math.pi**t for _, t, q in c.terms)
+            bound += ops * size * abs(omega) ** j * abs(hbar) ** k
+        return 2.0**-53 * bound
+
 
 # ---------------------------------------------------------------------------
 # Formal Laurent series in p with ExactPoly coefficients

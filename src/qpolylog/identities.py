@@ -669,7 +669,9 @@ def check_symmetries(
         }
         return [_report(spec.identity_name, params, residual, tol)]
 
-    return _check_points(spec.grid, point_reports)
+    # zeta-anchor checks to 1e-12, and decay reads |F| itself: both need more
+    # than the default tol certifies
+    return _check_points(spec.grid, point_reports, QuadratureSpec(tol=1e-14))
 
 
 # ---------------------------------------------------------------------------

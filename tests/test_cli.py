@@ -434,7 +434,9 @@ class TestEvalCommand:
         assert code == EXIT_OK
         record = payload["results"][0]
         assert record["value"] == {"im": 0.0, "re": 2.0}
-        assert record["err_estimate"] == 0.0
+        # the rounding bound of the float evaluation of omega
+        assert record["err_estimate"] == bernoulli_exact(1, 0, 1)._eval_rounding(2.0)
+        assert record["err_estimate"] == 16 * 2.0**-53 * 2.0
 
     def test_bernoulli_contour_matches_exact(self, capsys):
         args_tail = (

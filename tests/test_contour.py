@@ -129,7 +129,8 @@ class TestKernel:
 class TestMirroredLogsh:
     """On a grid p = h j + i eps and for real c > 0, c p at -j is -conj(c p)
     at j, so _logsh's flip branch gives conj(right half) + i pi there: the
-    mirrored fill is _logsh(c p), bit for bit."""
+    mirrored fill is _logsh(c p), and its rounding _logsh_rounding, bit for
+    bit."""
 
     def test_exp_and_log_are_conjugate_symmetric(self):
         # what the mirror needs of numpy's complex exp and log
@@ -154,8 +155,10 @@ class TestMirroredLogsh:
         half = 97 if odd_half else 96
         j = np.arange(-half, half + 1)
         p = h * j + 1j * eps
-        got = contour._mirrored_logsh([(c, p)])[0]
-        assert got.tobytes() == contour._logsh(c * p).tobytes()
+        ((log, rounding),) = contour._mirrored_logsh([(c, p)])
+        full = contour._logsh(c * p)
+        assert log.tobytes() == full.tobytes()
+        assert rounding.tobytes() == contour._logsh_rounding(c * p, full).tobytes()
 
 
 def logsh_flip_branch(z):
@@ -189,7 +192,7 @@ class TestLogsh:
 
 class TestQuadF:
     def test_anchor_value(self):
-        res = quad_F(idx1(1, 0, 0), (ANCHOR_OMEGA,), 1.0)
+        res = quad_F(idx1(1, 0, 0), (ANCHOR_OMEGA,), 1.0, QuadratureSpec(tol=1e-14))
         assert res.backend == "contour"
         assert abs(res.value - ANCHOR_VALUE) <= 1e-12
 
@@ -440,9 +443,10 @@ class TestTruncationAndNodeReuse:
         spec = QuadratureSpec(tol=1e-12)
         res = quad_F(MultiIndex((1, 1), (1, 1), (1, 2)), (-1.0, -0.5), 1.3, spec)
         diag = res.diagnostics
-        assert len(diag["deltas"]) == diag["levels"] >= 1
-        assert diag["deltas"][-1] <= spec.tol
-        assert res.err_estimate >= diag["deltas"][-1] + diag["tail"]
+        assert len(diag["deltas"]) == diag["levels"] == 1
+        # the step-h0 value is certified far below its delta to step 2 h0
+        assert diag["deltas"] == [1.7807028840355343e-07]
+        assert diag["tail"] < res.err_estimate == 1.0979644416273764e-14
         assert diag["nodes_evaluated"] == sum(diag["nodes_per_axis"])
         assert set(diag) == {
             "levels", "nodes_per_axis", "nodes_evaluated", "deltas", "T", "epsilon", "tail"
@@ -473,8 +477,8 @@ def assert_identical(batch, loop):
             assert dict(got.diagnostics) == dict(want.diagnostics)
 
 
-# (h, tol): real, complex, and h = 50 at tol 1e-13, where points refine to
-# levels 2-4 or stop converging
+# (h, tol): real, complex, and h = 50 at tol 1e-13, where the line sits
+# 1/100 above the axis
 SWEEP_HBAR_TOL = [(1.2, 1e-10), (1.3 + 0.4j, 1e-12), ((1 + math.sqrt(5)) / 2, 1e-10),
                   (50.0, 1e-13), (50 + 20j, 1e-13)]
 
@@ -482,9 +486,10 @@ SWEEP_HBAR_TOL = [(1.2, 1e-10), (1.3 + 0.4j, 1e-12), ((1 + math.sqrt(5)) / 2, 1e
 @st.composite
 def line_batches(draw):
     """(idx, points, h, tol, node budget) of a batched line integral: depth
-    1-3, 1-16 points in and out of the strip, some that overflow on the line
-    (on the level-0 grid, or on level-1 odd nodes only), and node budgets
-    that fail some points at level 0 or 1."""
+    1-3, 1-16 points in and out of the strip, some at large -Re omega, which
+    refine past the first pass, some that overflow on the line (on the
+    step-2h0 grid, or on the odd nodes of the step-h0 grid only), and node
+    budgets that fail some points at the first pass or later."""
     hbar, tol = draw(st.sampled_from(SWEEP_HBAR_TOL))
     # at h = 50 the line sits 1/100 above the axis, where grids are fine and
     # refine to level 4: depth 1-2 only, and every axis has sh(pi h p),
@@ -496,7 +501,8 @@ def line_batches(draw):
     n = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
     idx = MultiIndex(tuple(a for a, _ in ab), tuple(b for _, b in ab), tuple(n))
     finite = st.builds(complex, st.floats(-4.0, 0.5), st.floats(-1.5, 1.5))
-    omega = st.one_of(finite, finite, finite, st.sampled_from([5000.0, ODD_OVERFLOW]))
+    far = st.builds(complex, st.floats(-300.0, -30.0), st.floats(-1.5, 1.5))
+    omega = st.one_of(finite, finite, finite, far, st.sampled_from([5000.0, ODD_OVERFLOW]))
     points = draw(st.lists(st.tuples(*[omega] * m), min_size=1, max_size=16))
     budget = draw(st.sampled_from([contour._MAX_NODES] * 2 + [1500, 300]))
     return idx, points, hbar, tol, budget
@@ -514,11 +520,11 @@ class TestBatch:
              [(-1.0, -0.5), (-1 + 2j, -0.5), (-1 + 7.5j, -1.0), (-2 + 1j, -1 - 1j)]),
             (MultiIndex((2, 1, 1), (1, 0, 1), (1, 1, 2)), 1 + 0.5j, 1e-10,
              [(-2.0, -1.0, -0.5), (-2 + 1j, -1.0, -0.5 - 0.5j)]),
-            # at h = 50 and tol 1e-13, 6 + i refines one level past the others
-            (idx1(2, 1, 1), 50.0, 1e-13, [(-1.0,), (6 + 1j,), (-4.0,), (3 + 1j,)]),
-            # mixed stopping levels 1 and 4, and points that stop converging
-            (idx1(1, 1, 3), 50.0, 1e-13,
-             [(-4.0,), (-1 + 1j,), (0.5 + 1j,), (-1.0,), (6 + 1j,)]),
+            # at h = 50 and tol 1e-13, Re omega of -4000 to -12000 shifts the
+            # aliasing frequency past pi / h0: levels 1-4
+            (idx1(2, 1, 1), 50.0, 1e-13, [(-1.0,), (-4000.0,), (-7000 + 1j,), (-12000.0,)]),
+            # mixed stopping levels 1, 2 and 4, and a point that stops converging
+            (idx1(1, 1, 3), 50.0, 1e-13, [(-4.0,), (-4000.0,), (-20000.0,), (60000.0,)]),
         ],
     )
     def test_matches_one_point_calls_bit_for_bit(self, idx, hbar, tol, points):
@@ -527,17 +533,18 @@ class TestBatch:
         assert_identical(batch, one_by_one(lambda p: quad_F(idx, p, hbar, spec), points))
 
     def test_stopping_levels_and_errors_stay_per_point(self):
-        points = [(-4.0,), (-1 + 1j,), (0.5 + 1j,), (-1.0,)]
-        batch = quad_F_batch(idx1(1, 1, 3), points, 50.0, QuadratureSpec(tol=1e-13))
-        assert isinstance(batch[0], ConvergenceError)
-        assert batch[1].diagnostics["levels"] == 1
+        # -Re omega shifts the aliasing frequency, so the rate model
+        # certifies a step only once pi / h exceeds it (see _LinePoint.error)
+        points = [(-250.0,), (-4.0,), (700.0,), (-120 + 1j,), (-60.0,)]
+        batch = quad_F_batch(idx1(1, 1, 2), points, 1.2)
+        assert [r.diagnostics["levels"] for r in batch[:2]] == [4, 1]
         assert isinstance(batch[2], ConvergenceError)
-        assert batch[3].diagnostics["levels"] == 4
+        assert [r.diagnostics["levels"] for r in batch[3:]] == [3, 2]
 
     def test_node_budget_is_per_point(self, monkeypatch):
         # the wide point leaves the batch over budget; the narrow one goes on
         idx, points = idx1(1, 1, 1), [(-1.0,), (-1 + 6j,)]
-        monkeypatch.setattr(contour, "_MAX_NODES", 1500)
+        monkeypatch.setattr(contour, "_MAX_NODES", 1000)
         batch = quad_F_batch(idx, points, 1.2)
         assert batch[0].diagnostics["levels"] == 1
         assert isinstance(batch[1], ConvergenceError)
@@ -554,14 +561,14 @@ class TestBatch:
 
     def test_sum_that_overflows_fails_its_row_alone(self):
         # every sample is finite but the nested sum is not: the row fails
-        # with a DomainError at its first level (level 0, step h0) rather
+        # with a DomainError at its first pass (its step-2h0 sum) rather
         # than refine on NaN deltas, and its neighbours keep their bits
         idx, hbar = MultiIndex((0, 0, 0), (1, 1, 1), (0, 0, 0)), 1.3 + 0.4j
         spec = QuadratureSpec(tol=1e-12)
         points = [(-1.0, -0.5, -0.3), (0, 1706.4508 + 3j, 1706.4508 + 3j), (-2.0, -1.0, -0.5)]
         got = quad_F_batch(idx, points, hbar, spec)
         assert isinstance(got[1], DomainError)
-        assert str(got[1]) == "the nested sum overflows on the line at step 0.0685"
+        assert str(got[1]) == "the nested sum overflows on the line at step 0.137"
         assert_identical(got, one_by_one(lambda p: quad_F(idx, p, hbar, spec), points))
         assert_same_outcomes(line_integral(idx, points, hbar, spec),
                              two_pass(idx, points, hbar, spec))
@@ -611,9 +618,9 @@ class TestBatch:
 
     def test_rows_in_different_fft_groups(self, monkeypatch):
         # each later axis is one FFT per group of rows whose own convolution
-        # rounds to the same power of two: at level 1, the (1197, 289) row
-        # takes 2048 entries and the other five 1024, (641, 289) and
-        # (289, 489) among them, where the stack's widths would round to 2048
+        # rounds to the same power of two: at step h0, the (599, 145) row
+        # takes 1024 entries and the other five 512, (321, 145) and
+        # (145, 245) among them, where the stack's widths would round to 1024
         idx, hbar, spec = MultiIndex((1, 1), (1, 1), (1, 2)), 1.3, QuadratureSpec()
         points = [(-1.0, -0.5), (-1 + 2j, -0.5), (-2 + 1j, -1 - 1j), (-1 + 4j, -0.5),
                   (-1.5 + 5.5j, -0.7), (-2.0, -1 + 3j)]
@@ -627,22 +634,22 @@ class TestBatch:
         monkeypatch.setattr(np.fft, "ifft", spy)
         got = line_integral(idx, points, hbar, spec)
         monkeypatch.undo()
-        assert [r[2]["nodes_per_axis"] for r in got][3:] == [[641, 289], [1197, 289], [289, 489]]
-        # one inverse transform per group: level 1, then level 0
-        assert shapes == [(5, 1024), (1, 2048), (5, 512), (1, 1024)]
+        assert [r[2]["nodes_per_axis"] for r in got][3:] == [[321, 145], [599, 145], [145, 245]]
+        # one inverse transform per group: step h0, then step 2h0
+        assert shapes == [(5, 512), (1, 1024), (5, 256), (1, 512)]
         assert_same_outcomes(got, two_pass(idx, points, hbar, spec))
         assert_identical(quad_F_batch(idx, points, hbar, spec),
                          one_by_one(lambda p: quad_F(idx, p, hbar, spec), points))
 
     def test_row_past_the_elision_boundary_beside_small_rows(self):
-        # one row folds 27,745 entries, where a point alone multiplies by
-        # its factor as factor * acc; the others fold about 2,200
-        idx, hbar, spec = MultiIndex((1, 1), (0, 1), (1, 2)), 3.1, QuadratureSpec(tol=1e-13)
+        # one row folds 20,793 entries, where a point alone multiplies by
+        # its factor as factor * acc; the others fold about 1,700
+        idx, hbar, spec = MultiIndex((1, 1), (0, 1), (1, 2)), 5.0, QuadratureSpec(tol=1e-13)
         points = [(-2.6208992563278373 + 2.9145008940925963j,
                    -2.7587133628012634 - 11.000295837076807j), (-1.0, -0.5), (-2 + 0.3j, -1.0)]
         got = line_integral(idx, points, hbar, spec)
         folded = [sum(r[2]["nodes_per_axis"]) - 1 for r in got]
-        assert folded[0] == 27745 and max(folded[1:]) < 16384
+        assert folded[0] == 20793 and max(folded[1:]) < 16384
         assert_same_outcomes(got, two_pass(idx, points, hbar, spec))
         assert_identical(quad_F_batch(idx, points, hbar, spec),
                          one_by_one(lambda p: quad_F(idx, p, hbar, spec), points))
@@ -725,12 +732,12 @@ class TestMixedRows:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(mixed_calls())
     # h = 50 at tol 1e-13: rows that refine to levels 2-4 beside level-1 rows
-    @example(([Row(idx1(1, 1, 2), (-4.0,), 50.0), Row(idx1(1, 1, 2), (-1.0,), 50.0),
+    @example(([Row(idx1(1, 1, 2), (-20000.0,), 50.0), Row(idx1(1, 1, 2), (-4000.0,), 50.0),
                Row(idx1(1, 1, 3), (-1.0,), 50.0), Row(idx1(2, 1, 1), (-1.0,), 1.2),
                Row(MultiIndex((1, 1), (1, 1), (1, 2)), (-1.0, -0.5), 1.3)], 1e-13, 16, 1 << 15))
     # a row over the node budget, one that overflows on the line, good rows
     # and a duplicated one
-    @example(([Row(idx1(1, 1, 1), (-1.0,), 1 + 65j), Row(idx1(1, 1, 1), (5000.0,), 1.2),
+    @example(([Row(idx1(1, 1, 1), (-1.0,), 1 + 110j), Row(idx1(1, 1, 1), (5000.0,), 1.2),
                Row(idx1(1, 1, 1), (-1.0,), 1.2), Row(idx1(2, 0, 1), (-1.0,), 1.2),
                Row(idx1(1, 1, 1), (-1.0,), 1.2)], 1e-10, 2, 1 << 15))
     def test_each_row_matches_its_one_point_call(self, case):
@@ -744,14 +751,14 @@ class TestMixedRows:
 
     def test_levels_and_errors_of_the_explicit_rows(self):
         spec = QuadratureSpec(tol=1e-13)
-        rows = [Row(idx1(1, 1, 2), (-4.0,), 50.0), Row(idx1(1, 1, 2), (-1.0,), 50.0),
-                Row(idx1(1, 1, 1), (-1.0,), 1 + 65j), Row(idx1(1, 1, 1), (5000.0,), 1.2),
+        rows = [Row(idx1(1, 1, 2), (-20000.0,), 50.0), Row(idx1(1, 1, 2), (-4000.0,), 50.0),
+                Row(idx1(1, 1, 1), (-1.0,), 1 + 110j), Row(idx1(1, 1, 1), (5000.0,), 1.2),
                 Row(idx1(2, 1, 1), (-1.0,), 1.2)]
         got = contour._quad_rows(rows, spec)
         assert [r.diagnostics["levels"] for r in (got[0], got[1])] == [4, 2]
         assert isinstance(got[2], ConvergenceError) and "nodes" in str(got[2])
         assert isinstance(got[3], DomainError) and "overflows" in str(got[3])
-        assert got[4].diagnostics["levels"] < 4
+        assert got[4].diagnostics["levels"] == 1
 
     def test_identical_rows_are_computed_once(self, monkeypatch):
         row = Row(MultiIndex((1, 1), (1, 1), (1, 2)), (-1.0, -0.5), 1.3)
@@ -773,11 +780,11 @@ class TestMixedRows:
         assert got[2] is not got[3]
 
 
-def _interleave(even, odd):
-    """The array even[0], odd[0], even[1], ..., odd[-1], even[-1]."""
-    out = np.empty(even.size + odd.size, dtype=np.result_type(even, odd))
-    out[0::2] = even
-    out[1::2] = odd
+def _interleave(kept, fresh, span):
+    """The samples at j = -span..span: kept at the even j, fresh at the odd."""
+    out = np.empty(2 * span + 1, dtype=np.result_type(kept, fresh))
+    out[span % 2::2] = kept
+    out[1 - span % 2::2] = fresh
     return out
 
 
@@ -787,11 +794,11 @@ def fold_alone(samples, h, n, eps, shifts):
     _fold_rows replaced, kept here as its reference."""
     acc = np.ones(1, dtype=np.complex128)
     kappa = 0.0
-    for i, (e, abs_lg) in enumerate(samples):
+    for i, (e, rounding) in enumerate(samples):
         f = h * e
         weight = np.abs(f)
         if weight.any():
-            kappa += float(weight @ abs_lg) / float(weight.sum())
+            kappa += float(weight @ rounding) / float(weight.sum())
         acc = _fftconvolve(acc, f)
         if n[i] != 0:
             J = np.arange(acc.size) - acc.size // 2
@@ -809,12 +816,12 @@ def line_integral(idx, omegas, hbar, spec, pole_shifts=None):
 
 
 def two_pass(idx, omegas, hbar, spec, pole_shifts=None):
-    """_line_integral refined another way: level 0 sampled on its own grid at
-    step h0, each later level on its new odd nodes only and interleaved with
-    the kept samples, and every point alone on its own grid and in its own
-    fold (fold_alone).  It is built from the engine's own set-up and
-    _log_kernel, so both sides round alike on any machine; nodes_evaluated
-    is counted here."""
+    """_line_integral refined another way: the step-2h0 grid sampled on its
+    own, each later grid (steps h0, h0/2, ...) on its new odd nodes only and
+    interleaved with the kept samples, and every point alone on its own grid
+    and in its own fold (fold_alone).  It is built from the engine's own
+    set-up, _log_kernel and rate model (_LinePoint.error), so both sides
+    round alike on any machine; nodes_evaluated is counted here."""
     rows = [Row(idx, om, hbar, pole_shifts) for om in omegas]
     out, live = contour._line_points(rows, spec)
     shifts = tuple(pole_shifts) if pole_shifts is not None else (0j,) * idx.depth
@@ -827,39 +834,48 @@ def two_pass(idx, omegas, hbar, spec, pole_shifts=None):
 def _refine_alone(pt, idx, hbar, spec, shifts):
     h0, eps = pt.line.h0, pt.line.eps
     samples, nodes = [None] * idx.depth, 0
-    for level in range(spec.max_refine + 1):
+    for level in range(-1, spec.max_refine + 1):
         h = h0 / 2**level
-        pt.counts = [2 * (half << level) + 1 for half in pt.halves]
+        spans = [half << level if level >= 0 else half >> 1 for half in pt.halves]
+        pt.counts = [2 * (half << max(level, 0)) + 1 for half in pt.halves]
         if sum(pt.counts) > contour._MAX_NODES:
             return ConvergenceError(
-                f"line quadrature at step {h:.3g} needs more than {contour._MAX_NODES} nodes"
+                f"line quadrature at step {h0 / 2**max(level, 0):.3g} needs more than "
+                f"{contour._MAX_NODES} nodes"
             )
         error = None
-        for i in range(idx.depth):
-            span = pt.halves[i] << level
-            j = np.arange(1 - span, span, 2) if level else np.arange(-span, span + 1)
+        for i, span in enumerate(spans):
+            j = np.arange(-span, span + 1)
+            if level >= 0:
+                j = j[j % 2 != 0]
             p = h * j + 1j * eps
             lg = contour._log_kernel(idx.a[i], idx.b[i], hbar, pt.omega[i], p)
             nodes += p.size
-            fresh = (np.exp(lg), np.abs(lg))
+            fresh = (np.exp(lg), _kernel_rounding(idx.a[i], idx.b[i], hbar, p, lg))
             if not np.isfinite(fresh[0]).all():
                 error = DomainError(
                     f"the integrand overflows on the line at omega[{i}] = {pt.omega[i]!r}"
                 )
-            samples[i] = tuple(map(_interleave, samples[i], fresh)) if level else fresh
+            if level >= 0:
+                fresh = tuple(_interleave(k, f, span) for k, f in zip(samples[i], fresh))
+            samples[i] = fresh
         if error is not None:
             return error
-        # the engine folds level 0 once the level-1 samples are checked
-        if level == 1 and not cmath.isfinite(pt.value):
-            return DomainError(f"the nested sum overflows on the line at step {h0:.3g}")
         value, pt.floor = fold_alone(samples, h, idx.n, eps, shifts)
-        if level and not (cmath.isfinite(value) and math.isfinite(pt.floor)):
+        if level < 0:
+            pt.value = value
+            continue
+        # the engine folds the step-2h0 grid once the step-h0 samples are checked
+        if level == 0 and not cmath.isfinite(pt.value):
+            return DomainError(f"the nested sum overflows on the line at step {2 * h0:.3g}")
+        if not (cmath.isfinite(value) and math.isfinite(pt.floor)):
             return DomainError(f"the nested sum overflows on the line at step {h:.3g}")
-        if level:
-            pt.deltas.append(abs(value - pt.value))
+        pt.h = h
+        pt.deltas.append(abs(value - pt.value))
         pt.value = value
-        if level and pt.deltas[-1] <= spec.tol:
-            outcome = pt.result(level)
+        err = pt.error()
+        if err <= spec.tol:
+            outcome = pt.result(err)
             break
     else:
         outcome = pt.unconverged(spec)
@@ -867,6 +883,16 @@ def _refine_alone(pt, idx, hbar, spec, shifts):
         return outcome
     value, err, diag = outcome
     return value, err, {**diag, "nodes_evaluated": nodes}
+
+
+def _kernel_rounding(a, b, hbar, p, lg):
+    """|lg| plus the _logsh_rounding of each sh factor, as _sample_pass forms it."""
+    rounding = 0
+    for c, k in ((math.pi, a), (math.pi * hbar, b)):
+        if k:
+            z = c * p
+            rounding = rounding + k * contour._logsh_rounding(z, contour._logsh(z))
+    return np.abs(lg) + rounding
 
 
 def assert_same_outcomes(got, want):
@@ -878,14 +904,14 @@ def assert_same_outcomes(got, want):
             assert g == w  # value, estimate and diagnostics, bit for bit
 
 
-# overflows on the odd nodes of its level-1 grid only, at h = 1.2 and tol 1e-10
-ODD_OVERFLOW = 1706.4508 + 3j
+# overflows on the odd nodes of its step-h0 grid only, at h = 1.2 and tol 1e-10
+ODD_OVERFLOW = 1705.597 + 5j
 
 
 class TestOnePass:
-    """The first pass samples the level-1 grid once and folds level 0 from
-    its even entries, and every later pass samples its whole grid; the
-    result is the odd-node refinement's, bit for bit."""
+    """The first pass samples the step-h0 grid once and folds the step-2h0
+    grid from its even entries, and every later pass samples its whole
+    grid; the result is the odd-node refinement's, bit for bit."""
 
     @pytest.mark.parametrize(
         "idx,hbar,tol,points,shifts",
@@ -898,27 +924,30 @@ class TestOnePass:
              [(-2.0, -1.0, -0.5), (-2 + 1j, -1.0, -0.5 - 0.5j)], None),
             # the pole shift of gen_series_depth1
             (idx1(1, 1, 1), 1.3, 1e-12, [(-1.2,), (-0.4 + 1j,)], (0.1 - 0.05j,)),
-            # 24,753 nodes per axis
+            # 12,377 nodes on the first axis
             (MultiIndex((1, 1), (0, 1), (1, 2)), 3.1, 1e-13,
              [(-2.6208992563278373 + 2.9145008940925963j,
                -2.7587133628012634 - 11.000295837076807j)], None),
-            # overflow on the level-0 grid; overflow on level-1 odd nodes only
+            # overflow on the step-2h0 grid; overflow on the odd nodes of the
+            # step-h0 grid only
             (idx1(1, 1, 1), 1.2, 1e-10, [(5000.0,), (ODD_OVERFLOW,), (-1.0,)], None),
             (MultiIndex((1, 1), (1, 1), (1, 1)), 1.2, 1e-10,
              [(5000.0, ODD_OVERFLOW), (ODD_OVERFLOW, 5000.0), (ODD_OVERFLOW, -1.0),
               (-1.0, ODD_OVERFLOW), (-1.0, -0.5)], None),
-            # levels 2 and 4; points that stop converging
-            (idx1(1, 1, 2), 50.0, 1e-13, [(-4.0,), (-1 + 1j,), (-1.0,), (6 + 1j,)], None),
-            (idx1(1, 1, 3), 50.0, 1e-13, [(-4.0,), (-1 + 1j,), (0.5 + 1j,), (-1.0,)], None),
+            # levels 2, 1, 4 and 1, 3, 3; points that stop converging
+            (idx1(1, 1, 2), 50.0, 1e-13,
+             [(-4000.0,), (-1 + 1j,), (-20000.0,), (60000.0,)], None),
+            (idx1(1, 1, 3), 50.0, 1e-13,
+             [(-4.0,), (-7000 + 1j,), (60000.0,), (-12000.0,)], None),
             # depth 3, mixed axes share the log sh samples of one grid
             (MultiIndex((2, 0, 1), (0, 1, 1), (1, 0, 2)), 1.2, 1e-10,
              [(-1.0, -0.5 + 0.2j, -0.3), (-2.0, -1.0, -0.5)], None),
             # tiny and subnormal samples: exp(-i p omega) ~ exp(-700 - ...)
             (idx1(1, 1, 1), 1.2, 1e-10, [(-1400.0,), (-1700 + 1j,)], None),
-            # complex h, depth 2: levels 2, 3, 4 and 2 with no mirror for
+            # complex h, depth 2: levels 2, 3, 4 and 1 with no mirror for
             # sh(pi h p)
             (MultiIndex((2, 1), (1, 1), (1, 1)), 50 + 20j, 1e-13,
-             [(-1.0, -1.0), (-4.0, -4.0), (-1 + 1j, -1 + 1j), (-2.0, -0.5)], None),
+             [(-4000.0, -4.0), (-8000.0, -1 + 1j), (-15000.0, -1.0), (-2.0, -0.5)], None),
         ],
     )
     def test_matches_two_passes(self, idx, hbar, tol, points, shifts):
@@ -931,24 +960,24 @@ class TestOnePass:
             MultiIndex((1, 1), (0, 1), (1, 2)),
             [(-2.6208992563278373 + 2.9145008940925963j,
               -2.7587133628012634 - 11.000295837076807j)],
-            3.1, QuadratureSpec(tol=1e-13),
+            5.0, QuadratureSpec(tol=1e-13),
         )[0]
-        assert max(big[2]["nodes_per_axis"]) == 24753
+        assert big[2]["nodes_per_axis"] == [20207, 587]
         deep = line_integral(
-            idx1(1, 1, 2), [(-4.0,), (-1.0,)], 50.0, QuadratureSpec(tol=1e-13)
+            idx1(1, 1, 2), [(-20000.0,), (-4000.0,)], 50.0, QuadratureSpec(tol=1e-13)
         )
         assert [r[2]["levels"] for r in deep] == [4, 2]
         complex_h = line_integral(
             MultiIndex((2, 1), (1, 1), (1, 1)),
-            [(-1.0, -1.0), (-4.0, -4.0), (-1 + 1j, -1 + 1j), (-2.0, -0.5)],
+            [(-4000.0, -4.0), (-8000.0, -1 + 1j), (-15000.0, -1.0), (-2.0, -0.5)],
             50 + 20j, QuadratureSpec(tol=1e-13),
         )
-        assert [r[2]["levels"] for r in complex_h] == [2, 3, 4, 2]
+        assert [r[2]["levels"] for r in complex_h] == [2, 3, 4, 1]
 
     def test_every_level_samples_its_whole_grid(self, monkeypatch):
         # each pass takes both sh logs on the right half of its level's
         # widest grid (h is real, so the left half is the mirror), in one
-        # _logsh call; levels 2-4 sample the whole grid again, even nodes
+        # _logsh call; levels 1-4 sample the whole grid again, even nodes
         # included
         sizes = []
         logsh = contour._logsh
@@ -958,15 +987,15 @@ class TestOnePass:
             return logsh(z)
 
         monkeypatch.setattr(contour, "_logsh", counting)
-        points = [(-4.0,), (-1 + 1j,), (0.5 + 1j,), (-1.0,), (6 + 1j,)]
+        points = [(-4.0,), (-4000.0,), (-7000 + 1j,), (-20000.0,), (60000.0,)]
         line_integral(idx1(1, 1, 3), points, 50.0, QuadratureSpec(tol=1e-13))
-        assert sizes == [2 * 461, 2 * 921, 2 * 1841, 2 * 3681]
+        assert sizes == [2 * 231, 2 * 461, 2 * 921, 2 * 1833, 2 * 3665]
 
     def test_level_zero_overflows_are_reported_first(self):
-        # each level reports its last overflowing axis, and an overflow on
-        # level-1 odd nodes counts only if no axis overflows at level 0; so
-        # (5000, ODD_OVERFLOW) failing on axis 0 shows ODD_OVERFLOW is finite
-        # on its level-0 nodes
+        # each grid reports its last overflowing axis, and an overflow on the
+        # odd nodes of the step-h0 grid counts only if no axis overflows on
+        # the step-2h0 grid; so (5000, ODD_OVERFLOW) failing on axis 0 shows
+        # ODD_OVERFLOW is finite on the step-2h0 nodes
         idx, spec = MultiIndex((1, 1), (1, 1), (1, 1)), QuadratureSpec()
         points = [(ODD_OVERFLOW, -1.0), (-1.0, ODD_OVERFLOW), (5000.0, ODD_OVERFLOW),
                   (ODD_OVERFLOW, 5000.0), (ODD_OVERFLOW, ODD_OVERFLOW)]
@@ -978,10 +1007,13 @@ class TestOnePass:
             assert str(err) == f"the integrand overflows on the line at omega[{axis}] = {omega!r}"
 
     def test_level_one_budget_failure_alone(self, monkeypatch):
-        # level 1 would need more than _MAX_NODES nodes: only the level-0
-        # grid is sampled, and the point fails at the level-1 step
-        spec, idx = QuadratureSpec(), idx1(1, 1, 1)
-        want = two_pass(idx, [(-1.0,)], 1 + 65j, spec)
+        # -60 shifts the aliasing frequency past pi / h0, so the first pass
+        # certifies nothing, and level 1 (step h0 / 2) would need more than
+        # _MAX_NODES nodes: only the first pass is sampled, and the point
+        # fails at the level-1 step
+        spec, idx, hbar = QuadratureSpec(), idx1(1, 1, 1), 1.3 + 0.4j
+        monkeypatch.setattr(contour, "_MAX_NODES", 200)
+        want = two_pass(idx, [(-60.0,)], hbar, spec)
         sizes = []
         logsh = contour._logsh
 
@@ -990,29 +1022,29 @@ class TestOnePass:
             return logsh(z)
 
         monkeypatch.setattr(contour, "_logsh", counting)
-        got = line_integral(idx, [(-1.0,)], 1 + 65j, spec)
-        assert isinstance(got[0], ConvergenceError) and "step 3.71e-06" in str(got[0])
+        got = line_integral(idx, [(-60.0,)], hbar, spec)
+        assert isinstance(got[0], ConvergenceError) and "step 0.0324" in str(got[0])
         assert_same_outcomes(got, want)
         # h is complex: sh(pi p) is evaluated on the right half of the
-        # level-0 grid, sh(pi h p) on all of it, in one _logsh call
+        # first-pass grid, sh(pi h p) on all of it, in one _logsh call
         (size,) = sizes
-        level0 = (2 * size - 1) // 3
-        assert size == (level0 + 1) // 2 + level0
-        assert 2 * level0 - 1 > contour._MAX_NODES >= level0
+        first = (2 * size - 1) // 3
+        assert size == (first + 1) // 2 + first
+        assert 2 * first - 1 > contour._MAX_NODES >= first
 
     @pytest.mark.parametrize(
         "budget,kinds",
         [
-            # -1 + 6i fails at level 0, -1 + 3i at level 1
-            (300, [tuple, ConvergenceError, ConvergenceError, ConvergenceError]),
-            # -1 + 6i fails at level 1; 3000 + 6i overflows at level 0 first
-            (1500, [tuple, ConvergenceError, DomainError, tuple]),
+            # -1 + 6i and 3000 + 6i fail at the first pass, -60 + 3i at level 1
+            (300, [tuple, ConvergenceError, ConvergenceError, tuple, ConvergenceError]),
+            # 3000 + 6i overflows on the line
+            (1500, [tuple, tuple, DomainError, tuple, tuple]),
         ],
     )
     def test_budget_failures_beside_points_that_go_on(self, monkeypatch, budget, kinds):
         monkeypatch.setattr(contour, "_MAX_NODES", budget)
         idx, spec = idx1(1, 1, 1), QuadratureSpec()
-        points = [(-1.0,), (-1 + 6j,), (3000 + 6j,), (-1 + 3j,)]
+        points = [(-1.0,), (-1 + 6j,), (3000 + 6j,), (-1 + 3j,), (-60 + 3j,)]
         got = line_integral(idx, points, 1.2, spec)
         assert [type(r) for r in got] == kinds
         assert_same_outcomes(got, two_pass(idx, points, 1.2, spec))
@@ -1056,7 +1088,7 @@ class TestQuadLi:
     def test_depth_four_vs_series(self):
         n = (1, 2, 1, 2)
         w = (-0.6, -0.8 + 0.3j, -0.5, -0.9)
-        res = quad_Li(n, w)
+        res = quad_Li(n, w, QuadratureSpec(tol=1e-14))
         z = tuple(cmath.exp(v) for v in w[:-1]) + (-cmath.exp(w[-1]),)
         expected = multiple_polylog(n, z).value
         assert abs(res.value - expected) <= 1e-12 * abs(expected)
@@ -1069,7 +1101,7 @@ class TestQuadLi:
 class TestQuadZeta:
     def test_unit_coupling_anchor(self):
         # s = 2 at h = 1 gives i pi / 12
-        res = quad_zeta_hbar((2,), 1.0)
+        res = quad_zeta_hbar((2,), 1.0, QuadratureSpec(tol=1e-14))
         assert res.value == pytest.approx(1j * math.pi / 12, abs=1e-12)
 
     def test_validation(self):
@@ -1234,7 +1266,7 @@ class TestDepthFour:
         hbar = (1 + math.sqrt(5)) / 2
         n = (1, 2, 1, 1)
         w = (-0.9 + 0.2j, -0.8 - 0.3j, -1.1 + 0.1j, -0.9)
-        quad = quad_I(MultiIndex((1,) * 4, (1,) * 4, n), w, hbar)
+        quad = quad_I(MultiIndex((1,) * 4, (1,) * 4, n), w, hbar, QuadratureSpec(tol=1e-14))
         comp = companion_sum_I(n, w, hbar)
         assert comp.diagnostics["cones"] == 16
         assert abs(quad.value - comp.value) <= quad.err_estimate + comp.err_estimate

@@ -16,6 +16,7 @@ import pytest
 from qpolylog import DomainError
 from qpolylog.contour import (
     KernelParams,
+    QuadratureSpec,
     kernel,
     quad_F,
     quad_I,
@@ -70,11 +71,16 @@ def idx1(a: int, b: int, n: int) -> MultiIndex:
     return MultiIndex((a,), (b,), (n,))
 
 
+# The contour certifies the default tol 1e-10; the anchors below are checked
+# to 1e-12, so they ask for that much.
+TIGHT = QuadratureSpec(tol=1e-14)
+
+
 class TestLineOrientation:
     def test_anchor_value(self):
         closed = -math.exp(-1.0) / (1.0 + math.exp(-1.0))
         assert abs(closed - ANCHOR_F100_VALUE) <= 1e-15
-        quad = quad_F(idx1(1, 0, 0), (ANCHOR_F100_OMEGA,), 1.0).value
+        quad = quad_F(idx1(1, 0, 0), (ANCHOR_F100_OMEGA,), 1.0, TIGHT).value
         assert abs(quad - ANCHOR_F100_VALUE) <= 1e-12
 
     def test_rejected_flip_residual(self):
@@ -112,8 +118,8 @@ class TestFiniteDifferenceStep:
 class TestBoundaryReflection:
     def test_reference_values_and_sign(self):
         idx = idx1(1, 1, 1)
-        f_pos = quad_F(idx, (-1.0,), 1.3).value
-        f_neg = quad_F(idx, (1.0,), 1.3).value
+        f_pos = quad_F(idx, (-1.0,), 1.3, TIGHT).value
+        f_neg = quad_F(idx, (1.0,), 1.3, TIGHT).value
         b_val = bernoulli_exact(1, 1, 1).eval(-1.0, 1.3)
         assert abs(f_pos - BOUNDARY_F_VALUE) <= 1e-12
         assert abs(b_val - BOUNDARY_B_VALUE) <= 1e-14
@@ -263,12 +269,12 @@ class TestCompanionForm:
 
 class TestWeightedZeta:
     def test_unit_anchor(self):
-        val = quad_zeta_hbar((2,), 1.0).value
+        val = quad_zeta_hbar((2,), 1.0, TIGHT).value
         assert abs(val - 1j * math.pi / 12) <= 1e-12  # recorded 6.5e-17
         assert abs(val - ZETA_1_2_VALUE) <= 1e-12
 
     def test_deformed_reference(self):
-        val = quad_zeta_hbar((3,), 1.4).value
+        val = quad_zeta_hbar((3,), 1.4, TIGHT).value
         assert abs(val - ZETA_14_3_VALUE) <= 1e-12
 
     def test_reflection_exponent(self):
@@ -288,7 +294,7 @@ class TestWeightedZeta:
 
 class TestIteratedArgumentEvaluator:
     def test_reference_value_and_residual(self):
-        res = quad_Li((1, 1), (-2.0, -1.0)).value
+        res = quad_Li((1, 1), (-2.0, -1.0), TIGHT).value
         assert abs(res - QUAD_LI_REFERENCE_VALUE) <= 1e-12
         simplex = multiple_polylog(
             (1, 1), (math.exp(-2.0), -math.exp(-1.0))
