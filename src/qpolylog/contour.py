@@ -49,15 +49,16 @@ cexp and clog are; at complex h, sh(pi h p) has no mirror.
 
 Each fold takes the rows of one depth as the rows of a stack: each axis's
 samples h e are the zero-padded rows of one array, and each later axis is
-one FFT convolution per group of rows whose own convolution rounds up to the
-same power of two, the transform length of the row alone.  Each factor
-P_c^(-n_c) is formed once per (h, eps, shift, n_c), and the step-2h0 grid
-takes every other entry of the step-h0 grid's.  numpy's complex multiply is
-not bitwise commutative, and numpy evaluates acc * factor with a temporary
-factor of 16,384 entries (256 KiB) or more as factor * acc; each row is
-multiplied in the order that product takes at its own size.  So each row's value,
-estimate, diagnostics and errors are bit for bit those it has alone, which
-is what quad_F runs, and rows that repeat one another are computed once.
+one call of series._fftconvolve, the FFT row convolver of the cone sums,
+which gives each row the transform length and size it has alone.  Each
+factor P_c^(-n_c) is formed once per (h, eps, shift, n_c), and the step-2h0
+grid takes every other entry of the step-h0 grid's.  numpy's complex
+multiply is not bitwise commutative, and numpy evaluates acc * factor with a
+temporary factor of 16,384 entries (256 KiB) or more as factor * acc; each
+row is multiplied in the order that product takes at its own size.  So each
+row's value, estimate, diagnostics and errors are bit for bit those it has
+alone, which is what quad_F runs, and rows that repeat one another are
+computed once.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from .core import (
     validate_hbar,
 )
 from .exact import binom_general, q_poly
-from .series import _UNIT_ROUNDOFF, SeriesParams, classical_polylog
+from .series import _UNIT_ROUNDOFF, SeriesParams, _fftconvolve, classical_polylog
 
 __all__ = [
     "QuadratureSpec",
@@ -562,7 +563,8 @@ def _fold_rows(
     factors maps (h, pole, n_c) to P_c^(-n_c) and takes the ones formed here.
     Each run of points of one depth folds as the rows of stacks of at most
     _MAX_STACK cells (see the module docstring); the first axis is the
-    product 1 f, which keeps the sign of zeros as a point alone does."""
+    product 1 f, which keeps the sign of zeros as a point alone does, and
+    each later axis is series._fftconvolve of the stack with its samples."""
     if not pts:
         return []
     m = len(samples[0])
@@ -590,7 +592,7 @@ def _fold_rows(
                 if total:  # some weight is nonzero
                     kappa[r] += float(weight @ rounding) / total
         # acc[r, J] sums every path of row r whose index sum is J; P_c = h J + i c eps
-        acc = np.multiply(1 + 0j, f, f) if i == 0 else _convolve_rows(acc, f, sizes)
+        acc = np.multiply(1 + 0j, f, f) if i == 0 else _fftconvolve(acc, f, sizes, 1)
         # P_c^(-n_c), once per (h, pole, n_c) on the widest row that takes
         # it; (h/2)(2J) == h J bit for bit, so a factor at step h is every
         # other entry of one at step h/2, copied so that every multiply
@@ -625,30 +627,6 @@ def _fold_rows(
         if with_floor:
             floor = _UNIT_ROUNDOFF * (1.0 + kappa[r]) * float(np.abs(seg).sum())
         out.append((complex(seg.sum()), floor))
-    return out
-
-
-def _convolve_rows(acc: np.ndarray, f: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """Row r of acc convolved with row r of f, cut to its own sizes[r]
-    entries and zero-padded (with +0): one FFT convolution per group of rows
-    whose own size rounds up to the same power of two, which is the
-    transform length a row has alone (the stack's widths could round
-    higher).  numpy transforms each row of a stack as it transforms that row
-    alone, so each row gets the bits it gets alone."""
-    groups: dict[int, list[int]] = {}
-    for r, s in enumerate(sizes):
-        groups.setdefault(1 << (s - 1).bit_length(), []).append(r)
-    out = None if len(groups) == 1 else np.zeros((len(sizes), max(sizes)), dtype=np.complex128)
-    for nfft, members in groups.items():
-        fa = np.fft.fft(acc if out is None else acc[members], nfft)
-        fa *= np.fft.fft(f if out is None else f[members], nfft)
-        conv = np.fft.ifft(fa)
-        if out is None:
-            for r, s in enumerate(sizes):
-                conv[r, s:] = 0
-            return conv
-        for r, row in zip(members, conv):
-            out[r, :sizes[r]] = row[:sizes[r]]
     return out
 
 

@@ -24,7 +24,7 @@ from .contour import (
     _zeta_row,
     depth1_closed_form,
 )
-from .core import CheckReport, DomainError, MultiIndex, ensure_finite_complex, map_points, unwrap
+from .core import CheckReport, DomainError, MultiIndex, ensure_finite_complex, unwrap
 from .exact import bernoulli_exact, verify_a3
 from .series import (
     SeriesParams,
@@ -92,13 +92,6 @@ def _report(
 
 def _point_tol(point: Mapping[str, Any], spec: CheckSpec) -> float:
     return float(point.get("tol", spec.tolerance))
-
-
-def _quad_values(rows: Sequence, spec: QuadratureSpec | None = None) -> Iterator[complex]:
-    """The value of each contour._Row of rows, in order, from one _quad_rows
-    call, read lazily: reading a failed row's value raises its one-point
-    error where the one-point call raised it."""
-    return (unwrap(res).value for res in _quad_rows(rows, spec))
 
 
 # One grid point for _check_points: yields its list of contour rows, receives
@@ -176,30 +169,25 @@ def check_series_vs_contour(
     match the simplex sum Li_n(e^{w_1}, ..., -e^{w_m}).
     """
     spec = spec or default_series_vs_contour_spec(seed)
-    calls = []
-    for point in spec.grid:
-        m = len(point["n"])
-        # quad_Li(n, w) is quad_I with the first-order kernel at hbar = 1
-        idx = MultiIndex((1,) * m, (0,) * m, tuple(int(v) for v in point["n"]))
-        calls.append((idx, tuple(complex(v) for v in point["w"])))
-    reports = []
-    lhs_values = _quad_values(map_points(lambda c: _Row(c[0], _transport(*c), 1.0), calls))
-    for point, (_, w) in zip(spec.grid, calls):
+
+    def point_reports(point: Mapping[str, Any]) -> PointReports:
         n = tuple(point["n"])
         m = len(n)
+        w = tuple(complex(v) for v in point["w"])
+        # quad_Li(n, w) is quad_I with the first-order kernel at hbar = 1
+        idx = MultiIndex((1,) * m, (0,) * m, tuple(int(v) for v in n))
+        values = yield [_Row(idx, _transport(idx, w), 1.0)]
+        lhs = next(values)
         z = tuple(cmath.exp(v) for v in w[:-1]) + (-cmath.exp(w[-1]),)
-        lhs = next(lhs_values)
         rhs = multiple_polylog(n, z)
-        residual = abs(lhs - rhs.value)
         params = {
             "m": m,
             "n": list(n),
             "w": [_cstr(v) for v in w],
         }
-        reports.append(
-            _report(spec.identity_name, params, residual, _point_tol(point, spec))
-        )
-    return reports
+        return [_report(spec.identity_name, params, abs(lhs - rhs.value), _point_tol(point, spec))]
+
+    return _check_points(spec.grid, point_reports)
 
 
 # ---------------------------------------------------------------------------

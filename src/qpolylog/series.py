@@ -17,6 +17,8 @@ Conventions (frozen; see qpolylog.conventions for the calibration evidence):
 
 Numerics: octant, q-deformed and companion sums are one cone sum at any
 depth, an FFT fold over a lattice of weighted prefix sums (see _cone_sum).
+Its row convolver, _fftconvolve, is also the convolution step of the
+contour fold over the prefix sums P_c (qpolylog.contour._fold_rows).
 Series error estimates include a round-off floor.
 
 Batches: companion_series_batch and companion_sum_I_batch sum many points
@@ -418,26 +420,47 @@ def multiple_polylog(
 # ---------------------------------------------------------------------------
 
 
-def _fftconvolve(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Full linear convolution of a with b along one axis of a, through
-    numpy.fft.  A 1-D b is one sequence for every lane of a; a 2-D b holds
-    one sequence per row, and row p of b convolves a[p] (axis must not be 0).
-    numpy transforms each lane of a stacked array as it transforms that lane
-    alone, so row p of the result is bit for bit the convolution of a[p]
-    with b[p] on its own."""
-    axis %= a.ndim
-    shape = [1] * a.ndim
-    shape[axis] = -1
-    if b.ndim == 2:
-        shape[0] = b.shape[0]
+def _fftconvolve(a: np.ndarray, b: np.ndarray, sizes: Sequence[int], axis: int) -> np.ndarray:
+    """Row p of a (index p on axis 0) convolved with row p of the 2-D b
+    along axis of a, through numpy.fft, and cut to its own sizes[p] entries
+    there; past them, up to the widest row, the axis holds +0.  A length-1
+    axis of a is a broadcast multiply.  Otherwise each group of rows whose
+    size rounds up to the same power of two, the transform length of the
+    row alone, is one FFT convolution; rows of one size are one group, cut
+    as one.  numpy transforms each lane of a stack as it transforms that
+    lane alone, and a transform longer than its input pads it with +0, so
+    row p of the result is bit for bit that of a stack of a[p] and b[p]."""
+    shape = [-1] + [1] * (a.ndim - 1)
     if a.shape[axis] == 1:
+        shape[axis] = b.shape[1]
         return a * b.reshape(shape)
-    size = a.shape[axis] + b.shape[-1] - 1
-    nfft = 1 << (size - 1).bit_length()
-    fa = np.fft.fft(a, nfft, axis=axis)
-    fa *= np.fft.fft(b, nfft).reshape(shape)
-    out = np.fft.ifft(fa, axis=axis)
-    return out[(slice(None),) * axis + (slice(size),)]
+
+    def convolve(x: np.ndarray, y: np.ndarray, nfft: int) -> np.ndarray:
+        shape[axis] = nfft
+        fx = np.fft.fft(x, nfft, axis=axis)
+        fx *= np.fft.fft(y, nfft).reshape(shape)
+        return np.fft.ifft(fx, axis=axis)
+
+    width = max(sizes)
+    cut = (slice(None),) * axis + (slice(width),)
+    if min(sizes) == width:
+        return convolve(a, b, 1 << (width - 1).bit_length())[cut]
+    groups: dict[int, list[int]] = {}
+    for p, s in enumerate(sizes):
+        groups.setdefault(1 << (s - 1).bit_length(), []).append(p)
+    if len(groups) == 1:
+        out = convolve(a, b, *groups)[cut]
+        lanes = out.swapaxes(1, axis)  # axis 1 of lanes is the convolution axis
+        for p, s in enumerate(sizes):
+            lanes[p, s:] = 0
+        return out
+    out = np.zeros(a.shape[:axis] + (width,) + a.shape[axis + 1:], dtype=np.complex128)
+    lanes = out.swapaxes(1, axis)
+    for nfft, rows in groups.items():
+        conv = convolve(a[rows], b[rows], nfft).swapaxes(1, axis)
+        for j, p in enumerate(rows):
+            lanes[p, :sizes[p]] = conv[j, :sizes[p]]
+    return out
 
 
 def _cone_sum(
@@ -543,7 +566,7 @@ def _cone_sum(
             if c == m - 1 and acc.shape[d] == 1:
                 # a new axis is the last; contract it without the outer product
                 return [complex((acc[p, ..., 0] * (blocks[c] @ f[p])).sum()) for p in rows]
-            acc = _fftconvolve(acc, f, axis=d)
+            acc = _fftconvolve(acc, f, [acc.shape[d] + f.shape[1] - 1] * len(f), d)
             if blocks[c] is not None:
                 acc *= blocks[c]
         return [complex(acc[p].sum()) for p in rows]

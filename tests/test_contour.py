@@ -30,7 +30,6 @@ from qpolylog.core import MultiIndex
 from qpolylog.exact import bernoulli_exact, q_poly
 from qpolylog.series import (
     _UNIT_ROUNDOFF,
-    _fftconvolve,
     classical_polylog,
     companion_sum_I,
     multiple_polylog,
@@ -257,76 +256,16 @@ class TestQuadF:
             quad_F(idx1(1, 0, 1), (-1.0, -2.0), 1.0)
 
 
-class TestPrefixSumConvolution:
-    def test_matches_direct_convolution(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=37) + 1j * rng.normal(size=37)
-        b = rng.normal(size=101) + 1j * rng.normal(size=101)
-        direct = np.convolve(a, b)
-        assert np.max(np.abs(_fftconvolve(a, b) - direct)) <= 1e-13 * np.max(np.abs(direct))
-        assert np.array_equal(_fftconvolve(np.array([2.0 + 0j]), b), 2.0 * b)
-        # along axis 1 of a 2-D array, every row convolves on its own
-        grid = rng.normal(size=(3, 29)) + 1j * rng.normal(size=(3, 29))
-        out = _fftconvolve(grid, b, axis=1)
-        assert out.shape == (3, 29 + 101 - 1)
-        for row, got in zip(grid, out):
-            direct = np.convolve(row, b)
-            assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
-
-    def test_one_sequence_per_row(self):
-        # a 2-D b gives row p of a its own sequence b[p]: bit for bit the
-        # convolution of that row alone, and of a lone one-row stack
-        rng = np.random.default_rng(6)
-        b = rng.normal(size=(3, 41)) + 1j * rng.normal(size=(3, 41))
-        for a, axis in (
-            (rng.normal(size=(3, 29)) + 1j * rng.normal(size=(3, 29)), 1),
-            (rng.normal(size=(3, 29, 5)) + 1j * rng.normal(size=(3, 29, 5)), 1),
-            (rng.normal(size=(3, 4, 29)) + 1j * rng.normal(size=(3, 4, 29)), 2),
-            (np.ones((3, 1, 1), dtype=complex), 2),
-        ):
-            out = _fftconvolve(a, b, axis=axis)
-            for p in range(3):
-                alone = _fftconvolve(a[p], b[p], axis=axis - 1)
-                assert out[p].tobytes() == alone.tobytes()
-                one_row = _fftconvolve(a[p:p + 1], b[p:p + 1], axis=axis)[0]
-                assert out[p].tobytes() == one_row.tobytes()
-
-
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class TestStackedLineFoldNumpy:
-    """What the stacked contour fold needs of numpy: rows of different
+    """What the stacked contour fold needs of numpy besides its row
+    convolver (tests/test_series.py::TestFFTConvolve): rows of different
     lengths, zero-padded to one width, give each row the bytes it has alone
-    under an FFT of its own length and under a sum of its own slice; and a
-    product with a new temporary runs in the operand order its size gives."""
-
-    def test_explicit_length_fft_of_padded_rows(self):
-        rng = np.random.default_rng(21)
-        lens, width = (300, 100, 100, 300, 241), 599
-        stack = np.zeros((len(lens), width), dtype=np.complex128)
-        rows = [crandn(rng, size) for size in lens]
-        for r, row in enumerate(rows):
-            stack[r, :row.size] = row
-        # a transform shorter than the stack crops only padding; a longer
-        # one pads it further
-        for nfft in (512, 1024):
-            got = np.fft.fft(stack, nfft, axis=1)
-            assert same_bytes(got, np.stack([np.fft.fft(row, nfft) for row in rows]))
-            assert same_bytes(np.fft.ifft(got, axis=1),
-                              np.stack([np.fft.ifft(np.fft.fft(row, nfft)) for row in rows]))
-        # a convolution: rows (300, 100) and (100, 300) convolve to 399
-        # entries, which a row alone transforms at 512 (the stack's
-        # 599 + 599 - 1 would round to 2048)
-        other = np.zeros((2, width), dtype=np.complex128)
-        kernels = [crandn(rng, size) for size in (100, 300)]
-        for r, row in enumerate(kernels):
-            other[r, :row.size] = row
-        fa = np.fft.fft(stack[:2], 512)
-        fa *= np.fft.fft(other, 512)
-        for got, a, b in zip(np.fft.ifft(fa), rows, kernels):
-            assert same_bytes(got[:a.size + b.size - 1], _fftconvolve(a, b))
+    under 1 f in place and under a sum of its own slice; and a product with
+    a new temporary runs in the operand order its size gives."""
 
     @pytest.mark.parametrize("size", [16383, 16384, 27745])
     def test_elided_temporary_swaps_operands_from_256_kib(self, size):
@@ -792,14 +731,18 @@ def fold_alone(samples, h, n, eps, shifts):
     """The trapezoid sum of one point and its round-off floor, folded alone
     with one FFT convolution per axis: the one-point fold that the stacked
     _fold_rows replaced, kept here as its reference."""
-    acc = np.ones(1, dtype=np.complex128)
     kappa = 0.0
     for i, (e, rounding) in enumerate(samples):
         f = h * e
         weight = np.abs(f)
         if weight.any():
             kappa += float(weight @ rounding) / float(weight.sum())
-        acc = _fftconvolve(acc, f)
+        if i == 0:
+            acc = (1 + 0j) * f
+        else:  # a full FFT convolution at the next power of two
+            size = acc.size + f.size - 1
+            nfft = 1 << (size - 1).bit_length()
+            acc = np.fft.ifft(np.fft.fft(acc, nfft) * np.fft.fft(f, nfft))[:size]
         if n[i] != 0:
             J = np.arange(acc.size) - acc.size // 2
             # kept as written: on 16,384 entries or more numpy elides the

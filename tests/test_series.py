@@ -606,9 +606,9 @@ class TestCompanionBatch:
         stacks = []
         convolve = series._fftconvolve
 
-        def spy(a, b, axis=-1):
+        def spy(a, b, sizes, axis):
             stacks.append(b)
-            return convolve(a, b, axis)
+            return convolve(a, b, sizes, axis)
 
         monkeypatch.setattr(series, "_fftconvolve", spy)
         return stacks
@@ -785,6 +785,59 @@ class TestStackedFoldNumpy:
         weights, slots = (1.0 + 0j, 1 / (1.3 + 0.4j)), (2, 1)
         big = reciprocal_lattice(weights, slots, 256)
         assert same_bytes(big[:257, :129], reciprocal_lattice(weights, slots, 128))
+
+
+class TestFFTConvolve:
+    """The one FFT row convolver of the contour fold and the cone sum: row p
+    of a stack is bit for bit that row convolved alone, at the transform
+    length and size it has alone."""
+
+    def test_rows_in_two_fft_length_groups(self):
+        # a contour stack: rows of different lengths, zero-padded to one
+        # width; their own convolutions fit 512 or 256 entries, where the
+        # stack's 300 + 300 - 1 would round to 1024.  Without row 2 the
+        # rows of different sizes are one 512-entry group.
+        rng = np.random.default_rng(21)
+        lens_a, lens_b = (300, 100, 100, 300, 241), (100, 300, 50, 212, 20)
+        for rows in ((0, 1, 2, 3, 4), (0, 1, 3, 4)):
+            rows_a = [crandn(rng, lens_a[p]) for p in rows]
+            rows_b = [crandn(rng, lens_b[p]) for p in rows]
+            a = np.zeros((len(rows), 300), dtype=np.complex128)
+            b = np.zeros((len(rows), 300), dtype=np.complex128)
+            for r, (ra, rb) in enumerate(zip(rows_a, rows_b)):
+                a[r, :ra.size], b[r, :rb.size] = ra, rb
+            sizes = [ra.size + rb.size - 1 for ra, rb in zip(rows_a, rows_b)]
+            out = series._fftconvolve(a, b, sizes, 1)
+            assert out.shape == (len(rows), 511)
+            for r, (ra, rb, size) in enumerate(zip(rows_a, rows_b, sizes)):
+                nfft = 1 << (size - 1).bit_length()
+                alone = np.fft.ifft(np.fft.fft(ra, nfft) * np.fft.fft(rb, nfft))[:size]
+                assert same_bytes(out[r, :size], alone)
+                assert same_bytes(out[r, size:], np.zeros(511 - size, dtype=np.complex128))
+                direct = np.convolve(ra, rb)
+                assert np.max(np.abs(alone - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    def test_lattice_stack_along_an_axis(self):
+        # a cone-sum stack: one size for every row, along axis 2 of a lattice
+        rng = np.random.default_rng(6)
+        a, b = crandn(rng, 3, 4, 29), crandn(rng, 3, 41)
+        out = series._fftconvolve(a, b, [69] * 3, 2)
+        assert out.shape == (3, 4, 69)
+        for p in range(3):
+            one_row = series._fftconvolve(a[p:p + 1], b[p:p + 1], [69], 2)
+            assert same_bytes(out[p], one_row[0])
+            for got, lane in zip(out[p], a[p]):
+                direct = np.convolve(lane, b[p])
+                assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    def test_length_one_axis_is_a_broadcast_multiply(self):
+        # a cone sum's first slot on its axis: each row times its own terms
+        rng = np.random.default_rng(7)
+        a, b = crandn(rng, 3, 4, 1), crandn(rng, 3, 41)
+        out = series._fftconvolve(a, b, [41] * 3, 2)
+        assert out.shape == (3, 4, 41)
+        for p in range(3):
+            assert same_bytes(out[p], a[p] * b[p])
 
 
 # ---------------------------------------------------------------------------
