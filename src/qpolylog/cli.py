@@ -186,9 +186,12 @@ def parse_complex(text: str) -> complex:
     if s.endswith("i"):
         s = s[:-1] + "j"
     try:
-        return complex(s)
+        z = complex(s)
     except ValueError as exc:
         raise UsageError(f"cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise UsageError(f"complex number {text!r} is not finite")
+    return z
 
 
 def parse_int_list(text: str, what: str) -> tuple:
@@ -229,12 +232,14 @@ class Sweep:
 def parse_sweep(text: str) -> Sweep:
     try:
         var, _, rng = str(text).partition("=")
-        start_s, stop_s, step_s = rng.split(":")
-        return Sweep(var.strip(), float(start_s), float(stop_s), float(step_s))
-    except (ValueError, AttributeError) as exc:
+        start, stop, step = (float(v) for v in rng.split(":"))
+    except ValueError as exc:
         raise UsageError(
             f"--sweep must look like VAR=START:STOP:STEP, got {text!r}"
         ) from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise UsageError(f"--sweep bounds and step must be finite, got {text!r}")
+    return Sweep(var.strip(), start, stop, step)
 
 
 @dataclass(frozen=True)
@@ -430,6 +435,8 @@ def _merge_config_file(
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.workers is not None and args.workers < 1:
         raise UsageError("--workers must be >= 1")
+    if args.tol is not None and not (args.tol > 0 and math.isfinite(args.tol)):
+        raise UsageError("--tol must be positive and finite")
     pairs = []
     for raw in getattr(args, "check_args", []):
         key, sep, value = raw.partition("=")
@@ -725,6 +732,15 @@ def _write_eval_csv(out, config: RunConfig, records: Sequence[Mapping]) -> None:
         writer.writerow(row)
 
 
+def _int_arg(args: dict, key: str, default: int) -> int:
+    """Pop the integer identity argument key from args (default if absent)."""
+    value = args.pop(key, default)
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError(f"identity argument {key} must be an integer, got {value!r}") from None
+
+
 def _verify_reports(config: RunConfig) -> list:
     """Resolve the verify target to a list of CheckReports."""
     name = config.identity
@@ -734,8 +750,8 @@ def _verify_reports(config: RunConfig) -> list:
             raise UsageError("identity arguments need a named identity")
         return run_all(seed=config.seed)
     if name == "a3":
-        k = int(args.pop("k", 2))
-        l = int(args.pop("l", 2))
+        k = _int_arg(args, "k", 2)
+        l = _int_arg(args, "l", 2)
         if args:
             raise UsageError(f"unknown a3 arguments: {', '.join(sorted(args))}")
         return [verify_a3(k, l, seed=config.seed)]
@@ -744,8 +760,8 @@ def _verify_reports(config: RunConfig) -> list:
         raise UsageError(f"unknown identity {name!r}; known: {known}")
     check = CHECKS[name]
     if name == "distribution" and ("r" in args or "s" in args):
-        r = int(args.pop("r", 1))
-        s = int(args.pop("s", 1))
+        r = _int_arg(args, "r", 1)
+        s = _int_arg(args, "s", 1)
         if args:
             raise UsageError(f"unknown distribution arguments: {', '.join(sorted(args))}")
         tol = config.tol if config.tol is not None else (1e-10 if r == s == 1 else 1e-6)

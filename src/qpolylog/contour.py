@@ -38,21 +38,22 @@ model predicts, or where Re omega shifts the aliasing frequency past pi / h0.
 
 Batches: one call evaluates many rows, each with its own index, h and pole
 shifts, and so its own first step, line height, strip and truncation (see
-_line_integral), in waves of _WAVE rows that bound the samples and stacks
-held at once.  In a wave, rows of one step and eps share a grid, of which
-every axis grid is a centred slice, and log sh(pi p) and log sh(pi h p) are
-evaluated once per grid and c, in one _logsh call per pass, and only on the
-right half where the mirror gives the left: h (-j) == -(h j) bit for bit,
-so for real c > 0 the left half of log sh(c p) is conj(right half) + i pi.
-That needs numpy's complex exp and log to be conjugate-symmetric, as C99's
-cexp and clog are; at complex h, sh(pi h p) has no mirror.
+_line_integral).  Each level cuts its rows into stacks of one depth within
+_MAX_STACK cells (see _stacks), and samples and folds each in one pass.
+In a pass, rows of one step and eps share a grid, of which every axis grid
+is a centred slice, and log sh(pi p) and log sh(pi h p) are evaluated once
+per grid and c, in one _logsh call, and only on the right half where the
+mirror gives the left: h (-j) == -(h j) bit for bit, so for real c > 0 the
+left half of log sh(c p) is conj(right half) + i pi.  That needs numpy's
+complex exp and log to be conjugate-symmetric, as C99's cexp and clog are;
+at complex h, sh(pi h p) has no mirror.
 
-Each fold takes the rows of one depth as the rows of a stack: each axis's
-samples h e are the zero-padded rows of one array, and each later axis is
-one call of series._fftconvolve, the FFT row convolver of the cone sums,
-which gives each row the transform length and size it has alone.  Each
-factor P_c^(-n_c) is formed once per (h, eps, shift, n_c), and the step-2h0
-grid takes every other entry of the step-h0 grid's.  numpy's complex
+A fold takes the rows of a stack: each axis's samples h e are the
+zero-padded rows of one array, and each later axis is one call of
+series._fftconvolve, the FFT row convolver of the cone sums, which gives
+each row the transform length and size it has alone.  A pass forms each
+factor P_c^(-n_c) once per (h, eps, shift, n_c), and the step-2h0 grid
+takes every other entry of the step-h0 grid's.  numpy's complex
 multiply is not bitwise commutative, and numpy evaluates acc * factor with a
 temporary factor of 16,384 entries (256 KiB) or more as factor * acc; each
 row is multiplied in the order that product takes at its own size.  So each
@@ -66,7 +67,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,9 +104,9 @@ __all__ = [
 # Node budget of one trapezoid pass, summed over the axes: bounds memory at
 # the smallest line heights, where the uniform step gets fine.
 _MAX_NODES = 1 << 21
-# Rows refined together, and cells of one fold stack at the width of a row's
-# full convolution: they bound the samples and FFT work arrays held at once.
-_WAVE, _MAX_STACK = 16, 1 << 15
+# Cells of one pass's stack at its widest row's full convolution (see
+# _stacks): bounds the samples and FFT work arrays held at once.
+_MAX_STACK = 1 << 14
 # Margin on the rate model's error of a returned value (_LinePoint.error):
 # with it, every estimate of the calibration grid in tests/test_calibration.py
 # bounds its actual error.
@@ -471,7 +472,7 @@ def _line_points(rows: Sequence, spec: QuadratureSpec) -> tuple[list, list]:
         tail = sum(math.exp(-r * T) / r for r, T in zip(rates, axis_T))
         live.append(_LinePoint(k, line, omega, axis_T, tail))
         seen[line, omega] = live[-1]
-    live.sort(key=lambda pt: len(pt.omega))  # runs of one depth fold as one stack
+    live.sort(key=lambda pt: len(pt.omega))  # a stack holds one depth (see _stacks)
     return out, live
 
 
@@ -489,18 +490,11 @@ def _line_integral(rows: Sequence, spec: QuadratureSpec) -> list:
     counts the deltas.  A row whose integrand overflows on the line (large
     Re omega), or whose nested sum or floor is not finite, fails alone with
     a DomainError; the call lets no floating-point warning escape.  Each
-    pass samples the live rows of a wave at once (see _sample_pass) and
-    folds them as stacked rows (see _fold_rows); every row keeps its own
-    grids, budget, stopping level and errors, and so the bits it has alone.
+    level samples and folds each stack of its live rows (see _stacks) in
+    one pass; every row keeps its own grids, budget, stopping level and
+    errors, and so the bits it has alone.
     """
     out, live = _line_points(rows, spec)
-    for k in range(0, len(live), _WAVE):
-        _refine(live[k:k + _WAVE], out, spec)
-    return [out[r] if isinstance(r, int) else r for r in out]
-
-
-def _refine(live: list, out: list, spec: QuadratureSpec) -> None:
-    """Refine the rows of live together, each to its own outcome out[pt.k]."""
     # Level k samples axis i at p = (h0 / 2^k) j + i eps, |j| <= half_i 2^k:
     # the first pass samples the level-0 grid, and the step-2h0 grid folds
     # its even entries (see the module docstring).
@@ -514,69 +508,74 @@ def _refine(live: list, out: list, spec: QuadratureSpec) -> None:
             else:
                 out[pt.k] = ConvergenceError(
                     f"line quadrature at step {h:.3g} needs more than {_MAX_NODES} nodes")
-        if not fine:
-            return
-        # no sample outlives its pass
-        samples = _sample_pass(fine)
-        factors: dict = {}
-        sums = _fold_rows(fine, samples, level, factors)
-        if level == 0:  # the step-2h0 grid folds the even entries
-            evens = [[(e[e.size // 2 % 2::2], None) for e, _ in row] for row in samples]
-            for pt, (value, _) in zip(fine, _fold_rows(fine, evens, -1, factors, False)):
-                pt.value = value
         live = []
-        for r, (pt, (value, floor)) in enumerate(zip(fine, sums)):
-            if not (cmath.isfinite(pt.value) and cmath.isfinite(value) and math.isfinite(floor)):
-                # a sample that is not finite leaves no sum finite; the
-                # errors go in order: overflows on the step-2h0 grid, on
-                # the level's grid, then the step-2h0 sum, then the level's
-                bad = _overflowing_axis(samples[r])
-                if bad is not None and level == 0:
-                    first = _overflowing_axis(evens[r])
-                    bad = bad if first is None else first
-                step = pt.h if cmath.isfinite(pt.value) else 2 * pt.line.h0
-                out[pt.k] = pt.overflow(bad) if bad is not None else DomainError(
-                    f"the nested sum overflows on the line at step {step:.3g}")
-                continue
-            pt.floor = floor
-            pt.deltas.append(abs(value - pt.value))
-            pt.value = value
-            err = pt.error()
-            if err <= spec.tol:
-                out[pt.k] = pt.result(err)
-            else:
-                live.append(pt)
+        for stack in _stacks(fine):
+            # no sample outlives its pass
+            samples, factors = _sample_pass(stack), {}
+            sums = _fold_rows(stack, samples, level, factors)
+            if level == 0:  # the step-2h0 grid folds the even entries
+                evens = [[(e[e.size // 2 % 2::2], None) for e, _ in row] for row in samples]
+                for pt, (value, _) in zip(stack, _fold_rows(stack, evens, -1, factors)):
+                    pt.value = value
+            for r, (pt, (value, floor)) in enumerate(zip(stack, sums)):
+                if not (cmath.isfinite(pt.value) and cmath.isfinite(value) and math.isfinite(floor)):
+                    # a sample that is not finite leaves no sum finite; the
+                    # errors go in order: overflows on the step-2h0 grid, on
+                    # the level's grid, then the step-2h0 sum, then the level's
+                    bad = _overflowing_axis(samples[r])
+                    if bad is not None and level == 0:
+                        first = _overflowing_axis(evens[r])
+                        bad = bad if first is None else first
+                    step = pt.h if cmath.isfinite(pt.value) else 2 * pt.line.h0
+                    out[pt.k] = pt.overflow(bad) if bad is not None else DomainError(
+                        f"the nested sum overflows on the line at step {step:.3g}")
+                    continue
+                pt.floor = floor
+                pt.deltas.append(abs(value - pt.value))
+                pt.value = value
+                err = pt.error()
+                if err <= spec.tol:
+                    out[pt.k] = pt.result(err)
+                else:
+                    live.append(pt)
     for pt in live:
         out[pt.k] = pt.unconverged(spec)
+    return [out[r] if isinstance(r, int) else r for r in out]
+
+
+def _stacks(pts: list) -> Iterator[list]:
+    """pts, in order (sorted by depth), cut into stacks of one depth that
+    hold at most _MAX_STACK cells at the width of their widest row's full
+    convolution, or a single row."""
+    stack, width = [], 0
+    for pt in pts:
+        w = sum(pt.counts) - len(pt.counts) + 1
+        if stack and (len(pt.counts) != len(stack[0].counts)
+                      or (len(stack) + 1) * max(width, w) > _MAX_STACK):
+            yield stack
+            stack, width = [], 0
+        stack.append(pt)
+        width = max(width, w)
+    if stack:
+        yield stack
 
 
 def _fold_rows(
-    pts: list, samples: list, level: int, factors: dict, with_floor: bool = True,
+    pts: list, samples: list, level: int, factors: dict
 ) -> list[tuple[complex, float | None]]:
-    """Trapezoid sum of each point of pts at its step h0 / 2^level, and its
-    round-off floor u * sum |terms| * (1 + sum_i kappa_i), from samples[r][i]
-    = (exp(log-kernel), rounding) of pts[r] on axis i (see _sample_pass):
-    exp turns the absolute rounding of a log-space factor into a relative
-    error of about u rounding, and kappa_i is the |term|-weighted mean of
-    rounding on axis i.
-    with_floor=False gives no floors, and the same values to the bit.
+    """Trapezoid sum of each point of pts, a stack of one depth, at its step
+    h0 / 2^level, and its round-off floor u * sum |terms| * (1 + sum_i
+    kappa_i), from samples[r][i] = (exp(log-kernel), rounding) of pts[r] on
+    axis i (see _sample_pass): exp turns the absolute rounding of a
+    log-space factor into a relative error of about u rounding, and kappa_i
+    is the |term|-weighted mean of rounding on axis i.  Samples whose
+    rounding is None give the floor None, and the same values to the bit.
     factors maps (h, pole, n_c) to P_c^(-n_c) and takes the ones formed here.
-    Each run of points of one depth folds as the rows of stacks of at most
-    _MAX_STACK cells (see the module docstring); the first axis is the
-    product 1 f, which keeps the sign of zeros as a point alone does, and
-    each later axis is series._fftconvolve of the stack with its samples."""
-    if not pts:
-        return []
-    m = len(samples[0])
-    run = next((r for r, row in enumerate(samples) if len(row) != m), len(pts))
-    widths = [max(row[i][0].size for row in samples[:run]) for i in range(m)]
-    # no row of any array in the stack is wider than the full convolution of
-    # the widest samples of each axis
-    per = min(run, max(_MAX_STACK // (sum(widths) - m + 1), 1))
-    if per < len(pts):  # rows of another depth follow, or more than one stack holds
-        return [res for k in range(0, len(pts), per)
-                for res in _fold_rows(pts[k:k + per], samples[k:k + per], level, factors,
-                                      with_floor)]
+    The first axis is the product 1 f, which keeps the sign of zeros as a
+    point alone does, and each later axis is series._fftconvolve of the
+    stack with its samples (see the module docstring)."""
+    with_floor = samples[0][0][1] is not None
+    widths = [max(row[i][0].size for row in samples) for i in range(len(samples[0]))]
     steps = [pt.line.h0 / 2**level for pt in pts]
     sizes = [1] * len(pts)
     kappa = [0.0] * len(pts)

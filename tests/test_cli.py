@@ -90,7 +90,9 @@ class TestParseComplex:
     def test_parses(self, text, expected):
         assert parse_complex(text) == expected
 
-    @pytest.mark.parametrize("bad", ["", "   ", "abc", "1+", "1++2i", "2x+3i"])
+    @pytest.mark.parametrize(
+        "bad", ["", "   ", "abc", "1+", "1++2i", "2x+3i", "nan", "-inf", "-1+infi", "nani"]
+    )
     def test_rejects(self, bad):
         with pytest.raises(UsageError):
             parse_complex(bad)
@@ -160,7 +162,10 @@ class TestSweep:
         with pytest.raises(UsageError):
             parse_sweep("omega=0:1:-0.5").values()
 
-    @pytest.mark.parametrize("bad", ["omega", "omega=1:2", "omega=a:b:c", "=1:2:1"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["omega", "omega=1:2", "omega=a:b:c", "=1:2:1", "hbar=1:nan:0.5", "omega=-inf:0:1"],
+    )
     def test_malformed_rejected(self, bad):
         if bad == "=1:2:1":
             # An empty variable name parses structurally; the table command
@@ -248,6 +253,24 @@ class TestEvalCommand:
         assert abs(record["value"]["re"] - ANCHOR) < 1e-10
         assert abs(record["value"]["im"]) < 1e-10
         assert record["err_estimate"] < 1e-8
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["eval", "--omega", "-1", "--hbar", "nan"],
+            ["eval", "--omega", "inf"],
+            ["eval", "--omega", "-1", "--tol", "inf"],
+            ["eval", "--omega", "-1", "--tol", "nan"],
+            # --tol 0 once ran at the default tolerance and echoed "tol": 0
+            ["eval", "--omega", "-1", "--tol", "0"],
+            ["eval", "--omega", "-1", "--tol", "-1e-10"],
+            ["table", "--omega", "-1", "--sweep", "hbar=1:nan:0.5"],
+        ],
+    )
+    def test_non_finite_or_non_positive_numbers_are_usage_errors(self, capsys, extra):
+        code, out, err = run_cli(capsys, *extra, "--fn", "F", "--a", "1", "--b", "1", "--n", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("qpolylog: error: ")
 
     def test_output_is_canonical_json(self, capsys):
         code, out, _ = run_cli(
@@ -609,6 +632,15 @@ class TestVerifyCommand:
     def test_unknown_identity(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "no_such_identity")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [(["a3", "k=x"], "k"), (["distribution", "r=2.5"], "r"), (["a3", "k=2", "l="], "l")],
+    )
+    def test_non_integer_identity_argument(self, capsys, args, name):
+        code, out, err = run_cli(capsys, "verify", *args)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"qpolylog: error: identity argument {name} must be an integer")
 
     def test_distribution_custom_grid(self, capsys):
         code, payload, _ = eval_payload(

@@ -657,11 +657,10 @@ def mixed_rows(draw):
 
 @st.composite
 def mixed_calls(draw):
-    """(rows, tol, wave, stack): mixed_rows with the rows refined in waves of
-    `wave` rows and folded in stacks of at most `stack` cells."""
+    """(rows, tol, stack): mixed_rows with the rows folded in stacks of at
+    most `stack` cells."""
     rows, tol = draw(mixed_rows())
-    return rows, tol, draw(st.sampled_from([contour._WAVE, 3])), draw(
-        st.sampled_from([contour._MAX_STACK, 2000]))
+    return rows, tol, draw(st.sampled_from([contour._MAX_STACK, 2000]))
 
 
 class TestMixedRows:
@@ -673,16 +672,16 @@ class TestMixedRows:
     # h = 50 at tol 1e-13: rows that refine to levels 2-4 beside level-1 rows
     @example(([Row(idx1(1, 1, 2), (-20000.0,), 50.0), Row(idx1(1, 1, 2), (-4000.0,), 50.0),
                Row(idx1(1, 1, 3), (-1.0,), 50.0), Row(idx1(2, 1, 1), (-1.0,), 1.2),
-               Row(MultiIndex((1, 1), (1, 1), (1, 2)), (-1.0, -0.5), 1.3)], 1e-13, 16, 1 << 15))
+               Row(MultiIndex((1, 1), (1, 1), (1, 2)), (-1.0, -0.5), 1.3)], 1e-13, 1 << 14))
     # a row over the node budget, one that overflows on the line, good rows
-    # and a duplicated one
+    # and a duplicated one; 300 cells stack two of the 139-node rows
     @example(([Row(idx1(1, 1, 1), (-1.0,), 1 + 110j), Row(idx1(1, 1, 1), (5000.0,), 1.2),
                Row(idx1(1, 1, 1), (-1.0,), 1.2), Row(idx1(2, 0, 1), (-1.0,), 1.2),
-               Row(idx1(1, 1, 1), (-1.0,), 1.2)], 1e-10, 2, 1 << 15))
+               Row(idx1(1, 1, 1), (-1.0,), 1.2)], 1e-10, 300))
     def test_each_row_matches_its_one_point_call(self, case):
-        rows, tol, wave, stack = case
+        rows, tol, stack = case
         spec = QuadratureSpec(tol=tol)
-        with mock.patch.multiple(contour, _WAVE=wave, _MAX_STACK=stack):
+        with mock.patch.object(contour, "_MAX_STACK", stack):
             got = contour._quad_rows(rows, spec)
         alone = one_by_one(lambda row: quad_F(row.idx, row.omega, row.hbar, spec, row.pole_shifts),
                            rows)
@@ -717,6 +716,34 @@ class TestMixedRows:
         assert folded[0] == 3
         assert got[0] is got[1] is got[4]
         assert got[2] is not got[3]
+
+    def test_stacks_hold_one_depth_within_the_cell_budget(self, monkeypatch):
+        # depth-1 rows of 139-163 nodes around one of 1041 (|Im omega| near
+        # the strip edge), then depth-2 rows of 289 and 343 cells
+        rows = [Row(idx1(1, 1, 1), (w,), 1.2)
+                for w in (-1.0, -2.0, -1 + 1j, -1 + 6j, -1.5, -3.0, -0.5 + 0.5j)]
+        rows += [Row(MultiIndex((1, 1), (1, 1), (1, 2)), w, 1.3)
+                 for w in ((-1.0, -0.5), (-1 + 2j, -0.5), (-2.0, -1.0))]
+        stacks = []
+        fold_rows = contour._fold_rows
+
+        def spy(pts, samples, level, factors):
+            stacks.append((level, [pt.k for pt in pts]))
+            depths = {len(row) for row in samples}
+            widest = max(sum(e.size for e, _ in row) for row in samples) - len(samples[0]) + 1
+            assert len(depths) == 1
+            assert len(pts) == 1 or len(pts) * widest <= 1000
+            return fold_rows(pts, samples, level, factors)
+
+        monkeypatch.setattr(contour, "_MAX_STACK", 1000)
+        monkeypatch.setattr(contour, "_fold_rows", spy)
+        got = contour._quad_rows(rows, QuadratureSpec())
+        monkeypatch.undo()
+        # the wide row folds alone; the narrow rows on either side of it
+        # still stack, and so do the depth-2 rows while they fit
+        assert [k for level, k in stacks if level == 0] == [[0, 1, 2], [3], [4, 5, 6], [7, 8], [9]]
+        alone = one_by_one(lambda row: quad_F(row.idx, row.omega, row.hbar), rows)
+        assert list(map(result_key, got)) == list(map(result_key, alone))
 
 
 def _interleave(kept, fresh, span):
