@@ -69,6 +69,13 @@ EXIT_USAGE = 1
 EXIT_EVAL = 2
 EXIT_VERIFY = 3
 
+# Rows of a table: of one sweep axis and of the product of both, counted
+# from the bounds before any row is built.
+MAX_TABLE_ROWS = 10_000
+# Shifted terms r*s of a custom `verify distribution` grid point, each one
+# contour row.
+MAX_DISTRIBUTION_TERMS = 64
+
 BACKEND_CHOICES = ("auto", "series", "contour", "companion", "closed_form", "exact")
 
 # Backends each function accepts; "auto" picks the first.
@@ -221,12 +228,18 @@ class Sweep:
     stop: float
     step: float
 
-    def values(self) -> tuple:
+    def count(self) -> int:
+        """The number of values, from the bounds alone."""
         span = self.stop - self.start
         if self.step == 0 or (span != 0 and span * self.step < 0):
             raise UsageError(f"sweep step for {self.var} has the wrong sign")
-        count = int(math.floor(abs(span) / abs(self.step) + 1e-9)) + 1
-        return tuple(self.start + i * self.step for i in range(count))
+        steps = abs(span) / abs(self.step) + 1e-9
+        if steps >= MAX_TABLE_ROWS:  # also an infinite span
+            raise UsageError(f"sweep over {self.var} has more than {MAX_TABLE_ROWS} values")
+        return int(math.floor(steps)) + 1
+
+    def values(self) -> tuple:
+        return tuple(self.start + i * self.step for i in range(self.count()))
 
 
 def parse_sweep(text: str) -> Sweep:
@@ -764,6 +777,11 @@ def _verify_reports(config: RunConfig) -> list:
         s = _int_arg(args, "s", 1)
         if args:
             raise UsageError(f"unknown distribution arguments: {', '.join(sorted(args))}")
+        if r < 1 or s < 1:
+            raise UsageError(f"distribution needs r, s >= 1, got r={r}, s={s}")
+        if r * s > MAX_DISTRIBUTION_TERMS:
+            raise UsageError(
+                f"distribution needs r*s <= {MAX_DISTRIBUTION_TERMS}, got r*s={r * s}")
         tol = config.tol if config.tol is not None else (1e-10 if r == s == 1 else 1e-6)
         grid = tuple(
             {"r": r, "s": s, "n": n, "omega": -2.0, "hbar": 1.2, "tol": tol}
@@ -831,6 +849,8 @@ def cmd_table(config: RunConfig, out) -> int:
     if len(base_point) != 1 and any(s.var == "omega" for s in sweeps):
         raise UsageError("omega sweeps are depth-1 only")
 
+    if math.prod(s.count() for s in sweeps) > MAX_TABLE_ROWS:
+        raise UsageError(f"table has more than {MAX_TABLE_ROWS} rows")
     combos = list(itertools.product(*(s.values() for s in sweeps)))
     points, hbars = [], []
     for combo in combos:

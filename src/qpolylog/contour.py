@@ -25,16 +25,18 @@ depends only on the index sum, so the nested sum is folded one axis at a
 time: a full FFT convolution with the next axis's samples, then a pointwise
 multiply by P_c^(-n_c).  Depth m costs O(m N log N) for N nodes per axis.
 The first step h0 comes from the distance between the line and the nearest
-singularity, so that the step-h0 value already meets tol / 100.  Its error
-is certified by the trapezoid rule's known rate: the first pass samples the
-step-h0 grid once, with one exp and one |.| of the log-kernel per node, and
-the step-2h0 grid folds its even entries ((2h0) j == h0 (2j) bit for bit,
-and its fold forms no round-off floor).  Their difference, times the rate
-E(h) / E(2h) of the aliasing model (see _Line) and a margin, is the error of
-the step-h0 value; while it exceeds tol the step is halved, and each pass
-samples its whole grid again, so no sample outlives its pass.  A point
-refines past the first pass only where its delta is far above what the
-model predicts, or where Re omega shifts the aliasing frequency past pi / h0.
+singularity, so that the step-h0 value already meets tol / 100.  The error
+of the value at step h is certified by the trapezoid rule's known rate, and
+every pass, at steps h0, h0 / 2, ..., takes it the same way: it samples its
+step-h grid once, with one exp and one |.| of the log-kernel per node, and
+folds that grid and its even entries, the step-2h grid ((2h) j == h (2j)
+bit for bit, and that fold forms no round-off floor).  The difference of
+the two sums, times the rate E(h) / E(2h) of the aliasing model (see _Line)
+and a margin, is the error of the step-h value; while it exceeds tol the
+step is halved, and the next pass samples its whole grid again, so nothing
+outlives its pass.  A point refines past the first pass only where its
+delta is far above what the model predicts, or where Re omega shifts the
+aliasing frequency past pi / h0.
 
 Batches: one call evaluates many rows, each with its own index, h and pole
 shifts, and so its own first step, line height, strip and truncation (see
@@ -52,8 +54,8 @@ A fold takes the rows of a stack: each axis's samples h e are the
 zero-padded rows of one array, and each later axis is one call of
 series._fftconvolve, the FFT row convolver of the cone sums, which gives
 each row the transform length and size it has alone.  A pass forms each
-factor P_c^(-n_c) once per (h, eps, shift, n_c), and the step-2h0 grid
-takes every other entry of the step-h0 grid's.  numpy's complex
+factor P_c^(-n_c) once per (h, eps, shift, n_c), and the fold of its
+step-2h grid takes every other entry of the step-h grid's.  numpy's complex
 multiply is not bitwise commutative, and numpy evaluates acc * factor with a
 temporary factor of 16,384 entries (256 KiB) or more as factor * acc; each
 row is multiplied in the order that product takes at its own size.  So each
@@ -490,14 +492,14 @@ def _line_integral(rows: Sequence, spec: QuadratureSpec) -> list:
     counts the deltas.  A row whose integrand overflows on the line (large
     Re omega), or whose nested sum or floor is not finite, fails alone with
     a DomainError; the call lets no floating-point warning escape.  Each
-    level samples and folds each stack of its live rows (see _stacks) in
-    one pass; every row keeps its own grids, budget, stopping level and
-    errors, and so the bits it has alone.
+    level runs one pass per stack of its live rows (see _stacks): it samples
+    the stack's step-h grids and folds them and their step-2h grids; every
+    row keeps its own grids, budget, stopping level and errors, and so the
+    bits it has alone.
     """
     out, live = _line_points(rows, spec)
-    # Level k samples axis i at p = (h0 / 2^k) j + i eps, |j| <= half_i 2^k:
-    # the first pass samples the level-0 grid, and the step-2h0 grid folds
-    # its even entries (see the module docstring).
+    # Level k samples axis i at p = (h0 / 2^k) j + i eps, |j| <= half_i 2^k,
+    # and the step-2h grid folds its even entries (see the module docstring).
     for level in range(spec.max_refine + 1):
         fine = []
         for pt in live:
@@ -511,28 +513,24 @@ def _line_integral(rows: Sequence, spec: QuadratureSpec) -> list:
         live = []
         for stack in _stacks(fine):
             # no sample outlives its pass
-            samples, factors = _sample_pass(stack), {}
-            sums = _fold_rows(stack, samples, level, factors)
-            if level == 0:  # the step-2h0 grid folds the even entries
-                evens = [[(e[e.size // 2 % 2::2], None) for e, _ in row] for row in samples]
-                for pt, (value, _) in zip(stack, _fold_rows(stack, evens, -1, factors)):
-                    pt.value = value
-            for r, (pt, (value, floor)) in enumerate(zip(stack, sums)):
-                if not (cmath.isfinite(pt.value) and cmath.isfinite(value) and math.isfinite(floor)):
+            samples, factors, steps = _sample_pass(stack), {}, [pt.h for pt in stack]
+            evens = [[(e[e.size // 2 % 2::2], None) for e, _ in row] for row in samples]
+            sums = _fold_rows(stack, samples, steps, factors)
+            coarse = _fold_rows(stack, evens, [2 * h for h in steps], factors)
+            for r, (pt, (value, floor), (value_2h, _)) in enumerate(zip(stack, sums, coarse)):
+                if not (cmath.isfinite(value_2h) and cmath.isfinite(value) and math.isfinite(floor)):
                     # a sample that is not finite leaves no sum finite; the
-                    # errors go in order: overflows on the step-2h0 grid, on
-                    # the level's grid, then the step-2h0 sum, then the level's
-                    bad = _overflowing_axis(samples[r])
-                    if bad is not None and level == 0:
-                        first = _overflowing_axis(evens[r])
-                        bad = bad if first is None else first
-                    step = pt.h if cmath.isfinite(pt.value) else 2 * pt.line.h0
+                    # errors go in order: overflows on the step-2h grid, on
+                    # the step-h grid, then the step-2h sum, then the step-h
+                    bad = _overflowing_axis(evens[r])
+                    if bad is None:
+                        bad = _overflowing_axis(samples[r])
+                    step = pt.h if cmath.isfinite(value_2h) else 2 * pt.h
                     out[pt.k] = pt.overflow(bad) if bad is not None else DomainError(
                         f"the nested sum overflows on the line at step {step:.3g}")
                     continue
-                pt.floor = floor
-                pt.deltas.append(abs(value - pt.value))
-                pt.value = value
+                pt.value, pt.floor = value, floor
+                pt.deltas.append(abs(value - value_2h))
                 err = pt.error()
                 if err <= spec.tol:
                     out[pt.k] = pt.result(err)
@@ -561,22 +559,21 @@ def _stacks(pts: list) -> Iterator[list]:
 
 
 def _fold_rows(
-    pts: list, samples: list, level: int, factors: dict
+    pts: list, samples: list, steps: list, factors: dict
 ) -> list[tuple[complex, float | None]]:
     """Trapezoid sum of each point of pts, a stack of one depth, at its step
-    h0 / 2^level, and its round-off floor u * sum |terms| * (1 + sum_i
-    kappa_i), from samples[r][i] = (exp(log-kernel), rounding) of pts[r] on
-    axis i (see _sample_pass): exp turns the absolute rounding of a
-    log-space factor into a relative error of about u rounding, and kappa_i
-    is the |term|-weighted mean of rounding on axis i.  Samples whose
-    rounding is None give the floor None, and the same values to the bit.
-    factors maps (h, pole, n_c) to P_c^(-n_c) and takes the ones formed here.
+    steps[r], and its round-off floor u * sum |terms| * (1 + sum_i kappa_i),
+    from samples[r][i] = (exp(log-kernel), rounding) of pts[r] on axis i
+    (see _sample_pass): exp turns the absolute rounding of a log-space
+    factor into a relative error of about u rounding, and kappa_i is the
+    |term|-weighted mean of rounding on axis i.  Samples whose rounding is
+    None give the floor None, and the same values to the bit.  factors maps
+    (h, pole, n_c) to P_c^(-n_c) and takes the ones formed here.
     The first axis is the product 1 f, which keeps the sign of zeros as a
     point alone does, and each later axis is series._fftconvolve of the
     stack with its samples (see the module docstring)."""
     with_floor = samples[0][0][1] is not None
     widths = [max(row[i][0].size for row in samples) for i in range(len(samples[0]))]
-    steps = [pt.line.h0 / 2**level for pt in pts]
     sizes = [1] * len(pts)
     kappa = [0.0] * len(pts)
     for i, width in enumerate(widths):

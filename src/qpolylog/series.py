@@ -424,12 +424,13 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray, sizes: Sequence[int], axis: int) 
     """Row p of a (index p on axis 0) convolved with row p of the 2-D b
     along axis of a, through numpy.fft, and cut to its own sizes[p] entries
     there; past them, up to the widest row, the axis holds +0.  A length-1
-    axis of a is a broadcast multiply.  Otherwise each group of rows whose
-    size rounds up to the same power of two, the transform length of the
-    row alone, is one FFT convolution; rows of one size are one group, cut
-    as one.  numpy transforms each lane of a stack as it transforms that
-    lane alone, and a transform longer than its input pads it with +0, so
-    row p of the result is bit for bit that of a stack of a[p] and b[p]."""
+    axis of a is a broadcast multiply.  Rows of one size are one FFT
+    convolution, cut as one; otherwise each group of rows whose size rounds
+    up to the same power of two, the transform length of the row alone, is
+    one FFT convolution.  numpy transforms each lane of a stack as it
+    transforms that lane alone, and a transform longer than its input pads
+    it with +0, so row p of the result is bit for bit that of a stack of
+    a[p] and b[p]."""
     shape = [-1] + [1] * (a.ndim - 1)
     if a.shape[axis] == 1:
         shape[axis] = b.shape[1]
@@ -448,14 +449,8 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray, sizes: Sequence[int], axis: int) 
     groups: dict[int, list[int]] = {}
     for p, s in enumerate(sizes):
         groups.setdefault(1 << (s - 1).bit_length(), []).append(p)
-    if len(groups) == 1:
-        out = convolve(a, b, *groups)[cut]
-        lanes = out.swapaxes(1, axis)  # axis 1 of lanes is the convolution axis
-        for p, s in enumerate(sizes):
-            lanes[p, s:] = 0
-        return out
     out = np.zeros(a.shape[:axis] + (width,) + a.shape[axis + 1:], dtype=np.complex128)
-    lanes = out.swapaxes(1, axis)
+    lanes = out.swapaxes(1, axis)  # axis 1 of lanes is the convolution axis
     for nfft, rows in groups.items():
         conv = convolve(a[rows], b[rows], nfft).swapaxes(1, axis)
         for j, p in enumerate(rows):

@@ -163,6 +163,24 @@ class TestSweep:
             parse_sweep("omega=0:1:-0.5").values()
 
     @pytest.mark.parametrize(
+        "text,count", [("hbar=1:2:0.25", 5), ("omega=0:1:0.3", 4), ("hbar=-1:-3:-1", 3)]
+    )
+    def test_count_matches_values(self, text, count):
+        sweep = parse_sweep(text)
+        assert sweep.count() == len(sweep.values()) == count
+
+    def test_count_at_the_row_cap(self):
+        assert parse_sweep(f"hbar=1:{cli.MAX_TABLE_ROWS}:1").count() == cli.MAX_TABLE_ROWS
+        with pytest.raises(UsageError, match=f"more than {cli.MAX_TABLE_ROWS} values"):
+            parse_sweep(f"hbar=0:{cli.MAX_TABLE_ROWS}:1").count()
+
+    @pytest.mark.parametrize("text", ["hbar=1:2:1e-12", "omega=-1e308:1e308:1"])
+    def test_long_sweep_rejected_from_its_bounds(self, text):
+        # the second span overflows to inf
+        with pytest.raises(UsageError, match="more than"):
+            parse_sweep(text).values()
+
+    @pytest.mark.parametrize(
         "bad",
         ["omega", "omega=1:2", "omega=a:b:c", "=1:2:1", "hbar=1:nan:0.5", "omega=-inf:0:1"],
     )
@@ -653,6 +671,24 @@ class TestVerifyCommand:
             assert report["params"]["s"] == 1
             assert report["tolerance"] == 1e-6
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["r=1", "s=0"], "distribution needs r, s >= 1, got r=1, s=0"),
+            (["r=0"], "distribution needs r, s >= 1, got r=0, s=1"),
+            (["r=-1"], "distribution needs r, s >= 1, got r=-1, s=1"),
+            (["r=9", "s=8"], "distribution needs r*s <= 64, got r*s=72"),
+        ],
+    )
+    def test_distribution_arguments_out_of_range(self, capsys, monkeypatch, args, message):
+        def no_check(*_, **__):
+            raise AssertionError("distribution check ran")
+
+        monkeypatch.setitem(cli.CHECKS, "distribution", no_check)
+        code, out, err = run_cli(capsys, "verify", "distribution", *args)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"qpolylog: error: {message}\n"
+
     def test_impossible_tolerance_fails(self, capsys):
         code, payload, err = eval_payload(
             capsys, "verify", "distribution", "r=2", "s=1", "--tol", "1e-30",
@@ -898,6 +934,27 @@ class TestTableCommand:
         assert len(rows) == 2
         assert rows[1][1:3] == ["", ""]
         assert rows[1][3].startswith("OverflowError")
+
+    @pytest.mark.parametrize(
+        "sweeps,message",
+        [
+            (["hbar=1:2:1e-12"], "sweep over hbar has more than 10000 values"),
+            (["hbar=1:2:1e-3", "omega=-2:-1:0.01"], "table has more than 10000 rows"),
+        ],
+    )
+    def test_too_many_rows_rejected_before_any_is_built(
+        self, capsys, monkeypatch, sweeps, message
+    ):
+        def no_values(self):
+            raise AssertionError("sweep values built")
+
+        monkeypatch.setattr(Sweep, "values", no_values)
+        args = ["table", "--fn", "F", "--a", "1", "--b", "1", "--n", "1", "--omega", "-1"]
+        for sweep in sweeps:
+            args += ["--sweep", sweep]
+        code, out, err = run_cli(capsys, *args)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"qpolylog: error: {message}\n"
 
     def test_usage_error_writes_nothing(self, capsys):
         # a missing --n fails every row alike: one usage error, no table

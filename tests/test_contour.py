@@ -727,13 +727,15 @@ class TestMixedRows:
         stacks = []
         fold_rows = contour._fold_rows
 
-        def spy(pts, samples, level, factors):
-            stacks.append((level, [pt.k for pt in pts]))
+        def spy(pts, samples, steps, factors):
+            # the first pass's step-h0 folds: samples with roundings, at h0
+            if samples[0][0][1] is not None and steps == [pt.line.h0 for pt in pts]:
+                stacks.append([pt.k for pt in pts])
             depths = {len(row) for row in samples}
             widest = max(sum(e.size for e, _ in row) for row in samples) - len(samples[0]) + 1
             assert len(depths) == 1
             assert len(pts) == 1 or len(pts) * widest <= 1000
-            return fold_rows(pts, samples, level, factors)
+            return fold_rows(pts, samples, steps, factors)
 
         monkeypatch.setattr(contour, "_MAX_STACK", 1000)
         monkeypatch.setattr(contour, "_fold_rows", spy)
@@ -741,7 +743,7 @@ class TestMixedRows:
         monkeypatch.undo()
         # the wide row folds alone; the narrow rows on either side of it
         # still stack, and so do the depth-2 rows while they fit
-        assert [k for level, k in stacks if level == 0] == [[0, 1, 2], [3], [4, 5, 6], [7, 8], [9]]
+        assert stacks == [[0, 1, 2], [3], [4, 5, 6], [7, 8], [9]]
         alone = one_by_one(lambda row: quad_F(row.idx, row.omega, row.hbar), rows)
         assert list(map(result_key, got)) == list(map(result_key, alone))
 
@@ -879,9 +881,9 @@ ODD_OVERFLOW = 1705.597 + 5j
 
 
 class TestOnePass:
-    """The first pass samples the step-h0 grid once and folds the step-2h0
-    grid from its even entries, and every later pass samples its whole
-    grid; the result is the odd-node refinement's, bit for bit."""
+    """Every pass samples its whole step-h grid once and folds the step-2h
+    grid from its even entries; the result is the odd-node refinement's,
+    which carries each level's value to the next, bit for bit."""
 
     @pytest.mark.parametrize(
         "idx,hbar,tol,points,shifts",
