@@ -767,6 +767,8 @@ def _verify_reports(config: RunConfig) -> list:
         l = _int_arg(args, "l", 2)
         if args:
             raise UsageError(f"unknown a3 arguments: {', '.join(sorted(args))}")
+        if k < 1 or l < 1 or k + l > 6:
+            raise UsageError(f"a3 needs k, l >= 1 with k + l <= 6, got k={k}, l={l}")
         return [verify_a3(k, l, seed=config.seed)]
     if name not in CHECKS:
         known = ", ".join(sorted(list(CHECKS) + ["a3", "all"]))

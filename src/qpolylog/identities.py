@@ -82,46 +82,54 @@ def _cstr(z: complex) -> str:
     return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i"
 
 
-def _report(
-    name: str, params: Mapping[str, Any], residual: float, tol: float
-) -> CheckReport:
-    return CheckReport.from_residual(
-        identity_name=name, params=params, residual=abs(residual), tolerance=tol
-    )
-
-
-def _point_tol(point: Mapping[str, Any], spec: CheckSpec) -> float:
-    return float(point.get("tol", spec.tolerance))
+def _index_params(idx: MultiIndex, omega: Sequence[complex], hbar: complex) -> dict:
+    """Report params of a contour point: its index, arguments and hbar."""
+    return {
+        "a": list(idx.a),
+        "b": list(idx.b),
+        "n": list(idx.n),
+        "omega": [_cstr(v) for v in omega],
+        "hbar": _cstr(hbar),
+    }
 
 
 # One grid point for _check_points: yields its list of contour rows, receives
-# an iterator over their values and returns the point's reports.
+# an iterator over their values and returns its (params, residual) pairs, or
+# (params, residual, tolerance) where the point's tol does not apply.
 PointReports = Generator[list, Iterator[complex], list]
 
 
-def _check_points(grid: Sequence, point_reports: Callable, spec=None) -> list[CheckReport]:
-    """The reports of every point of grid, in grid order, with the contour
-    rows of all points as one _quad_rows call under spec.  The points read
+def _check_points(
+    spec: CheckSpec, point_reports: Callable, *args, quad: QuadratureSpec | None = None
+) -> list[CheckReport]:
+    """The reports of every point of spec.grid, in grid order, from
+    point_reports(point, *args), with the contour rows of all points as one
+    _quad_rows call under quad (none if no point has rows).  The points read
     their values lazily and finish in grid order, so a failed row raises its
     one-point error where a one-point call raised it, and an error in
-    building a point's rows is raised once the points before it finish."""
+    building a point's rows is raised once the points before it finish.
+    Each report is named spec.identity_name; its residual is |residual| and
+    its tolerance the point's tol, or spec.tolerance without one."""
     pending, rows, failed = [], [], None
-    for point in grid:
-        gen = point_reports(point)
+    for point in spec.grid:
+        gen = point_reports(point, *args)
         try:
             calls = next(gen)
         except Exception as exc:  # raised in its turn, below
             failed = exc
             break
-        pending.append((gen, len(rows), len(rows) + len(calls)))
+        pending.append((point, gen, len(rows), len(rows) + len(calls)))
         rows += calls
-    results = _quad_rows(rows, spec)
+    results = _quad_rows(rows, quad) if rows else []
     reports = []
-    for gen, lo, hi in pending:
+    for point, gen, lo, hi in pending:
         try:
             gen.send(unwrap(res).value for res in results[lo:hi])
         except StopIteration as stop:
-            reports += stop.value
+            default = point.get("tol", spec.tolerance)
+            for params, residual, *tol in stop.value:
+                reports.append(CheckReport.from_residual(
+                    spec.identity_name, params, abs(residual), tol[0] if tol else default))
     if failed is not None:
         raise failed
     return reports
@@ -160,6 +168,23 @@ def default_series_vs_contour_spec(seed: int = DEFAULT_SEED) -> CheckSpec:
     )
 
 
+def _series_vs_contour_point(point: Mapping[str, Any]) -> PointReports:
+    n = tuple(point["n"])
+    m = len(n)
+    w = tuple(complex(v) for v in point["w"])
+    # quad_Li(n, w) is quad_I with the first-order kernel at hbar = 1
+    idx = MultiIndex((1,) * m, (0,) * m, tuple(int(v) for v in n))
+    (lhs,) = yield [_Row(idx, _transport(idx, w), 1.0)]
+    z = tuple(cmath.exp(v) for v in w[:-1]) + (-cmath.exp(w[-1]),)
+    rhs = multiple_polylog(n, z)
+    params = {
+        "m": m,
+        "n": list(n),
+        "w": [_cstr(v) for v in w],
+    }
+    return [(params, lhs - rhs.value)]
+
+
 def check_series_vs_contour(
     spec: CheckSpec | None = None, seed: int = DEFAULT_SEED
 ) -> list[CheckReport]:
@@ -168,26 +193,7 @@ def check_series_vs_contour(
     The quadrature value of the iterated-argument evaluator at (n, w) must
     match the simplex sum Li_n(e^{w_1}, ..., -e^{w_m}).
     """
-    spec = spec or default_series_vs_contour_spec(seed)
-
-    def point_reports(point: Mapping[str, Any]) -> PointReports:
-        n = tuple(point["n"])
-        m = len(n)
-        w = tuple(complex(v) for v in point["w"])
-        # quad_Li(n, w) is quad_I with the first-order kernel at hbar = 1
-        idx = MultiIndex((1,) * m, (0,) * m, tuple(int(v) for v in n))
-        values = yield [_Row(idx, _transport(idx, w), 1.0)]
-        lhs = next(values)
-        z = tuple(cmath.exp(v) for v in w[:-1]) + (-cmath.exp(w[-1]),)
-        rhs = multiple_polylog(n, z)
-        params = {
-            "m": m,
-            "n": list(n),
-            "w": [_cstr(v) for v in w],
-        }
-        return [_report(spec.identity_name, params, abs(lhs - rhs.value), _point_tol(point, spec))]
-
-    return _check_points(spec.grid, point_reports)
+    return _check_points(spec or default_series_vs_contour_spec(seed), _series_vs_contour_point)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +323,7 @@ def _difference_residuals(idx: MultiIndex, omega: tuple, hbar: complex) -> Point
     out = []
     for label in labels:
         lhs = next(values) - next(values)
-        out.append((label, abs(lhs - next(values))))
+        out.append((label, lhs - next(values)))
     return out
 
 
@@ -347,8 +353,20 @@ def _differential_residuals(idx: MultiIndex, omega: tuple, hbar: complex) -> Poi
         rhs += next(values)
         if k >= 1:
             rhs -= next(values)
-        out.append((f"axis{k + 1}", abs(deriv - rhs)))
+        out.append((f"axis{k + 1}", deriv - rhs))
     return out
+
+
+def _difference_point(point: Mapping[str, Any]) -> PointReports:
+    idx = MultiIndex(tuple(point["a"]), tuple(point["b"]), tuple(point["n"]))
+    omega = tuple(complex(v) for v in point["omega"])
+    hbar = complex(point["hbar"])
+    if point["case"] == "difference":
+        pairs = yield from _difference_residuals(idx, omega, hbar)
+    else:
+        pairs = yield from _differential_residuals(idx, omega, hbar)
+    params = {"case": point["case"], **_index_params(idx, omega, hbar)}
+    return [({**params, "relation": label}, residual) for label, residual in pairs]
 
 
 def check_difference_and_differential(
@@ -356,32 +374,9 @@ def check_difference_and_differential(
 ) -> list[CheckReport]:
     """Half-step difference equations in omega (lowering each coupling
     exponent) and the first-order differential relation in each argument."""
-    spec = spec or default_difference_spec()
-
-    def point_reports(point: Mapping[str, Any]) -> PointReports:
-        idx = MultiIndex(tuple(point["a"]), tuple(point["b"]), tuple(point["n"]))
-        omega = tuple(complex(v) for v in point["omega"])
-        hbar = complex(point["hbar"])
-        tol = _point_tol(point, spec)
-        if point["case"] == "difference":
-            pairs = yield from _difference_residuals(idx, omega, hbar)
-        else:
-            pairs = yield from _differential_residuals(idx, omega, hbar)
-        reports = []
-        for label, residual in pairs:
-            params = {
-                "case": point["case"],
-                "relation": label,
-                "a": list(idx.a),
-                "b": list(idx.b),
-                "n": list(idx.n),
-                "omega": [_cstr(v) for v in omega],
-                "hbar": _cstr(hbar),
-            }
-            reports.append(_report(spec.identity_name, params, residual, tol))
-        return reports
-
-    return _check_points(spec.grid, point_reports, QuadratureSpec(tol=1e-12))
+    return _check_points(
+        spec or default_difference_spec(), _difference_point, quad=QuadratureSpec(tol=1e-12)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -409,39 +404,38 @@ def default_distribution_spec() -> CheckSpec:
     )
 
 
+def _distribution_point(point: Mapping[str, Any]) -> PointReports:
+    r, s = int(point["r"]), int(point["s"])
+    n = int(point["n"])
+    omega = complex(point["omega"])
+    hbar = complex(point["hbar"])
+    idx = MultiIndex((1,), (1,), (n,))
+    values = yield [_Row(idx, (r * omega,), (r / s) * hbar)] + [
+        _Row(idx, (omega + (TWO_PI_I * (alpha / r) + TWO_PI_I * hbar * (beta / s)),), hbar)
+        for alpha in _half_integer_range(r)
+        for beta in _half_integer_range(s)
+    ]
+    lhs = next(values)
+    total = 0j
+    for value in values:
+        total += value
+    rhs = r ** (n - 1) * total
+    params = {
+        "r": r,
+        "s": s,
+        "n": [n],
+        "omega": _cstr(omega),
+        "hbar": _cstr(hbar),
+    }
+    return [(params, lhs - rhs)]
+
+
 def check_distribution(
     spec: CheckSpec | None = None, seed: int = DEFAULT_SEED
 ) -> list[CheckReport]:
     """Scaling hbar by r/s and the argument by r equals r^(|n|-m) times the
     sum over the r*s per-axis imaginary shifts (depth 1, first-order index)."""
-    spec = spec or default_distribution_spec()
-
-    def point_reports(point: Mapping[str, Any]) -> PointReports:
-        r, s = int(point["r"]), int(point["s"])
-        n = int(point["n"])
-        omega = complex(point["omega"])
-        hbar = complex(point["hbar"])
-        idx = MultiIndex((1,), (1,), (n,))
-        values = yield [_Row(idx, (r * omega,), (r / s) * hbar)] + [
-            _Row(idx, (omega + (TWO_PI_I * (alpha / r) + TWO_PI_I * hbar * (beta / s)),), hbar)
-            for alpha in _half_integer_range(r)
-            for beta in _half_integer_range(s)
-        ]
-        lhs = next(values)
-        total = 0j
-        for value in values:
-            total += value
-        rhs = r ** (n - 1) * total
-        params = {
-            "r": r,
-            "s": s,
-            "n": [n],
-            "omega": _cstr(omega),
-            "hbar": _cstr(hbar),
-        }
-        return [_report(spec.identity_name, params, abs(lhs - rhs), _point_tol(point, spec))]
-
-    return _check_points(spec.grid, point_reports)
+    return _check_points(spec or default_distribution_spec(), _distribution_point)
 
 
 # ---------------------------------------------------------------------------
@@ -488,41 +482,33 @@ def _h1_depth2_closed(n: tuple, omega: tuple, params: SeriesParams) -> complex:
     )
 
 
+def _h1_point(point: Mapping[str, Any], series_params: SeriesParams) -> PointReports:
+    omega = tuple(complex(v) for v in point["omega"])
+    n = tuple(point["n"])
+    if point["m"] == 1:
+        a, b = int(point["a"]), int(point["b"])
+        idx = MultiIndex((a,), (b,), n)
+        (lhs,) = yield [_Row(idx, omega, 1.0)]
+        rhs = depth1_closed_form(a + b, n[0], omega[0], series_params).value
+    else:
+        idx = MultiIndex((1, 1), (1, 1), n)
+        (lhs,) = yield [_Row(idx, omega, 1.0)]
+        rhs = _h1_depth2_closed(n, omega, series_params)
+    params = {
+        "m": idx.depth,
+        "a": list(idx.a),
+        "b": list(idx.b),
+        "n": list(n),
+        "omega": [_cstr(v) for v in omega],
+    }
+    return [(params, lhs - rhs)]
+
+
 def check_h1(spec: CheckSpec | None = None, seed: int = DEFAULT_SEED) -> list[CheckReport]:
     """At hbar = 1 the value collapses to Q-polynomial / polylogarithm
     combinations: depth 1 through the merged coupling a + b, depth 2 through
     the explicit multinomial form."""
-    spec = spec or default_h1_spec()
-    series_params = SeriesParams()
-
-    def point_reports(point: Mapping[str, Any]) -> PointReports:
-        omega = tuple(complex(v) for v in point["omega"])
-        n = tuple(point["n"])
-        tol = _point_tol(point, spec)
-        if point["m"] == 1:
-            a, b = int(point["a"]), int(point["b"])
-            (lhs,) = yield [_Row(MultiIndex((a,), (b,), n), omega, 1.0)]
-            rhs = depth1_closed_form(a + b, n[0], omega[0], series_params).value
-            params = {
-                "m": 1,
-                "a": [a],
-                "b": [b],
-                "n": list(n),
-                "omega": [_cstr(v) for v in omega],
-            }
-        else:
-            (lhs,) = yield [_Row(MultiIndex((1, 1), (1, 1), n), omega, 1.0)]
-            rhs = _h1_depth2_closed(n, omega, series_params)
-            params = {
-                "m": 2,
-                "a": [1, 1],
-                "b": [1, 1],
-                "n": list(n),
-                "omega": [_cstr(v) for v in omega],
-            }
-        return [_report(spec.identity_name, params, abs(lhs - rhs), tol)]
-
-    return _check_points(spec.grid, point_reports)
+    return _check_points(spec or default_h1_spec(), _h1_point, SeriesParams())
 
 
 # ---------------------------------------------------------------------------
@@ -595,71 +581,60 @@ def default_symmetries_spec() -> CheckSpec:
     )
 
 
+def _symmetries_point(point: Mapping[str, Any]) -> PointReports:
+    relation = point["relation"]
+    hbar = complex(point["hbar"])
+    if relation.startswith("zeta"):
+        s = tuple(point["s"])
+        if relation == "zeta-anchor":
+            (value,) = yield [_zeta_row(s, hbar)]
+            residual = value - 1j * math.pi / 12.0
+        else:
+            lhs, value = yield [_zeta_row(s, hbar), _zeta_row(s, 1.0 / hbar)]
+            factor = hbar ** (sum(v - 1 for v in s) - len(s))
+            residual = lhs - factor * value
+        return [({"relation": relation, "s": list(s), "hbar": _cstr(hbar)}, residual)]
+    idx = MultiIndex(tuple(point["a"]), tuple(point["b"]), tuple(point["n"]))
+    omega = tuple(complex(v) for v in point["omega"])
+    m = idx.depth
+    if relation == "conjugation":
+        sign = (-1) ** (sum(idx.a) + sum(idx.b) + m)
+        base, conj = yield [
+            _Row(idx, omega, hbar),
+            _Row(idx, tuple(v.conjugate() for v in omega), hbar.conjugate()),
+        ]
+        residual = conj.conjugate() - sign * base
+    elif relation == "modular":
+        swapped = MultiIndex(idx.b, idx.a, idx.n)
+        lhs, value = yield [
+            _Row(idx, omega, hbar),
+            _Row(swapped, tuple(v / hbar for v in omega), 1.0 / hbar),
+        ]
+        residual = lhs - hbar ** (sum(idx.n) - m) * value
+    elif relation == "boundary":
+        a, b, n = idx.a[0], idx.b[0], idx.n[0]
+        sign = (-1) ** (a + b + n - 1)
+        fwd, bwd = yield [_Row(idx, omega, hbar), _Row(idx, tuple(-v for v in omega), hbar)]
+        bpoly = bernoulli_exact(a, b, n).eval(omega[0], hbar)
+        residual = fwd + sign * bwd + bpoly
+    elif relation == "decay":
+        (residual,) = yield [_Row(idx, omega, hbar)]
+    else:  # pragma: no cover - guarded by default grid
+        raise DomainError(f"unknown symmetry relation {relation!r}")
+    return [({"relation": relation, **_index_params(idx, omega, hbar)}, residual)]
+
+
 def check_symmetries(
     spec: CheckSpec | None = None, seed: int = DEFAULT_SEED
 ) -> list[CheckReport]:
     """Conjugation parity, the hbar -> 1/hbar reflection, the boundary
     reflection against the exact residue-pairing polynomial, and far-left
     decay."""
-    spec = spec or default_symmetries_spec()
-
-    def point_reports(point: Mapping[str, Any]) -> PointReports:
-        relation = point["relation"]
-        tol = _point_tol(point, spec)
-        hbar = complex(point["hbar"])
-        if relation.startswith("zeta"):
-            s = tuple(point["s"])
-            h = hbar.real
-            if relation == "zeta-anchor":
-                (value,) = yield [_zeta_row(s, h)]
-                residual = abs(value - 1j * math.pi / 12.0)
-            else:
-                lhs, value = yield [_zeta_row(s, h), _zeta_row(s, 1.0 / h)]
-                factor = h ** (sum(v - 1 for v in s) - len(s))
-                residual = abs(lhs - factor * value)
-            params = {"relation": relation, "s": list(s), "hbar": _cstr(hbar)}
-            return [_report(spec.identity_name, params, residual, tol)]
-        idx = MultiIndex(tuple(point["a"]), tuple(point["b"]), tuple(point["n"]))
-        omega = tuple(complex(v) for v in point["omega"])
-        m = idx.depth
-        if relation == "conjugation":
-            sign = (-1) ** (sum(idx.a) + sum(idx.b) + m)
-            base, conj = yield [
-                _Row(idx, omega, hbar),
-                _Row(idx, tuple(v.conjugate() for v in omega), hbar.conjugate()),
-            ]
-            residual = abs(conj.conjugate() - sign * base)
-        elif relation == "modular":
-            swapped = MultiIndex(idx.b, idx.a, idx.n)
-            lhs, value = yield [
-                _Row(idx, omega, hbar),
-                _Row(swapped, tuple(v / hbar for v in omega), 1.0 / hbar),
-            ]
-            residual = abs(lhs - hbar ** (sum(idx.n) - m) * value)
-        elif relation == "boundary":
-            a, b, n = idx.a[0], idx.b[0], idx.n[0]
-            sign = (-1) ** (a + b + n - 1)
-            fwd, bwd = yield [_Row(idx, omega, hbar), _Row(idx, tuple(-v for v in omega), hbar)]
-            bpoly = bernoulli_exact(a, b, n).eval(omega[0], hbar)
-            residual = abs(fwd + sign * bwd + bpoly)
-        elif relation == "decay":
-            (value,) = yield [_Row(idx, omega, hbar)]
-            residual = abs(value)
-        else:  # pragma: no cover - guarded by default grid
-            raise DomainError(f"unknown symmetry relation {relation!r}")
-        params = {
-            "relation": relation,
-            "a": list(idx.a),
-            "b": list(idx.b),
-            "n": list(idx.n),
-            "omega": [_cstr(v) for v in omega],
-            "hbar": _cstr(hbar),
-        }
-        return [_report(spec.identity_name, params, residual, tol)]
-
     # zeta-anchor checks to 1e-12, and decay reads |F| itself: both need more
     # than the default tol certifies
-    return _check_points(spec.grid, point_reports, QuadratureSpec(tol=1e-14))
+    return _check_points(
+        spec or default_symmetries_spec(), _symmetries_point, quad=QuadratureSpec(tol=1e-14)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -684,40 +659,37 @@ def default_companion_spec() -> CheckSpec:
     )
 
 
+def _companion_point(point: Mapping[str, Any]) -> PointReports:
+    n = tuple(point["n"])
+    w = tuple(complex(v) for v in point["w"])
+    hbar = complex(point["hbar"])
+    m = len(n)
+    params: dict[str, Any] = {
+        "n": list(n),
+        "w": [_cstr(v) for v in w],
+        "hbar": _cstr(hbar),
+    }
+    if point.get("relation") == "rational-guard":
+        yield []
+        params["relation"] = "rational-guard"
+        try:
+            companion_sum_I(n, w, hbar)
+        except DomainError:
+            return [(params, 0.0, 0.0)]
+        return [(params, 1.0, 0.0)]
+    idx = MultiIndex((1,) * m, (1,) * m, n)
+    (lhs,) = yield [_Row(idx, _transport(idx, w), hbar)]
+    rhs = companion_sum_I(n, w, hbar).value
+    return [(params, lhs - rhs)]
+
+
 def check_companion(
     spec: CheckSpec | None = None, seed: int = DEFAULT_SEED
 ) -> list[CheckReport]:
     """Sum of the 2^m companion series against the quadrature value in the
     difference variables; at (nearly) rational deformation the series backend
     must refuse."""
-    spec = spec or default_companion_spec()
-
-    def point_reports(point: Mapping[str, Any]) -> PointReports:
-        n = tuple(point["n"])
-        w = tuple(complex(v) for v in point["w"])
-        hbar = complex(point["hbar"])
-        m = len(n)
-        params: dict[str, Any] = {
-            "n": list(n),
-            "w": [_cstr(v) for v in w],
-            "hbar": _cstr(hbar),
-        }
-        if point.get("relation") == "rational-guard":
-            yield []
-            params["relation"] = "rational-guard"
-            try:
-                companion_sum_I(n, w, hbar)
-            except DomainError:
-                residual = 0.0
-            else:
-                residual = 1.0
-            return [_report(spec.identity_name, params, residual, 0.0)]
-        idx = MultiIndex((1,) * m, (1,) * m, n)
-        (lhs,) = yield [_Row(idx, _transport(idx, w), hbar)]
-        rhs = companion_sum_I(n, w, hbar).value
-        return [_report(spec.identity_name, params, abs(lhs - rhs), _point_tol(point, spec))]
-
-    return _check_points(spec.grid, point_reports)
+    return _check_points(spec or default_companion_spec(), _companion_point)
 
 
 # ---------------------------------------------------------------------------
@@ -766,66 +738,51 @@ def default_shuffle_spec() -> CheckSpec:
     )
 
 
+def _shuffle_point(point: Mapping[str, Any], seed: int) -> PointReports:
+    case = point["case"]
+    if case == "exact-partial-fraction":
+        k, l = int(point["k"]), int(point["l"])
+        yield []
+        inner = verify_a3(k, l, seed=seed)
+        return [({"case": case, "k": k, "l": l}, inner.residual, inner.tolerance)]
+    omega = tuple(complex(v) for v in point["omega"])
+    hbar = complex(point["hbar"])
+    if case in ("depth11", "symmetric-point"):
+        (a1,), (a2,) = point["a"]
+        (b1,), (b2,) = point["b"]
+        f1, f2, f12, f21 = yield [
+            _Row(MultiIndex((a1,), (b1,), (1,)), (omega[0],), hbar),
+            _Row(MultiIndex((a2,), (b2,), (1,)), (omega[1],), hbar),
+            _Row(MultiIndex((a1, a2), (b1, b2), (1, 1)), omega, hbar),
+            _Row(MultiIndex((a2, a1), (b2, b1), (1, 1)), (omega[1], omega[0]), hbar),
+        ]
+        residual = f1 * f2 - f12 - f21
+        params = {"case": case, "a": [a1, a2], "b": [b1, b2]}
+    elif case == "generating":
+        u = complex(point["u"])
+        v = complex(point["v"])
+        # g1 and g2 are gen_series_depth1 at omega[0], u and omega[1], v
+        idx1, idx2 = MultiIndex((1,), (1,), (1,)), MultiIndex((1, 1), (1, 1), (1, 1))
+        g1, g2, h12, h21 = yield [
+            _Row(idx1, (omega[0],), hbar, (ensure_finite_complex(u, "u"),)),
+            _Row(idx1, (omega[1],), hbar, (ensure_finite_complex(v, "u"),)),
+            _Row(idx2, omega, hbar, (u, u + v)),
+            _Row(idx2, (omega[1], omega[0]), hbar, (v, u + v)),
+        ]
+        residual = g1 * g2 - h12 - h21
+        params = {"case": case, "u": _cstr(u), "v": _cstr(v)}
+    else:  # pragma: no cover - guarded by default grid
+        raise DomainError(f"unknown shuffle case {case!r}")
+    return [({**params, "omega": [_cstr(w) for w in omega], "hbar": _cstr(hbar)}, residual)]
+
+
 def check_shuffle(
     spec: CheckSpec | None = None, seed: int = DEFAULT_SEED
 ) -> list[CheckReport]:
     """Products of depth-1 values against the two interleaved depth-2 values,
     the same relation at the level of pole-shifted generating integrals, and
     the exact partial-fraction shuffle on random rational points."""
-    spec = spec or default_shuffle_spec()
-
-    def point_reports(point: Mapping[str, Any]) -> PointReports:
-        case = point["case"]
-        if case == "exact-partial-fraction":
-            k, l = int(point["k"]), int(point["l"])
-            yield []
-            inner = verify_a3(k, l, seed=seed)
-            params = {"case": case, "k": k, "l": l}
-            return [_report(spec.identity_name, params, inner.residual, inner.tolerance)]
-        omega = tuple(complex(v) for v in point["omega"])
-        hbar = complex(point["hbar"])
-        tol = _point_tol(point, spec)
-        if case in ("depth11", "symmetric-point"):
-            (a1,), (a2,) = point["a"]
-            (b1,), (b2,) = point["b"]
-            f1, f2, f12, f21 = yield [
-                _Row(MultiIndex((a1,), (b1,), (1,)), (omega[0],), hbar),
-                _Row(MultiIndex((a2,), (b2,), (1,)), (omega[1],), hbar),
-                _Row(MultiIndex((a1, a2), (b1, b2), (1, 1)), omega, hbar),
-                _Row(MultiIndex((a2, a1), (b2, b1), (1, 1)), (omega[1], omega[0]), hbar),
-            ]
-            residual = abs(f1 * f2 - f12 - f21)
-            params = {
-                "case": case,
-                "a": [a1, a2],
-                "b": [b1, b2],
-                "omega": [_cstr(v) for v in omega],
-                "hbar": _cstr(hbar),
-            }
-        elif case == "generating":
-            u = complex(point["u"])
-            v = complex(point["v"])
-            # g1 and g2 are gen_series_depth1 at omega[0], u and omega[1], v
-            idx1, idx2 = MultiIndex((1,), (1,), (1,)), MultiIndex((1, 1), (1, 1), (1, 1))
-            g1, g2, h12, h21 = yield [
-                _Row(idx1, (omega[0],), hbar, (ensure_finite_complex(u, "u"),)),
-                _Row(idx1, (omega[1],), hbar, (ensure_finite_complex(v, "u"),)),
-                _Row(idx2, omega, hbar, (u, u + v)),
-                _Row(idx2, (omega[1], omega[0]), hbar, (v, u + v)),
-            ]
-            residual = abs(g1 * g2 - h12 - h21)
-            params = {
-                "case": case,
-                "omega": [_cstr(w) for w in omega],
-                "hbar": _cstr(hbar),
-                "u": _cstr(u),
-                "v": _cstr(v),
-            }
-        else:  # pragma: no cover - guarded by default grid
-            raise DomainError(f"unknown shuffle case {case!r}")
-        return [_report(spec.identity_name, params, residual, tol)]
-
-    return _check_points(spec.grid, point_reports)
+    return _check_points(spec or default_shuffle_spec(), _shuffle_point, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -853,12 +810,11 @@ def default_asymptotic_spec() -> CheckSpec:
     )
 
 
-def _asymptotic_gaps(point: Mapping[str, Any]) -> PointReports:
-    """|ratio - 1| for each hbar in the decreasing sequence, for
-    _check_points: it yields the rows of the contour values, one per hbar,
-    and returns the gaps."""
+def _asymptotic_point(point: Mapping[str, Any], params: SeriesParams) -> PointReports:
+    """The gap |ratio - 1| at the final hbar, and the worst increase of the
+    gap along the decreasing hbar sequence: it yields one contour row per
+    hbar."""
     case = point["case"]
-    params = SeriesParams()
     hbars = [float(hbar) for hbar in point["hbars"]]
     if case in ("depth1", "depth1-scale"):
         n = int(point["n"])
@@ -891,7 +847,19 @@ def _asymptotic_gaps(point: Mapping[str, Any]) -> PointReports:
                     params,
                 ).value
         gaps.append(abs(num / den - 1.0))
-    return gaps
+    worst_increase = 0.0
+    for first, second in zip(gaps, gaps[1:]):
+        worst_increase = max(worst_increase, second - first)
+    base = {
+        "case": case,
+        "n": list(idx.n),
+        "omega": [_cstr(v) for v in args],
+        "hbars": hbars,
+    }
+    return [
+        ({**base, "measure": "final-gap"}, gaps[-1]),
+        ({**base, "measure": "monotone"}, worst_increase, 0.0),
+    ]
 
 
 def check_asymptotic(
@@ -900,34 +868,7 @@ def check_asymptotic(
     """Small-hbar behavior: 2*pi*i*hbar (per depth) times the value approaches
     the predicted weight-raised combination; the gap must shrink monotonically
     along the hbar sequence and be small at the final hbar."""
-    spec = spec or default_asymptotic_spec()
-
-    def point_reports(point: Mapping[str, Any]) -> PointReports:
-        gaps = yield from _asymptotic_gaps(point)
-        worst_increase = 0.0
-        for first, second in zip(gaps, gaps[1:]):
-            worst_increase = max(worst_increase, second - first)
-        base_params = {
-            "case": point["case"],
-            "n": list(point["n"]) if isinstance(point["n"], tuple) else [point["n"]],
-            "omega": [
-                _cstr(v)
-                for v in (
-                    point["omega"]
-                    if isinstance(point["omega"], tuple)
-                    else (point["omega"],)
-                )
-            ],
-            "hbars": [float(h) for h in point["hbars"]],
-        }
-        return [
-            _report(spec.identity_name, {**base_params, "measure": "final-gap"}, gaps[-1],
-                    _point_tol(point, spec)),
-            _report(spec.identity_name, {**base_params, "measure": "monotone"}, worst_increase,
-                    0.0),
-        ]
-
-    return _check_points(spec.grid, point_reports)
+    return _check_points(spec or default_asymptotic_spec(), _asymptotic_point, SeriesParams())
 
 
 # ---------------------------------------------------------------------------
@@ -963,65 +904,64 @@ def default_q_calculus_spec() -> CheckSpec:
     )
 
 
+def _q_calculus_point(point: Mapping[str, Any], rng: random.Random) -> PointReports:
+    yield []  # no contour rows; the points draw from rng in grid order
+    case = point["case"]
+    q = complex(point["q"])
+    params: dict[str, Any] = {"case": case, "q": _cstr(q)}
+    if case == "difference-of-integral":
+        a = int(point["a"])
+        degree = int(point["degree"])
+        coeffs = [0j] + [
+            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(degree)
+        ]
+        series = TruncatedSeries(tuple(coeffs))
+        lhs = q_difference(q_integral(series, a, q), q)
+        rhs = q_integral(series, a - 1, q)
+        residual = (lhs - rhs).max_abs()
+        params.update({"a": a, "degree": degree})
+    elif case == "series-integral":
+        a = int(point["a"])
+        n = int(point["n"])
+        x = complex(point["x"])
+        degree = 40
+        plain = TruncatedSeries(
+            (0j,) + tuple(1.0 / float(k) ** n + 0j for k in range(1, degree + 1))
+        )
+        integrated = q_integral(plain, a, q)
+        lhs = -integrated.eval(x)
+        rhs = q_multiple_polylog((a,), (n,), (x,), q).value
+        residual = lhs - rhs
+        params.update({"a": a, "n": n, "x": _cstr(x)})
+    elif case == "product-log":
+        a = int(point["a"])
+        x = complex(point["x"])
+        product = pochhammer_psi(a, x, q).value
+        series = q_multiple_polylog((a,), (1,), (-x,), q).value
+        residual = product - cmath.exp(-series)
+        params.update({"a": a, "x": _cstr(x)})
+    elif case == "product-recursion":
+        a = int(point["a"])
+        x = complex(point["x"])
+        lhs = (
+            pochhammer_psi(a, q * x, q).value
+            / pochhammer_psi(a, x / q, q).value
+        )
+        rhs = pochhammer_psi(a - 1, x, q).value
+        residual = lhs - rhs
+        params.update({"a": a, "x": _cstr(x)})
+    else:  # pragma: no cover - guarded by default grid
+        raise DomainError(f"unknown q-calculus case {case!r}")
+    return [(params, residual)]
+
+
 def check_q_calculus(
     spec: CheckSpec | None = None, seed: int = DEFAULT_SEED
 ) -> list[CheckReport]:
     """Bracket-difference / bracket-antiderivative round trips on random
     series, the series representation of the deformed sum as an iterated
     bracket antiderivative, and the infinite-product identities."""
-    spec = spec or default_q_calculus_spec()
-    rng = random.Random(seed)
-    reports = []
-    for point in spec.grid:
-        case = point["case"]
-        q = complex(point["q"])
-        tol = _point_tol(point, spec)
-        params: dict[str, Any] = {"case": case, "q": _cstr(q)}
-        if case == "difference-of-integral":
-            a = int(point["a"])
-            degree = int(point["degree"])
-            coeffs = [0j] + [
-                complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(degree)
-            ]
-            series = TruncatedSeries(tuple(coeffs))
-            lhs = q_difference(q_integral(series, a, q), q)
-            rhs = q_integral(series, a - 1, q)
-            residual = (lhs - rhs).max_abs()
-            params.update({"a": a, "degree": degree})
-        elif case == "series-integral":
-            a = int(point["a"])
-            n = int(point["n"])
-            x = complex(point["x"])
-            degree = 40
-            plain = TruncatedSeries(
-                (0j,) + tuple(1.0 / float(k) ** n + 0j for k in range(1, degree + 1))
-            )
-            integrated = q_integral(plain, a, q)
-            lhs = -integrated.eval(x)
-            rhs = q_multiple_polylog((a,), (n,), (x,), q).value
-            residual = abs(lhs - rhs)
-            params.update({"a": a, "n": n, "x": _cstr(x)})
-        elif case == "product-log":
-            a = int(point["a"])
-            x = complex(point["x"])
-            product = pochhammer_psi(a, x, q).value
-            series = q_multiple_polylog((a,), (1,), (-x,), q).value
-            residual = abs(product - cmath.exp(-series))
-            params.update({"a": a, "x": _cstr(x)})
-        elif case == "product-recursion":
-            a = int(point["a"])
-            x = complex(point["x"])
-            lhs = (
-                pochhammer_psi(a, q * x, q).value
-                / pochhammer_psi(a, x / q, q).value
-            )
-            rhs = pochhammer_psi(a - 1, x, q).value
-            residual = abs(lhs - rhs)
-            params.update({"a": a, "x": _cstr(x)})
-        else:  # pragma: no cover - guarded by default grid
-            raise DomainError(f"unknown q-calculus case {case!r}")
-        reports.append(_report(spec.identity_name, params, residual, tol))
-    return reports
+    return _check_points(spec or default_q_calculus_spec(), _q_calculus_point, random.Random(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -1044,30 +984,28 @@ def default_rational_hbar_spec() -> CheckSpec:
     )
 
 
+def _rational_hbar_point(point: Mapping[str, Any], series_params: SeriesParams) -> PointReports:
+    r, s = int(point["r"]), int(point["s"])
+    n = int(point["n"])
+    omega = complex(point["omega"])
+    (lhs,) = yield [_Row(MultiIndex((1,), (1,), (n,)), (r * omega,), r / s)]
+    total = 0j
+    for alpha in _half_integer_range(r):
+        for beta in _half_integer_range(s):
+            shifted = omega + TWO_PI_I * (alpha / r) + TWO_PI_I * (beta / s)
+            total += depth1_closed_form(2, n, shifted, series_params).value
+    rhs = r ** (n - 1) * total
+    params = {"r": r, "s": s, "n": [n], "omega": _cstr(omega)}
+    return [(params, lhs - rhs)]
+
+
 def check_rational_hbar(
     spec: CheckSpec | None = None, seed: int = DEFAULT_SEED
 ) -> list[CheckReport]:
     """At hbar = r/s the quadrature value at argument r*omega equals
     r^(|n|-m) times the shift sum of undeformed closed forms (the
     argument-scaling relation composed with the hbar = 1 reduction)."""
-    spec = spec or default_rational_hbar_spec()
-    series_params = SeriesParams()
-
-    def point_reports(point: Mapping[str, Any]) -> PointReports:
-        r, s = int(point["r"]), int(point["s"])
-        n = int(point["n"])
-        omega = complex(point["omega"])
-        (lhs,) = yield [_Row(MultiIndex((1,), (1,), (n,)), (r * omega,), r / s)]
-        total = 0j
-        for alpha in _half_integer_range(r):
-            for beta in _half_integer_range(s):
-                shifted = omega + TWO_PI_I * (alpha / r) + TWO_PI_I * (beta / s)
-                total += depth1_closed_form(2, n, shifted, series_params).value
-        rhs = r ** (n - 1) * total
-        params = {"r": r, "s": s, "n": [n], "omega": _cstr(omega)}
-        return [_report(spec.identity_name, params, abs(lhs - rhs), _point_tol(point, spec))]
-
-    return _check_points(spec.grid, point_reports)
+    return _check_points(spec or default_rational_hbar_spec(), _rational_hbar_point, SeriesParams())
 
 
 # ---------------------------------------------------------------------------

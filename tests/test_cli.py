@@ -689,6 +689,20 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE and out == ""
         assert err == f"qpolylog: error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "args,got",
+        [(["k=0"], "k=0, l=2"), (["k=-1"], "k=-1, l=2"), (["l=0"], "k=2, l=0"),
+         (["k=5", "l=5"], "k=5, l=5"), (["k=4", "l=3"], "k=4, l=3")],
+    )
+    def test_a3_arguments_out_of_range(self, capsys, monkeypatch, args, got):
+        def no_check(*_, **__):
+            raise AssertionError("a3 check ran")
+
+        monkeypatch.setattr(cli, "verify_a3", no_check)
+        code, out, err = run_cli(capsys, "verify", "a3", *args)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"qpolylog: error: a3 needs k, l >= 1 with k + l <= 6, got {got}\n"
+
     def test_impossible_tolerance_fails(self, capsys):
         code, payload, err = eval_payload(
             capsys, "verify", "distribution", "r=2", "s=1", "--tol", "1e-30",

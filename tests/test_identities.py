@@ -178,3 +178,35 @@ class TestBatchedStencils:
         # the error that point-by-point evaluation raised first
         with pytest.raises(error, match=message):
             check(CheckSpec(check.__name__.removeprefix("check_"), grid))
+
+
+class TestRunner:
+    """identities._check_points names, tolerates and takes |residual| of
+    every report, and calls the contour engine only for rows."""
+
+    def test_point_without_tol_reports_spec_tolerance(self):
+        spec = CheckSpec("h1", (H1_GOOD, {**H1_GOOD, "tol": 1e-9}), tolerance=1e-5)
+        without, with_tol = check_h1(spec)
+        assert (without.tolerance, with_tol.tolerance) == (1e-5, 1e-9)
+        assert without.identity_name == with_tol.identity_name == "h1"
+        assert without.residual == with_tol.residual >= 0.0
+
+    def test_own_tolerances_ignore_the_point_tol(self):
+        spec = CheckSpec("shuffle", ({"case": "exact-partial-fraction", "k": 1, "l": 1,
+                                      "tol": 1.0},), tolerance=1.0)
+        (report,) = identities.check_shuffle(spec)
+        assert report.tolerance == 0.0
+
+    def test_q_calculus_makes_no_engine_call(self, monkeypatch):
+        def no_rows(rows, spec=None):
+            raise AssertionError("_quad_rows called")
+
+        monkeypatch.setattr(identities, "_quad_rows", no_rows)
+        assert len(check_q_calculus()) == EXPECTED_COUNTS["q_calculus"]
+
+    @pytest.mark.parametrize("relation", ["zeta-anchor", "zeta-modular"])
+    def test_zeta_relations_refuse_complex_hbar(self, relation):
+        # the zeta rows are evaluated at the point's hbar, not at its real part
+        spec = CheckSpec("symmetries", ({"relation": relation, "s": (2,), "hbar": 1.4 + 0.5j},))
+        with pytest.raises(DomainError, match="zeta values are defined for real hbar > 0"):
+            check_symmetries(spec)
