@@ -103,9 +103,17 @@ _CONFIG_KEYS = (
 # ---------------------------------------------------------------------------
 
 
+# The one float format of every machine-readable emitter, JSON and CSV.
+_FLOAT_FORMAT = "%.17g"
+_encode_str = json.encoder.encode_basestring_ascii
+# Sorted keys and '{"key":' / ',"key":' prefixes of up to 256 key tuples, all
+# exact str: 1, True and 1.0 are equal keys that print as "1", "True", "1.0".
+_KEY_SHAPES: dict = {}
+
+
 def format_float(x: float) -> str:
     """Fixed float formatting used by every machine-readable emitter."""
-    return "%.17g" % float(x)
+    return _FLOAT_FORMAT % float(x)
 
 
 def canonical_json(obj: Any) -> str:
@@ -119,20 +127,33 @@ def canonical_json(obj: Any) -> str:
 
 
 def _emit_json(obj: Any, out: list) -> None:
-    # Dispatch on the exact type first: float, str, int, dict and list are
-    # nearly every value emitted, and one type lookup is cheaper than the
-    # numbers-ABC isinstance chain that serves everything else.
+    # Exact types first: nearly every value, and cheaper than the ABC chain.
     kind = type(obj)
     if kind is float:
-        out.append(format_float(obj))
+        out.append(_FLOAT_FORMAT % obj)
     elif kind is str:
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(_encode_str(obj))
     elif kind is int:
         out.append(str(obj))
     elif kind is dict:
-        _emit_mapping(obj, out)
+        keys = tuple(obj)
+        shape = _KEY_SHAPES.get(keys)
+        if shape is None:  # sorted() is stable: keys of equal str keep their order
+            shape = [(key, ("," if i else "{") + _encode_str(str(key)) + ":")
+                     for i, key in enumerate(sorted(keys, key=str))]
+            if len(_KEY_SHAPES) < 256 and all(type(key) is str for key in keys):
+                _KEY_SHAPES[keys] = shape
+        for key, prefix in shape:
+            out.append(prefix)
+            _emit_json(obj[key], out)
+        out.append("}" if shape else "{}")
     elif kind is list or kind is tuple:
-        _emit_sequence(obj, out)
+        sep = "["
+        for item in obj:
+            out.append(sep)
+            sep = ","
+            _emit_json(item, out)
+        out.append("]" if obj else "[]")
     elif obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -140,39 +161,17 @@ def _emit_json(obj: Any, out: list) -> None:
     elif isinstance(obj, numbers.Integral):
         out.append(str(int(obj)))
     elif isinstance(obj, numbers.Real):
-        out.append(format_float(float(obj)))
+        out.append(_FLOAT_FORMAT % float(obj))
     elif isinstance(obj, numbers.Complex):
-        _emit_mapping(complex_dict(complex(obj)), out)
+        _emit_json(complex_dict(complex(obj)), out)
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(_encode_str(obj))
     elif isinstance(obj, Mapping):
-        _emit_mapping(obj, out)
+        _emit_json(dict(obj), out)
     elif isinstance(obj, (list, tuple)):
-        _emit_sequence(obj, out)
+        _emit_json(list(obj), out)
     else:
         raise UsageError(f"cannot serialize {type(obj).__name__} to JSON")
-
-
-def _emit_mapping(obj: Mapping, out: list) -> None:
-    out.append("{")
-    first = True
-    for key in sorted(obj, key=str):
-        if not first:
-            out.append(",")
-        first = False
-        out.append(json.dumps(str(key), ensure_ascii=True))
-        out.append(":")
-        _emit_json(obj[key], out)
-    out.append("}")
-
-
-def _emit_sequence(obj: Sequence, out: list) -> None:
-    out.append("[")
-    for i, item in enumerate(obj):
-        if i:
-            out.append(",")
-        _emit_json(item, out)
-    out.append("]")
 
 
 def complex_dict(z: complex) -> dict:

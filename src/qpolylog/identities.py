@@ -765,7 +765,7 @@ def _shuffle_point(point: Mapping[str, Any], seed: int) -> PointReports:
         idx1, idx2 = MultiIndex((1,), (1,), (1,)), MultiIndex((1, 1), (1, 1), (1, 1))
         g1, g2, h12, h21 = yield [
             _Row(idx1, (omega[0],), hbar, (ensure_finite_complex(u, "u"),)),
-            _Row(idx1, (omega[1],), hbar, (ensure_finite_complex(v, "u"),)),
+            _Row(idx1, (omega[1],), hbar, (ensure_finite_complex(v, "v"),)),
             _Row(idx2, omega, hbar, (u, u + v)),
             _Row(idx2, (omega[1], omega[0]), hbar, (v, u + v)),
         ]

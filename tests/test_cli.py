@@ -12,8 +12,13 @@ import csv
 import io
 import json
 import math
+import numbers
+from collections.abc import Mapping
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qpolylog import (
     DomainError,
@@ -223,6 +228,128 @@ class TestCanonicalJson:
     def test_unserializable_rejected(self):
         with pytest.raises(UsageError):
             canonical_json({"x": object()})
+
+
+def reference_json(obj) -> str:
+    """The plain emitter that canonical_json replaced: the same dispatch, one
+    json.dumps per key and per string, every mapping sorted on each call."""
+    out: list = []
+    _reference_emit(obj, out)
+    return "".join(out)
+
+
+def _reference_emit(obj, out: list) -> None:
+    kind = type(obj)
+    if kind is float:
+        out.append("%.17g" % obj)
+    elif kind is str:
+        out.append(json.dumps(obj, ensure_ascii=True))
+    elif kind is int:
+        out.append(str(obj))
+    elif kind is dict:
+        _reference_mapping(obj, out)
+    elif kind is list or kind is tuple:
+        _reference_sequence(obj, out)
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, numbers.Integral):
+        out.append(str(int(obj)))
+    elif isinstance(obj, numbers.Real):
+        out.append("%.17g" % float(obj))
+    elif isinstance(obj, numbers.Complex):
+        z = complex(obj)
+        _reference_mapping({"re": float(z.real), "im": float(z.imag)}, out)
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=True))
+    elif isinstance(obj, Mapping):
+        _reference_mapping(obj, out)
+    elif isinstance(obj, (list, tuple)):
+        _reference_sequence(obj, out)
+    else:
+        raise UsageError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _reference_mapping(obj, out: list) -> None:
+    out.append("{")
+    for i, key in enumerate(sorted(obj, key=str)):
+        if i:
+            out.append(",")
+        out.append(json.dumps(str(key), ensure_ascii=True))
+        out.append(":")
+        _reference_emit(obj[key], out)
+    out.append("}")
+
+
+def _reference_sequence(obj, out: list) -> None:
+    out.append("[")
+    for i, item in enumerate(obj):
+        if i:
+            out.append(",")
+        _reference_emit(item, out)
+    out.append("]")
+
+
+# Keys repeat across mappings (so cached shapes are reused) and include
+# non-ASCII, quote, backslash and control characters, and non-str keys whose
+# str ties with a str key or that equal another key of a different type.
+JSON_KEYS = st.one_of(
+    st.sampled_from(["re", "im", "omega", "value", "a", "b", "1", "True",
+                     'q"', "\\", "\n\x00", "\u00e9", "\u2028", "\U0001f600"]),
+    st.text(max_size=6),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.sampled_from([1.0, 0.5, -0.0]),
+)
+JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+JSON_LEAVES = st.one_of(
+    JSON_FLOATS,
+    st.text(max_size=8),
+    st.integers(-(10**40), 10**40),
+    st.booleans(),
+    st.none(),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    JSON_FLOATS.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_KEYS, inner, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+class TestCanonicalJsonMatchesReference:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(JSON_VALUES)
+    @example({"1": 1, 1: 2, "True": 3, 0.5: 4, "0.5": 5, False: 6})
+    @example([{}, [], (), {"": {"": []}}])
+    def test_same_bytes_as_the_reference(self, obj):
+        assert canonical_json(obj) == reference_json(obj)
+        # again, now that every shape of obj may be cached
+        assert canonical_json(obj) == reference_json(obj)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1)])
+    def test_equal_keys_of_other_types_in_one_process(self, order):
+        cases = [({1: "a"}, '{"1":"a"}'), ({True: "a"}, '{"True":"a"}'),
+                 ({"1": "a"}, '{"1":"a"}'), ({1.0: "a"}, '{"1.0":"a"}')]
+        for i in order * 2:
+            obj, text = cases[i]
+            assert canonical_json(obj) == text
+
+    def test_numpy_scalars(self):
+        payload = {"x": np.float64(0.1), "n": np.int64(-7), "z": np.complex128(1 - 2j)}
+        assert canonical_json(payload) == '{"n":-7,"x":0.10000000000000001,"z":{"im":-2,"re":1}}'
+        with pytest.raises(UsageError):
+            canonical_json([np.bool_(True)])
 
 
 class TestRunConfig:

@@ -204,6 +204,13 @@ class TestRunner:
         monkeypatch.setattr(identities, "_quad_rows", no_rows)
         assert len(check_q_calculus()) == EXPECTED_COUNTS["q_calculus"]
 
+    @pytest.mark.parametrize("name", ["u", "v"])
+    def test_shuffle_generating_names_the_non_finite_argument(self, name):
+        point = {"case": "generating", "omega": (-2.0, -1.0), "hbar": 1.5, "u": 0.07, "v": 0.05}
+        spec = CheckSpec("shuffle", ({**point, name: complex("nan")},))
+        with pytest.raises(DomainError, match=rf"^non-finite {name}: "):
+            identities.check_shuffle(spec)
+
     @pytest.mark.parametrize("relation", ["zeta-anchor", "zeta-modular"])
     def test_zeta_relations_refuse_complex_hbar(self, relation):
         # the zeta rows are evaluated at the point's hbar, not at its real part
