@@ -35,17 +35,16 @@ from .contour import (
     _zeta_row,
     depth1_closed_form,
     quad_bernoulli_circle,
-    quad_Li,
 )
 from .conventions import conventions_text
 from .core import (
+    BACKENDS,
     POINT_ERRORS,
     DomainError,
     EvalResult,
     MultiIndex,
     QpolylogError,
     UsageError,
-    fail_points,
     map_points,
     unwrap,
 )
@@ -76,19 +75,20 @@ MAX_TABLE_ROWS = 10_000
 # contour row.
 MAX_DISTRIBUTION_TERMS = 64
 
-BACKEND_CHOICES = ("auto", "series", "contour", "companion", "closed_form", "exact")
+BACKEND_CHOICES = ("auto",) + BACKENDS
 
-# Backends each function accepts; "auto" picks the first.
-_ALLOWED_BACKENDS = {
-    "F": ("contour", "companion", "closed_form"),
-    "I": ("contour", "companion"),
-    "Li": ("series", "contour"),
-    "qLi": ("series",),
-    "zeta": ("contour",),
-    "bernoulli": ("exact", "contour"),
-    "psi": ("series",),
+# Per function: the backends it accepts ("auto" picks the first), and the
+# record key of its argument points (None: it takes no point).
+_FUNCTION_TABLE = {
+    "F": (("contour", "companion", "closed_form"), "omega"),
+    "I": (("contour", "companion"), "omega"),
+    "Li": (("series", "contour"), "z"),
+    "qLi": (("series",), "z"),
+    "zeta": (("contour",), None),
+    "bernoulli": (("exact", "contour"), "omega"),
+    "psi": (("series",), "x"),
 }
-FUNCTIONS = tuple(_ALLOWED_BACKENDS)
+FUNCTIONS = tuple(_FUNCTION_TABLE)
 
 # Config-file keys; each stands for the flag of the same name (``identity``
 # for verify's positional argument).
@@ -299,11 +299,6 @@ class RunConfig:
             data["identity"] = self.identity
         if self.check_args:
             data["identity_args"] = {k: v for k, v in self.check_args}
-        if self.sweeps:
-            data["sweeps"] = [
-                {"var": s.var, "start": s.start, "stop": s.stop, "step": s.step}
-                for s in self.sweeps
-            ]
         return data
 
 
@@ -480,14 +475,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _resolve_backend(fn: str, backend: str) -> str:
-    if backend == "auto":
-        return _ALLOWED_BACKENDS[fn][0]
-    if backend not in _ALLOWED_BACKENDS[fn]:
+    allowed = _FUNCTION_TABLE[fn][0]
+    if backend not in ("auto",) + allowed:
         raise UsageError(
             f"backend {backend!r} does not support fn={fn}; "
-            f"allowed: auto, {', '.join(_ALLOWED_BACKENDS[fn])}"
+            f"allowed: auto, {', '.join(allowed)}"
         )
-    return backend
+    return allowed[0] if backend == "auto" else backend
 
 
 def _index_for(config: RunConfig, m: int) -> MultiIndex:
@@ -512,51 +506,44 @@ def _omega_to_w(omega: Sequence[complex]) -> tuple:
     )
 
 
+def _scalar_flag(config: RunConfig, flag: str, default: int | None = None) -> int:
+    """The one value of index flag --flag (fn=bernoulli, psi), or default."""
+    values = getattr(config, flag)
+    if len(values) > 1:
+        raise UsageError(f"--{flag} takes one value for fn={config.fn}, got {len(values)}")
+    if not values and default is None:
+        raise UsageError(f"--{flag} is required for fn={config.fn}")
+    return values[0] if values else default
+
+
 def _evaluate(config: RunConfig, points: Sequence, hbars: Sequence | None = None) -> list:
     """config.fn at every point, in order, at hbars[k] (default config.hbar):
-    for each its EvalResult, or the exception raised there.  Contour F, I and
-    zeta points are rows of one _quad_rows call, companion points of one hbar
-    one companion_sum_I_batch call; the rest run point by point."""
+    for each its EvalResult, or the exception raised there.  Each point gives
+    its result, a contour row (all rows are then one _quad_rows call) or a
+    companion point (w, hbar) (one companion_sum_I_batch call per run of equal
+    hbar)."""
     fn = config.fn
     if fn is None:
         raise UsageError("--fn is required for eval/table")
     backend = _resolve_backend(fn, config.backend)
     points = [tuple(point) for point in points]
     hbars = [config.hbar] * len(points) if hbars is None else hbars
-    try:
-        quad_spec = QuadratureSpec(tol=config.tol) if config.tol else QuadratureSpec()
-        series_params = SeriesParams(tol=config.tol) if config.tol else SeriesParams()
-    except DomainError as exc:
-        return fail_points(points, exc)
+    quad_spec = QuadratureSpec(tol=config.tol) if config.tol else QuadratureSpec()
+    series_params = SeriesParams(tol=config.tol) if config.tol else SeriesParams()
 
-    if fn in ("F", "I") and backend == "companion":
-
-        def prepare(point: tuple) -> tuple:
-            m = len(point)
-            idx = _index_for(config, m)
-            if idx.a != (1,) * m or idx.b != (1,) * m:
-                raise DomainError(
-                    "companion backend requires the first-order index a = b = (1, ..., 1)"
-                )
-            return _omega_to_w(point) if fn == "F" else point
-
-        args = map_points(prepare, points)
-        if all(isinstance(arg, Exception) for arg in args):
-            return args
-        # every prepared point has depth len(n), so they share one index
-        n = _index_for(config, len(config.n)).n
-        out = []
-        for hbar, group in itertools.groupby(zip(args, hbars), key=lambda job: job[1]):
-            out += companion_sum_I_batch(n, [arg for arg, _ in group], hbar, series_params)
-        return out
-
-    def one(point: tuple, hbar: complex) -> EvalResult | _Row:
+    def one(point: tuple, hbar: complex) -> EvalResult | _Row | tuple:
         m = len(point)
-        if fn in ("F", "I") and backend == "contour":
+        if fn in ("F", "I"):
             idx = _index_for(config, m)
-            return _Row(idx, point if fn == "F" else _transport(idx, point), hbar)
+            if backend == "contour":
+                return _Row(idx, point if fn == "F" else _transport(idx, point), hbar)
+            if backend == "companion":
+                if idx.a != (1,) * m or idx.b != (1,) * m:
+                    raise DomainError(
+                        "companion backend requires the first-order index a = b = (1, ..., 1)"
+                    )
+                return (_omega_to_w(point) if fn == "F" else point), hbar
         if fn == "F":  # closed_form
-            idx = _index_for(config, m)
             if m != 1:
                 raise DomainError("closed_form backend is depth-1 only")
             a1, b1, n1 = idx.a[0], idx.b[0], idx.n[0]
@@ -582,7 +569,8 @@ def _evaluate(config: RunConfig, points: Sequence, hbars: Sequence | None = None
             if any(z == 0 for z in point):
                 raise DomainError("contour backend needs nonzero arguments")
             w = tuple(cmath.log(z) for z in point[:-1]) + (cmath.log(-point[-1]),)
-            return quad_Li(n, w, quad_spec)
+            idx = MultiIndex((1,) * m, (0,) * m, n)
+            return _Row(idx, _transport(idx, w), 1.0)
 
         if fn == "qLi":
             a = config.a or (1,) * m
@@ -600,11 +588,9 @@ def _evaluate(config: RunConfig, points: Sequence, hbars: Sequence | None = None
         if fn == "bernoulli":
             if m != 1:
                 raise UsageError("fn=bernoulli expects depth-1 omega points")
-            a = config.a[0] if config.a else None
-            if a is None:
-                raise UsageError("--a is required for fn=bernoulli")
-            b = config.b[0] if config.b else 0
-            n = config.n[0] if config.n else 0
+            a = _scalar_flag(config, "a")
+            b = _scalar_flag(config, "b", 0)
+            n = _scalar_flag(config, "n", 0)
             if backend == "contour":
                 return quad_bernoulli_circle(a, b, n, point[0], hbar)
             poly = bernoulli_exact(a, b, n)
@@ -618,16 +604,20 @@ def _evaluate(config: RunConfig, points: Sequence, hbars: Sequence | None = None
         # psi
         if m != 1:
             raise UsageError("fn=psi expects scalar points")
-        a = config.a[0] if config.a else None
-        if a is None:
-            raise UsageError("--a is required for fn=psi")
-        return pochhammer_psi(a, point[0], hbar, series_params)
+        return pochhammer_psi(_scalar_flag(config, "a"), point[0], hbar, series_params)
 
     results = map_points(lambda job: one(*job), zip(points, hbars))
     rows = [k for k, res in enumerate(results) if isinstance(res, _Row)]
     if rows:  # the contour rows, as one call
         for k, res in zip(rows, _quad_rows([results[k] for k in rows], quad_spec)):
             results[k] = res
+    if backend == "companion":  # every live point has depth len(n)
+        live = [k for k, res in enumerate(results) if not isinstance(res, Exception)]
+        for hbar, run in itertools.groupby(live, key=lambda k: results[k][1]):
+            run = list(run)
+            ws = [results[k][0] for k in run]
+            for k, res in zip(run, companion_sum_I_batch(config.n, ws, hbar, series_params)):
+                results[k] = res
     return results
 
 
@@ -637,14 +627,8 @@ def evaluate_point(config: RunConfig, point: Sequence[complex]) -> EvalResult:
 
 
 def _point_inputs(config: RunConfig, point: Sequence[complex]) -> dict:
-    data: dict[str, Any] = {}
-    if config.fn in ("F", "I", "bernoulli"):
-        data["omega"] = [complex_dict(c) for c in point]
-    elif config.fn in ("Li", "qLi"):
-        data["z"] = [complex_dict(c) for c in point]
-    elif config.fn == "psi":
-        data["x"] = [complex_dict(c) for c in point]
-    return data
+    key = _FUNCTION_TABLE[config.fn][1]
+    return {key: [complex_dict(c) for c in point]} if key else {}
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +699,7 @@ def _csv_complex_cols(prefix: str, count: int) -> list:
 
 def _write_eval_csv(out, config: RunConfig, records: Sequence[Mapping]) -> None:
     writer = csv.writer(out)
-    input_key = next(
-        (k for k in ("omega", "z", "x") if records and k in records[0]), None
-    )
+    input_key = _FUNCTION_TABLE[config.fn][1]
     width = len(records[0][input_key]) if input_key else 0
     header = (
         (_csv_complex_cols(input_key, width) if input_key else [])

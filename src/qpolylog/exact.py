@@ -414,18 +414,6 @@ class FormalLaurent:
                 out[p - lo] = out[p - lo] + c1 * c2
         return FormalLaurent(lo, tuple(out))
 
-    def __add__(self, other: "FormalLaurent") -> "FormalLaurent":
-        lo = min(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if hi < lo:
-            raise DomainError("empty window in Laurent sum")
-        out = []
-        for p in range(lo, hi + 1):
-            c1 = self.coefficient(p) if p >= self.lo else ExactPoly.zero()
-            c2 = other.coefficient(p) if p >= other.lo else ExactPoly.zero()
-            out.append(c1 + c2)
-        return FormalLaurent(lo, tuple(out))
-
 
 def exp_series(order: int) -> FormalLaurent:
     """Taylor series of exp(-i * p * omega) up to p^order.

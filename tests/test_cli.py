@@ -48,6 +48,7 @@ from qpolylog.cli import (
     parse_points,
     parse_sweep,
 )
+from qpolylog.identities import CHECKS, run_all
 
 # Depth-one kernel integral with trivial indices at omega = -1:
 # -e^{-1} / (1 + e^{-1}).
@@ -651,13 +652,15 @@ class TestEvalCommand:
         assert abs(complex(value["re"], value["im"]) - quad.value) < 1e-7
 
     def test_F_companion_needs_first_order_index(self, capsys):
-        code, _, err = run_cli(
+        code, payload, err = eval_payload(
             capsys,
             "eval", "--fn", "F", "--a", "2", "--b", "1", "--n", "1",
-            "--omega", "-2", "--hbar", SQRT2, "--backend", "companion",
+            "--omega", "-2;-1", "--hbar", SQRT2, "--backend", "companion",
         )
-        assert code == EXIT_EVAL
-        assert "DomainError" in err or json
+        assert (code, err) == (EXIT_EVAL, "")
+        assert [r["error"] for r in payload["results"]] == [
+            "DomainError: companion backend requires the first-order index a = b = (1, ..., 1)"
+        ] * 2
 
     def test_F_closed_form_backend(self, capsys):
         code, payload, _ = eval_payload(
@@ -669,6 +672,97 @@ class TestEvalCommand:
         quad = quad_F(MultiIndex((2,), (0,), (1,)), (-1.5,), 1.0)
         value = payload["results"][0]["value"]
         assert abs(complex(value["re"], value["im"]) - quad.value) < 1e-9
+
+    def test_F_closed_form_merged_coupling_at_hbar_one(self, capsys):
+        # at hbar = 1 the couplings merge: F_{1,1,1} is the closed form of a = 2
+        args = ("--a", "1", "--b", "1", "--n", "1", "--hbar", "1", "--omega", "-1")
+        code, payload, _ = eval_payload(capsys, "eval", "--fn", "F", "--backend", "closed_form", *args)
+        assert code == EXIT_OK
+        closed = payload["results"][0]
+        assert closed["backend"] == "closed_form"
+        assert closed["value"] == {"im": 0.13805568200332968, "re": 0.0}
+        code, payload, _ = eval_payload(capsys, "eval", "--fn", "F", "--backend", "contour", *args)
+        assert code == EXIT_OK
+        quad = payload["results"][0]
+        gap = abs(complex(closed["value"]["re"], closed["value"]["im"])
+                  - complex(quad["value"]["re"], quad["value"]["im"]))
+        assert gap <= closed["err_estimate"] + quad["err_estimate"]
+
+    @pytest.mark.parametrize(
+        "args,error",
+        [
+            (("--a", "1", "--b", "1", "--n", "1", "--hbar", "1.2", "--omega", "-1"),
+             "closed_form for fn=F needs b=0 (any hbar) or hbar=1 (merged coupling)"),
+            (("--a", "1,1", "--b", "0,0", "--n", "1,1", "--omega", "-1,-0.5"),
+             "closed_form backend is depth-1 only"),
+        ],
+    )
+    def test_F_closed_form_refusals(self, capsys, args, error):
+        code, payload, err = eval_payload(capsys, "eval", "--fn", "F", "--backend", "closed_form", *args)
+        assert (code, err) == (EXIT_EVAL, "")
+        assert payload["results"][0]["error"] == f"DomainError: {error}"
+
+    def test_li_contour_zero_argument(self, capsys):
+        code, payload, _ = eval_payload(
+            capsys, "eval", "--fn", "Li", "--backend", "contour", "--n", "2,1",
+            "--omega", "0.3+0.1i,-0.5;0,0.5",
+        )
+        assert code == EXIT_EVAL
+        good, bad = payload["results"]
+        assert good["backend"] == "contour"
+        assert bad["error"] == "DomainError: contour backend needs nonzero arguments"
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("--fn", "qLi", "--a", "1,2", "--n", "2", "--hbar", "0.5", "--omega", "0.3"),
+             "len(a)=2 does not match point depth 1"),
+            (("--fn", "zeta", "--hbar", "1.3"), "--n supplies the zeta exponents (all >= 2)"),
+            (("--fn", "bernoulli", "--a", "2", "--omega", "0.5,1"),
+             "fn=bernoulli expects depth-1 omega points"),
+            (("--fn", "bernoulli", "--b", "1", "--omega", "0.5"), "--a is required for fn=bernoulli"),
+            (("--fn", "psi", "--a", "2", "--omega", "0.5,1"), "fn=psi expects scalar points"),
+            (("--fn", "psi", "--omega", "0.5"), "--a is required for fn=psi"),
+            (("--fn", "F", "--n", "1", "--omega", "-1", "--workers", "0"), "--workers must be >= 1"),
+        ],
+    )
+    def test_usage_errors_of_one_function(self, capsys, args, message):
+        code, out, err = run_cli(capsys, "eval", *args)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"qpolylog: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command,fn,flags,flag",
+        [
+            ("eval", "bernoulli", ("--a", "2,5", "--b", "1,9", "--n", "1,4"), "a"),
+            ("eval", "bernoulli", ("--a", "2", "--b", "1,9", "--n", "1"), "b"),
+            ("eval", "bernoulli", ("--a", "2", "--n", "1,4"), "n"),
+            ("eval", "psi", ("--a", "2,7"), "a"),
+            ("table", "bernoulli", ("--a", "2,5", "--sweep", "hbar=1:2:0.5"), "a"),
+        ],
+    )
+    def test_scalar_index_flags_take_one_value(self, capsys, command, fn, flags, flag):
+        code, out, err = run_cli(
+            capsys, command, "--fn", fn, *flags, "--hbar", "0.5", "--omega", "0.25",
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"qpolylog: error: --{flag} takes one value for fn={fn}, got 2\n"
+
+    def test_evaluate_point_matches_eval(self, capsys):
+        config = RunConfig(command="eval", fn="F", a=(1,), b=(1,), n=(1,), hbar=1.2 + 0j)
+        _, payload, _ = eval_payload(
+            capsys, "eval", "--fn", "F", "--a", "1", "--b", "1", "--n", "1", "--hbar", "1.2",
+            "--omega", "-1",
+        )
+        assert cli.evaluate_point(config, (-1 + 0j,)).to_dict() == {
+            k: payload["results"][0][k] for k in ("value", "err_estimate", "backend", "diagnostics")
+        }
+        with pytest.raises(DomainError, match="convergence strip"):
+            cli.evaluate_point(config, (-1 + 9j,))
+        with pytest.raises(UsageError, match="--fn is required"):
+            cli.evaluate_point(RunConfig(command="eval"), (-1 + 0j,))
+        with pytest.raises(UsageError, match="fn=zeta takes no omega point"):
+            cli.evaluate_point(RunConfig(command="eval", fn="zeta", n=(2,)), (-1 + 0j,))
 
     def test_backend_not_allowed_for_fn(self, capsys):
         code, _, err = run_cli(
@@ -830,6 +924,29 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE and out == ""
         assert err == f"qpolylog: error: a3 needs k, l >= 1 with k + l <= 6, got {got}\n"
 
+    def test_every_check_through_main(self, capsys):
+        code, payload, err = eval_payload(capsys, "verify", "--seed", "5")
+        assert code == EXIT_OK
+        reports = run_all(seed=5)
+        assert payload["results"] == json.loads(canonical_json([r.to_dict() for r in reports]))
+        assert {r["identity_name"] for r in payload["results"]} == set(CHECKS)
+        assert payload["summary"] == {"checks": len(reports), "passed": len(reports), "failed": 0}
+        assert err == f"verify: {len(reports)}/{len(reports)} checks passed, 0 failed\n"
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["all", "k=2"], "identity arguments need a named identity"),
+            (["a3", "k=2", "x=1"], "unknown a3 arguments: x"),
+            (["distribution", "r=2", "t=1"], "unknown distribution arguments: t"),
+            (["companion", "k=1"], "identity 'companion' takes no arguments (got k)"),
+        ],
+    )
+    def test_unexpected_identity_arguments(self, capsys, args, message):
+        code, out, err = run_cli(capsys, "verify", *args)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"qpolylog: error: {message}\n"
+
     def test_impossible_tolerance_fails(self, capsys):
         code, payload, err = eval_payload(
             capsys, "verify", "distribution", "r=2", "s=1", "--tol", "1e-30",
@@ -866,7 +983,7 @@ def count_calls(monkeypatch, name):
     The contour batches quad_F_batch and quad_I_batch are counted as the
     calls of cli._quad_rows, which the CLI makes in their place."""
     sizes = []
-    if name in ("quad_F_batch", "quad_I_batch"):
+    if name in ("quad_F_batch", "quad_I_batch", "_quad_rows"):
         name, at = "_quad_rows", 0
     else:
         at = 1
@@ -902,6 +1019,11 @@ class TestBatchedEval:
              ["--fn", "F", "--a", "1,1", "--b", "1,1", "--n", "1,1", "--hbar", SQRT2, "--backend",
               "companion"],
              ["-2,-1", "-1.5+0.2i,-0.5", "-1,0.5"]),
+            # Li on the contour backend: 0.2 lies on the strip edge
+            ("_quad_rows", ["--fn", "Li", "--backend", "contour", "--n", "2"],
+             ["0.4+0.1i", "0.2", "-0.3", "0.5-0.5i"]),
+            ("_quad_rows", ["--fn", "Li", "--backend", "contour", "--n", "2,1"],
+             ["0.3+0.1i,-0.5", "0.2+0.1i,-0.4", "0.3,0.5"]),
         ],
     )
     def test_eval_matches_one_point_calls(self, capsys, monkeypatch, batch_fn, args, points):
@@ -927,6 +1049,26 @@ class TestBatchedEval:
         assert code == EXIT_EVAL
         rows = csv_rows(out)[1:]
         assert [float(row[0]) for row in rows] == omegas
+        for row, single in zip(rows, singles):
+            if single["error"] is None:
+                assert row[1:] == [format_float(single["value"]["re"]),
+                                   format_float(single["value"]["im"]),
+                                   format_float(single["err_estimate"])]
+            else:
+                assert row[1:] == ["", "", single["error"]]
+
+    def test_table_companion_hbar_sweep_is_one_call_per_hbar(self, capsys, monkeypatch):
+        args = ["--fn", "F", "--backend", "companion", "--a", "1", "--b", "1", "--n", "2",
+                "--omega", "-1"]
+        hbars = [1.3 + i * 0.0999 for i in range(5)]
+        singles = [eval_payload(capsys, "eval", *args, f"--hbar={h!r}")[1]["results"][0]
+                   for h in hbars]
+        sizes = count_calls(monkeypatch, "companion_sum_I_batch")
+        code, out, _ = run_cli(capsys, "table", *args, "--sweep", "hbar=1.3:1.7:0.0999")
+        assert sizes == [1] * len(hbars)
+        assert code == EXIT_EVAL
+        rows = csv_rows(out)[1:]
+        assert [s["error"] is None for s in singles] == [False, True, True, True, True]
         for row, single in zip(rows, singles):
             if single["error"] is None:
                 assert row[1:] == [format_float(single["value"]["re"]),
@@ -1121,6 +1263,11 @@ class TestTableCommand:
         assert code == EXIT_USAGE
         assert "omega" in err
 
+    def test_requires_fn(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--n", "1", "--sweep", "hbar=1:2:1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "qpolylog: error: table requires --fn\n"
+
     def test_requires_sweep(self, capsys):
         code, _, _ = run_cli(capsys, "table", "--fn", "F", "--n", "0")
         assert code == EXIT_USAGE
@@ -1243,6 +1390,14 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert out == ""
         assert flag in err
+
+    def test_config_identity_key(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"identity": "a3", "seed": 4}))
+        code, payload, _ = eval_payload(capsys, "verify", "--config", str(path))
+        assert code == EXIT_OK
+        assert payload["config"]["identity"] == "a3"
+        assert payload == eval_payload(capsys, "verify", "a3", "--seed", "4")[1]
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(
