@@ -444,8 +444,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--workers must be >= 1")
     if args.tol is not None and not (args.tol > 0 and math.isfinite(args.tol)):
         raise UsageError("--tol must be positive and finite")
+    identity, check_args = getattr(args, "identity", None), getattr(args, "check_args", [])
+    if identity is not None and "=" in identity:  # a key=value where the name goes
+        identity, check_args = None, [identity] + check_args
     pairs = []
-    for raw in getattr(args, "check_args", []):
+    for raw in check_args:
         key, sep, value = raw.partition("=")
         if not sep or not key:
             raise UsageError(f"identity arguments look like key=value, got {raw!r}")
@@ -463,7 +466,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         fmt=args.format or ("csv" if args.command == "table" else "json"),
         seed=DEFAULT_SEED if args.seed is None else args.seed,
         workers=args.workers or 1,
-        identity=getattr(args, "identity", None),
+        identity=identity,
         check_args=tuple(sorted(pairs)),
         sweeps=tuple(parse_sweep(s) for s in getattr(args, "sweep", None) or []),
     )

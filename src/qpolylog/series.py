@@ -23,14 +23,14 @@ Series error estimates include a round-off floor.
 
 Batches: companion_series_batch and companion_sum_I_batch sum many points
 that share the index, h and tolerance.  In their cone sums the points are
-the rows of stacked arrays that raise the truncation K together: each fold
-step convolves every row with its own terms and multiplies all rows by one
-shared block of the reciprocal lattice, and each row reads its value and
-convergence test from itself and leaves the stack when it converges.  When
-K doubles, the rows' terms and bracket powers of k <= K are carried over
-while the terms fit the cell budget.  Rows fold in chunks that keep a
-chunk's stacked lattices and terms within that budget, and each point's
-result is bit for bit that of a batch of one.
+the rows of stacked arrays that climb one ladder of truncations K, each
+from the rung its tail bound names: each fold step convolves every row with
+its own terms and multiplies all rows by one shared block of the reciprocal
+lattice, and each row reads its value and convergence test from itself and
+leaves the stack when it converges.  Bracket powers are formed once for all
+rows, and terms are carried up the ladder while they fit the cell budget.
+Rows fold in chunks that keep a chunk's stacked lattices and terms within
+that budget, and each point's result is bit for bit that of a batch of one.
 companion_sum_I_batch runs the cones outside and adds each cone's raw
 per-point results into the per-point sums, so one lattice is alive at a
 time.
@@ -38,6 +38,7 @@ time.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -477,29 +478,43 @@ def _cone_sum(
     lattice with one array axis per distinct weight, whose cell i collects
     the partial paths with K_c = sum_d w_d i_d: an FFT convolution with f_c
     along the slot's axis, then a multiply by the block of the reciprocal
-    lattice 1/K_c.  K doubles until two values agree to tol, within k_max
-    and _MAX_CELLS.  The estimate adds to that delta and the tail bound
-    m K^(m-1) r^(K+1) / (1 - r) a round-off floor u S (1 + 2m + kappa): S =
-    prod_j sum|f_j| * prod_c (sum_{j<=c} Re w_j)^(-n_c) bounds sum|terms| as
-    |K_c| >= Re K_c; 2m counts a rounding per exp and per multiply; and kappa =
-    sum_j (|log z_j| + a_j |log q_j|) * (mean k under |f_j|) covers exp(k log z_j)
-    and the bracket powers, whose relative error grows like u k |log|.
+    lattice 1/K_c.  K climbs the ladder 64 * 2^j, capped at k_max, until two
+    values agree to tol, within k_max and _MAX_CELLS, from the lowest rung
+    below the cap whose tail bound m K^(m-1) r^(K+1) / (1 - r) is at most
+    tol/100.  The estimate adds to that delta and tail a round-off floor
+    u S (1 + 2m + kappa): S = prod_j sum|f_j| * prod_c (sum_{j<=c} Re w_j)^(-n_c)
+    bounds sum|terms| as |K_c| >= Re K_c; 2m counts a rounding per exp and
+    per multiply; and kappa = sum_j (|log z_j| + a_j |log q_j| c_k) * k
+    averaged under |f_j| covers exp(k log z_j) and the bracket powers, whose
+    relative error grows like u k |log|, times c_k = 1 + 2/|[k]_q| on the
+    unit circle, where [k]_q = q^k - q^(-k) cancels (c_k = 1 elsewhere).
 
-    The arguments are rows of one stack that climbs K together.  At each K
-    the terms of slot j form one (rows, K+1) array; a fold step is one FFT
-    convolution of every row with its own f_j along the slot's axis and one
-    broadcast multiply by the shared block.  Each row reads its value, floor
-    and convergence test from its own lattice, and leaves the stack when it
-    converges.  While the terms of all rows fit in _MAX_CELLS cells, they
-    and the bracket powers are carried when K doubles, and only k in
-    (K, 2K] gets new ones; past that the bracket powers of every k <= K are
-    formed again and each chunk forms its rows' terms whole.  The first two
-    truncations cut their blocks from one reciprocal lattice.  Rows are
-    folded in chunks whose stacked lattices and terms stay within
-    _MAX_CELLS cells.  Every operation acts on a row as it acts on that row
-    alone, so a result is bit for bit the result it has alone.
+    The arguments are rows of one stack that climbs the ladder, each from
+    its own first rung.  At each K the terms of slot j form one (rows, K+1)
+    array; a fold step is one FFT convolution of every row with its own f_j
+    along the slot's axis and one broadcast multiply by the shared block,
+    and the rows' sums and floors are reductions along each row.  A row
+    leaves the stack when it converges.  The bracket powers are formed once
+    per k, for every k <= max(256, K) from the first K on, so a q-bracket
+    that nearly vanishes there is refused whatever rung a row starts on.
+    The terms are carried up the ladder while those of all rows fit in
+    _MAX_CELLS cells.  A K where rows make their first fold cuts its blocks
+    from the next K's reciprocal lattice.  Rows are folded in chunks whose
+    stacked lattices and terms stay within _MAX_CELLS cells.  Every
+    operation acts on a row as it acts on that row alone, so a result is bit
+    for bit the result it has alone.
     """
     m = len(n)
+
+    def tail(K: int, r: float) -> float:
+        return m * (K ** max(m - 1, 0)) * r ** (K + 1) / (1 - r)
+
+    def first_rung(r: float) -> int:
+        K = min(64, params.k_max)
+        while 2 * K < params.k_max and tail(K, r) > params.tol / 100:
+            K *= 2
+        return K
+
     out: list = [None] * len(zs)
     live = []
     for k, z in enumerate(zs):
@@ -517,7 +532,7 @@ def _cone_sum(
         elif any(abs(v) == 0 for v in z):
             out[k] = (0j, 0.0, {"terms": 0})
         else:
-            live.append((k, max(ratios), [cmath.log(zj) for zj in z]))
+            live.append((first_rung(r := max(ratios)), k, r, [cmath.log(zj) for zj in z]))
 
     lattice_w = [complex(wt) for wt in dict.fromkeys(weights)]
     axis_of = [lattice_w.index(complex(wt)) for wt in weights]
@@ -552,6 +567,19 @@ def _cone_sum(
             blocks.append(None if skip else block if n[c] == 1 else block ** n[c])
         return blocks
 
+    def grow(f: np.ndarray, lg: np.ndarray, br, K: int) -> np.ndarray:
+        """The terms f[p, k] = exp(k log z_j) / [k]^(a_j) of each row for
+        k = 0..K, grown from the prefix f of k = 0..d: lg the rows' log z_j as
+        a column, br the bracket powers (None for a_j = 0)."""
+        d = f.shape[1] - 1
+        grown = np.empty((len(f), K + 1), dtype=np.complex128)
+        grown[:, :d + 1] = f
+        new = np.multiply(ks[d:K], lg, out=grown[:, d + 1:])
+        np.exp(new, out=new)
+        if br is not None:  # a_j = 0: ones could change only the sign of a zero
+            new *= br[d:K]
+        return grown
+
     def fold(fs: list[np.ndarray], blocks: list) -> list[complex]:
         """The sum over the cube of each row, given fs[j][p, k] = f_j[k] of
         row p for k = 0..K, f_j[0] = 0."""
@@ -564,101 +592,109 @@ def _cone_sum(
             acc = _fftconvolve(acc, f, [acc.shape[d] + f.shape[1] - 1] * len(f), d)
             if blocks[c] is not None:
                 acc *= blocks[c]
-        return [complex(acc[p].sum()) for p in rows]
+        return acc.reshape(len(acc), -1).sum(axis=1).tolist()
 
-    def roundoff_floor(fs: list[np.ndarray], p: int, logs: list) -> float:
-        """u S (1 + 2m + kappa) of row p, in O(mK)."""
+    def roundoff_floor(fs: list[np.ndarray], rows: slice) -> list[float]:
+        """u S (1 + 2m + kappa) of each row, in O(mK) a row."""
         K = fs[0].shape[1] - 1
-        ks = np.arange(K + 1, dtype=np.float64)
-        bound, growth, re_prefix, abs_prefix = 1.0, 1.0 + 2 * m, 0.0, 0.0
-        for f, log_z, qj, aj, wt, nc in zip(fs, logs, q_list, a, weights, n):
-            mass = np.abs(f[p])
-            total = float(mass.sum())
+        scale, bound, growth, re_prefix, abs_prefix = _UNIT_ROUNDOFF, 1.0, 1.0 + 2 * m, 0.0, 0.0
+        slots = zip(fs, np.abs(lgs[:, rows, 0]), brs, q_list, a, weights, n)
+        for f, rate_z, br, qj, aj, wt, nc in slots:
             re_prefix += wt.real
             abs_prefix += abs(wt)
             # 1/|K_c| <= 1/Re K_c; a negative n_c needs |K_c| <= K sum |w_j| instead
-            bound *= total * (re_prefix**-nc if nc >= 0 else (abs_prefix * K) ** -nc)
-            if total:
-                rate = abs(log_z) + aj * abs(cmath.log(qj))
-                growth += rate * float(mass @ ks) / total  # kappa_j
-        return _UNIT_ROUNDOFF * bound * growth
+            scale *= re_prefix**-nc if nc >= 0 else (abs_prefix * K) ** -nc
+            mass = np.abs(f[:, 1:])
+            total = mass.sum(axis=1)
+            bound = bound * total
+            mass *= ks[:K]  # k |f_j[k]|, weighed by |log z_j| + a_j |log q_j| c_k
+            rate_q = aj * abs(cmath.log(qj))
+            if rate_q and abs(abs(qj) - 1.0) < _UNIT_CIRCLE_ATOL:  # 1/|[k]_q| = |br|^(1/a)
+                spread = rate_z * mass.sum(axis=1)
+                mass *= 1 + 2 * np.abs(br[:K]) ** (1 / aj)
+                spread += rate_q * mass.sum(axis=1)
+            else:
+                spread = (rate_z + rate_q) * mass.sum(axis=1)
+            growth = growth + spread / np.where(total > 0, total, 1.0)  # 0 / 0 for no terms
+        return (scale * bound * growth).tolist()
 
-    def grow(f: np.ndarray, lg: np.ndarray, br, ks: np.ndarray) -> np.ndarray:
-        """The terms f[p, k] = exp(k log z_j) / [k]^(a_j) of each row for
-        k = 0..K, grown from the prefix f of k = 0..d: ks = 1..K, lg the
-        rows' log z_j as a column, br the bracket powers of k = d+1..K (None
-        for a_j = 0)."""
-        d = f.shape[1] - 1
-        grown = np.empty((len(f), len(ks) + 1), dtype=np.complex128)
-        grown[:, :d + 1] = f
-        new = np.multiply(ks[d:], lg, out=grown[:, d + 1:])
-        np.exp(new, out=new)
-        if br is not None:  # a_j = 0: ones could change only the sign of a zero
-            new *= br
-        return grown
-
+    # in the order the rows join the ascent, each with its first rung
+    live.sort(key=lambda row: row[0])
+    starts = [start for start, _, _, _ in live]
     # per slot, the rows' log z_j as a column, and their terms of k = 0..d
     # while all rows' terms fit the cell budget (d = 0 past it)
-    lgs = np.array([logs for _, _, logs in live], dtype=np.complex128)
+    lgs = np.array([logs for _, _, _, logs in live], dtype=np.complex128)
     lgs = lgs.reshape(-1, m).T[:, :, None]
     f0 = np.zeros((len(live), 1), dtype=np.complex128)  # f_j[0] of every row
     carried = [f0] * m
     ones = np.ones((len(live),) + unit, dtype=np.complex128)
     prev = [None] * len(live)  # each live row's value at the previous K
-    K, lattice_K = min(128, params.k_max), 0
+    # k = 1..reach, and per slot the bracket powers of k (None for a_j = 0)
+    ks = np.zeros(0)
+    brs = [None if aj == 0 else np.zeros(0, dtype=np.complex128) for aj in a]
+    K, lattice_K = (starts[0] if live else 0), 0
     while live:
+        joined = bisect.bisect_right(starts, K)  # live[:joined] fold at K
+        settled = bisect.bisect_left(starts, K)  # live[:settled] have folded before
         carry = len(live) * m * (K + 1) <= _MAX_CELLS
         if not carry:
             carried = [f0] * m
+        keep = []
         try:
             size = cells(K)
             if size > _MAX_CELLS:
                 raise ConvergenceError(f"cone sum: a {K}-term lattice exceeds {_MAX_CELLS} cells")
-            ks = np.arange(1, K + 1, dtype=np.float64)
-            d = carried[0].shape[1] - 1
-            brackets = [_inv_bracket_pow(ks[d:], qj, aj) for qj, aj in zip(q_list, a)]
+            reach = min(max(256, K), params.k_max)
+            if len(ks) < reach:
+                new = np.arange(len(ks) + 1, reach + 1, dtype=np.float64)
+                grown = [_inv_bracket_pow(new, qj, aj) for qj, aj in zip(q_list, a)]
+                ks = np.concatenate((ks, new))
+                brs = [br if g is None else np.concatenate((br, g)) for br, g in zip(brs, grown)]
         except POINT_ERRORS as exc:
-            for k, _, _ in live:
+            for _, k, _, _ in live[:joined]:
                 out[k] = exc
+        else:
+            if lattice_K < K:
+                # rows on their first fold will need the next truncation's lattice
+                ahead = min(2 * K, params.k_max)
+                lattice_K = ahead if settled < joined and cells(ahead) <= _MAX_CELLS else K
+                recip = reciprocal_lattice(lattice_K)
+            blocks = lattice_blocks(recip, K)
+            if carry:  # the rows still to join grow theirs too, to use at their rung
+                carried = [grow(f, lg, br, K) for f, lg, br in zip(carried, lgs, brs)]
+            chunk = max(1, _MAX_CELLS // (size + m * (K + 1)))
+            for s in range(0, joined, chunk):
+                rows = slice(s, min(s + chunk, joined))
+                if carry:
+                    fs = [f[rows] for f in carried]
+                else:
+                    fs = [grow(f0[rows], lg[rows], br, K) for lg, br in zip(lgs, brs)]
+                # only a row that folded before can converge and read its floor
+                floors = roundoff_floor(fs, rows) if s < settled else None
+                for p, value in enumerate(fold(fs, blocks), s):
+                    _, k, r, _ = live[p]
+                    t = tail(K, r)
+                    if prev[p] is not None:
+                        delta = abs(value - prev[p])
+                        if delta + t <= params.tol:
+                            out[k] = (value, delta + t + floors[p - s], {"terms": K, "tail": t})
+                            continue
+                    prev[p] = value
+                    keep.append(p)
+                del fs  # before the next chunk forms its terms
+        if K >= params.k_max:  # every live row has joined
+            exc = ConvergenceError(f"cone sum: not converged within {K} terms per axis")
+            for p in keep:
+                out[live[p][1]] = exc
             break
-        if lattice_K < K:
-            # the first truncation builds the second's lattice when it fits
-            ahead = min(2 * K, params.k_max)
-            lattice_K = ahead if not lattice_K and cells(ahead) <= _MAX_CELLS else K
-            recip = reciprocal_lattice(lattice_K)
-        blocks = lattice_blocks(recip, K)
-        if carry:
-            carried = [grow(f, lg, br, ks) for f, lg, br in zip(carried, lgs, brackets)]
-        chunk, keep = max(1, _MAX_CELLS // (size + m * (K + 1))), []
-        for s in range(0, len(live), chunk):
-            rows = slice(s, s + chunk)
-            if carry:
-                fs = [f[rows] for f in carried]
-            else:
-                fs = [grow(f0[rows], lg[rows], br, ks) for lg, br in zip(lgs, brackets)]
-            for p, value in enumerate(fold(fs, blocks), s):
-                k, r, logs = live[p]
-                tail = m * (K ** max(m - 1, 0)) * r ** (K + 1) / (1 - r)
-                if prev[p] is not None:
-                    delta = abs(value - prev[p])
-                    if delta + tail <= params.tol:
-                        err = delta + tail + roundoff_floor(fs, p - s, logs)
-                        out[k] = (value, err, {"terms": K, "tail": tail})
-                        continue
-                prev[p] = value
-                keep.append(p)
-            del fs  # before the next chunk forms its terms
+        climbing = bool(keep)
+        keep += range(joined, len(live))
         if not keep:
             break
         if len(keep) < len(live):
-            live, prev = [live[p] for p in keep], [prev[p] for p in keep]
+            live, prev, starts = ([seq[p] for p in keep] for seq in (live, prev, starts))
             lgs, f0, carried = lgs[:, keep], f0[keep], [f[keep] for f in carried]
-        if K >= params.k_max:
-            exc = ConvergenceError(f"cone sum: not converged within {K} terms per axis")
-            for k, _, _ in live:
-                out[k] = exc
-            break
-        K = min(2 * K, params.k_max)
+        K = min(2 * K, params.k_max) if climbing else starts[0]
     return out
 
 

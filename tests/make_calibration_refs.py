@@ -15,6 +15,9 @@ defining integrals, and nothing here imports qpolylog:
                  h are resolved;
 * ``changed``    the same at the rows of tests/cli_compare.txt that the
                  rate-certified contour stop turned from errors into values;
+* ``near_rational`` the same at depth-1 points where the companion series'
+                 q-brackets nearly vanish (h close to 3/2) or cancel
+                 (h = 3.3166247903554);
 * ``bernoulli``  the Bernoulli residue of bench/oracle.py.
 
 Each line value is stored with mpmath's estimate of its error, which the
@@ -119,6 +122,13 @@ CHANGED = [
     (1, 1, 1, -1 + 0j, 1 + 80j, 1e-10),
 ]
 
+# (a, b, n, omega, hbar) near rational h, where [k]_q = q^k - q^(-k) cancels
+NEAR_RATIONAL = [
+    (1, 1, 2, -1 + 0j, 1.5 + 1e-5),
+    (1, 1, 2, -1 + 0j, 1.5 + 3e-7),
+    (1, 1, 0, -0.6181253958177637 - 1.3114986206545796j, 3.3166247903554),
+]
+
 BERNOULLI = [(3, 2, 3, -0.7 + 0.2j, 1.7 + 0.3j), (0, 1, 3, 0.4 + 0j, 1.3 + 0j)]
 
 
@@ -151,9 +161,10 @@ def main() -> int:
     doc = {
         "about": "References of tests/test_calibration.py, from mpmath at 35 digits; "
                  "remake with: python3 tests/make_calibration_refs.py",
-        "line": [], "changed": [], "bernoulli": [],
+        "line": [], "changed": [], "near_rational": [], "bernoulli": [],
     }
-    for key, points in (("line", line_points()), ("changed", CHANGED)):
+    for key, points in (("line", line_points()), ("changed", CHANGED),
+                        ("near_rational", NEAR_RATIONAL)):
         for a, b, n, omega, hbar, *tol in points:
             value, err = line_value(a, b, n, omega, hbar)
             if err > 1e-14:

@@ -940,6 +940,9 @@ class TestVerifyCommand:
             (["a3", "k=2", "x=1"], "unknown a3 arguments: x"),
             (["distribution", "r=2", "t=1"], "unknown distribution arguments: t"),
             (["companion", "k=1"], "identity 'companion' takes no arguments (got k)"),
+            # no name: argparse puts the first key=value where the name goes
+            (["k=2"], "identity arguments need a named identity"),
+            (["k=2", "l=2"], "identity arguments need a named identity"),
         ],
     )
     def test_unexpected_identity_arguments(self, capsys, args, message):

@@ -8,8 +8,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpolylog import ConvergenceError, DomainError, series
+from qpolylog.contour import quad_I
+from qpolylog.core import MultiIndex
 from qpolylog.series import (
     EpsilonVector,
     KahanSum,
@@ -484,9 +488,10 @@ class TestCompanionSeries:
         assert res.value == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
     def test_lattice_cell_budget(self, monkeypatch):
-        # one weight keeps the lattice a line of 2K+1 cells; two weights make
-        # it a (K+1) x (K+1) plane, which the budget refuses past K = 128
-        monkeypatch.setattr(series, "_MAX_CELLS", 1 << 16)
+        # the point starts at K = 64 and converges at 128.  One weight keeps
+        # the lattice a line of 2K+1 cells; two weights make it a
+        # (K+1) x (K+1) plane, which the budget refuses past K = 64
+        monkeypatch.setattr(series, "_MAX_CELLS", 1 << 13)
         hbar = math.sqrt(2.0)
         args = ((1, 1), (1, 1), (-1.0, -1.0))
         companion_series(*args, EpsilonVector(("1", "1"), hbar))
@@ -526,6 +531,37 @@ class TestCompanionSumI:
     def test_irrational_coupling_accepted(self):
         res = companion_sum_I((1,), (-1.0,), math.sqrt(2.0))
         assert abs(res.value) > 0
+
+    @pytest.mark.parametrize("hbar,refused", [(1.005, True), (1.51, True), (1.501, False)])
+    def test_guard_checks_every_k_to_256(self, hbar, refused):
+        # the point starts at K = 64 and stops at 128, yet the bracket guard
+        # sees every k <= 256: [200]_q vanishes at h = 201/200 and [100]_q at
+        # h = 151/100, while no |[k]_q| with k <= 256 is below 1e-6 at 1.501
+        if refused:
+            with pytest.raises(DomainError, match="nearly vanishes"):
+                companion_sum_I((2,), (-1.0,), hbar)
+        else:
+            assert companion_sum_I((2,), (-1.0,), hbar).diagnostics["terms"] == 2 * 128
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(1, 4),
+        hbar=st.sampled_from([(1 + math.sqrt(5)) / 2, math.sqrt(2.0), 1.3 + 0.4j]),
+        parts=st.lists(
+            st.tuples(st.floats(-2.5, -1.0), st.floats(-1.0, 1.0)), min_size=4, max_size=4),
+        n=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+    )
+    def test_ladder_start_agrees_with_tighter_sums_and_quadrature(self, m, hbar, parts, n):
+        # each row starts on the rung its tail bound names; the value agrees
+        # within the summed estimates with the same sum to tol 1e-15, which
+        # starts higher, and at depth 1-3 with the contour quadrature
+        n, w = tuple(n[:m]), tuple(complex(re, im) for re, im in parts[:m])
+        res = companion_sum_I(n, w, hbar)
+        tight = companion_sum_I(n, w, hbar, SeriesParams(tol=1e-15))
+        assert abs(res.value - tight.value) <= res.err_estimate + tight.err_estimate
+        if m <= 3:
+            quad = quad_I(MultiIndex((1,) * m, (1,) * m, n), w, hbar)
+            assert abs(res.value - quad.value) <= res.err_estimate + quad.err_estimate
 
 
 def one_by_one(call, points):
@@ -628,33 +664,59 @@ class TestCompanionBatch:
         )
 
     def test_terms_past_the_budget_are_formed_per_chunk(self, monkeypatch):
-        # 8 rows would carry 2 (K + 1) terms each, more than a budget of
-        # 1100 cells: each chunk forms its own terms, where one row alone
-        # carries its terms from K = 128.  A chunk's 2K + 1 lattice cells
-        # and 2 (K + 1) terms a row fit 2 rows at K = 128, and 1 at K = 256
-        monkeypatch.setattr(series, "_MAX_CELLS", 1100)
+        # the rows start at K = 64 and converge at 128.  8 rows would carry
+        # 2 (K + 1) terms each, 1040 cells at K = 64, more than a budget of
+        # 1036 cells: each chunk forms its own terms, where one row alone
+        # carries its terms from K = 64.  A chunk's 2K + 1 lattice cells and
+        # 2 (K + 1) terms a row fit 4 rows at K = 64, and 2 at K = 128
+        monkeypatch.setattr(series, "_MAX_CELLS", 1036)
         stacks = self.spy_on_folds(monkeypatch)
         eps = EpsilonVector(("1", "1"), self.PHI)
         ws = [(-1.0 - 0.1 * k, -0.8 + 0.1j * k) for k in range(8)]
         batch = companion_series_batch((1, 1), (1, 1), ws, eps)
-        assert {b.shape for b in stacks} == {(2, 129), (1, 257)}
+        assert {b.shape for b in stacks} == {(4, 65), (2, 129)}
         assert all(b.base is None for b in stacks)
         assert_identical(
             batch, one_by_one(lambda w: companion_series((1, 1), (1, 1), w, eps), ws)
         )
 
     def test_rows_share_one_ascent(self, monkeypatch):
-        # rows that never converge within k_max climb K together: the
-        # bracket powers of each k are computed once for all of them
+        # rows that never converge within k_max start on the rung below it,
+        # K = 256, and climb K together: the bracket powers of each k are
+        # computed once for all of them
         seen = self.spy_on_brackets(monkeypatch)
         eps = EpsilonVector(("1",), self.PHI)
         ws = [(-0.04 - 0.002 * k + 0.01j * k,) for k in range(8)]
         params = SeriesParams(k_max=512)
         batch = companion_series_batch((1,), (1,), ws, eps, params)
         assert all(isinstance(r, ConvergenceError) for r in batch)
-        assert seen == [128, 128, 256]
+        assert seen == [256, 256]
         assert_identical(
             batch, one_by_one(lambda w: companion_series((1,), (1,), w, eps, params), ws)
+        )
+
+    def test_rows_join_at_their_own_rungs(self, monkeypatch):
+        # rows that start on different rungs climb one ascent, each from its
+        # own rung, and read the value, estimate and terms they read alone;
+        # the mixed-weight cones fold (K + 1) x (K + 1) lattices
+        ws = [(-0.6, -0.4 + 0.2j), (-2.5, -1.5), (-1.0, -0.7)]
+        batch = companion_sum_I_batch((1, 2), ws, self.PHI)
+        assert [r.diagnostics["terms"] for r in batch] == [1536, 512, 768]
+        assert_identical(batch, one_by_one(lambda w: companion_sum_I((1, 2), w, self.PHI), ws))
+        # rows that start at K = 64, 128 and 256: a chunk's 2K + 1 lattice
+        # cells and 2 (K + 1) terms a row fit 3 rows at K = 64, 2 at K = 128
+        # and 1 past it
+        budget = 1100
+        monkeypatch.setattr(series, "_MAX_CELLS", budget)
+        stacks = self.spy_on_folds(monkeypatch)
+        eps = EpsilonVector(("1", "1"), self.PHI)
+        ws = [(-0.2, -0.3), (-3.0, -2.0), (-0.5, -0.5), (-1.0, -0.8 + 0.3j), (-2.0, -0.9 - 0.5j)]
+        batch = companion_series_batch((1, 1), (1, 1), ws, eps)
+        assert [r.diagnostics["terms"] for r in batch] == [512, 128, 256, 128, 128]
+        assert {b.shape for b in stacks} == {(3, 65), (2, 129), (1, 257), (1, 513)}
+        assert all(len(b) == 1 or len(b) * (4 * b.shape[1] - 1) <= budget for b in stacks)
+        assert_identical(
+            batch, one_by_one(lambda w: companion_series((1, 1), (1, 1), w, eps), ws)
         )
 
     @pytest.mark.parametrize("k_max", [64, 200])
@@ -671,11 +733,11 @@ class TestCompanionBatch:
     @pytest.mark.parametrize("cells,error", [(None, DomainError), (200, ConvergenceError)])
     def test_budget_error_before_bracket_error(self, monkeypatch, cells, error):
         # at h = 200/199 the brackets [199]_q and [200]_q nearly vanish, so
-        # K = 256 refuses h; a budget of 200 cells refuses its 257-cell
-        # lattice first
+        # K = 256, where these points start, refuses h; a budget of 200
+        # cells refuses its 257-cell lattice first
         if cells:
             monkeypatch.setattr(series, "_MAX_CELLS", cells)
-        h, ws = 200 / 199, [(-1.0,), (-2.0 + 0.5j,)]
+        h, ws = 200 / 199, [(-0.15,), (-0.2 + 0.5j,)]
         batch = companion_sum_I_batch((1,), ws, h)
         assert all(type(r) is error for r in batch)
         assert_identical(batch, one_by_one(lambda w: companion_sum_I((1,), w, h), ws))
@@ -694,12 +756,13 @@ class TestCompanionBatch:
         return seen
 
     def test_terms_are_carried_across_truncations(self, monkeypatch):
-        # a point that stops at K = 256 gets bracket powers for k <= 128 at
-        # K = 128, and only for 128 < k <= 256 at K = 256
+        # a point that starts at K = 256 and stops at 512 gets bracket
+        # powers for k <= 256 at K = 256, and only for 256 < k <= 512 at
+        # K = 512
         seen = self.spy_on_brackets(monkeypatch)
-        res = companion_series((1,), (1,), (-1.0,), EpsilonVector(("1",), self.PHI))
-        assert res.diagnostics["terms"] == 256
-        assert seen == [128, 128]
+        res = companion_series((1,), (1,), (-0.15,), EpsilonVector(("1",), self.PHI))
+        assert res.diagnostics["terms"] == 512
+        assert seen == [256, 256]
 
 
 def crandn(rng, *shape):
