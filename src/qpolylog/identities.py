@@ -11,6 +11,7 @@ registry and returns the sorted, reproducible report list.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -459,7 +460,9 @@ def default_h1_spec() -> CheckSpec:
     )
 
 
-def _h1_depth2_closed(n: tuple, omega: tuple, params: SeriesParams) -> complex:
+def _h1_depth2_closed(
+    n: tuple, omega: tuple, params: SeriesParams, octant: Callable = octant_polylog
+) -> complex:
     """Closed form of the depth-2 basic value at hbar = 1: a multinomial
     combination of first-degree Q-polynomials with plain prefix-weight sums of
     raised weight."""
@@ -471,7 +474,7 @@ def _h1_depth2_closed(n: tuple, omega: tuple, params: SeriesParams) -> complex:
     z = (cmath.exp(w1), cmath.exp(w2))
 
     def L(v1: int, v2: int) -> complex:
-        return octant_polylog((v1, v2), z, params).value
+        return octant((v1, v2), z, params).value
 
     return (
         q1 * q2 * L(n1, n2)
@@ -482,18 +485,20 @@ def _h1_depth2_closed(n: tuple, omega: tuple, params: SeriesParams) -> complex:
     )
 
 
-def _h1_point(point: Mapping[str, Any], series_params: SeriesParams) -> PointReports:
+def _h1_point(
+    point: Mapping[str, Any], closed_form: Callable, octant: Callable, series_params: SeriesParams
+) -> PointReports:
     omega = tuple(complex(v) for v in point["omega"])
     n = tuple(point["n"])
     if point["m"] == 1:
         a, b = int(point["a"]), int(point["b"])
         idx = MultiIndex((a,), (b,), n)
         (lhs,) = yield [_Row(idx, omega, 1.0)]
-        rhs = depth1_closed_form(a + b, n[0], omega[0], series_params).value
+        rhs = closed_form(a + b, n[0], omega[0], series_params).value
     else:
         idx = MultiIndex((1, 1), (1, 1), n)
         (lhs,) = yield [_Row(idx, omega, 1.0)]
-        rhs = _h1_depth2_closed(n, omega, series_params)
+        rhs = _h1_depth2_closed(n, omega, series_params, octant)
     params = {
         "m": idx.depth,
         "a": list(idx.a),
@@ -507,8 +512,10 @@ def _h1_point(point: Mapping[str, Any], series_params: SeriesParams) -> PointRep
 def check_h1(spec: CheckSpec | None = None, seed: int = DEFAULT_SEED) -> list[CheckReport]:
     """At hbar = 1 the value collapses to Q-polynomial / polylogarithm
     combinations: depth 1 through the merged coupling a + b, depth 2 through
-    the explicit multinomial form."""
-    return _check_points(spec or default_h1_spec(), _h1_point, SeriesParams())
+    the explicit multinomial form.  Each distinct closed form is evaluated
+    once per call."""
+    closed_form, octant = functools.cache(depth1_closed_form), functools.cache(octant_polylog)
+    return _check_points(spec or default_h1_spec(), _h1_point, closed_form, octant, SeriesParams())
 
 
 # ---------------------------------------------------------------------------
@@ -827,26 +834,24 @@ def _asymptotic_point(point: Mapping[str, Any], params: SeriesParams) -> PointRe
     else:  # pragma: no cover - guarded by default grid
         raise DomainError(f"unknown asymptotic case {case!r}")
     values = yield [_Row(idx, args, h) for h in hbars]
+    if case == "depth1":
+        den = classical_polylog(n + 1, -cmath.exp(omega), params).value
+    elif case == "depth1-scale":
+        den = depth1_closed_form(2, n + 1, omega, params).value
+    else:
+        den = classical_polylog(
+            n1 + n2 + 1, -cmath.exp(w1), params
+        ).value * classical_polylog(1, -cmath.exp(w2), params).value
+        for j in range(1, n2 + 1):
+            den -= multiple_polylog(
+                (n1 + 1 + j, n2 + 1 - j),
+                (cmath.exp(w1 - w2), -cmath.exp(w2)),
+                params,
+            ).value
     gaps = []
     for h in hbars:
-        if case == "depth1":
-            num = TWO_PI_I * h * next(values)
-            den = classical_polylog(n + 1, -cmath.exp(omega), params).value
-        elif case == "depth1-scale":
-            num = TWO_PI_I * h * next(values)
-            den = depth1_closed_form(2, n + 1, omega, params).value
-        else:
-            num = (TWO_PI_I * h) ** 2 * next(values)
-            den = classical_polylog(
-                n1 + n2 + 1, -cmath.exp(w1), params
-            ).value * classical_polylog(1, -cmath.exp(w2), params).value
-            for j in range(1, n2 + 1):
-                den -= multiple_polylog(
-                    (n1 + 1 + j, n2 + 1 - j),
-                    (cmath.exp(w1 - w2), -cmath.exp(w2)),
-                    params,
-                ).value
-        gaps.append(abs(num / den - 1.0))
+        scale = (TWO_PI_I * h) ** 2 if case == "depth2" else TWO_PI_I * h
+        gaps.append(abs(scale * next(values) / den - 1.0))
     worst_increase = 0.0
     for first, second in zip(gaps, gaps[1:]):
         worst_increase = max(worst_increase, second - first)
@@ -984,7 +989,9 @@ def default_rational_hbar_spec() -> CheckSpec:
     )
 
 
-def _rational_hbar_point(point: Mapping[str, Any], series_params: SeriesParams) -> PointReports:
+def _rational_hbar_point(
+    point: Mapping[str, Any], closed_form: Callable, series_params: SeriesParams
+) -> PointReports:
     r, s = int(point["r"]), int(point["s"])
     n = int(point["n"])
     omega = complex(point["omega"])
@@ -993,7 +1000,7 @@ def _rational_hbar_point(point: Mapping[str, Any], series_params: SeriesParams) 
     for alpha in _half_integer_range(r):
         for beta in _half_integer_range(s):
             shifted = omega + TWO_PI_I * (alpha / r) + TWO_PI_I * (beta / s)
-            total += depth1_closed_form(2, n, shifted, series_params).value
+            total += closed_form(2, n, shifted, series_params).value
     rhs = r ** (n - 1) * total
     params = {"r": r, "s": s, "n": [n], "omega": _cstr(omega)}
     return [(params, lhs - rhs)]
@@ -1004,8 +1011,12 @@ def check_rational_hbar(
 ) -> list[CheckReport]:
     """At hbar = r/s the quadrature value at argument r*omega equals
     r^(|n|-m) times the shift sum of undeformed closed forms (the
-    argument-scaling relation composed with the hbar = 1 reduction)."""
-    return _check_points(spec or default_rational_hbar_spec(), _rational_hbar_point, SeriesParams())
+    argument-scaling relation composed with the hbar = 1 reduction).  Each
+    distinct closed form is evaluated once per call."""
+    return _check_points(
+        spec or default_rational_hbar_spec(), _rational_hbar_point,
+        functools.cache(depth1_closed_form), SeriesParams(),
+    )
 
 
 # ---------------------------------------------------------------------------

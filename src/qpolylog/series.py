@@ -44,7 +44,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -251,12 +251,6 @@ def _inv_bracket_pow(ks: np.ndarray, q: complex, a: int) -> np.ndarray | None:
     if (denom == 0).any():
         raise DomainError("q-bracket vanishes: q is a root of unity")
     return sign * np.exp(a * ks * log_r) / denom
-
-
-def _bracket(k: int, q: complex) -> complex:
-    """[k]_q = q^k - q^(-k) for a single integer k."""
-    qk = complex(_q_power(complex(q), np.array([float(k)]))[0])
-    return qk - 1.0 / qk
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +903,9 @@ def _log_pochhammer_psi(
     absq = abs(q)
     n_idx = 0
     while True:
-        u = _q_power(q, np.array([2 * n_idx + a]))[0] * x
+        if n_idx % 64 == 0:  # q^(2n+a) for the next 64 factors
+            powers = _q_power(q, 2 * np.arange(n_idx, n_idx + 64) + a)
+        u = powers[n_idx % 64] * x
         if 1 + u == 0:
             raise DomainError("Psi product hits a zero factor")
         c = math.comb(n_idx + a - 1, a - 1)
@@ -962,6 +958,25 @@ def pochhammer_psi(
 # ---------------------------------------------------------------------------
 
 
+def _bracket_map(series: TruncatedSeries, q: complex, term: Callable) -> TruncatedSeries:
+    """series with c_0 -> 0 and c_k -> term(c_k, [k]_q), every q^k from one
+    _q_power call; a DomainError for q = 0 or a bracket or term out of range."""
+    if q == 0:
+        raise DomainError("q must be nonzero")
+    with np.errstate(over="ignore"):  # an infinite q^k is refused below
+        powers = _q_power(q, np.arange(1, len(series.coeffs))).tolist()
+    out = [0j]
+    try:
+        for c, qk in zip(series.coeffs[1:], powers):
+            bracket = qk - 1.0 / qk
+            if not cmath.isfinite(bracket):
+                raise OverflowError
+            out.append(term(c, bracket))
+    except (ZeroDivisionError, OverflowError):
+        raise DomainError(f"q-bracket [{len(out)}]_q or its power overflows at q = {q}") from None
+    return TruncatedSeries(tuple(out), series.var)
+
+
 def q_integral(series: TruncatedSeries, a: int, q: complex) -> TruncatedSeries:
     """Level-a q-integration acting coefficient-wise:
     c_k -> -c_k / [k]_q^a for k >= 1.  A nonzero constant term is rejected
@@ -974,17 +989,11 @@ def q_integral(series: TruncatedSeries, a: int, q: complex) -> TruncatedSeries:
         raise DomainError("q must not be 0 or on the unit circle")
     if series.coefficient(0) != 0:
         raise DomainError("q_integral requires a zero constant term")
-    out = [0j]
-    for k in range(1, len(series.coeffs)):
-        out.append(-series.coeffs[k] / _bracket(k, q) ** a)
-    return TruncatedSeries(tuple(out), series.var)
+    return _bracket_map(series, q, lambda c, bracket: -c / bracket**a)
 
 
 def q_difference(series: TruncatedSeries, q: complex) -> TruncatedSeries:
     """The q-difference operator acting coefficient-wise: c_k -> [k]_q c_k
     (the constant term is annihilated)."""
     q = ensure_finite_complex(q, "q")
-    out = [0j]
-    for k in range(1, len(series.coeffs)):
-        out.append(series.coeffs[k] * _bracket(k, q))
-    return TruncatedSeries(tuple(out), series.var)
+    return _bracket_map(series, q, lambda c, bracket: c * bracket)

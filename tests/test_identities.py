@@ -12,8 +12,10 @@ from qpolylog.core import map_points
 from qpolylog.identities import (
     CHECKS,
     CheckSpec,
+    check_asymptotic,
     check_h1,
     check_q_calculus,
+    check_rational_hbar,
     check_series_vs_contour,
     check_symmetries,
     run_all,
@@ -178,6 +180,57 @@ class TestBatchedStencils:
         # the error that point-by-point evaluation raised first
         with pytest.raises(error, match=message):
             check(CheckSpec(check.__name__.removeprefix("check_"), grid))
+
+
+def spy_on(monkeypatch, name: str) -> list:
+    """Replace identities.<name> by a wrapper that records each call's
+    arguments in the returned list."""
+    calls, real = [], getattr(identities, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(identities, name, spy)
+    return calls
+
+
+class TestSeriesValuesOncePerCheck:
+    """check_h1 and check_rational_hbar evaluate each distinct closed form
+    once per call, from caches that do not outlive the call, and
+    check_asymptotic forms each denominator once per grid point."""
+
+    @pytest.mark.parametrize(
+        "check, distinct",
+        [
+            # h1: a + b = 3 twice at each n; L(2, 1) and L(2, 2) at both n
+            (check_h1, {"depth1_closed_form": 4, "octant_polylog": 8}),
+            # rational_hbar: r/s = 3/2 shares two shifts with 2/1 at n = 1
+            (check_rational_hbar, {"depth1_closed_form": 13}),
+        ],
+    )
+    def test_each_closed_form_once_per_call(self, monkeypatch, check, distinct):
+        expected = check()
+        calls = {name: spy_on(monkeypatch, name) for name in distinct}
+        assert check() == expected
+        assert {name: len(args) for name, args in calls.items()} == distinct
+        for args in calls.values():
+            assert len(set(args)) == len(args)
+        first = {name: list(args) for name, args in calls.items()}
+        assert check() == expected
+        assert calls == {name: args * 2 for name, args in first.items()}
+
+    @pytest.mark.parametrize("hbars", [(0.2, 0.1, 0.05), (0.2, 0.15, 0.1, 0.07, 0.05)])
+    def test_asymptotic_denominators_once_per_point(self, monkeypatch, hbars):
+        spec = identities.default_asymptotic_spec()
+        spec = CheckSpec(spec.identity_name, tuple({**p, "hbars": hbars} for p in spec.grid),
+                         spec.tolerance)
+        names = ("classical_polylog", "multiple_polylog", "depth1_closed_form")
+        calls = {name: spy_on(monkeypatch, name) for name in names}
+        assert len(check_asymptotic(spec)) == 2 * len(spec.grid)
+        # depth1: Li_2; depth1-scale: one closed form; depth2: Li_3 Li_1 and Li_(3, 1)
+        assert {name: len(args) for name, args in calls.items()} == {
+            "classical_polylog": 3, "multiple_polylog": 1, "depth1_closed_form": 1}
 
 
 class TestRunner:

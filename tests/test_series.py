@@ -5,6 +5,7 @@ coefficient-wise q-calculus."""
 import cmath
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -1101,3 +1102,114 @@ class TestQCalculus:
             q_integral(s, 1, 1.0)
         with pytest.raises(DomainError):
             q_integral(s, -1, 0.5)
+
+    @pytest.mark.parametrize("a", [None, 0, 1, 2])
+    def test_zero_q_rejected(self, a):
+        # a = None is q_difference; q = 0 has no logarithm, so no q^k
+        s = TruncatedSeries((0j, 1 + 0j, 2j))
+        with pytest.raises(DomainError, match="q must"):
+            q_difference(s, 0) if a is None else q_integral(s, a, 0j)
+
+    @pytest.mark.parametrize(
+        "a, q, degree",
+        [
+            (None, 0.01, 200),  # q^k underflows to 0
+            (None, 0.01, 155),  # q^k is subnormal: 1 / q^k overflows
+            (None, 10.0, 400),  # q^k overflows
+            (0, 0.01, 200),
+            (1, 0.01, 200),  # [k]_q^a overflows
+            (2, 0.01, 100),
+            (1, 10.0, 400),
+        ],
+    )
+    def test_brackets_out_of_double_range_rejected(self, a, q, degree):
+        s = TruncatedSeries((0j,) + (1 + 0j,) * degree)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no overflow warning first
+            with pytest.raises(DomainError, match=r"q-bracket \[\d+\]_q or its power overflows"):
+                q_difference(s, q) if a is None else q_integral(s, a, q)
+
+
+def reference_bracket(k: int, q: complex) -> complex:
+    """[k]_q as the per-term formula formed it: one _q_power call per k."""
+    qk = complex(series._q_power(q, np.array([k]))[0])
+    return qk - 1.0 / qk
+
+
+def reference_log_psi(a: int, x: complex, q: complex, tol: float) -> tuple:
+    """_log_pochhammer_psi for a >= 1 as the per-term formula formed it."""
+    sign, total, absq, n_idx = (-1) ** a, KahanSum(), abs(q), 0
+    while True:
+        u = series._q_power(q, np.array([2 * n_idx + a]))[0] * x
+        c = math.comb(n_idx + a - 1, a - 1)
+        total.add(sign * c * cmath.log(1 + u))
+        if abs(u) < 0.5:
+            tail = (
+                2 * abs(x) * (n_idx + 2) ** (a - 1) * absq ** (2 * n_idx + 2 + a)
+                / (1 - absq**2) * (a)
+            )
+            if tail <= tol:
+                return total.value(), tail, n_idx + 1
+        n_idx += 1
+
+
+def q_values(moduli) -> list:
+    return [v for r in moduli for v in (r, -r, cmath.rect(r, 0.4), cmath.rect(r, 2.1))]
+
+
+class TestQPowerSequences:
+    """q_difference, q_integral and the Psi product form all their powers q^k
+    with one array call, and give the bits of one _q_power call per k."""
+
+    INSIDE = q_values((0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999)) + [0.7 + 0.1j, 0.7 - 0.1j]
+    OUTSIDE = q_values((1.001, 1.5, 10.0))
+
+    def expect(self, coeffs, q, term):
+        """term(c_k, [k]_q) per k from reference_bracket, or None where the
+        per-term formula raised."""
+        try:
+            return [0j] + [term(c, reference_bracket(k, q)) for k, c in enumerate(coeffs, 1)]
+        except (ZeroDivisionError, OverflowError):
+            return None
+
+    @pytest.mark.parametrize("degree", [1, 2, 12, 40, 120])
+    def test_operators_match_the_per_term_formula(self, degree):
+        rng = np.random.default_rng(degree)
+        coeffs = [complex(c) for c in crandn(rng, degree)]
+        s = TruncatedSeries((0j, *coeffs))
+        operators = [(None, lambda c, br: c * br)] + [
+            (a, lambda c, br, a=a: -c / br**a) for a in (0, 1, 2, 3)
+        ]
+        checked = 0
+        for q in self.INSIDE + self.OUTSIDE:
+            for a, term in operators:
+                want = self.expect(coeffs, q, term)
+                op = (lambda: q_difference(s, q)) if a is None else (lambda: q_integral(s, a, q))
+                if want is None:
+                    with pytest.raises(DomainError):
+                        op()
+                else:
+                    assert same_bytes(op().coeffs, want), (q, a)
+                    checked += 1
+        assert checked >= 5 * len(self.INSIDE)
+
+    @pytest.mark.parametrize(
+        "a, x, q",
+        [
+            (1, 0.3, 0.3),
+            (2, -0.2, 0.5),
+            (1, 0.4j, 0.7 + 0.1j),
+            (2, 0.25, 0.4),
+            (3, 0.6 - 0.1j, -0.45),
+            (1, 0.5 + 0.5j, 0.95),  # more than one 64-factor chunk
+            (2, -0.3 + 0.1j, cmath.rect(0.97, 1.1)),
+            (1, 0.2, -0.99),
+        ],
+    )
+    def test_psi_matches_the_per_term_formula(self, a, x, q):
+        params = SeriesParams()
+        got = series._log_pochhammer_psi(a, x, q, params)
+        want = reference_log_psi(a, x, q, params.tol)
+        assert same_bytes(got[0], want[0]) and got[1:] == want[1:]
+        if abs(q) > 0.9:
+            assert got[2] > 64
