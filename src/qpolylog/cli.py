@@ -29,6 +29,7 @@ from typing import Any, Mapping, Sequence
 
 from .contour import (
     QuadratureSpec,
+    _li_row,
     _quad_rows,
     _Row,
     _transport,
@@ -90,13 +91,6 @@ _FUNCTION_TABLE = {
 }
 FUNCTIONS = tuple(_FUNCTION_TABLE)
 
-# Config-file keys; each stands for the flag of the same name (``identity``
-# for verify's positional argument).
-_CONFIG_KEYS = (
-    "fn", "a", "b", "n", "omega", "hbar", "backend", "tol", "format", "seed",
-    "workers", "identity", "sweep",
-)
-
 
 # ---------------------------------------------------------------------------
 # Canonical serialization
@@ -108,6 +102,8 @@ _FLOAT_FORMAT = "%.17g"
 _encode_str = json.encoder.encode_basestring_ascii
 # Sorted keys and '{"key":' / ',"key":' prefixes of up to 256 key tuples, all
 # exact str: 1, True and 1.0 are equal keys that print as "1", "True", "1.0".
+# A str key prints as its value, as in json.dumps, so an equal key of a str
+# subclass prints as the exact str its cached shape holds.
 _KEY_SHAPES: dict = {}
 
 
@@ -138,15 +134,19 @@ def _emit_json(obj: Any, out: list) -> None:
     elif kind is dict:
         keys = tuple(obj)
         shape = _KEY_SHAPES.get(keys)
-        if shape is None:  # sorted() is stable: keys of equal str keep their order
-            shape = [(key, ("," if i else "{") + _encode_str(str(key)) + ":")
-                     for i, key in enumerate(sorted(keys, key=str))]
+        if shape is None:  # sorted() is stable: keys of equal text keep their order
+            texts = {key: str.__str__(key) if isinstance(key, str) else str(key)
+                     for key in keys}
+            shape = [(key, ("," if i else "{") + _encode_str(texts[key]) + ":")
+                     for i, key in enumerate(sorted(keys, key=texts.__getitem__))]
             if len(_KEY_SHAPES) < 256 and all(type(key) is str for key in keys):
                 _KEY_SHAPES[keys] = shape
         for key, prefix in shape:
             out.append(prefix)
             _emit_json(obj[key], out)
         out.append("}" if shape else "{}")
+    elif kind is complex:
+        out.append('{"im":' + _FLOAT_FORMAT % obj.imag + ',"re":' + _FLOAT_FORMAT % obj.real + "}")
     elif kind is list or kind is tuple:
         sep = "["
         for item in obj:
@@ -275,30 +275,18 @@ class RunConfig:
     sweeps: tuple = ()
 
     def to_dict(self) -> dict:
+        """The echoed config, without the flags left unset.  Values are raw:
+        canonical_json prints tuples as lists and complex numbers as
+        {"re", "im"}."""
         data: dict[str, Any] = {
-            "command": self.command,
-            "backend": self.backend,
-            "format": self.fmt,
-            "seed": self.seed,
-            "workers": self.workers,
+            "command": self.command, "backend": self.backend, "format": self.fmt,
+            "seed": self.seed, "workers": self.workers, "hbar": self.hbar,
         }
-        if self.fn is not None:
-            data["fn"] = self.fn
-        if self.a:
-            data["a"] = list(self.a)
-        if self.b:
-            data["b"] = list(self.b)
-        if self.n:
-            data["n"] = list(self.n)
-        if self.omega:
-            data["omega"] = [[complex_dict(c) for c in point] for point in self.omega]
-        data["hbar"] = complex_dict(self.hbar)
-        if self.tol is not None:
-            data["tol"] = self.tol
-        if self.identity is not None:
-            data["identity"] = self.identity
-        if self.check_args:
-            data["identity_args"] = {k: v for k, v in self.check_args}
+        optional = {
+            "fn": self.fn, "a": self.a, "b": self.b, "n": self.n, "omega": self.omega,
+            "tol": self.tol, "identity": self.identity, "identity_args": dict(self.check_args),
+        }
+        data.update((key, value) for key, value in optional.items() if value not in (None, (), {}))
         return data
 
 
@@ -407,9 +395,10 @@ def _merge_config_file(
 ) -> argparse.Namespace:
     """Fill unset flags from the JSON config file, if one was given.
 
-    Each config value the subcommand has a flag for, and the user left unset,
-    is appended to argv as that flag, and argv is parsed again, so config
-    values pass the same checks as flags.  Other keys are ignored.
+    Each config value the subcommand has a flag for, and the user left unset
+    (every unset flag reads None), is appended to argv as that flag
+    (``identity``: verify's positional argument), and argv is parsed again,
+    so config values pass the same checks as flags.  Other keys are ignored.
     """
     path = getattr(args, "config", None)
     if not path:
@@ -424,8 +413,8 @@ def _merge_config_file(
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
     extra: list[str] = []
-    for key in _CONFIG_KEYS:
-        if key not in data or not hasattr(args, key) or getattr(args, key) is not None:
+    for key, unset in vars(args).items():
+        if unset is not None or key not in data:
             continue
         value = data[key]
         if key == "identity":
@@ -571,9 +560,7 @@ def _evaluate(config: RunConfig, points: Sequence, hbars: Sequence | None = None
                 return multiple_polylog(n, point, series_params)
             if any(z == 0 for z in point):
                 raise DomainError("contour backend needs nonzero arguments")
-            w = tuple(cmath.log(z) for z in point[:-1]) + (cmath.log(-point[-1]),)
-            idx = MultiIndex((1,) * m, (0,) * m, n)
-            return _Row(idx, _transport(idx, w), 1.0)
+            return _li_row(n, tuple(cmath.log(z) for z in point[:-1]) + (cmath.log(-point[-1]),))
 
         if fn == "qLi":
             a = config.a or (1,) * m

@@ -79,6 +79,7 @@ from .core import (
     DomainError,
     EvalResult,
     MultiIndex,
+    _as_int_tuple,
     convergence_strip,
     ensure_finite_complex,
     map_points,
@@ -86,7 +87,7 @@ from .core import (
     validate_hbar,
 )
 from .exact import binom_general, q_poly
-from .series import _UNIT_ROUNDOFF, SeriesParams, _fftconvolve, classical_polylog
+from .series import _UNIT_ROUNDOFF, SeriesParams, _fftconvolve, _suffix_sums, classical_polylog
 
 __all__ = [
     "QuadratureSpec",
@@ -680,7 +681,7 @@ def _transport(idx: MultiIndex, w: Sequence[complex]) -> tuple:
     w = tuple(ensure_finite_complex(v, "w") for v in w)
     if len(w) != idx.depth:
         raise DomainError("w must have one entry per axis")
-    return tuple(sum(w[j:], 0j) for j in range(idx.depth))
+    return _suffix_sums(w)
 
 
 def quad_I(
@@ -716,12 +717,15 @@ def quad_Li(
 
     through the first-order kernel (a = 1, b = 0 on every axis).  Requires
     per-axis |Im(w_j + ... + w_m)| < pi."""
-    n = tuple(int(v) for v in n)
+    return unwrap(_quad_rows([_li_row(n, w)], spec)[0])
+
+
+def _li_row(n: Sequence[int], w: Sequence[complex]) -> _Row:
+    """The _Row of quad_Li(n, w), with its arguments checked: quad_I with
+    the first-order kernel a = 1, b = 0 on every axis at hbar = 1."""
     m = len(n)
-    if m < 1:
-        raise DomainError("n must be non-empty")
     idx = MultiIndex((1,) * m, (0,) * m, n)
-    return quad_I(idx, w, 1.0, spec)
+    return _Row(idx, _transport(idx, w), 1.0)
 
 
 def quad_zeta_hbar(
@@ -737,7 +741,7 @@ def quad_zeta_hbar(
 
 def _zeta_row(s: Sequence[int], hbar: complex) -> _Row:
     """The _Row of quad_zeta_hbar(s, hbar), with its arguments checked."""
-    s = tuple(int(v) for v in s)
+    s = _as_int_tuple(s, "s")
     if not s or any(v < 2 for v in s):
         raise DomainError("zeta exponents must be integers >= 2")
     hbar = validate_hbar(hbar)

@@ -106,7 +106,7 @@ CONVENTIONS: tuple = (
             "-e^-1/(1+e^-1) = -0.26894142136999512."
         ),
         evidence=(
-            ("value F_(1,0,0)(-1)", -0.2689414213699951),
+            ("value F_(1,0,0)(-1)", ANCHOR_F100_VALUE),
         ),
         rejected=(
             ("flipped orientation / sign", 0.5378828427399902),
@@ -126,7 +126,7 @@ CONVENTIONS: tuple = (
             ("half-step kernel residual", 9.7e-19),
         ),
         rejected=(
-            ("forward step f(omega+2c)-f(omega)", 0.040722495303747),
+            ("forward step f(omega+2c)-f(omega)", KERNEL_STEP_REJECTED_RESIDUAL),
         ),
     ),
     Convention(
@@ -136,13 +136,13 @@ CONVENTIONS: tuple = (
             "partner reads F(omega) + (-1)^(a+b+n-1) F(-omega) = -B(omega), "
             "where B is the residue-pairing polynomial of the same index.  "
             "Reference: index (1,1,1), omega=-1, hbar=1.3, where "
-            "F(omega)=0.156729998793068i and B(omega)=-0.602936788250507i."
+            f"F(omega)={BOUNDARY_F_VALUE.imag!r}i and B(omega)={BOUNDARY_B_VALUE.imag!r}i."
         ),
         evidence=(
             ("frozen residual", 1.31e-16),
         ),
         rejected=(
-            ("opposite sign (+B)", 1.205873576501015),
+            ("opposite sign (+B)", BOUNDARY_REJECTED_RESIDUAL),
         ),
     ),
     Convention(
@@ -175,14 +175,14 @@ CONVENTIONS: tuple = (
             "with nested polylogarithms of raised weight -- not to the single "
             "product of Q-polynomials times one polylogarithm.  Depth-1 "
             "anchor: index (1,1,2) at omega=-1, where the value is "
-            "0.188239734775578i and the two-term form Q_1(omega)*Li_2(e^omega)"
+            f"{H1_REFERENCE_VALUE.imag!r}i and the two-term form Q_1(omega)*Li_2(e^omega)"
             " - (2/(2*pi*i))*Li_3(e^omega) closes to ~5e-17."
         ),
         evidence=(
             ("frozen residual", 5.0e-17),
         ),
         rejected=(
-            ("single-product form", 0.12318446943399647),
+            ("single-product form", H1_REJECTED_RESIDUAL),
         ),
     ),
     Convention(
@@ -194,10 +194,10 @@ CONVENTIONS: tuple = (
             "at n=1, omega=-1, hbar=0.05."
         ),
         evidence=(
-            ("|ratio - 1| with weight n+1", 0.0032690258343131),
+            ("|ratio - 1| with weight n+1", ASYMPTOTIC_FROZEN_GAP),
         ),
         rejected=(
-            ("|ratio - 1| with weight n", 0.08457260810953593),
+            ("|ratio - 1| with weight n", ASYMPTOTIC_REJECTED_GAP),
         ),
     ),
     Convention(
@@ -210,15 +210,15 @@ CONVENTIONS: tuple = (
             "beta_k over the s analogous values; the scale factor multiplies "
             "the shift sum, not the left-hand side.  Reference: (r,s)=(2,1), "
             "index (1,1,1), omega=-2, hbar=1.2, where the scaled value is "
-            "0.088103984482876i."
+            f"{DISTRIBUTION_LHS_VALUE.imag!r}i."
         ),
         evidence=(
             ("frozen residual (n=1)", 2.8e-17),
             ("frozen residual (n=2)", 1.0e-16),
         ),
         rejected=(
-            ("product over shifts instead of sum", 0.08839107832568467),
-            ("scale factor on the scaled side (n=2)", 0.3325237209235209),
+            ("product over shifts instead of sum", DISTRIBUTION_REJECTED_PRODUCT),
+            ("scale factor on the scaled side (n=2)", DISTRIBUTION_REJECTED_FACTOR_SIDE),
         ),
     ),
     Convention(
@@ -241,8 +241,8 @@ CONVENTIONS: tuple = (
             ("mixed-pattern reference value check", 6.3e-18),
         ),
         rejected=(
-            ("per-axis exponent (k_1+..+k_c)*eps_c*w_c", 0.0027031885209671163),
-            ("dual nome exp(-i*pi/hbar)", 1.0049720618089981),
+            ("per-axis exponent (k_1+..+k_c)*eps_c*w_c", COMPANION_REJECTED_UNMIXED),
+            ("dual nome exp(-i*pi/hbar)", COMPANION_REJECTED_DUAL_NOME),
         ),
     ),
     Convention(
@@ -252,8 +252,8 @@ CONVENTIONS: tuple = (
             "line integral (no i-power prefactor) with all couplings "
             "(a_k,b_k)=(1,1), all arguments 0, and denominator exponents "
             "n_k = s_k - 1.  Anchors: at hbar=1, s=(2,) the value is "
-            "i*pi/12 = 0.261799387799149i; at hbar=1.4, s=(3,) the value is "
-            "0.495156398425345; the reflection hbar -> 1/hbar carries the "
+            f"i*pi/12 = {ZETA_1_2_VALUE.imag!r}i; at hbar=1.4, s=(3,) the value is "
+            f"{ZETA_14_3_VALUE!r}; the reflection hbar -> 1/hbar carries the "
             "factor hbar^(sum(s_k - 1) - m)."
         ),
         evidence=(
@@ -262,7 +262,7 @@ CONVENTIONS: tuple = (
         ),
         rejected=(
             ("reflection exponent lowered by one (hbar=1.4, s=(4,))",
-             0.2350571070239872),
+             ZETA_REJECTED_EXPONENT_RESIDUAL),
         ),
     ),
     Convention(
@@ -277,7 +277,7 @@ CONVENTIONS: tuple = (
             "requires the transported bounds |Im(w_j + ... + w_m)| < pi."
         ),
         evidence=(
-            ("value at n=(1,1), w=(-2,-1)", 0.00727504647949312),
+            ("value at n=(1,1), w=(-2,-1)", QUAD_LI_REFERENCE_VALUE.real),
             ("residual vs simplex sum", 2.28e-17),
         ),
         rejected=(),
@@ -289,13 +289,13 @@ CONVENTIONS: tuple = (
             "(1 + q^(2n+a) x)^((-1)^a * C(n+a-1, a-1)) with Psi_0(x;q) = "
             "1 + x; its logarithm equals minus the depth-1 q-series "
             "sum_(k>=1) (-x)^k / ([k]_q^a * k).  Reference: a=2, x=0.3, "
-            "q=0.35, where Psi_2 = 1.04817130749641."
+            f"q=0.35, where Psi_2 = {PSI_REFERENCE_VALUE!r}."
         ),
         evidence=(
             ("product vs exp(-series) residual", 1.12e-13),
         ),
         rejected=(
-            ("exponent (-1)^(a+1), base q^(2n+1)", 0.17098864713736117),
+            ("exponent (-1)^(a+1), base q^(2n+1)", PSI_REJECTED_RESIDUAL),
         ),
     ),
     Convention(

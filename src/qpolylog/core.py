@@ -211,17 +211,13 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one identity verification at one parameter point.
-
-    The invariant ``passed == (residual <= tolerance)`` is enforced on
-    construction; use :meth:`from_residual` to build reports.
-    """
+    """Outcome of one identity verification at one parameter point: it
+    passes when residual <= tolerance."""
 
     identity_name: str
     params: Mapping[str, Any]
     residual: float
     tolerance: float
-    passed: bool
 
     def __post_init__(self) -> None:
         res = float(self.residual)
@@ -232,21 +228,11 @@ class CheckReport:
             raise DomainError(f"tolerance must be finite and >= 0: {tol!r}")
         object.__setattr__(self, "residual", res)
         object.__setattr__(self, "tolerance", tol)
-        if bool(self.passed) != (res <= tol):
-            raise DomainError("pass flag inconsistent with residual <= tolerance")
         object.__setattr__(self, "params", _freeze_mapping(self.params))
 
-    @classmethod
-    def from_residual(
-        cls,
-        identity_name: str,
-        params: Mapping[str, Any],
-        residual: float,
-        tolerance: float,
-    ) -> "CheckReport":
-        residual = float(residual)
-        tolerance = float(tolerance)
-        return cls(identity_name, params, residual, tolerance, residual <= tolerance)
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.tolerance
 
     def to_dict(self) -> dict[str, Any]:
         return {

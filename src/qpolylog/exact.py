@@ -626,7 +626,7 @@ def verify_a3(k: int, l: int, trials: int = 100, seed: int = 20260817) -> CheckR
             residual = float(abs(lhs - rhs))
             break
 
-    return CheckReport.from_residual(
+    return CheckReport(
         "partial_fraction_shuffle_exact",
         {"k": k, "l": l, "trials": trials, "seed": seed, "resampled": resampled},
         residual,

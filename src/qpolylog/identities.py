@@ -19,6 +19,7 @@ from typing import Any, Callable, Generator, Iterator, Mapping, Sequence
 
 from .contour import (
     QuadratureSpec,
+    _li_row,
     _quad_rows,
     _Row,
     _transport,
@@ -129,7 +130,7 @@ def _check_points(
         except StopIteration as stop:
             default = point.get("tol", spec.tolerance)
             for params, residual, *tol in stop.value:
-                reports.append(CheckReport.from_residual(
+                reports.append(CheckReport(
                     spec.identity_name, params, abs(residual), tol[0] if tol else default))
     if failed is not None:
         raise failed
@@ -173,9 +174,7 @@ def _series_vs_contour_point(point: Mapping[str, Any]) -> PointReports:
     n = tuple(point["n"])
     m = len(n)
     w = tuple(complex(v) for v in point["w"])
-    # quad_Li(n, w) is quad_I with the first-order kernel at hbar = 1
-    idx = MultiIndex((1,) * m, (0,) * m, tuple(int(v) for v in n))
-    (lhs,) = yield [_Row(idx, _transport(idx, w), 1.0)]
+    (lhs,) = yield [_li_row(n, w)]
     z = tuple(cmath.exp(v) for v in w[:-1]) + (-cmath.exp(w[-1]),)
     rhs = multiple_polylog(n, z)
     params = {

@@ -53,6 +53,7 @@ from .core import (
     ConvergenceError,
     DomainError,
     EvalResult,
+    _as_int_tuple,
     _ensure_err_estimate,
     ensure_finite_complex,
     fail_points,
@@ -120,20 +121,14 @@ class TruncatedSeries:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0j
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """The sum, truncated at the lower degree."""
         if other.var != self.var:
-            raise DomainError("cannot add series in different variables")
-        n = min(len(self.coeffs), len(other.coeffs))
-        return TruncatedSeries(
-            tuple(self.coeffs[k] + other.coeffs[k] for k in range(n)), self.var
-        )
+            raise DomainError("cannot combine series in different variables")
+        return TruncatedSeries(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)), self.var)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if other.var != self.var:
-            raise DomainError("cannot subtract series in different variables")
-        n = min(len(self.coeffs), len(other.coeffs))
-        return TruncatedSeries(
-            tuple(self.coeffs[k] - other.coeffs[k] for k in range(n)), self.var
-        )
+        # x - y is x + (-y) bit for bit, signed zeros included, for complex x, y
+        return self + TruncatedSeries(tuple(-c for c in other.coeffs), other.var)
 
     def scale(self, factor: complex) -> "TruncatedSeries":
         return TruncatedSeries(tuple(factor * c for c in self.coeffs), self.var)
@@ -347,6 +342,12 @@ def classical_polylog(n: int, z: complex, params: SeriesParams | None = None) ->
 # ---------------------------------------------------------------------------
 
 
+def _tail_bound(m: int, K: int, r: float) -> float:
+    """The tail bound m K^(m-1) r^(K+1) / (1 - r) of a depth-m sum cut at
+    k_j <= K, r its decay rate (multiple_polylog, _cone_sum)."""
+    return m * (K ** max(m - 1, 0)) * r ** (K + 1) / (1 - r)
+
+
 def multiple_polylog(
     n: Sequence[int], z: Sequence[complex], params: SeriesParams | None = None
 ) -> EvalResult:
@@ -354,7 +355,7 @@ def multiple_polylog(
     prod_j z_j^(k_j) / k_j^(n_j).  Requires n_j >= 1 and |z_j| < 1 for all j.
     """
     params = params or SeriesParams()
-    n = tuple(int(v) for v in n)
+    n = _as_int_tuple(n, "n")
     z = tuple(ensure_finite_complex(v, "z") for v in z)
     m = len(n)
     if m < 1 or len(z) != m:
@@ -389,7 +390,7 @@ def multiple_polylog(
     prev = None
     while True:
         value = simplex_sum(z, n, K)
-        tail = m * (K ** max(m - 1, 0)) * r ** (K + 1) / (1 - r)
+        tail = _tail_bound(m, K, r)
         if prev is not None:
             delta = abs(value - prev)
             if delta + tail <= params.tol:
@@ -500,12 +501,9 @@ def _cone_sum(
     """
     m = len(n)
 
-    def tail(K: int, r: float) -> float:
-        return m * (K ** max(m - 1, 0)) * r ** (K + 1) / (1 - r)
-
     def first_rung(r: float) -> int:
         K = min(64, params.k_max)
-        while 2 * K < params.k_max and tail(K, r) > params.tol / 100:
+        while 2 * K < params.k_max and _tail_bound(m, K, r) > params.tol / 100:
             K *= 2
         return K
 
@@ -667,7 +665,7 @@ def _cone_sum(
                 floors = roundoff_floor(fs, rows) if s < settled else None
                 for p, value in enumerate(fold(fs, blocks), s):
                     _, k, r, _ = live[p]
-                    t = tail(K, r)
+                    t = _tail_bound(m, K, r)
                     if prev[p] is not None:
                         delta = abs(value - prev[p])
                         if delta + t <= params.tol:
@@ -701,7 +699,7 @@ def octant_polylog(
     Equals the simplex series at the ratio arguments:
     octant(n, z) = Li_n(z_1/z_2, ..., z_{m-1}/z_m, z_m)."""
     params = params or SeriesParams()
-    n = tuple(int(v) for v in n)
+    n = _as_int_tuple(n, "n")
     z = tuple(ensure_finite_complex(v, "z") for v in z)
     m = len(n)
     if m < 1 or len(z) != m:
@@ -726,8 +724,8 @@ def q_multiple_polylog(
     Requires 0 < |q| < 1 and |z_j| * |q|^(a_j) < 1 for every j.
     """
     params = params or SeriesParams()
-    a = tuple(int(v) for v in a)
-    n = tuple(int(v) for v in n)
+    a = _as_int_tuple(a, "a")
+    n = _as_int_tuple(n, "n")
     z = tuple(ensure_finite_complex(v, "z") for v in z)
     q = ensure_finite_complex(q, "q")
     m = len(n)
@@ -778,8 +776,8 @@ def companion_series_batch(
     for each point the EvalResult companion_series returns, or the error it
     raises.  An entry that is already an exception passes through."""
     params = params or SeriesParams()
-    a = tuple(int(v) for v in a)
-    n = tuple(int(v) for v in n)
+    a = _as_int_tuple(a, "a")
+    n = _as_int_tuple(n, "n")
     ws = map_points(functools.partial(_checked_w, a, n, epsilon.depth), ws)
     pref, raws = _companion_cone(a, n, ws, epsilon, params)
     slots = "".join("d" if s == "1/h" else "p" for s in epsilon.slots)
@@ -788,6 +786,11 @@ def companion_series_batch(
                                {**raw[2], "slots": slots}),
         raws,
     )
+
+
+def _suffix_sums(w: Sequence[complex]) -> tuple:
+    """omega_j = w_j + w_{j+1} + ... + w_m for every j."""
+    return tuple(sum(w[j:], 0j) for j in range(len(w)))
 
 
 def _checked_w(a: tuple, n: tuple, depth: int, w) -> tuple:
@@ -806,7 +809,6 @@ def _companion_cone(
     """(prod_j eps_j, the cone sum of the companion series of epsilon at every
     checked point of ws): the raw (value, err, diagnostics) of _cone_sum,
     before the prefactor, or the error of the point."""
-    m = len(n)
     try:
         weights = epsilon.weights()
         q_list = epsilon.q_values()
@@ -814,8 +816,7 @@ def _companion_cone(
         return 0j, fail_points(ws, exc)
 
     def arguments(w: tuple) -> tuple:
-        omegas = [sum(w[j:], 0j) for j in range(m)]
-        return tuple(-cmath.exp(weights[j] * omegas[j]) for j in range(m))
+        return tuple(-cmath.exp(wt * omega) for wt, omega in zip(weights, _suffix_sums(w)))
 
     pref = 1.0 + 0j
     for wt in weights:
@@ -849,7 +850,7 @@ def companion_sum_I_batch(
     companion_series_batch checks them; a point that fails in one cone skips
     the rest."""
     params = params or SeriesParams()
-    n = tuple(int(v) for v in n)
+    n = _as_int_tuple(n, "n")
     m = len(n)
     try:
         hbar = validate_hbar(hbar)
@@ -893,11 +894,7 @@ def _log_pochhammer_psi(
 ) -> tuple[complex, float, int]:
     """sum_{n>=0} (-1)^a * C(n+a-1, a-1) * Log(1 + q^(2n+a) x); the product
     Psi_a is exp of this (exponents are integers, so branches are immaterial
-    for the product's value)."""
-    if a == 0:
-        if x == -1:
-            raise DomainError("Psi_0(-1) = 0 has no logarithm")
-        return cmath.log(1 + x), 0.0, 1
+    for the product's value).  Needs a >= 1."""
     sign = (-1) ** a
     total = KahanSum()
     absq = abs(q)
@@ -940,6 +937,7 @@ def pochhammer_psi(
     Psi_a(x; q) = exp(-sum_{k>=1} (-x)^k / ([k]_q^a k)).
     """
     params = params or SeriesParams()
+    (a,) = _as_int_tuple((a,), "a")
     x = ensure_finite_complex(x, "x")
     q = ensure_finite_complex(q, "q")
     if a < 0:

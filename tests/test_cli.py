@@ -9,6 +9,7 @@ serialization, exit-code mapping) without spawning subprocesses.
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import json
 import math
@@ -230,6 +231,20 @@ class TestCanonicalJson:
         with pytest.raises(UsageError):
             canonical_json({"x": object()})
 
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_str_subclass_key_prints_its_value(self, monkeypatch, warm):
+        # as json.dumps does, whether or not an equal exact-str key tuple is cached
+        class Key(str, enum.Enum):
+            A = "a"
+            B = "b"
+
+        monkeypatch.setattr(cli, "_KEY_SHAPES", {})
+        if warm:
+            assert canonical_json({"a": 1}) == '{"a":1}'
+        assert canonical_json({Key.A: 1}) == '{"a":1}'
+        assert canonical_json({Key.B: 1, "a": 2}) == '{"a":2,"b":1}'
+        assert canonical_json({Key.A: 1}) == json.dumps({Key.A: 1}, separators=(",", ":"))
+
 
 def reference_json(obj) -> str:
     """The plain emitter that canonical_json replaced: the same dispatch, one
@@ -373,7 +388,10 @@ class TestRunConfig:
         text = canonical_json(data)
         assert canonical_json(json.loads(text)) == text
         assert data["fn"] == "F"
-        assert data["a"] == [1]
+        assert data["a"] == (1,)  # raw; canonical_json prints lists and {"re", "im"}
+        assert '"a":[1]' in text
+        assert '"hbar":{"im":0,"re":1.5}' in text
+        assert '"omega":[[{"im":0,"re":-1}]]' in text
 
 
 # ---------------------------------------------------------------------------

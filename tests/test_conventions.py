@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from qpolylog import DomainError
+from qpolylog import DomainError, conventions
 from qpolylog.contour import (
     KernelParams,
     QuadratureSpec,
@@ -370,6 +370,21 @@ class TestDocument:
                 assert label in text
             for label, value in conv.rejected:
                 assert label in text
+
+    def test_every_reference_number_rendered(self):
+        # each float constant as its repr, each imaginary one as repr(imag) + "i";
+        # the omega of the anchor is an input, rendered as "omega=-1"
+        text = conventions_text()
+        numbers = {name: value for name, value in vars(conventions).items()
+                   if name.isupper() and type(value) in (float, complex)}
+        del numbers["ANCHOR_F100_OMEGA"]
+        assert len(numbers) == 20
+        for name, value in numbers.items():
+            if type(value) is complex and value.real == 0:
+                shown = f"{value.imag!r}i"
+            else:
+                shown = repr(complex(value).real)
+            assert shown in text, name
 
     def test_keys_unique(self):
         keys = [c.key for c in CONVENTIONS]

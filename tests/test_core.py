@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpolylog.contour import quad_Li, quad_zeta_hbar
 from qpolylog.core import (
     BACKENDS,
     CheckReport,
@@ -17,6 +18,17 @@ from qpolylog.core import (
     in_strip,
     validate_hbar,
     weight,
+)
+from qpolylog.series import (
+    EpsilonVector,
+    companion_series,
+    companion_series_batch,
+    companion_sum_I,
+    companion_sum_I_batch,
+    multiple_polylog,
+    octant_polylog,
+    pochhammer_psi,
+    q_multiple_polylog,
 )
 
 
@@ -114,36 +126,63 @@ class TestEvalResult:
             res.diagnostics["terms"] = 4  # type: ignore[index]
 
 
+PHI = (1 + 5**0.5) / 2
+
+# Entry points that take integer exponents, each called with the exponent k
+# in one slot.
+EXPONENT_CALLS = {
+    "multiple_polylog": lambda k: multiple_polylog((k,), (0.5,)),
+    "octant_polylog": lambda k: octant_polylog((k,), (0.5,)),
+    "q_multiple_polylog a": lambda k: q_multiple_polylog((k,), (1,), (0.3,), 0.5),
+    "q_multiple_polylog n": lambda k: q_multiple_polylog((1,), (k,), (0.3,), 0.5),
+    "companion_series": lambda k: companion_series(
+        (1,), (k,), (-1.0,), EpsilonVector(("1",), PHI)),
+    "companion_series_batch": lambda k: companion_series_batch(
+        (k,), (1,), [(-1.0,)], EpsilonVector(("1",), PHI))[0],
+    "companion_sum_I": lambda k: companion_sum_I((k,), (-1.0,), PHI),
+    "companion_sum_I_batch": lambda k: companion_sum_I_batch((k,), [(-1.0,)], PHI)[0],
+    "quad_Li": lambda k: quad_Li((k,), (-1.0,)),
+    "quad_zeta_hbar": lambda k: quad_zeta_hbar((k,), 1.0),
+    "pochhammer_psi": lambda k: pochhammer_psi(k, 0.3, 0.35),
+}
+
+
+@pytest.mark.parametrize("name", list(EXPONENT_CALLS))
+class TestIntegerExponents:
+    def test_fraction_rejected(self, name):
+        with pytest.raises(DomainError, match="must be integers"):
+            EXPONENT_CALLS[name](2.5)
+
+    def test_integral_float_is_the_integer(self, name):
+        assert EXPONENT_CALLS[name](2.0) == EXPONENT_CALLS[name](2)
+
+
 class TestCheckReport:
-    def test_from_residual_pass(self):
-        rep = CheckReport.from_residual("x", {"p": 1}, 1e-9, 1e-8)
+    def test_pass(self):
+        rep = CheckReport("x", {"p": 1}, 1e-9, 1e-8)
         assert rep.passed and rep.residual == 1e-9
 
-    def test_from_residual_fail(self):
-        rep = CheckReport.from_residual("x", {}, 1e-7, 1e-8)
+    def test_fail(self):
+        rep = CheckReport("x", {}, 1e-7, 1e-8)
         assert not rep.passed
 
     def test_boundary_counts_as_pass(self):
-        assert CheckReport.from_residual("x", {}, 1e-8, 1e-8).passed
-
-    def test_inconsistent_flag_rejected(self):
-        with pytest.raises(DomainError):
-            CheckReport("x", {}, 1.0, 1e-8, True)
+        assert CheckReport("x", {}, 1e-8, 1e-8).passed
 
     def test_negative_or_nonfinite_rejected(self):
         with pytest.raises(DomainError):
-            CheckReport.from_residual("x", {}, -1.0, 1e-8)
+            CheckReport("x", {}, -1.0, 1e-8)
         with pytest.raises(DomainError):
-            CheckReport.from_residual("x", {}, float("nan"), 1e-8)
+            CheckReport("x", {}, float("nan"), 1e-8)
         with pytest.raises(DomainError):
-            CheckReport.from_residual("x", {}, 0.0, -1e-8)
+            CheckReport("x", {}, 0.0, -1e-8)
 
     def test_zero_tolerance_allowed(self):
-        rep = CheckReport.from_residual("exact", {}, 0.0, 0.0)
+        rep = CheckReport("exact", {}, 0.0, 0.0)
         assert rep.passed
 
     def test_to_dict_uses_pass_key(self):
-        data = CheckReport.from_residual("x", {"k": 2}, 0.5, 1.0).to_dict()
+        data = CheckReport("x", {"k": 2}, 0.5, 1.0).to_dict()
         assert data["pass"] is True
         assert data["params"] == {"k": 2}
 
@@ -153,7 +192,7 @@ class TestCheckReport:
     )
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_pass_flag_matches_comparison(self, residual, tolerance):
-        rep = CheckReport.from_residual("prop", {}, residual, tolerance)
+        rep = CheckReport("prop", {}, residual, tolerance)
         assert rep.passed == (residual <= tolerance)
 
 

@@ -80,6 +80,17 @@ class TestTruncatedSeries:
         t = TruncatedSeries((1 + 0j,), var="y")
         with pytest.raises(DomainError):
             s + t
+        with pytest.raises(DomainError):
+            s - t
+
+    def test_sub_keeps_signed_zeros(self):
+        s = TruncatedSeries((complex(0.0, -0.0), complex(-0.0, 0.0), 1.5 - 2j))
+        t = TruncatedSeries((0j, complex(-0.0, -0.0), 0.25 + 0j))
+        for got, x, y in zip((s - t).coeffs, s.coeffs, t.coeffs):
+            want = x - y
+            assert (math.copysign(1, got.real), math.copysign(1, got.imag)) == (
+                math.copysign(1, want.real), math.copysign(1, want.imag))
+            assert got == want
 
     def test_scale_and_eval(self):
         s = TruncatedSeries((1 + 0j, -2 + 0j, 0.5 + 0j))
@@ -329,6 +340,11 @@ class TestMultiplePolylog:
             multiple_polylog((1, 1), (0.3,))  # length mismatch
         with pytest.raises(DomainError):
             multiple_polylog((), ())
+
+    def test_term_cap_raises(self):
+        # |z| = 0.99 needs thousands of terms; the cap stops the doubling at 200
+        with pytest.raises(ConvergenceError, match="not converged within 200 terms"):
+            multiple_polylog((1,), (0.99,), SeriesParams(k_max=200))
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +643,15 @@ class TestCompanionBatch:
         # a rational coupling is refused whatever the point
         batch = companion_sum_I_batch((1,), [(-1.0,), (-2.0,)], 1.5)
         assert all(isinstance(r, DomainError) and "nearly vanishes" in str(r) for r in batch)
+
+    def test_invalid_hbar_fails_every_live_point(self):
+        # an hbar on the negative real axis fails before any cone; an entry
+        # that is already an error passes through
+        earlier = ConvergenceError("earlier")
+        batch = companion_sum_I_batch((1,), [(-1.0,), earlier, (-2.0,)], -1.0)
+        assert batch[1] is earlier
+        assert batch[0] is batch[2]
+        assert isinstance(batch[0], DomainError) and "negative real axis" in str(batch[0])
 
     def test_depth_three_mixed_weight_cones(self):
         # the six mixed cones fold two-axis lattices, every row on one block
