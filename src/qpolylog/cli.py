@@ -616,11 +616,6 @@ def evaluate_point(config: RunConfig, point: Sequence[complex]) -> EvalResult:
     return unwrap(_evaluate(config, (point,))[0])
 
 
-def _point_inputs(config: RunConfig, point: Sequence[complex]) -> dict:
-    key = _FUNCTION_TABLE[config.fn][1]
-    return {key: [complex_dict(c) for c in point]} if key else {}
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -633,10 +628,11 @@ def _eval_records(config: RunConfig, points: Sequence, hbars: Sequence | None = 
     per-point failure, and propagates."""
     records = []
     errors = 0
+    key = _FUNCTION_TABLE[config.fn][1]  # the record's input field
     for point, result in zip(points, _evaluate(config, points, hbars)):
         if isinstance(result, UsageError):
             raise result
-        record = _point_inputs(config, point)
+        record = {key: point} if key else {}
         if isinstance(result, POINT_ERRORS):
             errors += 1
             record.update(
@@ -700,7 +696,7 @@ def _write_eval_csv(out, config: RunConfig, records: Sequence[Mapping]) -> None:
         row: list[str] = []
         if input_key:
             for comp in record[input_key]:
-                row.extend([format_float(comp["re"]), format_float(comp["im"])])
+                row.extend([format_float(comp.real), format_float(comp.imag)])
         if record["error"] is None:
             row.extend(
                 [

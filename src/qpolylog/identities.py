@@ -26,7 +26,7 @@ from .contour import (
     _zeta_row,
     depth1_closed_form,
 )
-from .core import CheckReport, DomainError, MultiIndex, ensure_finite_complex, unwrap
+from .core import CheckReport, DomainError, MultiIndex, _as_int_tuple, ensure_finite_complex, unwrap
 from .exact import bernoulli_exact, verify_a3
 from .series import (
     SeriesParams,
@@ -82,6 +82,11 @@ def _cstr(z: complex) -> str:
     if z.imag == 0.0:
         return repr(z.real)
     return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i"
+
+
+def _ints(point: Mapping[str, Any], *keys: str) -> tuple[int, ...]:
+    """The integer fields keys of a grid point; a non-integer one is a DomainError."""
+    return tuple(_as_int_tuple((point[key],), key)[0] for key in keys)
 
 
 def _index_params(idx: MultiIndex, omega: Sequence[complex], hbar: complex) -> dict:
@@ -405,8 +410,7 @@ def default_distribution_spec() -> CheckSpec:
 
 
 def _distribution_point(point: Mapping[str, Any]) -> PointReports:
-    r, s = int(point["r"]), int(point["s"])
-    n = int(point["n"])
+    r, s, n = _ints(point, "r", "s", "n")
     omega = complex(point["omega"])
     hbar = complex(point["hbar"])
     idx = MultiIndex((1,), (1,), (n,))
@@ -490,7 +494,7 @@ def _h1_point(
     omega = tuple(complex(v) for v in point["omega"])
     n = tuple(point["n"])
     if point["m"] == 1:
-        a, b = int(point["a"]), int(point["b"])
+        a, b = _ints(point, "a", "b")
         idx = MultiIndex((a,), (b,), n)
         (lhs,) = yield [_Row(idx, omega, 1.0)]
         rhs = closed_form(a + b, n[0], omega[0], series_params).value
@@ -747,7 +751,7 @@ def default_shuffle_spec() -> CheckSpec:
 def _shuffle_point(point: Mapping[str, Any], seed: int) -> PointReports:
     case = point["case"]
     if case == "exact-partial-fraction":
-        k, l = int(point["k"]), int(point["l"])
+        k, l = _ints(point, "k", "l")
         yield []
         inner = verify_a3(k, l, seed=seed)
         return [({"case": case, "k": k, "l": l}, inner.residual, inner.tolerance)]
@@ -823,11 +827,11 @@ def _asymptotic_point(point: Mapping[str, Any], params: SeriesParams) -> PointRe
     case = point["case"]
     hbars = [float(hbar) for hbar in point["hbars"]]
     if case in ("depth1", "depth1-scale"):
-        n = int(point["n"])
+        (n,) = _ints(point, "n")
         omega = complex(point["omega"])
         idx, args = MultiIndex((1 if case == "depth1" else 2,), (1,), (n,)), (omega,)
     elif case == "depth2":
-        n1, n2 = (int(v) for v in point["n"])
+        n1, n2 = _as_int_tuple(point["n"], "n")
         w1, w2 = (complex(v) for v in point["omega"])
         idx, args = MultiIndex((1, 1), (1, 1), (n1, n2)), (w1, w2)
     else:  # pragma: no cover - guarded by default grid
@@ -914,8 +918,7 @@ def _q_calculus_point(point: Mapping[str, Any], rng: random.Random) -> PointRepo
     q = complex(point["q"])
     params: dict[str, Any] = {"case": case, "q": _cstr(q)}
     if case == "difference-of-integral":
-        a = int(point["a"])
-        degree = int(point["degree"])
+        a, degree = _ints(point, "a", "degree")
         coeffs = [0j] + [
             complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(degree)
         ]
@@ -925,8 +928,7 @@ def _q_calculus_point(point: Mapping[str, Any], rng: random.Random) -> PointRepo
         residual = (lhs - rhs).max_abs()
         params.update({"a": a, "degree": degree})
     elif case == "series-integral":
-        a = int(point["a"])
-        n = int(point["n"])
+        a, n = _ints(point, "a", "n")
         x = complex(point["x"])
         degree = 40
         plain = TruncatedSeries(
@@ -938,14 +940,14 @@ def _q_calculus_point(point: Mapping[str, Any], rng: random.Random) -> PointRepo
         residual = lhs - rhs
         params.update({"a": a, "n": n, "x": _cstr(x)})
     elif case == "product-log":
-        a = int(point["a"])
+        (a,) = _ints(point, "a")
         x = complex(point["x"])
         product = pochhammer_psi(a, x, q).value
         series = q_multiple_polylog((a,), (1,), (-x,), q).value
         residual = product - cmath.exp(-series)
         params.update({"a": a, "x": _cstr(x)})
     elif case == "product-recursion":
-        a = int(point["a"])
+        (a,) = _ints(point, "a")
         x = complex(point["x"])
         lhs = (
             pochhammer_psi(a, q * x, q).value
@@ -991,8 +993,7 @@ def default_rational_hbar_spec() -> CheckSpec:
 def _rational_hbar_point(
     point: Mapping[str, Any], closed_form: Callable, series_params: SeriesParams
 ) -> PointReports:
-    r, s = int(point["r"]), int(point["s"])
-    n = int(point["n"])
+    r, s, n = _ints(point, "r", "s", "n")
     omega = complex(point["omega"])
     (lhs,) = yield [_Row(MultiIndex((1,), (1,), (n,)), (r * omega,), r / s)]
     total = 0j

@@ -22,18 +22,14 @@ contour fold over the prefix sums P_c (qpolylog.contour._fold_rows).
 Series error estimates include a round-off floor.
 
 Batches: companion_series_batch and companion_sum_I_batch sum many points
-that share the index, h and tolerance.  In their cone sums the points are
-the rows of stacked arrays that climb one ladder of truncations K, each
-from the rung its tail bound names: each fold step convolves every row with
-its own terms and multiplies all rows by one shared block of the reciprocal
-lattice, and each row reads its value and convergence test from itself and
-leaves the stack when it converges.  Bracket powers are formed once for all
-rows, and terms are carried up the ladder while they fit the cell budget.
-Rows fold in chunks that keep a chunk's stacked lattices and terms within
-that budget, and each point's result is bit for bit that of a batch of one.
-companion_sum_I_batch runs the cones outside and adds each cone's raw
-per-point results into the per-point sums, so one lattice is alive at a
-time.
+that share the index, h and tolerance.  In their cone sums each point is a
+row that folds once, at the truncation K its certified tail bound names;
+the rows of one K are stacked, each convolved with its own terms and all
+multiplied by one shared block of the reciprocal lattice.  Bracket powers
+are formed once for all rows, and each point's result is bit for bit that
+of a batch of one.  companion_sum_I_batch runs the cones outside and adds
+each cone's raw per-point results into the per-point sums, so one lattice
+is alive at a time.
 """
 
 from __future__ import annotations
@@ -82,9 +78,8 @@ __all__ = [
 
 _UNIT_CIRCLE_ATOL = 1e-12
 _UNIT_ROUNDOFF = 2.0**-53
-# Cell budget of one cone-sum lattice (80 MB of complex128), of the lattices
-# and terms of a chunk of cone-sum rows, and of the terms the rows carry from
-# one truncation to the next
+# Cell budget of one cone-sum lattice (80 MB of complex128), and of the
+# lattices and terms of a chunk of cone-sum rows
 _MAX_CELLS = 5_000_000
 
 
@@ -167,10 +162,11 @@ class EpsilonVector:
         return tuple(1.0 + 0j if s == "1" else 1.0 / h for s in self.slots)
 
     def q_values(self) -> tuple[complex, ...]:
-        """Per-slot nome: exp(i pi h) on "1" slots, exp(i pi / h) on "1/h" slots."""
+        """Per-slot nome exp(i pi t), t = h on "1" slots and 1/h on "1/h" slots,
+        Re t first reduced exactly into [-1, 1], where pi t rounds least."""
         h = complex(self.hbar)
-        q_plain = cmath.exp(1j * math.pi * h)
-        q_dual = cmath.exp(1j * math.pi / h)
+        q_plain, q_dual = (cmath.exp(1j * math.pi * complex(math.remainder(t.real, 2.0), t.imag))
+                           for t in (h, 1.0 / h))
         return tuple(q_plain if s == "1" else q_dual for s in self.slots)
 
     @classmethod
@@ -343,8 +339,8 @@ def classical_polylog(n: int, z: complex, params: SeriesParams | None = None) ->
 
 
 def _tail_bound(m: int, K: int, r: float) -> float:
-    """The tail bound m K^(m-1) r^(K+1) / (1 - r) of a depth-m sum cut at
-    k_j <= K, r its decay rate (multiple_polylog, _cone_sum)."""
+    """The tail bound m K^(m-1) r^(K+1) / (1 - r) of a depth-m simplex sum
+    cut at k_j <= K, r its decay rate."""
     return m * (K ** max(m - 1, 0)) * r ** (K + 1) / (1 - r)
 
 
@@ -454,6 +450,63 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray, sizes: Sequence[int], axis: int) 
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _convergent_bound(t: float, a: int, edges: tuple) -> tuple:
+    """Bounds of 1/|2 sin(pi k t)|^a on the blocks edges[i] < k <= edges[i+1]:
+    with q_n the continued-fraction denominators of x = ||t|| (the double t
+    taken exactly), |sin(pi y)| >= 2 ||y|| and ||k x|| > 1 / (q_n + q_(n+1))
+    for q_n <= k < q_(n+1) (best approximation), which grows with n; a block
+    takes the bound of its last k, inf from the denominator of x on."""
+    t = abs(t) % 1.0
+    num, den = min(t, 1.0 - t).as_integer_ratio()  # 1 - t is exact for t >= 1/2
+    dens = [0, 1]  # q_(-1), q_0, q_1, ...
+    while num:
+        step = den // num
+        den, num = num, den - step * num
+        dens.append(step * dens[-1] + dens[-2])
+    dens.append(math.inf)
+    bounds = []
+    for hi in edges[1:]:
+        n = bisect.bisect_right(dens, hi) - 1  # q_n <= hi < q_(n+1)
+        bound = (dens[n] + dens[n + 1]) / 4
+        bounds.append(bound**a if a * math.log(bound) < 709 else math.inf)
+    return tuple(bounds)
+
+
+def _bracket_bound(q: complex, a: int, br: np.ndarray | None, edges: tuple) -> tuple:
+    """(rate, bounds) with |1/[k]_q^a| <= rate^k bounds[i] on the block
+    edges[i-1] < k <= edges[i] (edges[-1] read as 0), br = 1/[k]_q^a for k
+    up to an edge.  Off the unit circle |[k]_q| >= rho^(-k) (1 - rho^2), rho
+    the one of |q|, 1/|q| below 1.  On it a block of k <= len(br) takes its
+    largest |br|, and _convergent_bound bounds 1/|[k]_q| past it."""
+    if a == 0 or abs(abs(q) - 1.0) >= _UNIT_CIRCLE_ATOL:  # a = 0 reads rate 1, bounds 1
+        rho = min(abs(q), 1.0 / abs(q))
+        return rho**a, [(1.0 - rho * rho) ** -a] * len(edges)
+    i = bisect.bisect_left(edges, len(br))  # edges[i] = len(br)
+    far = _convergent_bound(cmath.phase(q) / math.pi, a, edges[i:])
+    return 1.0, np.maximum.reduceat(np.abs(br), [0, *edges[:i]]).tolist() + list(far)
+
+
+def _tail_masses(r: float, p: int, edges: tuple, bounds: list) -> list[float]:
+    """For every i a bound of sum_{k > edges[i-1]} B(k) k^p r^k (k >= 1 for
+    i = 0), 0 <= r < 1, B = bounds[i] on edges[i-1] < k <= edges[i], from the
+    exact G(x) = sum_{k >= x} k^p r^k = r^x sum_i C(p, i) x^(p-i) Li_(-i)(r),
+    Li_0 read as 1/(1 - r); blocks where G underflows to 0 add 0."""
+    L = [1.0 / (1.0 - r)] + [_negative_polylog_exact(-i, r).real for i in range(1, p + 1)]
+    g, s = [], 1
+    for K in edges:
+        v = r**s * (sum(math.comb(p, i) * s ** (p - i) * L[i] for i in range(p + 1)) if p else L[0])
+        if not v:
+            break
+        g.append(v)
+        s = K + 1
+    g.append(0.0)
+    suffix = [0.0] * (len(edges) + 1)
+    for i in range(len(g) - 2, -1, -1):
+        suffix[i] = suffix[i + 1] + bounds[i] * (g[i] - g[i + 1])
+    return suffix
+
+
 def _cone_sum(
     a: tuple[int, ...],
     n: tuple[int, ...],
@@ -469,86 +522,100 @@ def _cone_sum(
     An entry of zs that is already an exception passes through.  Per-axis
     convergence needs |z_j| * |q_j|^(a_j 1_{|q_j|<1}) < 1.
 
-    Truncated to the cube k_j <= K, the sum is folded slot by slot on a
-    lattice with one array axis per distinct weight, whose cell i collects
-    the partial paths with K_c = sum_d w_d i_d: an FFT convolution with f_c
-    along the slot's axis, then a multiply by the block of the reciprocal
-    lattice 1/K_c.  K climbs the ladder 64 * 2^j, capped at k_max, until two
-    values agree to tol, within k_max and _MAX_CELLS, from the lowest rung
-    below the cap whose tail bound m K^(m-1) r^(K+1) / (1 - r) is at most
-    tol/100.  The estimate adds to that delta and tail a round-off floor
-    u S (1 + 2m + kappa): S = prod_j sum|f_j| * prod_c (sum_{j<=c} Re w_j)^(-n_c)
-    bounds sum|terms| as |K_c| >= Re K_c; 2m counts a rounding per exp and
-    per multiply; and kappa = sum_j (|log z_j| + a_j |log q_j| c_k) * k
-    averaged under |f_j| covers exp(k log z_j) and the bracket powers, whose
-    relative error grows like u k |log|, times c_k = 1 + 2/|[k]_q| on the
-    unit circle, where [k]_q = q^k - q^(-k) cancels (c_k = 1 elsewhere).
+    Each row folds once, on the cube k_j <= K of the lowest rung
+    K = 64 * 2^j, capped at k_max, whose certified tail is at most tol/100:
+    with |f_j[k]| <= r_j^k B_j(k) (_bracket_bound), S_j >= sum_k |f_j[k]| k^(p_j)
+    and T_j(K) >= its part past K (_tail_masses), the sum outside the cube
+    is at most scale * sum_c T_c(K) prod_{j != c} S_j, where
+    scale = prod_c (sum_{j<=c} Re w_j)^(-n_c) as |K_c| >= Re K_c, and a
+    negative n_c takes |K_c| <= (sum_{j<=c} |w_j|) prod_{j<=c} k_j, which p_j
+    counts.  The estimate adds a round-off floor u S (1 + 2m + kappa):
+    S = scale K^(p_1) prod_j sum|f_j| bounds sum|terms|, 2m counts a rounding
+    per exp and multiply, and kappa = sum_j (|log z_j| + a_j |log q_j| c_k) k
+    averaged under |f_j| covers the relative error u k |log| of exp(k log z_j)
+    and the bracket powers, c_k = 1 + 2/|[k]_q| on the unit circle, where
+    [k]_q = q^k - q^(-k) cancels (c_k = 1 elsewhere).
 
-    The arguments are rows of one stack that climbs the ladder, each from
-    its own first rung.  At each K the terms of slot j form one (rows, K+1)
-    array; a fold step is one FFT convolution of every row with its own f_j
-    along the slot's axis and one broadcast multiply by the shared block,
-    and the rows' sums and floors are reductions along each row.  A row
-    leaves the stack when it converges.  The bracket powers are formed once
-    per k, for every k <= max(256, K) from the first K on, so a q-bracket
-    that nearly vanishes there is refused whatever rung a row starts on.
-    The terms are carried up the ladder while those of all rows fit in
-    _MAX_CELLS cells.  A K where rows make their first fold cuts its blocks
-    from the next K's reciprocal lattice.  Rows are folded in chunks whose
-    stacked lattices and terms stay within _MAX_CELLS cells.  Every
-    operation acts on a row as it acts on that row alone, so a result is bit
-    for bit the result it has alone.
+    The fold runs slot by slot on a lattice with one axis per distinct
+    weight, whose cell i collects the partial paths with K_c = sum_d w_d i_d:
+    an FFT convolution with f_c along the slot's axis, then a multiply by the
+    block of the reciprocal lattice 1/K_c.  The rows of one K are the rows of
+    one stack, folded in chunks within _MAX_CELLS cells; every operation acts
+    on a row as on that row alone, so a result is bit for bit its result
+    alone.  Bracket powers are formed once for every k <= max(256, K), so a
+    q-bracket that nearly vanishes there is refused whatever K a row folds at.
     """
     m = len(n)
-
-    def first_rung(r: float) -> int:
-        K = min(64, params.k_max)
-        while 2 * K < params.k_max and _tail_bound(m, K, r) > params.tol / 100:
-            K *= 2
-        return K
-
     out: list = [None] * len(zs)
+    damp = [abs(qj) ** aj if aj > 0 and abs(qj) < 1 - _UNIT_CIRCLE_ATOL else 1.0
+            for qj, aj in zip(q_list, a)]
     live = []
     for k, z in enumerate(zs):
         if isinstance(z, Exception):
             out[k] = z
-            continue
-        ratios = []
-        for j in range(m):
-            rj = abs(z[j])
-            if a[j] > 0 and abs(q_list[j]) < 1 - _UNIT_CIRCLE_ATOL:
-                rj *= abs(q_list[j]) ** a[j]
-            ratios.append(rj)
-        if any(r >= 1 for r in ratios):
+        elif any(abs(zj) * d >= 1 for zj, d in zip(z, damp)):
             out[k] = DomainError("cone sum does not converge: per-axis ratio >= 1")
         elif any(abs(v) == 0 for v in z):
             out[k] = (0j, 0.0, {"terms": 0})
         else:
-            live.append((first_rung(r := max(ratios)), k, r, [cmath.log(zj) for zj in z]))
+            live.append(k)
+    if not live:
+        return out
+
+    rungs = [min(64, params.k_max)]
+    while rungs[-1] < params.k_max:
+        rungs.append(min(2 * rungs[-1], params.k_max))
+    # the certificate's blocks end at the rungs, then 16 times apart to where r^k underflows
+    edges = tuple(rungs + [rungs[-1] << 4 * j for j in range(1, 17)])
+    # k = 1..reach, and per slot the bracket powers of k (None for a_j = 0)
+    ks = np.arange(1.0, min(256, params.k_max) + 1)
+    try:
+        brs = [_inv_bracket_pow(ks, qj, aj) for qj, aj in zip(q_list, a)]
+        slot_bounds = [_bracket_bound(qj, aj, br, edges) for qj, aj, br in zip(q_list, a, brs)]
+        scale, re_prefix, abs_prefix = 1.0, 0.0, 0.0
+        for wt, nc in zip(weights, n):
+            re_prefix += wt.real
+            abs_prefix += abs(wt)
+            scale *= re_prefix**-nc if nc >= 0 else abs_prefix**-nc
+    except POINT_ERRORS as exc:
+        return [exc if out[k] is None else out[k] for k in range(len(zs))]
+    powers = [sum(-nc for nc in n[j:] if nc < 0) for j in range(m)]
+
+    def certify(z: tuple) -> tuple[int, float]:
+        """(K, tail): the lowest rung whose certified tail is at most tol/100."""
+        masses = [_tail_masses(abs(zj) * rate, p, edges, bounds)
+                  for zj, (rate, bounds), p in zip(z, slot_bounds, powers)]
+        others = [math.prod(o[0] for i, o in enumerate(masses) if i != c) for c in range(m)]
+        for j, K in enumerate(rungs, 1):  # rung K's tail starts at block j
+            tail = scale * sum(ms[j] * prod for ms, prod in zip(masses, others))
+            if tail <= params.tol / 100:
+                return K, tail
+        raise ConvergenceError(f"cone sum: not converged within {K} terms per axis "
+                               f"(certified tail {tail:.3e})")
+
+    groups: dict[int, list] = {}  # per K, the (tail, index) of its rows
+    for k in live:
+        try:
+            K, tail = certify(zs[k])
+            groups.setdefault(K, []).append((tail, k))
+        except POINT_ERRORS as exc:
+            out[k] = exc
 
     lattice_w = [complex(wt) for wt in dict.fromkeys(weights)]
     axis_of = [lattice_w.index(complex(wt)) for wt in weights]
     slots_on = [axis_of.count(d) for d in range(len(lattice_w))]
-
-    unit = (1,) * len(lattice_w)
     row_axes = [d + 1 for d in axis_of]  # slot axes of an array with a row axis first
 
-    def cells(K: int) -> int:
-        return math.prod(c * K + 1 for c in slots_on)
-
-    def reciprocal_lattice(K: int) -> np.ndarray:
+    def lattice_blocks(K: int) -> list:
+        """Per slot, the block of 1/K_c^(n_c) on the lattice of K its fold
+        multiplies by (None for n_c = 0), cut to the slot's partial shape.
+        A new axis as the last slot gets the whole lattice, which fold
+        contracts it against (ones for n_c = 0)."""
         lat = functools.reduce(
             np.add.outer, [wt * np.arange(c * K + 1) for wt, c in zip(lattice_w, slots_on)]
         )
         lat[(0,) * lat.ndim] = 1.0  # the only zero of K_c; every path has k_j >= 1
-        return np.reciprocal(lat, out=lat)
-
-    def lattice_blocks(recip: np.ndarray, K: int) -> list:
-        """Per slot, the block of 1/K_c^(n_c) its fold multiplies by (None for
-        n_c = 0), cut to the slot's partial shape from a reciprocal lattice of
-        K or more terms: its cells i_d <= c_d K are those of K, bit for bit.
-        A new axis as the last slot gets the whole lattice of K, which fold
-        contracts it against (ones for n_c = 0)."""
+        recip = np.reciprocal(lat, out=lat)
         shape = [1] * recip.ndim
         blocks = []
         for c in range(m):
@@ -559,20 +626,7 @@ def _cone_sum(
             blocks.append(None if skip else block if n[c] == 1 else block ** n[c])
         return blocks
 
-    def grow(f: np.ndarray, lg: np.ndarray, br, K: int) -> np.ndarray:
-        """The terms f[p, k] = exp(k log z_j) / [k]^(a_j) of each row for
-        k = 0..K, grown from the prefix f of k = 0..d: lg the rows' log z_j as
-        a column, br the bracket powers (None for a_j = 0)."""
-        d = f.shape[1] - 1
-        grown = np.empty((len(f), K + 1), dtype=np.complex128)
-        grown[:, :d + 1] = f
-        new = np.multiply(ks[d:K], lg, out=grown[:, d + 1:])
-        np.exp(new, out=new)
-        if br is not None:  # a_j = 0: ones could change only the sign of a zero
-            new *= br[d:K]
-        return grown
-
-    def fold(fs: list[np.ndarray], blocks: list) -> list[complex]:
+    def fold(fs: list[np.ndarray], blocks: list, ones: np.ndarray) -> list[complex]:
         """The sum over the cube of each row, given fs[j][p, k] = f_j[k] of
         row p for k = 0..K, f_j[0] = 0."""
         rows = range(len(fs[0]))
@@ -586,16 +640,11 @@ def _cone_sum(
                 acc *= blocks[c]
         return acc.reshape(len(acc), -1).sum(axis=1).tolist()
 
-    def roundoff_floor(fs: list[np.ndarray], rows: slice) -> list[float]:
+    def roundoff_floor(fs: list[np.ndarray], lgs: np.ndarray) -> list[float]:
         """u S (1 + 2m + kappa) of each row, in O(mK) a row."""
         K = fs[0].shape[1] - 1
-        scale, bound, growth, re_prefix, abs_prefix = _UNIT_ROUNDOFF, 1.0, 1.0 + 2 * m, 0.0, 0.0
-        slots = zip(fs, np.abs(lgs[:, rows, 0]), brs, q_list, a, weights, n)
-        for f, rate_z, br, qj, aj, wt, nc in slots:
-            re_prefix += wt.real
-            abs_prefix += abs(wt)
-            # 1/|K_c| <= 1/Re K_c; a negative n_c needs |K_c| <= K sum |w_j| instead
-            scale *= re_prefix**-nc if nc >= 0 else (abs_prefix * K) ** -nc
+        bound, growth = _UNIT_ROUNDOFF * scale * K ** powers[0], 1.0 + 2 * m
+        for f, rate_z, br, qj, aj in zip(fs, np.abs(lgs[:, :, 0]), brs, q_list, a):
             mass = np.abs(f[:, 1:])
             total = mass.sum(axis=1)
             bound = bound * total
@@ -608,32 +657,11 @@ def _cone_sum(
             else:
                 spread = (rate_z + rate_q) * mass.sum(axis=1)
             growth = growth + spread / np.where(total > 0, total, 1.0)  # 0 / 0 for no terms
-        return (scale * bound * growth).tolist()
+        return (bound * growth).tolist()
 
-    # in the order the rows join the ascent, each with its first rung
-    live.sort(key=lambda row: row[0])
-    starts = [start for start, _, _, _ in live]
-    # per slot, the rows' log z_j as a column, and their terms of k = 0..d
-    # while all rows' terms fit the cell budget (d = 0 past it)
-    lgs = np.array([logs for _, _, _, logs in live], dtype=np.complex128)
-    lgs = lgs.reshape(-1, m).T[:, :, None]
-    f0 = np.zeros((len(live), 1), dtype=np.complex128)  # f_j[0] of every row
-    carried = [f0] * m
-    ones = np.ones((len(live),) + unit, dtype=np.complex128)
-    prev = [None] * len(live)  # each live row's value at the previous K
-    # k = 1..reach, and per slot the bracket powers of k (None for a_j = 0)
-    ks = np.zeros(0)
-    brs = [None if aj == 0 else np.zeros(0, dtype=np.complex128) for aj in a]
-    K, lattice_K = (starts[0] if live else 0), 0
-    while live:
-        joined = bisect.bisect_right(starts, K)  # live[:joined] fold at K
-        settled = bisect.bisect_left(starts, K)  # live[:settled] have folded before
-        carry = len(live) * m * (K + 1) <= _MAX_CELLS
-        if not carry:
-            carried = [f0] * m
-        keep = []
+    for K, group in sorted(groups.items()):
         try:
-            size = cells(K)
+            size = math.prod(c * K + 1 for c in slots_on)
             if size > _MAX_CELLS:
                 raise ConvergenceError(f"cone sum: a {K}-term lattice exceeds {_MAX_CELLS} cells")
             reach = min(max(256, K), params.k_max)
@@ -643,50 +671,24 @@ def _cone_sum(
                 ks = np.concatenate((ks, new))
                 brs = [br if g is None else np.concatenate((br, g)) for br, g in zip(brs, grown)]
         except POINT_ERRORS as exc:
-            for _, k, _, _ in live[:joined]:
+            for _, k in group:
                 out[k] = exc
-        else:
-            if lattice_K < K:
-                # rows on their first fold will need the next truncation's lattice
-                ahead = min(2 * K, params.k_max)
-                lattice_K = ahead if settled < joined and cells(ahead) <= _MAX_CELLS else K
-                recip = reciprocal_lattice(lattice_K)
-            blocks = lattice_blocks(recip, K)
-            if carry:  # the rows still to join grow theirs too, to use at their rung
-                carried = [grow(f, lg, br, K) for f, lg, br in zip(carried, lgs, brs)]
-            chunk = max(1, _MAX_CELLS // (size + m * (K + 1)))
-            for s in range(0, joined, chunk):
-                rows = slice(s, min(s + chunk, joined))
-                if carry:
-                    fs = [f[rows] for f in carried]
-                else:
-                    fs = [grow(f0[rows], lg[rows], br, K) for lg, br in zip(lgs, brs)]
-                # only a row that folded before can converge and read its floor
-                floors = roundoff_floor(fs, rows) if s < settled else None
-                for p, value in enumerate(fold(fs, blocks), s):
-                    _, k, r, _ = live[p]
-                    t = _tail_bound(m, K, r)
-                    if prev[p] is not None:
-                        delta = abs(value - prev[p])
-                        if delta + t <= params.tol:
-                            out[k] = (value, delta + t + floors[p - s], {"terms": K, "tail": t})
-                            continue
-                    prev[p] = value
-                    keep.append(p)
-                del fs  # before the next chunk forms its terms
-        if K >= params.k_max:  # every live row has joined
-            exc = ConvergenceError(f"cone sum: not converged within {K} terms per axis")
-            for p in keep:
-                out[live[p][1]] = exc
-            break
-        climbing = bool(keep)
-        keep += range(joined, len(live))
-        if not keep:
-            break
-        if len(keep) < len(live):
-            live, prev, starts = ([seq[p] for p in keep] for seq in (live, prev, starts))
-            lgs, f0, carried = lgs[:, keep], f0[keep], [f[keep] for f in carried]
-        K = min(2 * K, params.k_max) if climbing else starts[0]
+            continue
+        blocks = lattice_blocks(K)  # and per slot, the rows' log z_j as a column
+        lgs = np.array([[cmath.log(zj) for zj in zs[k]] for _, k in group]).T[:, :, None]
+        chunk = max(1, _MAX_CELLS // (size + m * (K + 1)))
+        ones = np.ones((min(chunk, len(group)),) + (1,) * len(lattice_w), dtype=np.complex128)
+        for s in range(0, len(group), chunk):
+            fs = []  # per slot, f[p, k] = exp(k log z_j) / [k]^(a_j) of row p, f[p, 0] = 0
+            for lg, br in zip(lgs[:, s:s + chunk], brs):
+                fs.append(f := np.zeros((len(lg), K + 1), dtype=np.complex128))
+                np.exp(np.multiply(ks[:K], lg, out=f[:, 1:]), out=f[:, 1:])
+                if br is not None:  # a_j = 0: ones could change only the sign of a zero
+                    f[:, 1:] *= br[:K]
+            values, floors = fold(fs, blocks, ones), roundoff_floor(fs, lgs[:, s:s + chunk])
+            for (tail, k), value, floor in zip(group[s:s + chunk], values, floors):
+                out[k] = (value, tail + floor, {"terms": K, "tail": tail})
+            del fs  # before the next chunk forms its terms
     return out
 
 

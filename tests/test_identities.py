@@ -264,6 +264,29 @@ class TestRunner:
         with pytest.raises(DomainError, match=rf"^non-finite {name}: "):
             identities.check_shuffle(spec)
 
+    @pytest.mark.parametrize(
+        "name,point",
+        [
+            ("distribution", {"r": 2.5, "s": 1, "n": 1, "omega": -2.0, "hbar": 1.2}),
+            ("distribution", {"r": 2, "s": 1, "n": 1.5, "omega": -2.0, "hbar": 1.2}),
+            ("h1", {**H1_GOOD, "b": 1.5}),
+            ("shuffle", {"case": "exact-partial-fraction", "k": 1, "l": 2.5}),
+            ("asymptotic", {"case": "depth1", "n": 1.5, "omega": -1.0, "hbars": (0.2, 0.1)}),
+            ("asymptotic", {"case": "depth2", "n": (1, 1.5), "omega": (-1.0, -0.5),
+                            "hbars": (0.2, 0.1)}),
+            ("q_calculus", {"case": "difference-of-integral", "q": 0.3, "a": 1, "degree": 12.5}),
+            ("q_calculus", {"case": "series-integral", "q": 0.3, "a": 2, "n": 1.5, "x": 0.2}),
+            ("q_calculus", {"case": "product-log", "a": 2.5, "x": 0.3, "q": 0.35}),
+            ("q_calculus", {"case": "product-recursion", "q": 0.4, "a": 1.5, "x": 0.25}),
+            ("rational_hbar", {"r": 3, "s": 2.5, "n": 1, "omega": -2.0}),
+        ],
+    )
+    def test_non_integer_grid_field_is_refused(self, name, point):
+        # an integer field is read as an integer, never truncated to one
+        check = getattr(identities, f"check_{name}")
+        with pytest.raises(DomainError, match="entries must be integers"):
+            check(CheckSpec(name, (point,)))
+
     @pytest.mark.parametrize("relation", ["zeta-anchor", "zeta-modular"])
     def test_zeta_relations_refuse_complex_hbar(self, relation):
         # the zeta rows are evaluated at the point's hbar, not at its real part

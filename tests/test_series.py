@@ -9,10 +9,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpolylog import ConvergenceError, DomainError, series
+from qpolylog import ConvergenceError, DomainError, QpolylogError, series
 from qpolylog.contour import quad_I
 from qpolylog.core import MultiIndex
 from qpolylog.series import (
@@ -505,10 +505,10 @@ class TestCompanionSeries:
         assert res.value == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
     def test_lattice_cell_budget(self, monkeypatch):
-        # the point starts at K = 64 and converges at 128.  One weight keeps
-        # the lattice a line of 2K+1 cells; two weights make it a
-        # (K+1) x (K+1) plane, which the budget refuses past K = 64
-        monkeypatch.setattr(series, "_MAX_CELLS", 1 << 13)
+        # the point folds once, at K = 64.  One weight keeps the lattice a
+        # line of 2K+1 = 129 cells; two weights make it a (K+1) x (K+1)
+        # plane of 4225 cells, which the budget refuses
+        monkeypatch.setattr(series, "_MAX_CELLS", 1 << 12)
         hbar = math.sqrt(2.0)
         args = ((1, 1), (1, 1), (-1.0, -1.0))
         companion_series(*args, EpsilonVector(("1", "1"), hbar))
@@ -551,14 +551,14 @@ class TestCompanionSumI:
 
     @pytest.mark.parametrize("hbar,refused", [(1.005, True), (1.51, True), (1.501, False)])
     def test_guard_checks_every_k_to_256(self, hbar, refused):
-        # the point starts at K = 64 and stops at 128, yet the bracket guard
+        # each cone folds the point once, at K = 64, yet the bracket guard
         # sees every k <= 256: [200]_q vanishes at h = 201/200 and [100]_q at
         # h = 151/100, while no |[k]_q| with k <= 256 is below 1e-6 at 1.501
         if refused:
             with pytest.raises(DomainError, match="nearly vanishes"):
                 companion_sum_I((2,), (-1.0,), hbar)
         else:
-            assert companion_sum_I((2,), (-1.0,), hbar).diagnostics["terms"] == 2 * 128
+            assert companion_sum_I((2,), (-1.0,), hbar).diagnostics["terms"] == 2 * 64
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
@@ -569,9 +569,9 @@ class TestCompanionSumI:
         n=st.lists(st.integers(0, 2), min_size=4, max_size=4),
     )
     def test_ladder_start_agrees_with_tighter_sums_and_quadrature(self, m, hbar, parts, n):
-        # each row starts on the rung its tail bound names; the value agrees
-        # within the summed estimates with the same sum to tol 1e-15, which
-        # starts higher, and at depth 1-3 with the contour quadrature
+        # each row folds once, on the rung its certificate names; the value
+        # agrees within the summed estimates with the same sum to tol 1e-15,
+        # which folds higher, and at depth 1-3 with the contour quadrature
         n, w = tuple(n[:m]), tuple(complex(re, im) for re, im in parts[:m])
         res = companion_sum_I(n, w, hbar)
         tight = companion_sum_I(n, w, hbar, SeriesParams(tol=1e-15))
@@ -579,6 +579,57 @@ class TestCompanionSumI:
         if m <= 3:
             quad = quad_I(MultiIndex((1,) * m, (1,) * m, n), w, hbar)
             assert abs(res.value - quad.value) <= res.err_estimate + quad.err_estimate
+
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(1, 2),
+        hbar=st.sampled_from([(1 + math.sqrt(5)) / 2, math.sqrt(2.0), 0.7 + 0.2j, 1.501,
+                              1.50001, 1.5000003, 2 / 3 + 1e-5]),
+        parts=st.lists(
+            st.tuples(st.floats(-2.0, -0.2), st.floats(-1.0, 1.0)), min_size=2, max_size=2),
+        n=st.lists(st.integers(0, 2), min_size=2, max_size=2),
+    )
+    @example(m=1, hbar=1.501, parts=[(-1.0, 0.0)] * 2, n=[0, 0])
+    @example(m=1, hbar=1.501, parts=[(-0.2, 0.0)] * 2, n=[1, 0])
+    @example(m=1, hbar=1.50001, parts=[(-1.0, 0.0)] * 2, n=[0, 0])
+    @example(m=1, hbar=1.50001, parts=[(-0.2, 0.0)] * 2, n=[2, 0])
+    @example(m=1, hbar=1.5000003, parts=[(-1.0, 0.0)] * 2, n=[0, 0])
+    @example(m=1, hbar=1.5000003, parts=[(-0.2, 0.0)] * 2, n=[1, 0])
+    def test_agrees_with_quadrature_or_refuses(self, m, hbar, parts, n):
+        # near rational hbar the certificate reads small brackets: the sum
+        # and the contour quadrature agree within their summed estimates,
+        # unless one of them refuses the point
+        n, w = tuple(n[:m]), tuple(complex(re, im) for re, im in parts[:m])
+        try:
+            comp = companion_sum_I(n, w, hbar)
+            quad = quad_I(MultiIndex((1,) * m, (1,) * m, n), w, hbar)
+        except QpolylogError:
+            return
+        assert abs(comp.value - quad.value) <= comp.err_estimate + quad.err_estimate
+
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(1, 4),
+        mask=st.integers(0, 15),
+        hbar=st.sampled_from([(1 + math.sqrt(5)) / 2, 1.3 + 0.4j, 1.501]),
+        parts=st.lists(
+            st.tuples(st.floats(-1.2, -0.15), st.floats(-0.5, 0.5)), min_size=4, max_size=4),
+        n=st.lists(st.integers(-1, 2), min_size=4, max_size=4),
+    )
+    def test_tail_bounds_the_truncation(self, m, mask, hbar, parts, n):
+        # at tol 1e-3 a cone sum folds at a rung whose certified tail is up
+        # to 1e-5: what its value differs by from the sum to tol 1e-15,
+        # beyond the round-off floors of both, is within that tail
+        eps = EpsilonVector.all_vectors(m, hbar)[mask % 2**m]
+        a, n, w = (1,) * m, tuple(n[:m]), tuple(complex(re, im) for re, im in parts[:m])
+        try:
+            res = companion_series(a, n, w, eps, SeriesParams(tol=1e-3))
+            tight = companion_series(a, n, w, eps, SeriesParams(tol=1e-15))
+        except QpolylogError:
+            return
+        tail = abs(math.prod(eps.weights())) * res.diagnostics["tail"]  # of the cone sum
+        floors = res.err_estimate - tail + tight.err_estimate
+        assert abs(res.value - tight.value) - floors <= tail
 
 
 def one_by_one(call, points):
@@ -676,70 +727,68 @@ class TestCompanionBatch:
         return stacks
 
     def test_rows_fold_in_chunks(self, monkeypatch):
-        # two weights: a (K + 1) x (K + 1) lattice and 2 (K + 1) terms a
-        # row, so a budget of 70000 cells folds 4 rows at a time at K = 128,
-        # and 1 at K = 256
+        # every row folds once, at K = 128.  Two weights: a (K + 1) x (K + 1)
+        # lattice and 2 (K + 1) terms a row, so a budget of 70000 cells
+        # folds 4 rows at a time
         monkeypatch.setattr(series, "_MAX_CELLS", 70000)
         stacks = self.spy_on_folds(monkeypatch)
         eps = EpsilonVector(("1", "1/h"), self.PHI)
         ws = [(-1.0 - 0.1 * k, -0.8 + 0.1j * k) for k in range(8)]
         batch = companion_series_batch((1, 1), (1, 1), ws, eps)
-        assert [b.shape for b in stacks] == [(4, 129)] * 2 + [(1, 257)] * 8
+        assert [b.shape for b in stacks] == [(4, 129)] * 2
         assert_identical(
             batch, one_by_one(lambda w: companion_series((1, 1), (1, 1), w, eps), ws)
         )
 
     def test_terms_past_the_budget_are_formed_per_chunk(self, monkeypatch):
-        # the rows start at K = 64 and converge at 128.  8 rows would carry
-        # 2 (K + 1) terms each, 1040 cells at K = 64, more than a budget of
-        # 1036 cells: each chunk forms its own terms, where one row alone
-        # carries its terms from K = 64.  A chunk's 2K + 1 lattice cells and
-        # 2 (K + 1) terms a row fit 4 rows at K = 64, and 2 at K = 128
+        # the rows fold once, at K = 64.  A chunk's 2K + 1 lattice cells and
+        # 2 (K + 1) terms a row fit 4 rows in a budget of 1036 cells, and
+        # each chunk forms its own terms, none a view of a larger stack
         monkeypatch.setattr(series, "_MAX_CELLS", 1036)
         stacks = self.spy_on_folds(monkeypatch)
         eps = EpsilonVector(("1", "1"), self.PHI)
         ws = [(-1.0 - 0.1 * k, -0.8 + 0.1j * k) for k in range(8)]
         batch = companion_series_batch((1, 1), (1, 1), ws, eps)
-        assert {b.shape for b in stacks} == {(4, 65), (2, 129)}
+        assert [b.shape for b in stacks] == [(4, 65)] * 4
         assert all(b.base is None for b in stacks)
         assert_identical(
             batch, one_by_one(lambda w: companion_series((1, 1), (1, 1), w, eps), ws)
         )
 
     def test_rows_share_one_ascent(self, monkeypatch):
-        # rows that never converge within k_max start on the rung below it,
-        # K = 256, and climb K together: the bracket powers of each k are
-        # computed once for all of them
+        # rows whose certified tail stays above tol/100 on every rung up to
+        # k_max fail without a fold: the bracket powers of k <= 256, which
+        # their certificates read, are computed once for all of them
         seen = self.spy_on_brackets(monkeypatch)
         eps = EpsilonVector(("1",), self.PHI)
         ws = [(-0.04 - 0.002 * k + 0.01j * k,) for k in range(8)]
         params = SeriesParams(k_max=512)
         batch = companion_series_batch((1,), (1,), ws, eps, params)
         assert all(isinstance(r, ConvergenceError) for r in batch)
-        assert seen == [256, 256]
+        assert seen == [256]
         assert_identical(
             batch, one_by_one(lambda w: companion_series((1,), (1,), w, eps, params), ws)
         )
 
     def test_rows_join_at_their_own_rungs(self, monkeypatch):
-        # rows that start on different rungs climb one ascent, each from its
-        # own rung, and read the value, estimate and terms they read alone;
-        # the mixed-weight cones fold (K + 1) x (K + 1) lattices
+        # rows that fold on different rungs read the value, estimate and
+        # terms they read alone; the mixed-weight cones fold (K + 1) x (K + 1)
+        # lattices
         ws = [(-0.6, -0.4 + 0.2j), (-2.5, -1.5), (-1.0, -0.7)]
         batch = companion_sum_I_batch((1, 2), ws, self.PHI)
-        assert [r.diagnostics["terms"] for r in batch] == [1536, 512, 768]
+        assert [r.diagnostics["terms"] for r in batch] == [768, 256, 384]
         assert_identical(batch, one_by_one(lambda w: companion_sum_I((1, 2), w, self.PHI), ws))
-        # rows that start at K = 64, 128 and 256: a chunk's 2K + 1 lattice
-        # cells and 2 (K + 1) terms a row fit 3 rows at K = 64, 2 at K = 128
-        # and 1 past it
+        # rows that fold at K = 256, 64, 128, 64 and 64: a chunk's 2K + 1
+        # lattice cells and 2 (K + 1) terms a row fit 4 rows at K = 64, 2 at
+        # K = 128 and 1 past it
         budget = 1100
         monkeypatch.setattr(series, "_MAX_CELLS", budget)
         stacks = self.spy_on_folds(monkeypatch)
         eps = EpsilonVector(("1", "1"), self.PHI)
         ws = [(-0.2, -0.3), (-3.0, -2.0), (-0.5, -0.5), (-1.0, -0.8 + 0.3j), (-2.0, -0.9 - 0.5j)]
         batch = companion_series_batch((1, 1), (1, 1), ws, eps)
-        assert [r.diagnostics["terms"] for r in batch] == [512, 128, 256, 128, 128]
-        assert {b.shape for b in stacks} == {(3, 65), (2, 129), (1, 257), (1, 513)}
+        assert [r.diagnostics["terms"] for r in batch] == [256, 64, 128, 64, 64]
+        assert {b.shape for b in stacks} == {(3, 65), (1, 129), (1, 257)}
         assert all(len(b) == 1 or len(b) * (4 * b.shape[1] - 1) <= budget for b in stacks)
         assert_identical(
             batch, one_by_one(lambda w: companion_series((1, 1), (1, 1), w, eps), ws)
@@ -747,23 +796,29 @@ class TestCompanionBatch:
 
     @pytest.mark.parametrize("k_max", [64, 200])
     def test_short_ascents(self, k_max):
-        # k_max = 200 truncates at K = 128, then 200; k_max = 64 once, at 64
+        # k_max = 200 caps the rungs at 64, 128, 200; k_max = 64 at 64 alone.
+        # (-0.4,) folds one cone at 128 and the other at the cap, 200
         params = SeriesParams(k_max=k_max)
-        ws = [(-3.0,), (-1.0 + 0.5j,), (-0.05,)]
+        ws = [(-3.0,), (-1.0 + 0.5j,), (-0.05,), (-0.4,)]
         batch = companion_sum_I_batch((1,), ws, self.PHI, params)
+        assert [r.diagnostics["terms"] for r in batch[:2]] == [128, 128]
         assert isinstance(batch[2], ConvergenceError)
-        assert isinstance(batch[0], ConvergenceError) == (k_max == 64)
+        if k_max == 64:
+            assert isinstance(batch[3], ConvergenceError)
+        else:
+            assert batch[3].diagnostics["terms"] == 128 + 200
         loop = one_by_one(lambda w: companion_sum_I((1,), w, self.PHI, params), ws)
         assert_identical(batch, loop)
 
     @pytest.mark.parametrize("cells,error", [(None, DomainError), (200, ConvergenceError)])
     def test_budget_error_before_bracket_error(self, monkeypatch, cells, error):
-        # at h = 200/199 the brackets [199]_q and [200]_q nearly vanish, so
-        # K = 256, where these points start, refuses h; a budget of 200
-        # cells refuses its 257-cell lattice first
+        # at h = 301/300 the bracket [300]_q nearly vanishes, past the
+        # k <= 256 whose brackets every cone sum forms ahead; these points
+        # fold at K = 512, whose brackets refuse h, and a budget of 200 cells
+        # refuses the 513-cell lattice first
         if cells:
             monkeypatch.setattr(series, "_MAX_CELLS", cells)
-        h, ws = 200 / 199, [(-0.15,), (-0.2 + 0.5j,)]
+        h, ws = 301 / 300, [(-0.15,), (-0.2 + 0.5j,)]
         batch = companion_sum_I_batch((1,), ws, h)
         assert all(type(r) is error for r in batch)
         assert_identical(batch, one_by_one(lambda w: companion_sum_I((1,), w, h), ws))
@@ -781,10 +836,9 @@ class TestCompanionBatch:
         monkeypatch.setattr(series, "_inv_bracket_pow", spy)
         return seen
 
-    def test_terms_are_carried_across_truncations(self, monkeypatch):
-        # a point that starts at K = 256 and stops at 512 gets bracket
-        # powers for k <= 256 at K = 256, and only for 256 < k <= 512 at
-        # K = 512
+    def test_bracket_powers_are_formed_once_per_k(self, monkeypatch):
+        # a point that folds at K = 512 gets bracket powers for k <= 256
+        # before its rung is certified, and only for 256 < k <= 512 to fold
         seen = self.spy_on_brackets(monkeypatch)
         res = companion_series((1,), (1,), (-0.15,), EpsilonVector(("1",), self.PHI))
         assert res.diagnostics["terms"] == 512
@@ -801,8 +855,8 @@ def same_bytes(got, want) -> bool:
 
 class TestStackedFoldNumpy:
     """What the stacked cone-sum fold needs of numpy: an operation on a stack
-    of rows gives each row the bytes it gives that row alone, and the terms
-    and lattices of K are prefixes of those of 2K."""
+    of rows gives each row the bytes it gives that row alone, and bracket
+    powers formed in two parts are those formed at once."""
 
     def test_fft_along_an_axis_matches_rows(self):
         rng = np.random.default_rng(11)
