@@ -522,6 +522,7 @@ def _evaluate(config: RunConfig, points: Sequence, hbars: Sequence | None = None
     hbars = [config.hbar] * len(points) if hbars is None else hbars
     quad_spec = QuadratureSpec(tol=config.tol) if config.tol else QuadratureSpec()
     series_params = SeriesParams(tol=config.tol) if config.tol else SeriesParams()
+    facts: dict = {}  # of the one bernoulli polynomial of a call: a, b and n are fixed
 
     def one(point: tuple, hbar: complex) -> EvalResult | _Row | tuple:
         m = len(point)
@@ -584,12 +585,10 @@ def _evaluate(config: RunConfig, points: Sequence, hbars: Sequence | None = None
             if backend == "contour":
                 return quad_bernoulli_circle(a, b, n, point[0], hbar)
             poly = bernoulli_exact(a, b, n)
-            return EvalResult(
-                poly.eval(point[0], hbar),
-                poly._eval_rounding(point[0], hbar),
-                "exact",
-                {"polynomial": str(poly), "omega_degree": poly.omega_degree()},
-            )
+            if not facts:
+                facts.update(polynomial=str(poly), omega_degree=poly.omega_degree())
+            return EvalResult(poly.eval(point[0], hbar), poly._eval_rounding(point[0], hbar),
+                              "exact", dict(facts))
 
         # psi
         if m != 1:

@@ -29,14 +29,16 @@ singularity, so that the step-h0 value already meets tol / 100.  The error
 of the value at step h is certified by the trapezoid rule's known rate, and
 every pass, at steps h0, h0 / 2, ..., takes it the same way: it samples its
 step-h grid once, with one exp and one |.| of the log-kernel per node, and
-folds that grid and its even entries, the step-2h grid ((2h) j == h (2j)
-bit for bit, and that fold forms no round-off floor).  The difference of
-the two sums, times the rate E(h) / E(2h) of the aliasing model (see _Line)
-and a margin, is the error of the step-h value; while it exceeds tol the
-step is halved, and the next pass samples its whole grid again, so nothing
-outlives its pass.  A point refines past the first pass only where its
-delta is far above what the model predicts, or where Re omega shifts the
-aliasing frequency past pi / h0.
+folds that grid.  Its even entries are the step-2h grid ((2h) j == h (2j)
+bit for bit); at depth 1 the step-2h sum is twice the step-h sum over even
+J, as (2h) x == 2 (h x) bit for bit away from subnormals and overflow, and
+other rows fold the step-2h grid, with no round-off floor.  The difference
+of the two sums, times the rate E(h) / E(2h) of the aliasing model (see
+_Line) and a margin, is the error of the step-h value; while it exceeds tol
+the step is halved, and the next pass samples its whole grid again, so
+nothing outlives its pass.  A point refines past the first pass only where
+its delta is far above what the model predicts, or where Re omega shifts
+the aliasing frequency past pi / h0.
 
 Batches: one call evaluates many rows, each with its own index, h and pole
 shifts, and so its own first step, line height, strip and truncation (see
@@ -494,13 +496,13 @@ def _line_integral(rows: Sequence, spec: QuadratureSpec) -> list:
     Re omega), or whose nested sum or floor is not finite, fails alone with
     a DomainError; the call lets no floating-point warning escape.  Each
     level runs one pass per stack of its live rows (see _stacks): it samples
-    the stack's step-h grids and folds them and their step-2h grids; every
-    row keeps its own grids, budget, stopping level and errors, and so the
-    bits it has alone.
+    the stack's step-h grids, folds them, and folds the step-2h grids of the
+    rows whose fold gave no step-2h sum (see _fold_rows); every row keeps
+    its own grids, budget, stopping level and errors, and so the bits it has
+    alone.
     """
     out, live = _line_points(rows, spec)
-    # Level k samples axis i at p = (h0 / 2^k) j + i eps, |j| <= half_i 2^k,
-    # and the step-2h grid folds its even entries (see the module docstring).
+    # Level k samples axis i at p = (h0 / 2^k) j + i eps, |j| <= half_i 2^k.
     for level in range(spec.max_refine + 1):
         fine = []
         for pt in live:
@@ -515,10 +517,14 @@ def _line_integral(rows: Sequence, spec: QuadratureSpec) -> list:
         for stack in _stacks(fine):
             # no sample outlives its pass
             samples, factors, steps = _sample_pass(stack), {}, [pt.h for pt in stack]
-            evens = [[(e[e.size // 2 % 2::2], None) for e, _ in row] for row in samples]
             sums = _fold_rows(stack, samples, steps, factors)
-            coarse = _fold_rows(stack, evens, [2 * h for h in steps], factors)
-            for r, (pt, (value, floor), (value_2h, _)) in enumerate(zip(stack, sums, coarse)):
+            redo = [r for r, s in enumerate(sums) if s[2] is None]  # fold their step-2h grids
+            evens = {r: [(e[e.size // 2 % 2::2], None) for e, _ in samples[r]] for r in redo}
+            coarse = _fold_rows([stack[r] for r in redo], list(evens.values()),
+                                [2 * steps[r] for r in redo], factors) if redo else ()
+            for r, (value_2h, _, _) in zip(redo, coarse):
+                sums[r] = sums[r][:2] + (value_2h,)
+            for r, (pt, (value, floor, value_2h)) in enumerate(zip(stack, sums)):
                 if not (cmath.isfinite(value_2h) and cmath.isfinite(value) and math.isfinite(floor)):
                     # a sample that is not finite leaves no sum finite; the
                     # errors go in order: overflows on the step-2h grid, on
@@ -561,7 +567,7 @@ def _stacks(pts: list) -> Iterator[list]:
 
 def _fold_rows(
     pts: list, samples: list, steps: list, factors: dict
-) -> list[tuple[complex, float | None]]:
+) -> list[tuple[complex, float | None, complex | None]]:
     """Trapezoid sum of each point of pts, a stack of one depth, at its step
     steps[r], and its round-off floor u * sum |terms| * (1 + sum_i kappa_i),
     from samples[r][i] = (exp(log-kernel), rounding) of pts[r] on axis i
@@ -572,13 +578,15 @@ def _fold_rows(
     (h, pole, n_c) to P_c^(-n_c) and takes the ones formed here.
     The first axis is the product 1 f, which keeps the sign of zeros as a
     point alone does, and each later axis is series._fftconvolve of the
-    stack with its samples (see the module docstring)."""
+    stack with its samples (see the module docstring).  A depth-1 row with a
+    floor also gets its step-2h sum, twice its sum over even J (else None)."""
     with_floor = samples[0][0][1] is not None
     widths = [max(row[i][0].size for row in samples) for i in range(len(samples[0]))]
     sizes = [1] * len(pts)
     kappa = [0.0] * len(pts)
     for i, width in enumerate(widths):
-        f = np.zeros((len(pts), width), dtype=np.complex128)
+        # the padding of a depth-1 stack is never read: inf keeps it out of the row minima
+        f = np.full((len(pts), width), np.inf if len(widths) == 1 else 0.0, dtype=np.complex128)
         for r, row in enumerate(samples):
             e, rounding = row[i]
             sizes[r] += e.size - 1
@@ -617,13 +625,21 @@ def _fold_rows(
                     np.multiply(cut, seg, seg)
                 else:
                     np.multiply(seg, cut, seg)
-    out = []
-    for r, s in enumerate(sizes):
+    mags = np.abs(acc) if with_floor else None
+    least, out = mags.min(axis=1).tolist() if with_floor and len(widths) == 1 else None, []
+    for r, (s, (h, pole, nc)) in enumerate(zip(sizes, keys)):
         seg = acc[r, :s]
-        floor = None
+        floor = even = None
         if with_floor:
-            floor = _UNIT_ROUNDOFF * (1.0 + kappa[r]) * float(np.abs(seg).sum())
-        out.append((complex(seg.sum()), floor))
+            mass = float(mags[r, :s].sum())
+            floor = _UNIT_ROUNDOFF * (1.0 + kappa[r]) * mass
+            if len(widths) == 1 and s < 1 << 14:  # so its step-2h row multiplies in its order
+                # log2 |P^(-n)| is between a and b; keep |h e P^(-n)| and |h e| in 2^(-800..900)
+                a, b = -nc * math.log2(pole.imag), -nc * math.log2(h * (s // 2) + abs(pole))
+                if (least[r] > 0 and math.log2(least[r]) >= max(0, a, b) - 800
+                        and math.log2(mass) < min(0, a, b) + 900):
+                    even = 2 * complex(seg[s // 2 % 2::2].sum())
+        out.append((complex(seg.sum()), floor, even))
     return out
 
 
@@ -825,14 +841,13 @@ def depth1_closed_form(
     if omega.real >= 0:
         raise DomainError("closed form requires Re omega < 0")
     z = (-1) ** a * cmath.exp(omega)
-    base = q_poly(a - 1)
     total = 0j
     err = 0.0
     for j in range(a):
         coeff = binom_general(n + j - 1, j) * (-1) ** j
         if coeff == 0:
             continue
-        qval = base.deriv_omega(j).eval(omega, 1.0)
+        qval = q_poly(a - 1, j).eval(omega, 1.0)
         li = classical_polylog(n + j, z, params)
         total += coeff * qval * li.value
         err += abs(coeff * qval) * li.err_estimate + 1e-16 * abs(coeff * qval * li.value)

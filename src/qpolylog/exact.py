@@ -344,8 +344,8 @@ class ExactPoly(_SparseSum):
         if hbar == 0 and any(k < 0 for _, k, _ in self.terms):
             raise DomainError("hbar = 0 with negative h-powers present")
         total = 0j
-        for j, k, c in self.terms:
-            total += c.to_complex(pi_val) * omega**j * hbar**k
+        for (j, k, c), (value, _) in zip(self.terms, self._floats):
+            total += (value if pi_val == math.pi else c.to_complex(pi_val)) * omega**j * hbar**k
         return total
 
     def _eval_rounding(self, omega: complex, hbar: complex = 1.0) -> float:
@@ -354,12 +354,18 @@ class ExactPoly(_SparseSum):
         scalar part float(q) pi^t and their sum, two integer powers by
         repeated squaring, two products and the running sum."""
         bound = 0.0
-        for j, k, c in self.terms:
-            ops = (len(self.terms) + len(c.terms) + max(abs(t) for _, t, _ in c.terms) + 8
-                   + 6 * (j.bit_length() + abs(k).bit_length()))
-            size = sum(abs(float(q)) * math.pi**t for _, t, q in c.terms)
-            bound += ops * size * abs(omega) ** j * abs(hbar) ** k
+        for (j, k, _), (_, weight) in zip(self.terms, self._floats):
+            bound += weight * abs(omega) ** j * abs(hbar) ** k
         return 2.0**-53 * bound
+
+    @functools.cached_property
+    def _floats(self) -> list[tuple[complex, float]]:
+        """Per term, c at pi and its weight in _eval_rounding, formed once."""
+        return [(c.to_complex(),
+                 (len(self.terms) + len(c.terms) + max(abs(t) for _, t, _ in c.terms) + 8
+                  + 6 * (j.bit_length() + abs(k).bit_length()))
+                 * sum(abs(float(q)) * math.pi**t for _, t, q in c.terms))
+                for j, k, c in self.terms]
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +482,17 @@ def sh_inverse_laurent(scale: str, a: int, order: int) -> FormalLaurent:
 
 
 @functools.lru_cache(maxsize=256, typed=True)
-def q_poly(m: int) -> ExactPoly:
+def q_poly(m: int, order: int = 0) -> ExactPoly:
     """The unique degree-m polynomial Q_m with symmetric difference step i*pi:
     Q_m(omega + i pi) - Q_m(omega - i pi) = Q_{m-1}(omega), Q_0 = 1, roots in
-    arithmetic progression:  Q_m(omega) = prod_j (omega - i pi (m-1-2j)) / ((2 pi i)^m m!).
+    arithmetic progression:  Q_m(omega) = prod_j (omega - i pi (m-1-2j)) / ((2 pi i)^m m!),
+    or for order > 0 its order-th omega derivative.
     Memoized like bernoulli_exact; typed, so that a float m still raises.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
+    if order:
+        return q_poly(m).deriv_omega(order)
     poly = ExactPoly.one()
     for j in range(m):
         root = ExactScalar.i_power(1) * ExactScalar.pi_power(1, m - 1 - 2 * j)

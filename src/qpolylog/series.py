@@ -19,7 +19,8 @@ Numerics: octant, q-deformed and companion sums are one cone sum at any
 depth, an FFT fold over a lattice of weighted prefix sums (see _cone_sum).
 Its row convolver, _fftconvolve, is also the convolution step of the
 contour fold over the prefix sums P_c (qpolylog.contour._fold_rows).
-Series error estimates include a round-off floor.
+Every sum stops once, at the first truncation its certified tail bound
+allows, and its error estimate is that bound plus a round-off floor.
 
 Batches: companion_series_batch and companion_sum_I_batch sum many points
 that share the index, h and tolerance.  In their cone sums each point is a
@@ -277,8 +278,9 @@ def classical_polylog(n: int, z: complex, params: SeriesParams | None = None) ->
     """Li_n(z) = sum_{k>=1} z^k / k^n.
 
     For n <= 0 the exact rational closed form in z is used (any z != 1).
-    For n >= 1 the series is summed with compensation; requires |z| < 1,
-    or |z| = 1 with n >= 2 (algebraic tail, may exhaust the term cap).
+    For n >= 1 the series is summed with compensation, up to the first K of
+    64, 128, ..., 4096, 8192, 12288, ... whose tail bound meets tol; requires
+    |z| < 1, or |z| = 1 with n >= 2 (algebraic tail, may exhaust the term cap).
     """
     params = params or SeriesParams()
     z = ensure_finite_complex(z, "z")
@@ -297,18 +299,18 @@ def classical_polylog(n: int, z: complex, params: SeriesParams | None = None) ->
     acc = KahanSum()
     log_z = cmath.log(z)
     abs_sum = k_abs_sum = 0.0  # sum |t_k| and sum k |t_k|, for the round-off floor
-    chunk = 4096
-    k0 = 1
+    k0 = K = 1
     while k0 <= params.k_max:
-        k1 = min(k0 + chunk - 1, params.k_max)
-        ks = np.arange(k0, k1 + 1, dtype=np.float64)
+        K = min(max(64, 2 * K) if K < 4096 else K + 4096, params.k_max)
+        tail = r ** (K + 1) / (1 - r) / (K + 1) ** n if r < 1 else K ** (1 - n) / (n - 1)
+        if tail > params.tol and K < min(4096, params.k_max):
+            continue
+        ks = np.arange(k0, K + 1, dtype=np.float64)
         # exp(x) underflows to exactly 0 below x = -745.13, so a term with
-        # k Re log z < -800 is exactly 0 in any faithful libm.  Only the
-        # prefix above that cut (k Re log z falls with k) is computed; zeros
-        # fill the chunk to its length, on which np.sum's pairwise grouping
-        # depends.  The sums and the floor below then see the same numbers;
-        # only the signs of zeros differ, which a sum with a nonzero k = 1
-        # term cannot see.
+        # k Re log z < -800 is 0 in any faithful libm: only the prefix above
+        # that cut is computed, and zeros fill the chunk to its length, on
+        # which np.sum's pairwise grouping depends (a sum with a nonzero
+        # k = 1 term cannot see the signs of zeros).
         live = ks[:np.count_nonzero(ks * log_z.real >= -800.0)]
         terms = np.exp(live * log_z) / live**n
         if live.size < ks.size:
@@ -317,16 +319,11 @@ def classical_polylog(n: int, z: complex, params: SeriesParams | None = None) ->
         mags = np.abs(terms)
         abs_sum += float(np.sum(mags))
         k_abs_sum += float(np.dot(ks, mags))
-        K = k1
-        if r < 1:
-            tail = r ** (K + 1) / (1 - r) / (K + 1) ** n
-        else:
-            tail = (K ** (1 - n)) / (n - 1)
         if tail <= params.tol:
             # floor as in multiple_polylog with m = 1
             floor = _UNIT_ROUNDOFF * (3 * abs_sum + abs(log_z) * k_abs_sum)
             return EvalResult(acc.value(), tail + floor, "series", {"n": n, "terms": K})
-        k0 = k1 + 1
+        k0 = K + 1
     raise ConvergenceError(
         f"classical_polylog: tail bound {tail:.3e} above tol {params.tol:.3e} "
         f"after {params.k_max} terms"
@@ -349,6 +346,7 @@ def multiple_polylog(
 ) -> EvalResult:
     """Simplex sum Li_n(z) = sum over 0 < k_1 < ... < k_m of
     prod_j z_j^(k_j) / k_j^(n_j).  Requires n_j >= 1 and |z_j| < 1 for all j.
+    Summed once, at the first K = 64 * 2^j (capped at k_max) whose _tail_bound <= tol/100.
     """
     params = params or SeriesParams()
     n = _as_int_tuple(n, "n")
@@ -382,29 +380,18 @@ def multiple_polylog(
             B = np.concatenate([np.cumsum(A[::-1])[::-1][1:], [0j]])
         return complex(np.sum(A))
 
-    K = 64
-    prev = None
-    while True:
-        value = simplex_sum(z, n, K)
-        tail = _tail_bound(m, K, r)
-        if prev is not None:
-            delta = abs(value - prev)
-            if delta + tail <= params.tol:
-                # floor u sum|t| (1 + 2m + sum_j k_j |log z_j|) as in _cone_sum:
-                # at |z| the terms are moduli, and k_j |t| lowers n_j by one
-                floor = _UNIT_ROUNDOFF * (1 + 2 * m) * simplex_sum(mods, n, K).real + sum(
-                    _UNIT_ROUNDOFF * abs(cmath.log(z[j]))
-                    * simplex_sum(mods, n[:j] + (n[j] - 1,) + n[j + 1:], K).real
-                    for j in range(m)
-                )
-                err = delta + tail + floor
-                return EvalResult(value, err, "series", {"terms": K, "tail": tail})
-        prev = value
+    K = min(64, params.k_max)
+    while (tail := _tail_bound(m, K, r)) > params.tol / 100:
         if K >= params.k_max:
-            raise ConvergenceError(
-                f"multiple_polylog: not converged within {params.k_max} terms"
-            )
+            raise ConvergenceError(f"multiple_polylog: not converged within {params.k_max} terms")
         K = min(2 * K, params.k_max)
+    # floor u sum|t| (1 + 2m + sum_j k_j |log z_j|) as in _cone_sum: at |z|
+    # the terms are moduli, and k_j |t| lowers n_j by one
+    floor = _UNIT_ROUNDOFF * (1 + 2 * m) * simplex_sum(mods, n, K).real + sum(
+        _UNIT_ROUNDOFF * abs(cmath.log(z[j]))
+        * simplex_sum(mods, n[:j] + (n[j] - 1,) + n[j + 1:], K).real
+        for j in range(m))
+    return EvalResult(simplex_sum(z, n, K), tail + floor, "series", {"terms": K, "tail": tail})
 
 
 # ---------------------------------------------------------------------------

@@ -1022,6 +1022,87 @@ class TestOnePass:
         assert_same_outcomes(got, two_pass(idx, points, 1.2, spec))
 
 
+def fold_spy(monkeypatch):
+    """Record each _fold_rows call: whether it forms a floor (a step-h fold),
+    and the omega of each row with whether the fold gave it no step-2h sum."""
+    calls, fold = [], contour._fold_rows
+
+    def recording(pts, samples, steps, factors):
+        out = fold(pts, samples, steps, factors)
+        calls.append((samples[0][0][1] is not None,
+                      [(pt.omega, res[2] is None) for pt, res in zip(pts, out)]))
+        return out
+
+    monkeypatch.setattr(contour, "_fold_rows", recording)
+    return calls
+
+
+def two_folds(idx, omegas, hbar, spec):
+    """_line_integral with the step-2h grid of every row folded on its own,
+    as every pass did before the depth-1 even-J sum."""
+    fold = contour._fold_rows
+
+    def folding_twice(*args):
+        return [(value, floor, None) for value, floor, _ in fold(*args)]
+
+    with mock.patch.object(contour, "_fold_rows", folding_twice):
+        return line_integral(idx, omegas, hbar, spec)
+
+
+# either side of the depth-1 guard of idx1(1, 1, 1) at h = 1.2 and tol 1e-10
+# (its boundary is near -1229.74): the level-0 row of -1229.4 keeps every
+# |h e P^(-n)| at or above 2^-800, that of -1230.1 does not
+NEAR_GUARD = (-1229.4 + 0j, -1230.1 + 0j)
+
+
+class TestDepthOneStepTwoSum:
+    """At depth 1 the step-2h sum is twice the step-h fold's sum over even J,
+    so a pass folds once; a row near the subnormal or overflow range folds
+    its step-2h grid again.  Either way each row has the bits of folding
+    both grids."""
+
+    def test_depth_one_folds_once_and_depth_two_twice(self, monkeypatch):
+        calls = fold_spy(monkeypatch)
+        spec = QuadratureSpec(tol=1e-10)
+        got = line_integral(idx1(1, 1, 1), [(-1.0,), (-1 + 2j,), (-3 + 0.5j,)], 1.2, spec)
+        levels = max(r[2]["levels"] for r in got)
+        assert levels >= 1 and len(calls) == levels
+        assert all(floor and not any(redo for _, redo in rows) for floor, rows in calls)
+        calls.clear()
+        idx, points = MultiIndex((1, 1), (1, 1), (1, 2)), [(-1.0, -0.5), (-1 + 2j, -0.5)]
+        got = line_integral(idx, points, 1.3 + 0.4j, QuadratureSpec(tol=1e-12))
+        levels = max(r[2]["levels"] for r in got)
+        assert [floor for floor, _ in calls] == [True, False] * levels
+        assert all(redo for floor, rows in calls if floor for _, redo in rows)
+
+    @pytest.mark.parametrize(
+        "epsilon,points,redo",
+        [
+            # overflows on the line; one on the odd nodes only; a plain row
+            (None, [(ODD_OVERFLOW,), (5000.0,), (-1.0,)], [True, True, False]),
+            # tiny samples: exp(-i p omega) ~ exp(omega eps), eps = 5/12 at
+            # h = 1.2, and exp(-700 * 0.8) on a line at height 0.8
+            (None, [(-700.0,), (-1400.0,), (-1700 + 1j,)], [False, True, True]),
+            (0.8, [(-700.0,), (-1.0,)], [True, False]),
+            (None, [(NEAR_GUARD[0],), (NEAR_GUARD[1],)], [False, True]),
+            # 19,025 nodes: numpy multiplies the step-h row as factor * acc,
+            # its step-2h row of 9,513 entries as acc * factor, which rounds apart
+            (0.004, [(-1 + 0.3j,)], [True]),
+            # all of them in one stack
+            (None, [(-1.0,), (ODD_OVERFLOW,), (NEAR_GUARD[0],), (5000.0,), (NEAR_GUARD[1],),
+                    (-700.0,)], [False, True, False, True, True, False]),
+        ],
+    )
+    def test_fallback_rows_match_two_folds(self, monkeypatch, epsilon, points, redo):
+        idx, spec = idx1(1, 1, 1), QuadratureSpec(tol=1e-10, epsilon=epsilon)
+        want = two_folds(idx, points, 1.2, spec)
+        calls = fold_spy(monkeypatch)
+        got = line_integral(idx, points, 1.2, spec)
+        assert_same_outcomes(got, want)
+        assert calls[0][0] and [r for _, r in calls[0][1]] == redo
+        assert_same_outcomes(got, two_pass(idx, points, 1.2, spec))
+
+
 class TestQuadI:
     def test_transport_to_suffix_sums(self):
         idx = MultiIndex((1, 1), (0, 0), (1, 2))

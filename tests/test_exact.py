@@ -209,6 +209,25 @@ class TestExactPoly:
         assert abs((x * y).eval(self.OMEGA, self.HBAR) - xv * yv) <= tol
         assert abs((x + y).eval(self.OMEGA, self.HBAR) - (xv + yv)) <= tol
 
+    @settings(derandomize=True, max_examples=40)
+    @given(poly_strategy())
+    def test_eval_forms_its_floats_once_bit_for_bit(self, p):
+        # eval and _eval_rounding convert each coefficient once per
+        # polynomial, and keep the arithmetic of each term as written here
+        omega, hbar = complex(self.OMEGA), complex(self.HBAR)
+        want, at_two, bound = 0j, 0j, 0.0
+        for j, k, c in p.terms:
+            want += c.to_complex() * omega**j * hbar**k
+            at_two += c.to_complex(2.0) * omega**j * hbar**k
+            ops = (len(p.terms) + len(c.terms) + max(abs(t) for _, t, _ in c.terms) + 8
+                   + 6 * (j.bit_length() + abs(k).bit_length()))
+            size = sum(abs(float(q)) * math.pi**t for _, t, q in c.terms)
+            bound += ops * size * abs(omega) ** j * abs(hbar) ** k
+        for _ in range(2):  # the second call reads the formed floats
+            assert p.eval(omega, hbar) == want
+            assert p._eval_rounding(omega, hbar) == 2.0**-53 * bound
+            assert p.eval(omega, hbar, pi_val=2.0) == at_two
+
     def test_constructors_and_degree(self):
         assert ExactPoly.zero().is_zero
         assert ExactPoly.zero().omega_degree() == -1

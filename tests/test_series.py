@@ -205,43 +205,55 @@ class TestClassicalPolylog:
         assert res.err_estimate == 0.0
 
 
-def full_chunk_polylog(n: int, z: complex, params: SeriesParams):
-    """classical_polylog for n >= 1 and 0 < |z| <= 1 with every term of
-    every 4096-term chunk exponentiated, underflowing ones included: the
-    (value, estimate, diagnostics) it returns, or the error it raises."""
+def all_terms_polylog(n: int, z: complex, params: SeriesParams):
+    """classical_polylog for n >= 1 and 0 < |z| <= 1 with every term
+    exponentiated, underflowing ones included: one chunk of k <= K at the
+    first rung K of 64, 128, ..., 4096 (capped at k_max) whose tail bound
+    meets tol, or at the last, then 4096-term chunks until the bound does or
+    k_max is reached.  The (value, estimate, diagnostics) it returns, or the
+    error it raises."""
+    r = abs(z)
+
+    def tail_at(K):
+        return r ** (K + 1) / (1 - r) / (K + 1) ** n if r < 1 else K ** (1 - n) / (n - 1)
+
+    rungs = sorted({min(64 << j, params.k_max) for j in range(7)})
+    ends = [next((K for K in rungs if tail_at(K) <= params.tol), rungs[-1])]
+    while tail_at(ends[-1]) > params.tol and ends[-1] < params.k_max:
+        ends.append(min(ends[-1] + 4096, params.k_max))
     acc = KahanSum()
     log_z = cmath.log(z)
-    r = abs(z)
     abs_sum = k_abs_sum = 0.0
     k0 = 1
-    while k0 <= params.k_max:
-        k1 = min(k0 + 4095, params.k_max)
-        ks = np.arange(k0, k1 + 1, dtype=np.float64)
+    for K in ends:
+        ks = np.arange(k0, K + 1, dtype=np.float64)
         terms = np.exp(ks * log_z) / ks**n
         acc.add(complex(np.sum(terms)))
         mags = np.abs(terms)
         abs_sum += float(np.sum(mags))
         k_abs_sum += float(np.dot(ks, mags))
-        K = k1
-        tail = r ** (K + 1) / (1 - r) / (K + 1) ** n if r < 1 else K ** (1 - n) / (n - 1)
-        if tail <= params.tol:
-            floor = series._UNIT_ROUNDOFF * (3 * abs_sum + abs(log_z) * k_abs_sum)
-            return acc.value(), tail + floor, {"n": n, "terms": K}
-        k0 = k1 + 1
-    return ConvergenceError(
-        f"classical_polylog: tail bound {tail:.3e} above tol {params.tol:.3e} "
-        f"after {params.k_max} terms"
-    )
+        k0 = K + 1
+    tail = tail_at(K)
+    if tail > params.tol:
+        return ConvergenceError(
+            f"classical_polylog: tail bound {tail:.3e} above tol {params.tol:.3e} "
+            f"after {params.k_max} terms"
+        )
+    floor = series._UNIT_ROUNDOFF * (3 * abs_sum + abs(log_z) * k_abs_sum)
+    return acc.value(), tail + floor, {"n": n, "terms": K}
 
 
 class TestClassicalPolylogCutoff:
-    """Terms with k Re log z < -800 underflow to exactly 0, so
-    classical_polylog exponentiates only the prefix of each chunk above that
-    cut; every value, estimate and diagnostic is that of the full chunks."""
+    """classical_polylog sums k <= K in one chunk, K the first rung whose
+    tail bound meets tol, and terms with k Re log z < -800 underflow to
+    exactly 0, so it exponentiates only the prefix of each chunk above that
+    cut; every value, estimate and diagnostic is that of the chunks with
+    every term exponentiated."""
 
     # cut at k ~ 406 and 804 in the first chunk, ~ 4030 at its end, ~ 7,600
     # in the second chunk (reached at tol 1e-300), past 8e5, and none at
-    # |z| = 1, where the tail bound never falls below 1e-12
+    # |z| = 1, where the tail bound never falls below 1e-12; k_max = 100
+    # caps the rung above 64
     @pytest.mark.parametrize(
         "r,n",
         [(r, n) for r in (0.14, 0.37, 0.82, 0.9, 0.999, 1.0) for n in (1, 2, 3, 4)
@@ -254,7 +266,7 @@ class TestClassicalPolylogCutoff:
         ):
             z = cmath.rect(r, theta)
             params = SeriesParams(tol=tol, k_max=k_max)
-            want = full_chunk_polylog(n, z, params)
+            want = all_terms_polylog(n, z, params)
             try:
                 res = classical_polylog(n, z, params)
             except ConvergenceError as exc:
@@ -268,8 +280,31 @@ class TestClassicalPolylogCutoff:
         z, params = cmath.rect(0.9, 0.7), SeriesParams(tol=1e-300)
         res = classical_polylog(2, z, params)
         assert 4096 < -800 / math.log(0.9) < res.diagnostics["terms"] == 8192
-        want = full_chunk_polylog(2, z, params)
+        want = all_terms_polylog(2, z, params)
         assert (res.value, res.err_estimate, dict(res.diagnostics)) == want
+
+    @pytest.mark.parametrize(
+        "r,terms",
+        [(0.14, [64] * 4), (0.37, [64] * 4), (0.9, [256, 256, 256, 128]),
+         (0.99, [4096, 2048, 2048, 1024])],
+    )
+    def test_terms_stop_at_the_first_rung_that_meets_tol(self, r, terms):
+        # at tol 1e-12: the rung below is short of tol, the one taken meets it
+        for n, K in zip((1, 2, 3, 4), terms):
+            res = classical_polylog(n, cmath.rect(r, 0.7))
+            assert res.diagnostics["terms"] == K
+            assert r ** (K + 1) / (1 - r) / (K + 1) ** n <= 1e-12
+            assert K == 64 or r ** (K // 2 + 1) / (1 - r) / (K // 2 + 1) ** n > 1e-12
+
+    @pytest.mark.parametrize(
+        "n,z",
+        [(1, 0.99), (1, -0.99), (1, cmath.rect(0.95, -1.0)), (2, 0.99),
+         (2, cmath.rect(0.99, 2.0)), (3, 0.5), (4, 0.99), (4, cmath.rect(0.95, -1.0))],
+    )
+    def test_estimate_bounds_the_gap_to_a_finer_sum(self, n, z):
+        res = classical_polylog(n, z)
+        fine = classical_polylog(n, z, SeriesParams(tol=1e-15))
+        assert abs(res.value - fine.value) <= res.err_estimate
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +321,11 @@ def brute_simplex(n, z, K):
             term *= z[j] ** ks[j] / ks[j] ** n[j]
         total += term
     return total
+
+
+def series_decay_rate(z):
+    """max over c of prod_{j >= c} |z_j|, the decay rate of a simplex sum."""
+    return max(math.prod(abs(v) for v in reversed(z[c:])) for c in range(len(z)))
 
 
 class TestMultiplePolylog:
@@ -342,9 +382,39 @@ class TestMultiplePolylog:
             multiple_polylog((), ())
 
     def test_term_cap_raises(self):
-        # |z| = 0.99 needs thousands of terms; the cap stops the doubling at 200
+        # |z| = 0.99 needs thousands of terms; the cap stops the rungs at 200
         with pytest.raises(ConvergenceError, match="not converged within 200 terms"):
             multiple_polylog((1,), (0.99,), SeriesParams(k_max=200))
+
+    @pytest.mark.parametrize(
+        "n,z,terms",
+        [((2, 1), (0.4, 0.3), 64), ((2, 1), (0.5, 0.95), 1024), ((1, 1), (0.99, 0.99), 8192),
+         ((1, 2, 1), (0.15, 0.1 - 0.05j, -0.12), 64),
+         # tails between tol/100 and tol at the rung below
+         ((1,), (0.88,), 512), ((2, 1), (-0.5, 0.75j), 256)],
+    )
+    def test_sums_once_at_the_first_rung_that_meets_tol(self, n, z, terms):
+        # the tail bound at the rung taken is at most tol / 100, the one below
+        # it is not, and the estimate is that bound plus the round-off floor
+        res = multiple_polylog(n, z)
+        K, r = res.diagnostics["terms"], series_decay_rate(z)
+        assert K == terms and res.diagnostics["tail"] == series._tail_bound(len(n), K, r)
+        assert res.diagnostics["tail"] <= 1e-14
+        assert K == 64 or series._tail_bound(len(n), K // 2, r) > 1e-14
+        assert res.diagnostics["tail"] < res.err_estimate
+
+    @pytest.mark.parametrize(
+        "n,z",
+        [((1,), (0.99,)), ((2,), (-0.99,)), ((3,), (0.9j,)), ((2, 1), (0.5, 0.95)),
+         ((1, 1), (0.99, 0.99)), ((2, 1), (-0.99, 0.9j)), ((1, 2, 1), (0.99, -0.9, 0.99j)),
+         ((1, 1, 1), (0.95, 0.95, 0.95)), ((2, 1, 3), (0.3 + 0.4j, -0.99, 0.8))],
+    )
+    def test_estimate_bounds_the_gap_to_a_finer_sum(self, n, z):
+        # with no second sum to compare, _tail_bound is the only truncation
+        # estimate; the sum at tol 1e-15 stays within it
+        res = multiple_polylog(n, z)
+        fine = multiple_polylog(n, z, SeriesParams(tol=1e-15))
+        assert abs(res.value - fine.value) <= res.err_estimate
 
 
 # ---------------------------------------------------------------------------
