@@ -783,6 +783,7 @@ def quad_bernoulli_circle(
     on a small circle (spectrally accurate).  An integrand that overflows on
     the circle (large |omega|) raises a DomainError; the call lets no
     floating-point warning escape."""
+    a, b, n = _as_int_tuple((a, b, n), "a, b and n")
     if a < 0 or b < 0:
         raise DomainError("a and b must be non-negative")
     omega = ensure_finite_complex(omega, "omega")
@@ -835,6 +836,7 @@ def depth1_closed_form(
     with Q the difference-equation polynomial family and Li the classical
     polylogarithm.  Requires a >= 1 and Re omega < 0."""
     params = params or SeriesParams()
+    a, n = _as_int_tuple((a, n), "a and n")
     if a < 1:
         raise DomainError("a must be >= 1")
     omega = ensure_finite_complex(omega, "omega")

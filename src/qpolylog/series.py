@@ -15,12 +15,13 @@ Conventions (frozen; see qpolylog.conventions for the calibration evidence):
             * prod_c exp(K_c w_c) / (prod_j [k_j]_{q(eps_j)}^(a_j) * prod_c K_c^(n_c)),
   K_c = sum_{j<=c} eps_j k_j, q(1) = exp(i pi h), q(1/h) = exp(i pi / h).
 
-Numerics: octant, q-deformed and companion sums are one cone sum at any
-depth, an FFT fold over a lattice of weighted prefix sums (see _cone_sum).
-Its row convolver, _fftconvolve, is also the convolution step of the
-contour fold over the prefix sums P_c (qpolylog.contour._fold_rows).
-Every sum stops once, at the first truncation its certified tail bound
-allows, and its error estimate is that bound plus a round-off floor.
+Numerics: Li_n and the simplex multiple polylogarithms are one simplex sum,
+a backward pass of suffix sums (_simplex_sum); octant, q-deformed and
+companion sums are one cone sum at any depth, an FFT fold over a lattice of
+weighted prefix sums (_cone_sum), whose row convolver _fftconvolve is also
+the convolution step of the contour fold (qpolylog.contour._fold_rows).
+Every sum stops once, at the first rung K = 64 * 2^j its tail bound allows,
+and its error estimate is that bound plus a round-off floor.
 
 Batches: companion_series_batch and companion_sum_I_batch sum many points
 that share the index, h and tolerance.  In their cone sums each point is a
@@ -40,7 +41,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -246,7 +246,7 @@ def _inv_bracket_pow(ks: np.ndarray, q: complex, a: int) -> np.ndarray | None:
 
 
 # ---------------------------------------------------------------------------
-# Classical polylogarithm
+# Simplex sums: classical and multiple polylogarithms
 # ---------------------------------------------------------------------------
 
 
@@ -254,35 +254,64 @@ def _negative_polylog_exact(n: int, z: complex) -> complex:
     """Li_n(z) for n <= 0 from the rational closed form
     Li_{-j}(z) = A_j(z) / (1-z)^(j+1), A_0 = z,
     A_{j+1} = z * (A_j' * (1-z) + (j+1) * A_j)."""
-    j = -n
-    coeffs: list[Fraction] = [Fraction(0), Fraction(1)]  # A_0 = z
-    for step in range(j):
-        deriv = [k * c for k, c in enumerate(coeffs)][1:] + [Fraction(0)]
-        # A' * (1 - z)
-        part1 = [Fraction(0)] * (len(coeffs) + 1)
-        for k, c in enumerate(deriv):
-            part1[k] += c
-            part1[k + 1] -= c
-        # + (step+1) * A
-        for k, c in enumerate(coeffs):
-            part1[k] += (step + 1) * c
-        # * z
-        coeffs = [Fraction(0)] + part1
+    coeffs = [0, 1]  # A_0 = z; the coefficients are integers
+    for j in range(1, 1 - n):  # z^(k+1) of A_j: (k+1) c_(k+1) + (j-k) c_k of A_(j-1)
+        prev = coeffs + [0]
+        coeffs = [0] + [(k + 1) * prev[k + 1] + (j - k) * prev[k] for k in range(len(coeffs))]
     num = 0j
     for c in reversed(coeffs):
         num = num * z + complex(c)
-    return num / (1 - z) ** (j + 1)
+    return num / (1 - z) ** (1 - n)
+
+
+def _rung(tail: Callable[[int], float], bound: float, k_max: int) -> tuple[int, float]:
+    """(K, tail(K)) at the first K = 64 * 2^j, capped at k_max, with
+    tail(K) <= bound, or at K = k_max if there is none."""
+    K = min(64, k_max)
+    while (t := tail(K)) > bound and K < k_max:
+        K = min(2 * K, k_max)
+    return K, t
+
+
+def _simplex_sum(n: tuple[int, ...], z: tuple[complex, ...], K: int) -> tuple[complex, float]:
+    """(value, floor) of the sum over 0 < k_1 < ... < k_m <= K of prod_j
+    z_j^(k_j) / k_j^(n_j), in one backward pass over the slots, each carrying
+    the exclusive suffix sums of the slots after it: of the terms, of their
+    moduli (summing to S) and of the moduli weighted by sum_j k_j |log z_j|
+    (to W).  The floor u ((1 + 2m) S + W) is _cone_sum's: a rounding per exp
+    and multiply, and u k |log z_j| for exp(k log z_j).  K m above _MAX_CELLS
+    raises a ConvergenceError before any array is formed."""
+    m = len(n)
+    if K * m > _MAX_CELLS:
+        raise ConvergenceError(f"simplex sum: {K} terms in {m} slots exceed {_MAX_CELLS} cells")
+    ks = np.arange(1, K + 1, dtype=np.float64)
+    after = None
+    for c in range(m - 1, -1, -1):
+        log_z = cmath.log(z[c])
+        terms = np.exp(ks * log_z) / ks ** n[c]
+        mods = np.abs(terms)
+        weighted = 0.0
+        if after:
+            terms *= after[0]
+            weighted = mods * after[2]
+            mods *= after[1]
+        if c:
+            after = [np.concatenate((np.cumsum(x[::-1])[::-1][1:], [0.0]))
+                     for x in (terms, mods, abs(log_z) * ks * mods + weighted)]
+    spread = abs(log_z) * float(np.dot(ks, mods)) + (float(np.sum(weighted)) if after else 0.0)
+    return complex(np.sum(terms)), _UNIT_ROUNDOFF * ((1 + 2 * m) * float(np.sum(mods)) + spread)
 
 
 def classical_polylog(n: int, z: complex, params: SeriesParams | None = None) -> EvalResult:
     """Li_n(z) = sum_{k>=1} z^k / k^n.
 
     For n <= 0 the exact rational closed form in z is used (any z != 1).
-    For n >= 1 the series is summed with compensation, up to the first K of
-    64, 128, ..., 4096, 8192, 12288, ... whose tail bound meets tol; requires
+    For n >= 1 it is the depth-1 _simplex_sum of k <= K, K the first of 64,
+    128, 256, ... (capped at k_max) whose tail bound meets tol; requires
     |z| < 1, or |z| = 1 with n >= 2 (algebraic tail, may exhaust the term cap).
     """
     params = params or SeriesParams()
+    (n,) = _as_int_tuple((n,), "n")
     z = ensure_finite_complex(z, "z")
     if n <= 0:
         if z == 1:
@@ -295,44 +324,15 @@ def classical_polylog(n: int, z: complex, params: SeriesParams | None = None) ->
     r = abs(z)
     if r > 1 or (r == 1 and n < 2):
         raise DomainError("need |z| < 1, or |z| = 1 with n >= 2")
-
-    acc = KahanSum()
-    log_z = cmath.log(z)
-    abs_sum = k_abs_sum = 0.0  # sum |t_k| and sum k |t_k|, for the round-off floor
-    k0 = K = 1
-    while k0 <= params.k_max:
-        K = min(max(64, 2 * K) if K < 4096 else K + 4096, params.k_max)
-        tail = r ** (K + 1) / (1 - r) / (K + 1) ** n if r < 1 else K ** (1 - n) / (n - 1)
-        if tail > params.tol and K < min(4096, params.k_max):
-            continue
-        ks = np.arange(k0, K + 1, dtype=np.float64)
-        # exp(x) underflows to exactly 0 below x = -745.13, so a term with
-        # k Re log z < -800 is 0 in any faithful libm: only the prefix above
-        # that cut is computed, and zeros fill the chunk to its length, on
-        # which np.sum's pairwise grouping depends (a sum with a nonzero
-        # k = 1 term cannot see the signs of zeros).
-        live = ks[:np.count_nonzero(ks * log_z.real >= -800.0)]
-        terms = np.exp(live * log_z) / live**n
-        if live.size < ks.size:
-            terms = np.concatenate((terms, np.zeros(ks.size - live.size, dtype=np.complex128)))
-        acc.add(complex(np.sum(terms)))
-        mags = np.abs(terms)
-        abs_sum += float(np.sum(mags))
-        k_abs_sum += float(np.dot(ks, mags))
-        if tail <= params.tol:
-            # floor as in multiple_polylog with m = 1
-            floor = _UNIT_ROUNDOFF * (3 * abs_sum + abs(log_z) * k_abs_sum)
-            return EvalResult(acc.value(), tail + floor, "series", {"n": n, "terms": K})
-        k0 = K + 1
-    raise ConvergenceError(
-        f"classical_polylog: tail bound {tail:.3e} above tol {params.tol:.3e} "
-        f"after {params.k_max} terms"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Simplex multiple polylogarithm
-# ---------------------------------------------------------------------------
+    K, tail = _rung(
+        lambda K: r ** (K + 1) / (1 - r) / (K + 1) ** n if r < 1 else K ** (1 - n) / (n - 1),
+        params.tol, params.k_max)
+    if tail > params.tol:
+        raise ConvergenceError(f"classical_polylog: tail bound {tail:.3e} above tol "
+                               f"{params.tol:.3e} after {params.k_max} terms")
+    value, floor = _simplex_sum((n,), (z,), K)
+    # 0j + value reads a -0.0 part as +0.0 (z = x - 0j has -0.0 imaginary terms)
+    return EvalResult(0j + value, tail + floor, "series", {"n": n, "terms": K})
 
 
 def _tail_bound(m: int, K: int, r: float) -> float:
@@ -346,7 +346,8 @@ def multiple_polylog(
 ) -> EvalResult:
     """Simplex sum Li_n(z) = sum over 0 < k_1 < ... < k_m of
     prod_j z_j^(k_j) / k_j^(n_j).  Requires n_j >= 1 and |z_j| < 1 for all j.
-    Summed once, at the first K = 64 * 2^j (capped at k_max) whose _tail_bound <= tol/100.
+    The _simplex_sum at the first K = 64 * 2^j (capped at k_max) whose
+    _tail_bound <= tol/100, with estimate that bound plus its round-off floor.
     """
     params = params or SeriesParams()
     n = _as_int_tuple(n, "n")
@@ -361,37 +362,13 @@ def multiple_polylog(
         raise DomainError("simplex series requires |z_j| < 1 for every j")
     if any(r == 0 for r in mods):
         return EvalResult(0j, 0.0, "series", {"terms": 0})
-
     # decay rate of the outermost index: max over c of prod_{j>=c} |z_j|
-    suffix = 1.0
-    r = 0.0
-    for v in reversed(mods):
-        suffix *= v
-        r = max(r, suffix)
-
-    def simplex_sum(args: Sequence[complex], expo: Sequence[int], K: int) -> complex:
-        ks = np.arange(1, K + 1, dtype=np.float64)
-        B = np.ones(K, dtype=np.complex128)
-        for c in range(m - 1, -1, -1):
-            A = np.exp(ks * cmath.log(args[c])) * ks ** (-expo[c]) * B
-            if c == 0:
-                break
-            # exclusive suffix sums: B[k] = sum_{j > k} A[j]
-            B = np.concatenate([np.cumsum(A[::-1])[::-1][1:], [0j]])
-        return complex(np.sum(A))
-
-    K = min(64, params.k_max)
-    while (tail := _tail_bound(m, K, r)) > params.tol / 100:
-        if K >= params.k_max:
-            raise ConvergenceError(f"multiple_polylog: not converged within {params.k_max} terms")
-        K = min(2 * K, params.k_max)
-    # floor u sum|t| (1 + 2m + sum_j k_j |log z_j|) as in _cone_sum: at |z|
-    # the terms are moduli, and k_j |t| lowers n_j by one
-    floor = _UNIT_ROUNDOFF * (1 + 2 * m) * simplex_sum(mods, n, K).real + sum(
-        _UNIT_ROUNDOFF * abs(cmath.log(z[j]))
-        * simplex_sum(mods, n[:j] + (n[j] - 1,) + n[j + 1:], K).real
-        for j in range(m))
-    return EvalResult(simplex_sum(z, n, K), tail + floor, "series", {"terms": K, "tail": tail})
+    r = max(math.prod(reversed(mods[c:])) for c in range(m))
+    K, tail = _rung(lambda K: _tail_bound(m, K, r), params.tol / 100, params.k_max)
+    if tail > params.tol / 100:
+        raise ConvergenceError(f"multiple_polylog: not converged within {params.k_max} terms")
+    value, floor = _simplex_sum(n, z, K)
+    return EvalResult(value, tail + floor, "series", {"terms": K, "tail": tail})
 
 
 # ---------------------------------------------------------------------------
@@ -969,6 +946,7 @@ def q_integral(series: TruncatedSeries, a: int, q: complex) -> TruncatedSeries:
     c_k -> -c_k / [k]_q^a for k >= 1.  A nonzero constant term is rejected
     (it is not in the image of the coupling).  a = 0 acts as minus identity.
     """
+    (a,) = _as_int_tuple((a,), "a")
     if a < 0:
         raise DomainError("integration level a must be >= 0")
     q = ensure_finite_complex(q, "q")

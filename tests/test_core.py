@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpolylog.contour import quad_Li, quad_zeta_hbar
+from qpolylog.contour import depth1_closed_form, quad_bernoulli_circle, quad_Li, quad_zeta_hbar
 from qpolylog.core import (
     BACKENDS,
     CheckReport,
@@ -21,6 +21,8 @@ from qpolylog.core import (
 )
 from qpolylog.series import (
     EpsilonVector,
+    TruncatedSeries,
+    classical_polylog,
     companion_series,
     companion_series_batch,
     companion_sum_I,
@@ -28,6 +30,7 @@ from qpolylog.series import (
     multiple_polylog,
     octant_polylog,
     pochhammer_psi,
+    q_integral,
     q_multiple_polylog,
 )
 
@@ -144,6 +147,14 @@ EXPONENT_CALLS = {
     "quad_Li": lambda k: quad_Li((k,), (-1.0,)),
     "quad_zeta_hbar": lambda k: quad_zeta_hbar((k,), 1.0),
     "pochhammer_psi": lambda k: pochhammer_psi(k, 0.3, 0.35),
+    "classical_polylog": lambda k: classical_polylog(k, 0.5),
+    "classical_polylog n <= 0": lambda k: classical_polylog(-k, 0.5),
+    "depth1_closed_form a": lambda k: depth1_closed_form(k, 1, -1.0),
+    "depth1_closed_form n": lambda k: depth1_closed_form(1, k, -1.0),
+    "quad_bernoulli_circle a": lambda k: quad_bernoulli_circle(k, 0, 1, -1.0, 1.2),
+    "quad_bernoulli_circle b": lambda k: quad_bernoulli_circle(1, k, 1, -1.0, 1.2),
+    "quad_bernoulli_circle n": lambda k: quad_bernoulli_circle(1, 0, k, -1.0, 1.2),
+    "q_integral": lambda k: q_integral(TruncatedSeries((0j, 1.0, 0.5j)), k, 0.3),
 }
 
 

@@ -206,54 +206,42 @@ class TestClassicalPolylog:
 
 
 def all_terms_polylog(n: int, z: complex, params: SeriesParams):
-    """classical_polylog for n >= 1 and 0 < |z| <= 1 with every term
-    exponentiated, underflowing ones included: one chunk of k <= K at the
-    first rung K of 64, 128, ..., 4096 (capped at k_max) whose tail bound
-    meets tol, or at the last, then 4096-term chunks until the bound does or
-    k_max is reached.  The (value, estimate, diagnostics) it returns, or the
-    error it raises."""
+    """classical_polylog for n >= 1 and 0 < |z| <= 1 as one sum of every
+    term k <= K, underflowing ones included, K the first rung of 64, 128,
+    256, ... (capped at k_max) whose tail bound meets tol, with the round-off
+    floor u (3 sum|t_k| + |log z| sum k |t_k|).  The (value, estimate,
+    diagnostics) it returns, or the error it raises."""
     r = abs(z)
 
     def tail_at(K):
         return r ** (K + 1) / (1 - r) / (K + 1) ** n if r < 1 else K ** (1 - n) / (n - 1)
 
-    rungs = sorted({min(64 << j, params.k_max) for j in range(7)})
-    ends = [next((K for K in rungs if tail_at(K) <= params.tol), rungs[-1])]
-    while tail_at(ends[-1]) > params.tol and ends[-1] < params.k_max:
-        ends.append(min(ends[-1] + 4096, params.k_max))
-    acc = KahanSum()
-    log_z = cmath.log(z)
-    abs_sum = k_abs_sum = 0.0
-    k0 = 1
-    for K in ends:
-        ks = np.arange(k0, K + 1, dtype=np.float64)
-        terms = np.exp(ks * log_z) / ks**n
-        acc.add(complex(np.sum(terms)))
-        mags = np.abs(terms)
-        abs_sum += float(np.sum(mags))
-        k_abs_sum += float(np.dot(ks, mags))
-        k0 = K + 1
+    K = min(64, params.k_max)
+    while tail_at(K) > params.tol and K < params.k_max:
+        K = min(2 * K, params.k_max)
     tail = tail_at(K)
     if tail > params.tol:
         return ConvergenceError(
             f"classical_polylog: tail bound {tail:.3e} above tol {params.tol:.3e} "
             f"after {params.k_max} terms"
         )
-    floor = series._UNIT_ROUNDOFF * (3 * abs_sum + abs(log_z) * k_abs_sum)
-    return acc.value(), tail + floor, {"n": n, "terms": K}
+    log_z = cmath.log(z)
+    ks = np.arange(1, K + 1, dtype=np.float64)
+    terms = np.exp(ks * log_z) / ks**n
+    mags = np.abs(terms)
+    floor = series._UNIT_ROUNDOFF * (3 * float(np.sum(mags)) + abs(log_z) * float(np.dot(ks, mags)))
+    return 0j + complex(np.sum(terms)), tail + floor, {"n": n, "terms": K}
 
 
 class TestClassicalPolylogCutoff:
-    """classical_polylog sums k <= K in one chunk, K the first rung whose
-    tail bound meets tol, and terms with k Re log z < -800 underflow to
-    exactly 0, so it exponentiates only the prefix of each chunk above that
-    cut; every value, estimate and diagnostic is that of the chunks with
-    every term exponentiated."""
+    """classical_polylog sums k <= K once, K the first rung whose tail bound
+    meets tol; every value, estimate and diagnostic is that of one sum of
+    every term, with no term cut for underflow."""
 
-    # cut at k ~ 406 and 804 in the first chunk, ~ 4030 at its end, ~ 7,600
-    # in the second chunk (reached at tol 1e-300), past 8e5, and none at
-    # |z| = 1, where the tail bound never falls below 1e-12; k_max = 100
-    # caps the rung above 64
+    # terms underflow from k ~ 406 and 804 in the sum, ~ 4030 near its end,
+    # ~ 7,600 at K = 8192 (tol 1e-300), past 8e5, and never at |z| = 1,
+    # where the tail bound never falls below 1e-12; k_max = 100 caps the
+    # rung above 64; theta = -0.0 gives -0.0 imaginary terms
     @pytest.mark.parametrize(
         "r,n",
         [(r, n) for r in (0.14, 0.37, 0.82, 0.9, 0.999, 1.0) for n in (1, 2, 3, 4)
@@ -262,7 +250,7 @@ class TestClassicalPolylogCutoff:
     def test_matches_full_chunks(self, r, n):
         tols = (1e-12, 1e-300) if r < 1 else (1e-12,)
         for theta, k_max, tol in itertools.product(
-            (0.0, 0.7, math.pi, -2.2), (8, 100, 4095, 4097, 10**6), tols
+            (0.0, -0.0, 0.7, math.pi, -2.2), (8, 100, 4095, 4097, 10**6), tols
         ):
             z = cmath.rect(r, theta)
             params = SeriesParams(tol=tol, k_max=k_max)
@@ -272,16 +260,31 @@ class TestClassicalPolylogCutoff:
             except ConvergenceError as exc:
                 assert isinstance(want, ConvergenceError) and str(exc) == str(want)
                 continue
-            assert (res.value, res.err_estimate, dict(res.diagnostics)) == want
+            # repr tells the signs of zero parts apart
+            assert repr((res.value, res.err_estimate, dict(res.diagnostics))) == repr(want)
 
     def test_cut_falls_in_a_later_chunk(self):
-        # at |z| = 0.9 and tol 1e-300 the loop reaches k = 8192, and the
-        # terms of the second chunk past k ~ 7,593 are not computed
+        # at |z| = 0.9 and tol 1e-300 the sum reaches K = 8192, and its
+        # terms past k ~ 7,593 underflow to 0
         z, params = cmath.rect(0.9, 0.7), SeriesParams(tol=1e-300)
         res = classical_polylog(2, z, params)
         assert 4096 < -800 / math.log(0.9) < res.diagnostics["terms"] == 8192
         want = all_terms_polylog(2, z, params)
         assert (res.value, res.err_estimate, dict(res.diagnostics)) == want
+
+    def test_cell_budget_refuses_before_any_array(self, monkeypatch):
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("an array was formed")
+
+        monkeypatch.setattr(np, "arange", no_arrays)
+        # at |z| = 1 the tail 1/K is above 1e-9 at k_max = 10^8, so no sum is formed
+        with pytest.raises(ConvergenceError, match="tail bound 1.000e-08 above tol"):
+            classical_polylog(2, 1j, SeriesParams(tol=1e-9, k_max=10**8))
+        # the rung that meets tol, K = 64 * 2^24, or 2^22 at depth 2, is past the budget
+        with pytest.raises(ConvergenceError, match="1073741824 terms in 1 slots exceed"):
+            classical_polylog(2, 1j, SeriesParams(tol=1e-9, k_max=10**10))
+        with pytest.raises(ConvergenceError, match="4194304 terms in 2 slots exceed"):
+            multiple_polylog((1, 1), (0.5, 0.99998), SeriesParams(k_max=10**7))
 
     @pytest.mark.parametrize(
         "r,terms",
@@ -321,6 +324,17 @@ def brute_simplex(n, z, K):
             term *= z[j] ** ks[j] / ks[j] ** n[j]
         total += term
     return total
+
+
+def nested_simplex_sum(z, n, K):
+    """The simplex sum over 0 < k_1 < ... < k_m <= K as m nested exclusive
+    suffix sums, each slot's terms formed as z^k * k^(-n)."""
+    ks = np.arange(1, K + 1, dtype=np.float64)
+    B = np.ones(K, dtype=np.complex128)
+    for c in range(len(n) - 1, -1, -1):
+        A = np.exp(ks * cmath.log(z[c])) * ks ** (-n[c]) * B
+        B = np.concatenate([np.cumsum(A[::-1])[::-1][1:], [0j]])
+    return complex(np.sum(A))
 
 
 def series_decay_rate(z):
@@ -402,6 +416,25 @@ class TestMultiplePolylog:
         assert res.diagnostics["tail"] <= 1e-14
         assert K == 64 or series._tail_bound(len(n), K // 2, r) > 1e-14
         assert res.diagnostics["tail"] < res.err_estimate
+
+    @pytest.mark.parametrize(
+        "n,z,K",
+        [((2,), (0.5 - 0.3j,), 64), ((1,), (-0.9,), 1024), ((2, 1), (0.4, 0.3), 64),
+         ((1, 2), (0.6j, -0.5 + 0.2j), 128), ((2, 1), (0.5, 0.95), 1024),
+         ((1, 2, 1), (0.15, 0.1 - 0.05j, -0.12), 64), ((2, 1, 3), (0.3 + 0.4j, -0.99, 0.8), 256),
+         ((1, 1, 1), (0.95, 0.95, 0.95), 512)],
+    )
+    def test_one_pass_floor_is_the_floor_of_m_plus_one_sums(self, n, z, K):
+        # the floor u ((1 + 2m) S + W) of one pass against u (1 + 2m) S plus
+        # u |log z_j| times the sum over |z| with n_j lowered by one, for each j
+        value, floor = series._simplex_sum(n, z, K)
+        m, mods, u = len(n), tuple(abs(v) for v in z), series._UNIT_ROUNDOFF
+        want = u * (1 + 2 * m) * nested_simplex_sum(mods, n, K).real + sum(
+            u * abs(cmath.log(z[j]))
+            * nested_simplex_sum(mods, n[:j] + (n[j] - 1,) + n[j + 1:], K).real
+            for j in range(m))
+        assert floor == pytest.approx(want, rel=1e-12, abs=0)
+        assert abs(value - nested_simplex_sum(z, n, K)) <= floor
 
     @pytest.mark.parametrize(
         "n,z",
@@ -1109,7 +1142,7 @@ class TestErrorEstimates:
         (1, 0.95j),
     ])
     def test_classical_polylog(self, n, z):
-        # the tail underflows after one chunk here, so only the floor remains
+        # the tail underflows at the rung taken here, so only the floor remains
         mp = pytest.importorskip("mpmath")
         with mp.workdps(30):
             ref = complex(mp.polylog(n, mp.mpc(z)))
