@@ -30,15 +30,14 @@ of the value at step h is certified by the trapezoid rule's known rate, and
 every pass, at steps h0, h0 / 2, ..., takes it the same way: it samples its
 step-h grid once, with one exp and one |.| of the log-kernel per node, and
 folds that grid.  Its even entries are the step-2h grid ((2h) j == h (2j)
-bit for bit); at depth 1 the step-2h sum is twice the step-h sum over even
-J, as (2h) x == 2 (h x) bit for bit away from subnormals and overflow, and
-other rows fold the step-2h grid, with no round-off floor.  The difference
-of the two sums, times the rate E(h) / E(2h) of the aliasing model (see
-_Line) and a margin, is the error of the step-h value; while it exceeds tol
-the step is halved, and the next pass samples its whole grid again, so
-nothing outlives its pass.  A point refines past the first pass only where
-its delta is far above what the model predicts, or where Re omega shifts
-the aliasing frequency past pi / h0.
+bit for bit): at depth 1 the step-2h sum is twice the step-h sum over even
+J, and rows of depth 2 or more fold the step-2h grid, with no round-off
+floor.  The difference of the two sums, times the rate E(h) / E(2h) of the
+aliasing model (see _Line) and a margin, is the error of the step-h value;
+while it exceeds tol the step is halved, and the next pass samples its
+whole grid again, so nothing outlives its pass.  A point refines past the
+first pass only where its delta is far above what the model predicts, or
+where Re omega shifts the aliasing frequency past pi / h0.
 
 Batches: one call evaluates many rows, each with its own index, h and pole
 shifts, and so its own first step, line height, strip and truncation (see
@@ -57,13 +56,10 @@ zero-padded rows of one array, and each later axis is one call of
 series._fftconvolve, the FFT row convolver of the cone sums, which gives
 each row the transform length and size it has alone.  A pass forms each
 factor P_c^(-n_c) once per (h, eps, shift, n_c), and the fold of its
-step-2h grid takes every other entry of the step-h grid's.  numpy's complex
-multiply is not bitwise commutative, and numpy evaluates acc * factor with a
-temporary factor of 16,384 entries (256 KiB) or more as factor * acc; each
-row is multiplied in the order that product takes at its own size.  So each
-row's value, estimate, diagnostics and errors are bit for bit those it has
-alone, which is what quad_F runs, and rows that repeat one another are
-computed once.
+step-2h grid takes every other entry of the step-h grid's.  Each row is
+multiplied in place by its own slice of the factor, so each row's value,
+estimate, diagnostics and errors are bit for bit those it has alone, which
+is what quad_F runs, and rows that repeat one another are computed once.
 """
 
 from __future__ import annotations
@@ -145,6 +141,7 @@ class QuadratureSpec:
             raise DomainError("epsilon must lie in (0, 1)")
         if self.T is not None and not (1 <= self.T <= 500):
             raise DomainError("T must lie in [1, 500]")
+        object.__setattr__(self, "max_refine", _as_int_tuple((self.max_refine,), "max_refine")[0])
         if self.max_refine < 1:
             raise DomainError("max_refine must be >= 1")
         if not (self.tol > 0 and math.isfinite(self.tol)):
@@ -348,13 +345,9 @@ class _LinePoint:
 
 
 def _overflowing_axis(samples: list) -> int | None:
-    """The last axis whose exp(log-kernel) samples are not all finite, if
-    any: the axis a pass that samples the axes in order reports."""
-    bad = None
-    for i, (e, _) in enumerate(samples):
-        if not np.isfinite(e).all():
-            bad = i
-    return bad
+    """The first axis whose exp(log-kernel) samples are not all finite, if
+    any."""
+    return next((i for i, (e, _) in enumerate(samples) if not np.isfinite(e).all()), None)
 
 
 def _mirrored_logsh(pairs: Sequence[tuple]) -> list[tuple]:
@@ -494,16 +487,19 @@ def _line_integral(rows: Sequence, spec: QuadratureSpec) -> list:
     round-off floor proportional to u * sum |terms|; diagnostics["levels"]
     counts the deltas.  A row whose integrand overflows on the line (large
     Re omega), or whose nested sum or floor is not finite, fails alone with
-    a DomainError; the call lets no floating-point warning escape.  Each
+    a DomainError that names its first axis with a sample that is not
+    finite, if any; the call lets no floating-point warning escape.  Each
     level runs one pass per stack of its live rows (see _stacks): it samples
-    the stack's step-h grids, folds them, and folds the step-2h grids of the
-    rows whose fold gave no step-2h sum (see _fold_rows); every row keeps
-    its own grids, budget, stopping level and errors, and so the bits it has
-    alone.
+    the stack's step-h grids, folds them, and, at depth 2 or more, folds
+    their step-2h grids (see _fold_rows); every row keeps its own grids,
+    budget, stopping level and errors, and so the bits it has alone.  The
+    levels stop once no row is live.
     """
     out, live = _line_points(rows, spec)
     # Level k samples axis i at p = (h0 / 2^k) j + i eps, |j| <= half_i 2^k.
     for level in range(spec.max_refine + 1):
+        if not live:
+            break
         fine = []
         for pt in live:
             counts, h = [2 * (half << level) + 1 for half in pt.halves], pt.line.h0 / 2**level
@@ -518,23 +514,17 @@ def _line_integral(rows: Sequence, spec: QuadratureSpec) -> list:
             # no sample outlives its pass
             samples, factors, steps = _sample_pass(stack), {}, [pt.h for pt in stack]
             sums = _fold_rows(stack, samples, steps, factors)
-            redo = [r for r, s in enumerate(sums) if s[2] is None]  # fold their step-2h grids
-            evens = {r: [(e[e.size // 2 % 2::2], None) for e, _ in samples[r]] for r in redo}
-            coarse = _fold_rows([stack[r] for r in redo], list(evens.values()),
-                                [2 * steps[r] for r in redo], factors) if redo else ()
-            for r, (value_2h, _, _) in zip(redo, coarse):
-                sums[r] = sums[r][:2] + (value_2h,)
-            for r, (pt, (value, floor, value_2h)) in enumerate(zip(stack, sums)):
+            if len(samples[0]) > 1:  # rows of depth 2 or more fold their step-2h grids
+                evens = [[(e[e.size // 2 % 2::2], None) for e, _ in row] for row in samples]
+                coarse = _fold_rows(stack, evens, [2 * h for h in steps], factors)
+                sums = [(value, floor, value_2h)
+                        for (value, floor, _), (value_2h, _, _) in zip(sums, coarse)]
+            for pt, row, (value, floor, value_2h) in zip(stack, samples, sums):
                 if not (cmath.isfinite(value_2h) and cmath.isfinite(value) and math.isfinite(floor)):
-                    # a sample that is not finite leaves no sum finite; the
-                    # errors go in order: overflows on the step-2h grid, on
-                    # the step-h grid, then the step-2h sum, then the step-h
-                    bad = _overflowing_axis(evens[r])
-                    if bad is None:
-                        bad = _overflowing_axis(samples[r])
-                    step = pt.h if cmath.isfinite(value_2h) else 2 * pt.h
+                    # a sample that is not finite leaves no sum finite
+                    bad = _overflowing_axis(row)
                     out[pt.k] = pt.overflow(bad) if bad is not None else DomainError(
-                        f"the nested sum overflows on the line at step {step:.3g}")
+                        f"the nested sum overflows on the line at step {pt.h:.3g}")
                     continue
                 pt.value, pt.floor = value, floor
                 pt.deltas.append(abs(value - value_2h))
@@ -578,15 +568,14 @@ def _fold_rows(
     (h, pole, n_c) to P_c^(-n_c) and takes the ones formed here.
     The first axis is the product 1 f, which keeps the sign of zeros as a
     point alone does, and each later axis is series._fftconvolve of the
-    stack with its samples (see the module docstring).  A depth-1 row with a
-    floor also gets its step-2h sum, twice its sum over even J (else None)."""
+    stack with its samples (see the module docstring).  A depth-1 row also
+    gets its step-2h sum, twice its sum over even J (else None)."""
     with_floor = samples[0][0][1] is not None
     widths = [max(row[i][0].size for row in samples) for i in range(len(samples[0]))]
     sizes = [1] * len(pts)
     kappa = [0.0] * len(pts)
     for i, width in enumerate(widths):
-        # the padding of a depth-1 stack is never read: inf keeps it out of the row minima
-        f = np.full((len(pts), width), np.inf if len(widths) == 1 else 0.0, dtype=np.complex128)
+        f = np.zeros((len(pts), width), dtype=np.complex128)
         for r, row in enumerate(samples):
             e, rounding = row[i]
             sizes[r] += e.size - 1
@@ -615,30 +604,15 @@ def _fold_rows(
                 factors[h, pole, nc] = (h * np.arange(-(s // 2), s // 2 + 1.0) + pole) ** (-nc)
         for r, (key, s) in enumerate(zip(keys, sizes)):
             if key[2]:
-                seg, cut = acc[r, :s], _centred(factors[key], s)
-                # numpy's complex multiply is not bitwise commutative, and
-                # numpy elides a temporary operand of 256 KiB or more by
-                # swapping the operands: a point alone forms acc * factor
-                # with a new factor, which runs as factor * acc on 16,384
-                # entries or more.  Each row keeps the order its size gives.
-                if seg.nbytes >= 256 * 1024:
-                    np.multiply(cut, seg, seg)
-                else:
-                    np.multiply(seg, cut, seg)
+                acc[r, :s] *= _centred(factors[key], s)
     mags = np.abs(acc) if with_floor else None
-    least, out = mags.min(axis=1).tolist() if with_floor and len(widths) == 1 else None, []
-    for r, (s, (h, pole, nc)) in enumerate(zip(sizes, keys)):
+    out = []
+    for r, s in enumerate(sizes):
         seg = acc[r, :s]
-        floor = even = None
+        floor = None
         if with_floor:
-            mass = float(mags[r, :s].sum())
-            floor = _UNIT_ROUNDOFF * (1.0 + kappa[r]) * mass
-            if len(widths) == 1 and s < 1 << 14:  # so its step-2h row multiplies in its order
-                # log2 |P^(-n)| is between a and b; keep |h e P^(-n)| and |h e| in 2^(-800..900)
-                a, b = -nc * math.log2(pole.imag), -nc * math.log2(h * (s // 2) + abs(pole))
-                if (least[r] > 0 and math.log2(least[r]) >= max(0, a, b) - 800
-                        and math.log2(mass) < min(0, a, b) + 900):
-                    even = 2 * complex(seg[s // 2 % 2::2].sum())
+            floor = _UNIT_ROUNDOFF * (1.0 + kappa[r]) * float(mags[r, :s].sum())
+        even = 2 * complex(seg[s // 2 % 2::2].sum()) if len(widths) == 1 else None
         out.append((complex(seg.sum()), floor, even))
     return out
 

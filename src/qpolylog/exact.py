@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import CheckReport, DomainError
+from .core import CheckReport, DomainError, _as_int_tuple
 
 __all__ = [
     "ExactScalar",
@@ -603,6 +603,7 @@ def verify_a3(k: int, l: int, trials: int = 100, seed: int = 20260817) -> CheckR
     failing trial ends the check, and its residual |lhs - rhs| is computed
     in Fractions at the unscaled point.
     """
+    k, l, trials = _as_int_tuple((k, l, trials), "k, l and trials")
     if k + l > 6:
         raise DomainError("k + l capped at 6 for the exact check")
     rng = random.Random(seed)

@@ -94,6 +94,7 @@ class SeriesParams:
     def __post_init__(self) -> None:
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise DomainError("tol must be positive and finite")
+        object.__setattr__(self, "k_max", _as_int_tuple((self.k_max,), "k_max")[0])
         if self.k_max < 8:
             raise DomainError("k_max must be at least 8")
 

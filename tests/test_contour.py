@@ -265,7 +265,8 @@ class TestStackedLineFoldNumpy:
     convolver (tests/test_series.py::TestFFTConvolve): rows of different
     lengths, zero-padded to one width, give each row the bytes it has alone
     under 1 f in place and under a sum of its own slice; and a product with
-    a new temporary runs in the operand order its size gives."""
+    a new temporary runs in the operand order its size gives, which is why
+    the fold, and fold_alone below, multiply in place."""
 
     @pytest.mark.parametrize("size", [16383, 16384, 27745])
     def test_elided_temporary_swaps_operands_from_256_kib(self, size):
@@ -500,14 +501,14 @@ class TestBatch:
 
     def test_sum_that_overflows_fails_its_row_alone(self):
         # every sample is finite but the nested sum is not: the row fails
-        # with a DomainError at its first pass (its step-2h0 sum) rather
-        # than refine on NaN deltas, and its neighbours keep their bits
+        # with a DomainError at its first pass (step h0) rather than refine
+        # on NaN deltas, and its neighbours keep their bits
         idx, hbar = MultiIndex((0, 0, 0), (1, 1, 1), (0, 0, 0)), 1.3 + 0.4j
         spec = QuadratureSpec(tol=1e-12)
         points = [(-1.0, -0.5, -0.3), (0, 1706.4508 + 3j, 1706.4508 + 3j), (-2.0, -1.0, -0.5)]
         got = quad_F_batch(idx, points, hbar, spec)
         assert isinstance(got[1], DomainError)
-        assert str(got[1]) == "the nested sum overflows on the line at step 0.137"
+        assert str(got[1]) == "the nested sum overflows on the line at step 0.0685"
         assert_identical(got, one_by_one(lambda p: quad_F(idx, p, hbar, spec), points))
         assert_same_outcomes(line_integral(idx, points, hbar, spec),
                              two_pass(idx, points, hbar, spec))
@@ -580,18 +581,39 @@ class TestBatch:
         assert_identical(quad_F_batch(idx, points, hbar, spec),
                          one_by_one(lambda p: quad_F(idx, p, hbar, spec), points))
 
-    def test_row_past_the_elision_boundary_beside_small_rows(self):
-        # one row folds 20,793 entries, where a point alone multiplies by
-        # its factor as factor * acc; the others fold about 1,700
-        idx, hbar, spec = MultiIndex((1, 1), (0, 1), (1, 2)), 5.0, QuadratureSpec(tol=1e-13)
+    def test_row_past_the_elision_boundary_beside_small_rows(self, monkeypatch):
+        # a row of 16,384 entries or more (256 KiB, where numpy would run
+        # acc * factor with a new temporary factor as factor * acc) in one
+        # stack with small rows: it is multiplied in place on its slice of
+        # the stack, as it is alone.  Depth 2: 20,793 entries beside rows of
+        # about 1,700; depth 1: 19,047 entries at h = 1 + 10i beside rows of
+        # 139 and 163
+        spec, stacks = QuadratureSpec(tol=1e-13), []
+        fold_rows = contour._fold_rows
+
+        def spy(pts, samples, *args):
+            stacks.append([sum(e.size for e, _ in row) - len(row) + 1 for row in samples])
+            return fold_rows(pts, samples, *args)
+
+        monkeypatch.setattr(contour, "_MAX_STACK", 1 << 17)
+        monkeypatch.setattr(contour, "_fold_rows", spy)
+        idx, hbar = MultiIndex((1, 1), (0, 1), (1, 2)), 5.0
         points = [(-2.6208992563278373 + 2.9145008940925963j,
                    -2.7587133628012634 - 11.000295837076807j), (-1.0, -0.5), (-2 + 0.3j, -1.0)]
         got = line_integral(idx, points, hbar, spec)
         folded = [sum(r[2]["nodes_per_axis"]) - 1 for r in got]
         assert folded[0] == 20793 and max(folded[1:]) < 16384
         assert_same_outcomes(got, two_pass(idx, points, hbar, spec))
-        assert_identical(quad_F_batch(idx, points, hbar, spec),
-                         one_by_one(lambda p: quad_F(idx, p, hbar, spec), points))
+        rows = [Row(idx, om, hbar) for om in points] + [
+            Row(idx1(1, 1, 1), (-2 + 1j,), 1 + 10j), Row(idx1(1, 1, 1), (-1.0,), 1.2),
+            Row(idx1(1, 1, 1), (-1 + 2j,), 1.2)]
+        for batch in (rows[:3], rows[3:]):
+            stacks.clear()
+            got = contour._quad_rows(batch, spec)
+            assert any(len(s) == len(batch) and s[0] >= 16384 and max(s[1:]) < 16384
+                       for s in stacks)
+            alone = one_by_one(lambda row: quad_F(row.idx, row.omega, row.hbar, spec), batch)
+            assert list(map(result_key, got)) == list(map(result_key, alone))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(line_batches())
@@ -610,7 +632,7 @@ class TestBatch:
         # repr tells -0.0 from 0.0; a fold that overflows on finite samples
         # fails its row, in a batch and alone
         assert list(map(outcome_key, got)) == list(map(outcome_key, alone))
-        assert list(map(outcome_key, got)) == list(map(outcome_key, want))
+        assert_same_outcomes(got, want)
 
 
 def outcome_key(outcome):
@@ -774,9 +796,9 @@ def fold_alone(samples, h, n, eps, shifts):
             acc = np.fft.ifft(np.fft.fft(acc, nfft) * np.fft.fft(f, nfft))[:size]
         if n[i] != 0:
             J = np.arange(acc.size) - acc.size // 2
-            # kept as written: on 16,384 entries or more numpy elides the
-            # temporary factor and runs this as factor * acc
-            acc = acc * (h * J + 1j * ((i + 1) * eps - shifts[i])) ** (-n[i])
+            # in place: acc * factor with a new temporary factor of 256 KiB
+            # or more runs as factor * acc (TestStackedLineFoldNumpy)
+            acc *= (h * J + 1j * ((i + 1) * eps - shifts[i])) ** (-n[i])
     return complex(acc.sum()), _UNIT_ROUNDOFF * (1.0 + kappa) * float(np.abs(acc).sum())
 
 
@@ -791,9 +813,13 @@ def two_pass(idx, omegas, hbar, spec, pole_shifts=None):
     """_line_integral refined another way: the step-2h0 grid sampled on its
     own, each later grid (steps h0, h0/2, ...) on its new odd nodes only and
     interleaved with the kept samples, and every point alone on its own grid
-    and in its own fold (fold_alone).  It is built from the engine's own
-    set-up, _log_kernel and rate model (_LinePoint.error), so both sides
-    round alike on any machine; nodes_evaluated is counted here."""
+    and in its own fold (fold_alone), whose value the next level takes as
+    its step-2h sum.  At depth 1 that sum is the direct sum of the step-2h
+    terms (2h) e P^(-n), where the engine doubles its step-h terms at even
+    J: the same bits wherever every term is a normal number.  It is built
+    from the engine's own set-up, _log_kernel and rate model
+    (_LinePoint.error), so both sides round alike on any machine;
+    nodes_evaluated is counted here."""
     rows = [Row(idx, om, hbar, pole_shifts) for om in omegas]
     out, live = contour._line_points(rows, spec)
     shifts = tuple(pole_shifts) if pole_shifts is not None else (0j,) * idx.depth
@@ -815,7 +841,6 @@ def _refine_alone(pt, idx, hbar, spec, shifts):
                 f"line quadrature at step {h0 / 2**max(level, 0):.3g} needs more than "
                 f"{contour._MAX_NODES} nodes"
             )
-        error = None
         for i, span in enumerate(spans):
             j = np.arange(-span, span + 1)
             if level >= 0:
@@ -824,23 +849,19 @@ def _refine_alone(pt, idx, hbar, spec, shifts):
             lg = contour._log_kernel(idx.a[i], idx.b[i], hbar, pt.omega[i], p)
             nodes += p.size
             fresh = (np.exp(lg), _kernel_rounding(idx.a[i], idx.b[i], hbar, p, lg))
-            if not np.isfinite(fresh[0]).all():
-                error = DomainError(
-                    f"the integrand overflows on the line at omega[{i}] = {pt.omega[i]!r}"
-                )
             if level >= 0:
                 fresh = tuple(_interleave(k, f, span) for k, f in zip(samples[i], fresh))
             samples[i] = fresh
-        if error is not None:
-            return error
         value, pt.floor = fold_alone(samples, h, idx.n, eps, shifts)
         if level < 0:
             pt.value = value
             continue
-        # the engine folds the step-2h0 grid once the step-h0 samples are checked
-        if level == 0 and not cmath.isfinite(pt.value):
-            return DomainError(f"the nested sum overflows on the line at step {2 * h0:.3g}")
-        if not (cmath.isfinite(value) and math.isfinite(pt.floor)):
+        if not (cmath.isfinite(pt.value) and cmath.isfinite(value) and math.isfinite(pt.floor)):
+            # the first axis with a step-h sample that is not finite, if any
+            for i, (e, _) in enumerate(samples):
+                if not np.isfinite(e).all():
+                    return DomainError(
+                        f"the integrand overflows on the line at omega[{i}] = {pt.omega[i]!r}")
             return DomainError(f"the nested sum overflows on the line at step {h:.3g}")
         pt.h = h
         pt.deltas.append(abs(value - pt.value))
@@ -868,12 +889,27 @@ def _kernel_rounding(a, b, hbar, p, lg):
 
 
 def assert_same_outcomes(got, want):
+    """got has the outcomes of want (two_pass), repr for repr (so -0.0 is
+    not 0.0): value, estimate and diagnostics, or the type and text of the
+    error.  One exception: at depth 1 a step-2h term that is subnormal may
+    round apart (see two_pass), so a delta may differ by two subnormal
+    units per step-2h term, which holds every delta of terms * 2^-1019 or
+    more bit for bit; and only where a delta differs may the estimate
+    differ, by one ulp."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        if isinstance(w, Exception):
-            assert type(g) is type(w) and str(g) == str(w)
-        else:
-            assert g == w  # value, estimate and diagnostics, bit for bit
+        if not isinstance(w, Exception) and not isinstance(g, Exception):
+            (g_value, g_err, g_diag), (w_value, w_err, w_diag) = g, w
+            if len(w_diag["nodes_per_axis"]) == 1 and repr(g_diag["deltas"]) != repr(
+                    w_diag["deltas"]):
+                terms = w_diag["nodes_per_axis"][0] // 4 * 2 + 1  # at any level
+                assert len(g_diag["deltas"]) == len(w_diag["deltas"])
+                for a, b in zip(g_diag["deltas"], w_diag["deltas"]):
+                    assert abs(a - b) <= 2 * terms * math.ulp(0.0)
+                assert abs(g_err - w_err) <= math.ulp(w_err)
+                g, w = [(value, {**diag, "deltas": None})
+                        for value, diag in ((g_value, g_diag), (w_value, w_diag))]
+        assert outcome_key(g) == outcome_key(w)
 
 
 # overflows on the odd nodes of its step-h0 grid only, at h = 1.2 and tol 1e-10
@@ -964,19 +1000,19 @@ class TestOnePass:
         assert sizes == [2 * 231, 2 * 461, 2 * 921, 2 * 1833, 2 * 3665]
 
     def test_level_zero_overflows_are_reported_first(self):
-        # each grid reports its last overflowing axis, and an overflow on the
-        # odd nodes of the step-h0 grid counts only if no axis overflows on
-        # the step-2h0 grid; so (5000, ODD_OVERFLOW) failing on axis 0 shows
-        # ODD_OVERFLOW is finite on the step-2h0 nodes
+        # each row fails at its first pass and names the first axis whose
+        # step-h0 samples are not finite; ODD_OVERFLOW is finite on the
+        # step-2h0 nodes, and that grid is read from the step-h0 grid
         idx, spec = MultiIndex((1, 1), (1, 1), (1, 1)), QuadratureSpec()
         points = [(ODD_OVERFLOW, -1.0), (-1.0, ODD_OVERFLOW), (5000.0, ODD_OVERFLOW),
-                  (ODD_OVERFLOW, 5000.0), (ODD_OVERFLOW, ODD_OVERFLOW)]
-        axes = [0, 1, 0, 1, 1]
+                  (ODD_OVERFLOW, 5000.0), (ODD_OVERFLOW, ODD_OVERFLOW), (-1.0, 5000.0)]
+        axes = [0, 1, 0, 0, 0, 1]
         got = line_integral(idx, points, 1.2, spec)
         for err, axis, point in zip(got, axes, points):
             assert isinstance(err, DomainError)
             omega = complex(point[axis])
             assert str(err) == f"the integrand overflows on the line at omega[{axis}] = {omega!r}"
+        assert_same_outcomes(got, two_pass(idx, points, 1.2, spec))
 
     def test_level_one_budget_failure_alone(self, monkeypatch):
         # -60 shifts the aliasing frequency past pi / h0, so the first pass
@@ -1023,43 +1059,54 @@ class TestOnePass:
 
 
 def fold_spy(monkeypatch):
-    """Record each _fold_rows call: whether it forms a floor (a step-h fold),
-    and the omega of each row with whether the fold gave it no step-2h sum."""
+    """Record each _fold_rows call as (whether it forms a floor, a step-h
+    fold, and for each row (pt, its step, its first axis's node count, its
+    (value, floor, step-2h sum))); a fold with no floor, a second fold of
+    its pass, must hold rows of depth 2 or more."""
     calls, fold = [], contour._fold_rows
 
     def recording(pts, samples, steps, factors):
         out = fold(pts, samples, steps, factors)
-        calls.append((samples[0][0][1] is not None,
-                      [(pt.omega, res[2] is None) for pt, res in zip(pts, out)]))
+        floor = samples[0][0][1] is not None
+        assert floor or len(samples[0]) >= 2
+        calls.append((floor, [(pt, h, row[0][0].size, res)
+                              for pt, h, row, res in zip(pts, steps, samples, out)]))
         return out
 
     monkeypatch.setattr(contour, "_fold_rows", recording)
     return calls
 
 
-def two_folds(idx, omegas, hbar, spec):
-    """_line_integral with the step-2h grid of every row folded on its own,
-    as every pass did before the depth-1 even-J sum."""
-    fold = contour._fold_rows
+def direct_step_two_sum(idx, hbar, pt, h, size):
+    """The step-2h trapezoid sum of a depth-1 row whose step-h grid has size
+    nodes, summed directly: the terms (2h) e(2h j) P(2h j)^(-n) at the even
+    J = 2j of that grid, each from _log_kernel; and whether every term is a
+    normal number or 0."""
+    span = size // 2 // 2
+    j = np.arange(-span, span + 1)
+    pole, n = pt.line.couplings[0]
+    p = (2 * h) * j + 1j * pt.line.eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        lg = contour._log_kernel(idx.a[0], idx.b[0], hbar, pt.omega[0], p)
+        terms = (1 + 0j) * ((2 * h) * np.exp(lg))
+        if n:
+            terms *= ((2 * h) * j + pole) ** (-n)
+    parts = np.abs(np.concatenate((terms.real, terms.imag)))
+    return complex(terms.sum()), terms.size, bool(((parts == 0) | (parts >= 2.0**-1022)).all())
 
-    def folding_twice(*args):
-        return [(value, floor, None) for value, floor, _ in fold(*args)]
 
-    with mock.patch.object(contour, "_fold_rows", folding_twice):
-        return line_integral(idx, omegas, hbar, spec)
-
-
-# either side of the depth-1 guard of idx1(1, 1, 1) at h = 1.2 and tol 1e-10
-# (its boundary is near -1229.74): the level-0 row of -1229.4 keeps every
-# |h e P^(-n)| at or above 2^-800, that of -1230.1 does not
+# rows of idx1(1, 1, 1) at h = 1.2 and tol 1e-10 either side of omega =
+# -1229.74: at level 0 the row of -1229.4 keeps every |h e P^(-n)| at or
+# above 2^-800, that of -1230.1 does not
 NEAR_GUARD = (-1229.4 + 0j, -1230.1 + 0j)
 
 
 class TestDepthOneStepTwoSum:
-    """At depth 1 the step-2h sum is twice the step-h fold's sum over even J,
-    so a pass folds once; a row near the subnormal or overflow range folds
-    its step-2h grid again.  Either way each row has the bits of folding
-    both grids."""
+    """At depth 1 the step-2h sum is twice the step-h fold's sum over even
+    J, so a pass folds once, whatever its samples: the same bits as the
+    direct sum of the step-2h terms wherever every term is a normal number,
+    and within one subnormal unit per term and part elsewhere.  Rows of
+    depth 2 or more fold their step-2h grids."""
 
     def test_depth_one_folds_once_and_depth_two_twice(self, monkeypatch):
         calls = fold_spy(monkeypatch)
@@ -1067,40 +1114,57 @@ class TestDepthOneStepTwoSum:
         got = line_integral(idx1(1, 1, 1), [(-1.0,), (-1 + 2j,), (-3 + 0.5j,)], 1.2, spec)
         levels = max(r[2]["levels"] for r in got)
         assert levels >= 1 and len(calls) == levels
-        assert all(floor and not any(redo for _, redo in rows) for floor, rows in calls)
+        assert all(floor and all(res[2] is not None for *_, res in rows) for floor, rows in calls)
         calls.clear()
         idx, points = MultiIndex((1, 1), (1, 1), (1, 2)), [(-1.0, -0.5), (-1 + 2j, -0.5)]
         got = line_integral(idx, points, 1.3 + 0.4j, QuadratureSpec(tol=1e-12))
         levels = max(r[2]["levels"] for r in got)
         assert [floor for floor, _ in calls] == [True, False] * levels
-        assert all(redo for floor, rows in calls if floor for _, redo in rows)
+        assert all(res[2] is None for _, rows in calls for *_, res in rows)
 
     @pytest.mark.parametrize(
         "epsilon,points,redo",
         [
-            # overflows on the line; one on the odd nodes only; a plain row
-            (None, [(ODD_OVERFLOW,), (5000.0,), (-1.0,)], [True, True, False]),
+            # redo marks the rows with a step-2h term that is not a normal
+            # number; the others are bit for bit the direct sum.
+            # Overflows on the line; one on the odd nodes only; a plain row
+            (None, [(ODD_OVERFLOW,), (5000.0,), (-1.0,)], [False, True, False]),
             # tiny samples: exp(-i p omega) ~ exp(omega eps), eps = 5/12 at
             # h = 1.2, and exp(-700 * 0.8) on a line at height 0.8
-            (None, [(-700.0,), (-1400.0,), (-1700 + 1j,)], [False, True, True]),
-            (0.8, [(-700.0,), (-1.0,)], [True, False]),
-            (None, [(NEAR_GUARD[0],), (NEAR_GUARD[1],)], [False, True]),
-            # 19,025 nodes: numpy multiplies the step-h row as factor * acc,
-            # its step-2h row of 9,513 entries as acc * factor, which rounds apart
-            (0.004, [(-1 + 0.3j,)], [True]),
+            (None, [(-700.0,), (-1400.0,), (-1700 + 1j,)], [False, False, True]),
+            (0.8, [(-700.0,), (-1.0,)], [False, False]),
+            (None, [(NEAR_GUARD[0],), (NEAR_GUARD[1],)], [False, False]),
+            # a step-h row of 19,025 entries
+            (0.004, [(-1 + 0.3j,)], [False]),
             # all of them in one stack
             (None, [(-1.0,), (ODD_OVERFLOW,), (NEAR_GUARD[0],), (5000.0,), (NEAR_GUARD[1],),
-                    (-700.0,)], [False, True, False, True, True, False]),
+                    (-700.0,)], [False, False, False, True, False, False]),
         ],
     )
     def test_fallback_rows_match_two_folds(self, monkeypatch, epsilon, points, redo):
+        # the reference folds each row's step-h grid alone and sums its
+        # step-2h terms directly
         idx, spec = idx1(1, 1, 1), QuadratureSpec(tol=1e-10, epsilon=epsilon)
-        want = two_folds(idx, points, 1.2, spec)
+        want = two_pass(idx, points, 1.2, spec)
         calls = fold_spy(monkeypatch)
         got = line_integral(idx, points, 1.2, spec)
+        assert all(floor for floor, _ in calls)
+        assert len(calls[0][1]) == len(points)
+        flagged = set()
+        for _, rows in calls:
+            for pt, h, size, (_, _, value_2h) in rows:
+                direct, terms, normal = direct_step_two_sum(idx, 1.2, pt, h, size)
+                if not normal:
+                    flagged.add(complex(pt.omega[0]))
+                if normal:
+                    assert same_bytes(value_2h, direct)
+                elif cmath.isfinite(direct):
+                    assert abs(value_2h.real - direct.real) <= terms * math.ulp(0.0)
+                    assert abs(value_2h.imag - direct.imag) <= terms * math.ulp(0.0)
+                else:
+                    assert not cmath.isfinite(value_2h)
+        assert flagged == {complex(p[0]) for p, flag in zip(points, redo) if flag}
         assert_same_outcomes(got, want)
-        assert calls[0][0] and [r for _, r in calls[0][1]] == redo
-        assert_same_outcomes(got, two_pass(idx, points, 1.2, spec))
 
 
 class TestQuadI:

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpolylog.contour import depth1_closed_form, quad_bernoulli_circle, quad_Li, quad_zeta_hbar
+from qpolylog.contour import (
+    QuadratureSpec,
+    depth1_closed_form,
+    quad_bernoulli_circle,
+    quad_F,
+    quad_Li,
+    quad_zeta_hbar,
+)
 from qpolylog.core import (
     BACKENDS,
     CheckReport,
@@ -19,8 +26,10 @@ from qpolylog.core import (
     validate_hbar,
     weight,
 )
+from qpolylog.exact import verify_a3
 from qpolylog.series import (
     EpsilonVector,
+    SeriesParams,
     TruncatedSeries,
     classical_polylog,
     companion_series,
@@ -155,6 +164,13 @@ EXPONENT_CALLS = {
     "quad_bernoulli_circle b": lambda k: quad_bernoulli_circle(1, k, 1, -1.0, 1.2),
     "quad_bernoulli_circle n": lambda k: quad_bernoulli_circle(1, 0, k, -1.0, 1.2),
     "q_integral": lambda k: q_integral(TruncatedSeries((0j, 1.0, 0.5j)), k, 0.3),
+    # integer knobs: k_max = 1002 caps no rung of this cone sum
+    "SeriesParams k_max": lambda k: companion_sum_I(
+        (1,), (-1.0,), PHI, SeriesParams(k_max=1000 + k)),
+    "QuadratureSpec max_refine": lambda k: quad_F(
+        MultiIndex((1,), (1,), (1,)), (-1.0,), 1.2, QuadratureSpec(max_refine=k)),
+    "verify_a3 k": lambda k: verify_a3(k, 2, trials=3),
+    "verify_a3 trials": lambda k: verify_a3(2, 2, trials=k),
 }
 
 
