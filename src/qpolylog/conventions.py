@@ -65,8 +65,9 @@ ZETA_1_2_VALUE = 0.261799387799149j          # equals i*pi/12
 ZETA_14_3_VALUE = 0.495156398425345
 ZETA_REJECTED_EXPONENT_RESIDUAL = 0.2350571070239872
 
-# Infinite-product reference: a=2, x=0.3, q=0.35.
-PSI_REFERENCE_VALUE = 1.04817130749641
+# Infinite-product reference: a=2, x=0.3, q=0.35; the value is the 40-digit
+# mpmath product 1.0481713074965179..., to 15 digits.
+PSI_REFERENCE_VALUE = 1.04817130749652
 PSI_REJECTED_RESIDUAL = 0.17098864713736117
 
 # Companion-series reference points (value, max residual vs quadrature).
@@ -292,7 +293,7 @@ CONVENTIONS: tuple = (
             f"q=0.35, where Psi_2 = {PSI_REFERENCE_VALUE!r}."
         ),
         evidence=(
-            ("product vs exp(-series) residual", 1.12e-13),
+            ("product vs exp(-series) residual", 3.33e-15),
         ),
         rejected=(
             ("exponent (-1)^(a+1), base q^(2n+1)", PSI_REJECTED_RESIDUAL),

@@ -20,8 +20,8 @@ a backward pass of suffix sums (_simplex_sum); octant, q-deformed and
 companion sums are one cone sum at any depth, an FFT fold over a lattice of
 weighted prefix sums (_cone_sum), whose row convolver _fftconvolve is also
 the convolution step of the contour fold (qpolylog.contour._fold_rows).
-Every sum stops once, at the first rung K = 64 * 2^j its tail bound allows,
-and its error estimate is that bound plus a round-off floor.
+Every sum, the one log-sum of Psi_a too, stops once at the first rung
+K = 64 * 2^j its tail bound allows; the estimate adds a round-off floor.
 
 Batches: companion_series_batch and companion_sum_I_batch sum many points
 that share the index, h and tolerance.  In their cone sums each point is a
@@ -29,9 +29,8 @@ row that folds once, at the truncation K its certified tail bound names;
 the rows of one K are stacked, each convolved with its own terms and all
 multiplied by one shared block of the reciprocal lattice.  Bracket powers
 are formed once for all rows, and each point's result is bit for bit that
-of a batch of one.  companion_sum_I_batch runs the cones outside and adds
-each cone's raw per-point results into the per-point sums, so one lattice
-is alive at a time.
+of a batch of one.  companion_sum_I_batch runs the cones outside, so one
+lattice is alive at a time, and adds each point's cone values by math.fsum.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ __all__ = [
     "SeriesParams",
     "TruncatedSeries",
     "EpsilonVector",
-    "KahanSum",
     "classical_polylog",
     "multiple_polylog",
     "octant_polylog",
@@ -178,25 +176,6 @@ class EpsilonVector:
             slots = tuple("1/h" if (mask >> j) & 1 else "1" for j in range(depth))
             vecs.append(cls(slots, hbar))
         return vecs
-
-
-class KahanSum:
-    """Compensated complex accumulator (sum + running carry)."""
-
-    __slots__ = ("sum", "carry")
-
-    def __init__(self) -> None:
-        self.sum = 0j
-        self.carry = 0j
-
-    def add(self, value: complex) -> None:
-        y = value - self.carry
-        t = self.sum + y
-        self.carry = (t - self.sum) - y
-        self.sum = t
-
-    def value(self) -> complex:
-        return self.sum
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +805,7 @@ def companion_sum_I_batch(
         return fail_points(ws, exc)
     a = (1,) * m
     state = map_points(functools.partial(_checked_w, a, n, m), ws)
-    sums = [KahanSum() for _ in state]
+    values: list[list[complex]] = [[] for _ in state]
     errs = [0.0] * len(state)
     terms = [0] * len(state)
     for eps in cones:
@@ -841,12 +820,13 @@ def companion_sum_I_batch(
             except POINT_ERRORS as exc:
                 state[k] = exc
                 continue
-            sums[k].add(value)
+            values[k].append(value)
             errs[k] += err
             terms[k] += raw[2]["terms"]
     return map_points(
-        lambda k: EvalResult(sums[k].value(), errs[k], "companion",
-                             {"cones": 2**m, "terms": terms[k]}),
+        lambda k: EvalResult(complex(math.fsum(v.real for v in values[k]),
+                                     math.fsum(v.imag for v in values[k])),
+                             errs[k], "companion", {"cones": 2**m, "terms": terms[k]}),
         [s if isinstance(s, Exception) else k for k, s in enumerate(state)],
     )
 
@@ -854,41 +834,6 @@ def companion_sum_I_batch(
 # ---------------------------------------------------------------------------
 # Pochhammer-type infinite products
 # ---------------------------------------------------------------------------
-
-
-def _log_pochhammer_psi(
-    a: int, x: complex, q: complex, params: SeriesParams
-) -> tuple[complex, float, int]:
-    """sum_{n>=0} (-1)^a * C(n+a-1, a-1) * Log(1 + q^(2n+a) x); the product
-    Psi_a is exp of this (exponents are integers, so branches are immaterial
-    for the product's value).  Needs a >= 1."""
-    sign = (-1) ** a
-    total = KahanSum()
-    absq = abs(q)
-    n_idx = 0
-    while True:
-        if n_idx % 64 == 0:  # q^(2n+a) for the next 64 factors
-            powers = _q_power(q, 2 * np.arange(n_idx, n_idx + 64) + a)
-        u = powers[n_idx % 64] * x
-        if 1 + u == 0:
-            raise DomainError("Psi product hits a zero factor")
-        c = math.comb(n_idx + a - 1, a - 1)
-        total.add(sign * c * cmath.log(1 + u))
-        # tail: |log(1+u)| <= 2|u| once |u| < 1/2, and C(n+a-1,a-1) <= (n+1)^(a-1)
-        if abs(u) < 0.5:
-            tail = (
-                2
-                * abs(x)
-                * (n_idx + 2) ** (a - 1)
-                * absq ** (2 * n_idx + 2 + a)
-                / (1 - absq**2)
-                * (a)
-            )
-            if tail <= params.tol:
-                return total.value(), tail, n_idx + 1
-        n_idx += 1
-        if n_idx > params.k_max:
-            raise ConvergenceError("Psi product did not converge")
 
 
 def pochhammer_psi(
@@ -902,6 +847,13 @@ def pochhammer_psi(
     Satisfies Psi_a(q x) / Psi_a(x / q) = Psi_{a-1}(x) and
     log Psi_a(x; q) = -qLi_{a,1 coupling}(-x; q) in the sense that
     Psi_a(x; q) = exp(-sum_{k>=1} (-x)^k / ([k]_q^a k)).
+
+    For a >= 1 it is exp((-1)^a sum_{n<K} C_n Log(1 + u_n)), C_n = C(n+a-1,
+    a-1), u_n = q^(k_n) x, k_n = 2n+a, at the first rung K whose tail bound
+    2|u_K| C(K+a-1, a-1) / (1-|q|^2)^a, inf until |u_K| < 1/2 makes
+    |Log(1 + u)| <= 2|u|, meets tol.  The estimate is |Psi| (e^eps - 1), eps
+    the tail plus sum_n C_n times the round-off min(u, |u_n|) of 1 + u_n, u k_n
+    |log q| |u_n| / |1 + u_n| of exp(k_n log q), and u |Log| per log and sum.
     """
     params = params or SeriesParams()
     (a,) = _as_int_tuple((a,), "a")
@@ -913,9 +865,28 @@ def pochhammer_psi(
         raise DomainError("q must satisfy 0 < |q| < 1")
     if a == 0:
         return EvalResult(1 + x, 1e-16 * abs(1 + x), "series", {"factors": 1})
-    log_val, tail, factors = _log_pochhammer_psi(a, x, q, params)
-    value = cmath.exp(log_val)
-    return EvalResult(value, abs(value) * (tail + 1e-15), "series", {"factors": factors})
+    t = abs(q) ** 2  # |u_K| = |x q^a| t^K
+    K, tail = _rung(lambda K: 2 * u_K * math.comb(K + a - 1, a - 1) / (1 - t) ** a
+                    if (u_K := abs(x * q**a) * t**K) < 0.5 else math.inf, params.tol, params.k_max)
+    if tail > params.tol:
+        raise ConvergenceError(f"Psi product: tail bound {tail:.3e} above tol after {K} factors")
+    if K > _MAX_CELLS:  # before any array is formed
+        raise ConvergenceError(f"Psi product: {K} factors exceed {_MAX_CELLS} cells")
+    ks = np.arange(a, 2 * K + a, 2, dtype=np.float64)
+    u = _q_power(q, ks) * x
+    factors, sizes = 1 + u, np.abs(u)
+    mods = np.abs(factors)
+    if np.count_nonzero(mods) < K:
+        raise DomainError("Psi product hits a zero factor")
+    # C_n, the (a-1)-fold running sum of ones, is exact in floats below 2^53
+    binom = np.ones(K, dtype=np.float64 if math.comb(K + a - 2, a - 1) < 2**53 else object)
+    for _ in range(1, a):
+        binom = np.cumsum(binom)
+    binom, logs = binom.astype(np.float64, copy=False), np.log(factors)
+    floor = np.dot(binom, np.minimum(sizes, _UNIT_ROUNDOFF)) + _UNIT_ROUNDOFF * (
+        abs(cmath.log(q)) * np.dot(binom * ks, sizes / mods) + 2 * np.dot(binom, np.abs(logs)))
+    value = cmath.exp(0j + (-1) ** a * complex(np.dot(binom, logs)))  # 0j + reads -0.0 as +0.0
+    return EvalResult(value, abs(value) * math.expm1(tail + float(floor)), "series", {"factors": K})
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ calibration grid in tests/test_calibration.py.
 
     python3 tests/make_calibration_refs.py
 
-Every value is computed with mpmath at 35 significant digits, from the
-defining integrals, and nothing here imports qpolylog:
+Every value is computed with mpmath, at 35 significant digits from the
+defining integrals or at 40 from the defining product, and nothing here
+imports qpolylog:
 
 * ``line``       depth-1 F_{a,b,n}(omega) by tanh-sinh quadrature on the line
                  Im p = eps (half the lowest pole height), cut where the
@@ -18,7 +19,11 @@ defining integrals, and nothing here imports qpolylog:
 * ``near_rational`` the same at depth-1 points where the companion series'
                  q-brackets nearly vanish (h close to 3/2) or cancel
                  (h = 3.3166247903554);
-* ``bernoulli``  the Bernoulli residue of bench/oracle.py.
+* ``bernoulli``  the Bernoulli residue of bench/oracle.py;
+* ``psi``        the Pochhammer product Psi_a(x; q) = prod_(n>=0)
+                 (1 + q^(2n+a) x)^((-1)^a C(n+a-1, a-1)) at 40 digits, factor
+                 by factor until they reach 10^-50, at four hard points and
+                 46 seeded random ones.
 
 Each line value is stored with mpmath's estimate of its error, which the
 test adds to the allowance.  Takes about ten minutes.  Before computing
@@ -29,6 +34,7 @@ if a value's error estimate exceeds 1e-14.
 
 from __future__ import annotations
 
+import cmath
 import json
 import random
 import sys
@@ -131,6 +137,33 @@ NEAR_RATIONAL = [
 
 BERNOULLI = [(3, 2, 3, -0.7 + 0.2j, 1.7 + 0.3j), (0, 1, 3, 0.4 + 0j, 1.3 + 0j)]
 
+# (a, x, q) of the Psi grid: a point whose old estimate fell short, |q| near 1
+# at complex, negative and positive q, then a in 1..4, |q| in [0.1, 0.95] and
+# Re x, Im x in [-0.9, 0.9] at random
+PSI = [(4, 0.5 + 0j, 0.7 + 0j), (2, -0.3 + 0.1j, cmath.rect(0.97, 1.1)),
+       (1, 0.2 + 0j, -0.99 + 0j), (2, 0.5 + 0j, 0.97 + 0j)]
+
+
+def psi_points() -> list[tuple]:
+    rng = random.Random(30)
+    return PSI + [(rng.randint(1, 4), complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)),
+                   cmath.rect(rng.uniform(0.1, 0.95), rng.uniform(-cmath.pi, cmath.pi)))
+                  for _ in range(46)]
+
+
+def psi_value(a: int, x, q) -> mp.mpc:
+    """Psi_a(x; q) at 40 digits, the product of its factors up to where
+    C(n+a-1, a-1) |q^(2n+a) x| drops below 10^-50."""
+    with mp.workdps(50):
+        x, q = oracle.mpc(x), oracle.mpc(q)
+        prod, n = mp.mpc(1), 0
+        while True:
+            u, c = q ** (2 * n + a) * x, mp.binomial(n + a - 1, a - 1)
+            prod *= (1 + u) ** ((-1) ** a * int(c))
+            if c * abs(u) < mp.mpf(10) ** -50:
+                return prod
+            n += 1
+
 
 def validate() -> float:
     worst = mp.mpf(0)
@@ -159,9 +192,9 @@ def main() -> int:
         return 1
     t0 = time.perf_counter()
     doc = {
-        "about": "References of tests/test_calibration.py, from mpmath at 35 digits; "
-                 "remake with: python3 tests/make_calibration_refs.py",
-        "line": [], "changed": [], "near_rational": [], "bernoulli": [],
+        "about": "References of tests/test_calibration.py, from mpmath at 35 digits "
+                 "(psi at 40); remake with: python3 tests/make_calibration_refs.py",
+        "line": [], "changed": [], "near_rational": [], "bernoulli": [], "psi": [],
     }
     for key, points in (("line", line_points()), ("changed", CHANGED),
                         ("near_rational", NEAR_RATIONAL)):
@@ -177,6 +210,8 @@ def main() -> int:
     for a, b, n, omega, hbar in BERNOULLI:
         value = oracle.bernoulli_residue(a, b, n, omega, hbar)
         doc["bernoulli"].append(entry(value, a=a, b=b, n=n, omega=pair(omega), hbar=pair(hbar)))
+    for a, x, q in psi_points():
+        doc["psi"].append(entry(psi_value(a, x, q), a=a, x=pair(x), q=pair(q)))
     OUT.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {OUT.name} in {time.perf_counter() - t0:.0f} s", file=sys.stderr)
     return 0

@@ -16,7 +16,8 @@ margin.  Its references:
 and, for the Bernoulli layer, the stored residue against the circle
 quadrature and the float evaluation of the exact polynomial.  The companion
 series' own estimate is checked against stored line quadratures at h near
-rational, where its q-brackets cancel.
+rational, where its q-brackets cancel, and the Pochhammer product's against
+stored 40-digit products.
 """
 
 import json
@@ -30,7 +31,7 @@ from qpolylog.contour import QuadratureSpec, depth1_closed_form, quad_bernoulli_
 from qpolylog.core import MultiIndex, convergence_strip, unwrap
 from qpolylog.exact import bernoulli_exact
 from qpolylog.identities import _h1_depth2_closed
-from qpolylog.series import SeriesParams, companion_sum_I
+from qpolylog.series import SeriesParams, companion_sum_I, pochhammer_psi
 
 REFS = json.loads(Path(__file__).with_name("calibration_refs.json").read_text())
 TOLS = (1e-6, 1e-8, 1e-10, 1e-12)
@@ -193,3 +194,18 @@ def test_bernoulli_estimates(entry):
     assert abs(circle.value - ref) <= circle.err_estimate
     poly = bernoulli_exact(a, b, n)
     assert abs(poly.eval(omega, hbar) - ref) <= poly._eval_rounding(omega, hbar)
+
+
+@pytest.mark.parametrize("tol", (1e-12, 1e-15))
+def test_psi_estimates(tol):
+    # the one sum's round-off floor counts the rounding of 1 + u_n; the old
+    # per-term loop's |Psi| (tail + 1e-15) missed it, and fell short at 7 of
+    # these 50 points at tol 1e-12 and at 32 at 1e-15
+    entries = REFS["psi"]
+    assert len(entries) >= 44
+    short = []
+    for e in entries:
+        res = pochhammer_psi(e["a"], complex(*e["x"]), complex(*e["q"]), SeriesParams(tol=tol))
+        if abs(res.value - stored(e)) > res.err_estimate:
+            short.append((e["a"], e["x"], e["q"], abs(res.value - stored(e)), res.err_estimate))
+    assert short == []

@@ -17,7 +17,6 @@ from qpolylog.contour import quad_I
 from qpolylog.core import MultiIndex
 from qpolylog.series import (
     EpsilonVector,
-    KahanSum,
     SeriesParams,
     TruncatedSeries,
     classical_polylog,
@@ -125,16 +124,6 @@ class TestEpsilonVector:
         assert len(vecs) == 8
         assert len({v.slots for v in vecs}) == 8
         assert all(v.depth == 3 for v in vecs)
-
-
-class TestKahanSum:
-    def test_compensation(self):
-        acc = KahanSum()
-        for _ in range(10**5):
-            acc.add(0.1 + 0j)
-        expected = math.fsum([0.1] * 10**5)
-        assert abs(acc.value().real - expected) <= 1e-9
-        assert acc.value().imag == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1223,6 +1212,18 @@ class TestPochhammerPsi:
         rhs = pochhammer_psi(a - 1, x, q).value
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
+    def test_cell_budget_refuses_before_any_array(self, monkeypatch):
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("an array was formed")
+
+        monkeypatch.setattr(np, "arange", no_arrays)
+        # at |q| = 1 - 1e-6 the tail meets tol at K = 64 * 2^19, past the
+        # budget, and is still above tol at the default k_max = 10^6
+        with pytest.raises(ConvergenceError, match="33554432 factors exceed 5000000 cells"):
+            pochhammer_psi(1, 0.5, 1 - 1e-6, SeriesParams(k_max=10**8))
+        with pytest.raises(ConvergenceError, match="above tol after 1000000 factors"):
+            pochhammer_psi(1, 0.5, 1 - 1e-6)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             pochhammer_psi(-1, 0.5, 0.5)
@@ -1230,6 +1231,8 @@ class TestPochhammerPsi:
             pochhammer_psi(1, 0.5, 1.0)
         with pytest.raises(DomainError):
             pochhammer_psi(1, 0.5, 0.0)
+        with pytest.raises(DomainError, match="zero factor"):
+            pochhammer_psi(1, -2.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -1319,20 +1322,16 @@ def reference_bracket(k: int, q: complex) -> complex:
 
 
 def reference_log_psi(a: int, x: complex, q: complex, tol: float) -> tuple:
-    """_log_pochhammer_psi for a >= 1 as the per-term formula formed it."""
-    sign, total, absq, n_idx = (-1) ** a, KahanSum(), abs(q), 0
-    while True:
-        u = series._q_power(q, np.array([2 * n_idx + a]))[0] * x
-        c = math.comb(n_idx + a - 1, a - 1)
-        total.add(sign * c * cmath.log(1 + u))
-        if abs(u) < 0.5:
-            tail = (
-                2 * abs(x) * (n_idx + 2) ** (a - 1) * absq ** (2 * n_idx + 2 + a)
-                / (1 - absq**2) * (a)
-            )
-            if tail <= tol:
-                return total.value(), tail, n_idx + 1
-        n_idx += 1
+    """(log Psi_a, K) for a >= 1 as the one sum forms it: K the first rung
+    whose tail 2|x| r^a C(K+a-1, a-1) r^(2K) / (1-r^2)^a meets tol once
+    |q^(2K+a) x| < 1/2, and the integer binomials C(n+a-1, a-1), n < K."""
+    r, K = abs(q), 64
+    while abs(x) * r ** (2 * K + a) >= 0.5 or (
+            2 * abs(x) * r**a * math.comb(K + a - 1, a - 1) * r ** (2 * K) / (1 - r * r) ** a > tol):
+        K *= 2
+    u = series._q_power(q, 2 * np.arange(K) + a) * x
+    binom = np.array([math.comb(n + a - 1, a - 1) for n in range(K)], dtype=np.float64)
+    return 0j + (-1) ** a * complex(np.dot(binom, np.log(1 + u))), K
 
 
 def q_values(moduli) -> list:
@@ -1340,8 +1339,9 @@ def q_values(moduli) -> list:
 
 
 class TestQPowerSequences:
-    """q_difference, q_integral and the Psi product form all their powers q^k
-    with one array call, and give the bits of one _q_power call per k."""
+    """q_difference and q_integral form all their powers q^k with one array
+    call, and give the bits of one _q_power call per k; the Psi product
+    gives the bits of its one sum."""
 
     INSIDE = q_values((0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999)) + [0.7 + 0.1j, 0.7 - 0.1j]
     OUTSIDE = q_values((1.001, 1.5, 10.0))
@@ -1383,15 +1383,15 @@ class TestQPowerSequences:
             (1, 0.4j, 0.7 + 0.1j),
             (2, 0.25, 0.4),
             (3, 0.6 - 0.1j, -0.45),
-            (1, 0.5 + 0.5j, 0.95),  # more than one 64-factor chunk
+            (1, 0.5 + 0.5j, 0.95),  # past the first rung
             (2, -0.3 + 0.1j, cmath.rect(0.97, 1.1)),
             (1, 0.2, -0.99),
+            (5, 1e-14, 0.999),  # K = 65536: binomials past 2^53, in Python integers
         ],
     )
     def test_psi_matches_the_per_term_formula(self, a, x, q):
-        params = SeriesParams()
-        got = series._log_pochhammer_psi(a, x, q, params)
-        want = reference_log_psi(a, x, q, params.tol)
-        assert same_bytes(got[0], want[0]) and got[1:] == want[1:]
+        got = pochhammer_psi(a, x, q)
+        log_psi, K = reference_log_psi(a, x, q, SeriesParams().tol)
+        assert same_bytes(got.value, cmath.exp(log_psi)) and got.diagnostics["factors"] == K
         if abs(q) > 0.9:
-            assert got[2] > 64
+            assert K >= 128
